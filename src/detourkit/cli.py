@@ -14,6 +14,7 @@ import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import islice
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -153,6 +154,8 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         cfg.cumulative = True
     if getattr(args, "af_any", False):
         cfg.address_family = None
+    if cfg.top < 0:
+        raise ValueError(f"top must be >= 0, got {cfg.top}")
     if cfg.format not in ("csv", "json"):
         raise ValueError(f"unsupported format {cfg.format!r}")
     return cfg
@@ -254,50 +257,29 @@ def cmd_detours(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         print(f"input not found: {snapshot}", file=sys.stderr)
         return EXIT_USAGE
     graph = load_graph(snapshot)
-    insights = detours_mod.report_order(
-        detours_mod.enumerate_detours(graph, threshold_pct=cfg.threshold_pct)
-    )
-    improvements = [i for i in insights if i.kind == detours_mod.KIND_IMPROVEMENT]
-    histogram = detours_mod.improvement_histogram(
-        improvements, bucket_width_pct=cfg.bucket_width_pct
-    )
+    rows = detours_mod.search_detours(graph, threshold_pct=cfg.threshold_pct)
+    histogram = rows.histogram(cfg.bucket_width_pct)
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     if cfg.format == "json":
-        _write_json(
-            cfg.output_dir / "insights.json",
-            [
-                {
-                    "source": i.source.value,
-                    "via": i.via.value,
-                    "destination": i.destination.value,
-                    "overlay_rtt_ms": i.overlay_rtt_ms,
-                    "direct_rtt_ms": i.direct_rtt_ms,
-                    "improvement_ms": i.improvement_ms,
-                    "improvement_pct": i.improvement_pct,
-                    "kind": i.kind,
-                }
-                for i in insights
-            ],
-        )
+        detours_mod.write_rows_json(rows, cfg.output_dir / "insights.json")
         counts = histogram.cumulative() if cfg.cumulative else histogram.counts
         _write_json(
             cfg.output_dir / "histogram.json",
             [{"bucket_pct": bucket, "pair_count": count} for bucket, count in sorted(counts.items())],
         )
     else:
-        detours_mod.write_insights_csv(insights, cfg.output_dir / "insights.csv")
+        detours_mod.write_rows_csv(rows, cfg.output_dir / "insights.csv")
         detours_mod.write_histogram_csv(
             histogram, cfg.output_dir / "histogram.csv", cumulative=cfg.cumulative
         )
 
-    bridges = sum(1 for i in insights if i.kind == detours_mod.KIND_BRIDGE)
     print(
-        f"insights={len(insights)} improvements={len(improvements)} bridges={bridges} "
-        f"improvable_pairs={histogram.total_pairs()}"
+        f"insights={len(rows)} improvements={len(rows.improvements)} "
+        f"bridges={len(rows.bridges)} improvable_pairs={histogram.total_pairs()}"
     )
 
-    top = insights[: cfg.top]
+    top = list(islice(rows.insights(), cfg.top))
     use_geo = cfg.geo_cache is not None and cfg.geo_cache.exists()
     if use_geo:
         lookup = _geo_lookup_from_config(cfg, allow_provider=False)

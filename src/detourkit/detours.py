@@ -6,15 +6,22 @@ faster by at least the configured percentage, that is an improvement
 insight; when no direct edge exists, the relay path is a connectivity
 bridge. Improvements are bucketed per source-destination pair into a
 histogram using each pair's best relay.
+
+The search walks endpoints in key order and keeps its findings as compact
+rank-indexed rows (:class:`DetourRows`) that are already in report order, so
+the CLI renders them without building an object or sorting per insight.
 """
 
 from __future__ import annotations
 
 import csv
+import io
+import json
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .graph import EndpointKey, LatencyGraph
 
@@ -77,33 +84,91 @@ def _make_insight(
     )
 
 
-def enumerate_detours(graph: LatencyGraph, threshold_pct: float = 1.0) -> Iterator[DetourInsight]:
-    """Yield improvement and bridge insights for every viable triplet.
+@dataclass(frozen=True, slots=True)
+class DetourRows:
+    """Every insight of one search as compact rows, already in report order.
+
+    Endpoints are ranks into ``nodes``, which is sorted by key. Improvement
+    rows are ``(source, via, destination, overlay, direct, gain, pct)``,
+    ordered by pct descending then by rank; bridge rows are
+    ``(source, via, destination, overlay)``, ordered by rank.
+    """
+
+    nodes: list[EndpointKey]
+    improvements: list[tuple[int, int, int, float, float, float, float]]
+    bridges: list[tuple[int, int, int, float]]
+
+    def __len__(self) -> int:
+        return len(self.improvements) + len(self.bridges)
+
+    def insights(self) -> Iterator[DetourInsight]:
+        """The rows as insights, in report order."""
+        nodes = self.nodes
+        for s, v, d, overlay, direct, gain, pct in self.improvements:
+            yield DetourInsight(
+                nodes[s], nodes[v], nodes[d], overlay, direct, gain, pct, KIND_IMPROVEMENT
+            )
+        for s, v, d, overlay in self.bridges:
+            yield DetourInsight(nodes[s], nodes[v], nodes[d], overlay, None, None, None, KIND_BRIDGE)
+
+    def histogram(self, bucket_width_pct: float = 1.0) -> ImprovementHistogram:
+        """Same counts as :func:`improvement_histogram` over the improvements."""
+        # pct descending means a pair's first row is its best; iterating in
+        # reverse lets that first row's value be the last one written
+        best = {(row[0], row[2]): row[6] for row in reversed(self.improvements)}
+        return _bucketed(best.values(), bucket_width_pct)
+
+
+def search_detours(graph: LatencyGraph, threshold_pct: float = 1.0) -> DetourRows:
+    """Find improvement and bridge insights for every viable triplet.
 
     Improvements require a strictly faster relay path whose gain is at
     least ``threshold_pct`` percent of the direct RTT. Each (s, m, d)
-    triplet with both legs present is considered exactly once; emission
-    order is unspecified (report layers sort).
+    triplet with both legs present is considered exactly once. Sources,
+    vias and destinations are walked in key order, so bridges come out in
+    report order and improvements need only a stable sort on pct.
     """
     if threshold_pct < 0:
         raise ValueError("threshold_pct must be >= 0")
-    for via in graph.nodes():
-        successors = graph.successors(via)
-        if not successors:
-            continue
-        for source in graph.predecessors(via):
-            leg_in = graph.edge_rtt(source, via)
-            for destination, leg_out in successors.items():
-                if destination == source:
+    # EndpointKey order, compared as plain tuples
+    nodes = sorted(graph.nodes(), key=lambda node: (node.kind, node.value))
+    rank = {node: i for i, node in enumerate(nodes)}
+    successors = [
+        sorted([(rank[d], edge.rtt_ms) for d, edge in graph.successors(node).items()])
+        for node in nodes
+    ]
+    improvements: list[tuple[int, int, int, float, float, float, float]] = []
+    bridges: list[tuple[int, int, int, float]] = []
+    add_improvement = improvements.append
+    add_bridge = bridges.append
+    # direct[d] is the source's direct RTT to d, or None; reset per source
+    direct: list[Optional[float]] = [None] * len(nodes)
+    for s, out in enumerate(successors):
+        for d, rtt in out:
+            direct[d] = rtt
+        for v, leg_in in out:
+            for d, leg_out in successors[v]:
+                if d == s:
                     continue
-                overlay = leg_in + leg_out.rtt_ms
-                direct = graph.edge_rtt(source, destination)
-                if direct is None:
-                    yield _make_insight(source, via, destination, overlay, None)
+                overlay = leg_in + leg_out
+                direct_rtt = direct[d]
+                if direct_rtt is None:
+                    add_bridge((s, v, d, overlay))
                     continue
-                gain = direct - overlay
-                if gain > 0 and 100.0 * gain / direct >= threshold_pct:
-                    yield _make_insight(source, via, destination, overlay, direct)
+                gain = direct_rtt - overlay
+                if gain > 0:
+                    pct = 100.0 * gain / direct_rtt
+                    if pct >= threshold_pct:
+                        add_improvement((s, v, d, overlay, direct_rtt, gain, pct))
+        for d, _ in out:
+            direct[d] = None
+    improvements.sort(key=lambda row: -row[6])
+    return DetourRows(nodes, improvements, bridges)
+
+
+def enumerate_detours(graph: LatencyGraph, threshold_pct: float = 1.0) -> Iterator[DetourInsight]:
+    """Yield the insights of :func:`search_detours`, in report order."""
+    yield from search_detours(graph, threshold_pct).insights()
 
 
 def best_detour(
@@ -168,8 +233,6 @@ def improvement_histogram(
     Bridges (no percentage) are ignored; callers normally pass a stream
     already restricted to improvements.
     """
-    if bucket_width_pct <= 0:
-        raise ValueError("bucket_width_pct must be > 0")
     best_pct: dict[tuple[EndpointKey, EndpointKey], float] = {}
     for insight in insights:
         if insight.improvement_pct is None:
@@ -178,8 +241,15 @@ def improvement_histogram(
         current = best_pct.get(pair)
         if current is None or insight.improvement_pct > current:
             best_pct[pair] = insight.improvement_pct
+    return _bucketed(best_pct.values(), bucket_width_pct)
+
+
+def _bucketed(best_pcts: Iterable[float], bucket_width_pct: float) -> ImprovementHistogram:
+    """Count each pair's best pct into its floored bucket."""
+    if bucket_width_pct <= 0:
+        raise ValueError("bucket_width_pct must be > 0")
     counts: dict[float, int] = {}
-    for pct in best_pct.values():
+    for pct in best_pcts:
         bucket = math.floor(pct / bucket_width_pct) * bucket_width_pct
         counts[bucket] = counts.get(bucket, 0) + 1
     return ImprovementHistogram(bucket_width_pct=bucket_width_pct, counts=counts)
@@ -230,6 +300,87 @@ def write_insights_csv(insights: Iterable[DetourInsight], path: str | Path) -> i
             writer.writerow(insight_row(insight))
             rows += 1
     return rows
+
+
+def _write_batched(handle: TextIO, items: Iterator[str], separator: str = "") -> None:
+    """Write ``separator.join(items)`` a few thousand items at a time."""
+    first = True
+    while batch := list(islice(items, 4096)):
+        if not first:
+            handle.write(separator)
+        handle.write(separator.join(batch))
+        first = False
+
+
+def _csv_cells(nodes: list[EndpointKey]) -> list[str]:
+    """Each node's value as :func:`write_insights_csv` renders it."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    cells = []
+    for node in nodes:
+        buffer.seek(0)
+        buffer.truncate()
+        # a trailing empty field keeps an empty value unquoted, as in a full row
+        writer.writerow((node.value, ""))
+        cells.append(buffer.getvalue()[: -len(",\r\n")])
+    return cells
+
+
+def write_rows_csv(rows: DetourRows, path: str | Path) -> int:
+    """Write ``rows`` byte-identical to :func:`write_insights_csv` over
+    ``rows.insights()``; returns the number of rows written."""
+    cell = _csv_cells(rows.nodes)
+    lines = chain(
+        (
+            f"{cell[s]},{cell[v]},{cell[d]},{overlay:.3f},{direct:.3f},{gain:.3f},{pct:.2f},"
+            f"{KIND_IMPROVEMENT}\r\n"
+            for s, v, d, overlay, direct, gain, pct in rows.improvements
+        ),
+        (
+            f"{cell[s]},{cell[v]},{cell[d]},{overlay:.3f},,,,{KIND_BRIDGE}\r\n"
+            for s, v, d, overlay in rows.bridges
+        ),
+    )
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(",".join(INSIGHT_HEADER) + "\r\n")
+        _write_batched(handle, lines)
+    return len(rows)
+
+
+def _json_float(value: float) -> str:
+    # json.dump spells an overflowed leg sum Infinity; finite floats are repr
+    return repr(value) if math.isfinite(value) else json.dumps(value)
+
+
+def write_rows_json(rows: DetourRows, path: str | Path) -> int:
+    """Write ``rows`` byte-identical to ``json.dump(indent=2)`` of one object
+    per insight keyed by :data:`INSIGHT_HEADER`, plus a newline; returns the
+    number of rows written."""
+    cell = [json.dumps(node.value) for node in rows.nodes]
+    objects = chain(
+        (
+            f'  {{\n    "source": {cell[s]},\n    "via": {cell[v]},\n    "destination": {cell[d]},'
+            f'\n    "overlay_rtt_ms": {overlay!r},\n    "direct_rtt_ms": {direct!r},'
+            f'\n    "improvement_ms": {gain!r},\n    "improvement_pct": {pct!r},'
+            f'\n    "kind": "{KIND_IMPROVEMENT}"\n  }}'
+            for s, v, d, overlay, direct, gain, pct in rows.improvements
+        ),
+        (
+            f'  {{\n    "source": {cell[s]},\n    "via": {cell[v]},\n    "destination": {cell[d]},'
+            f'\n    "overlay_rtt_ms": {_json_float(overlay)},\n    "direct_rtt_ms": null,'
+            f'\n    "improvement_ms": null,\n    "improvement_pct": null,'
+            f'\n    "kind": "{KIND_BRIDGE}"\n  }}'
+            for s, v, d, overlay in rows.bridges
+        ),
+    )
+    with open(path, "w", encoding="utf-8") as handle:
+        if not len(rows):
+            handle.write("[]\n")
+            return 0
+        handle.write("[\n")
+        _write_batched(handle, objects, ",\n")
+        handle.write("\n]\n")
+    return len(rows)
 
 
 def write_histogram_csv(

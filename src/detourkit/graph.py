@@ -95,13 +95,10 @@ class LatencyGraph:
 
     def __init__(self) -> None:
         self._out: dict[EndpointKey, dict[EndpointKey, LatencyEdge]] = {}
-        self._in: dict[EndpointKey, set[EndpointKey]] = {}
 
     def add_edge(self, edge: LatencyEdge) -> None:
         self._out.setdefault(edge.source, {})[edge.destination] = edge
         self._out.setdefault(edge.destination, {})
-        self._in.setdefault(edge.source, set())
-        self._in.setdefault(edge.destination, set()).add(edge.source)
 
     @property
     def node_count(self) -> int:
@@ -129,9 +126,6 @@ class LatencyGraph:
 
     def successors(self, source: EndpointKey) -> Mapping[EndpointKey, LatencyEdge]:
         return self._out.get(source, {})
-
-    def predecessors(self, destination: EndpointKey) -> frozenset[EndpointKey]:
-        return frozenset(self._in.get(destination, ()))
 
 
 @dataclass
@@ -194,7 +188,8 @@ def build_graph(records: Iterable[PingRecord], stats: Optional[BuildStats] = Non
 
 
 def save_graph(graph: LatencyGraph, path: str | Path) -> None:
-    """Write the snapshot CSV (RTTs rendered with 3 decimals)."""
+    """Write the snapshot CSV (RTTs in shortest round-trip form, so
+    :func:`load_graph` reads back the exact weights)."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SNAPSHOT_HEADER)
@@ -204,7 +199,7 @@ def save_graph(graph: LatencyGraph, path: str | Path) -> None:
                 [
                     edge.source.value,
                     edge.destination.value,
-                    f"{edge.rtt_ms:.3f}",
+                    repr(edge.rtt_ms),
                     edge.sample_count,
                     edge.measurement_count,
                 ]

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import csv
 import json
+import random
 import shutil
 
 import pytest
 
 from conftest import FIXTURES, make_graph
-from detourkit.cli import main
-from detourkit.graph import save_graph
-from detourkit.ingest import PingRecord, serialize_record
+from detourkit.cli import ingest_to_graph, main
+from detourkit.detours import enumerate_detours
+from detourkit.graph import EndpointKey, load_graph, save_graph
+from detourkit.ingest import FilterSpec, PingRecord, serialize_record
 
 REFERENCE_EDGES = {
     ("Milpitas", "Morrisdale"): 265.49,
@@ -45,6 +47,10 @@ def feed_line(i, status="stopped", af=4, source=None, dest=None):
         rtt_runs=(1.0 + i % 3, 2.0, 3.0),
     )
     return serialize_record(record)
+
+
+def key(text):
+    return EndpointKey.from_text(text)
 
 
 def read_csv(path):
@@ -99,6 +105,33 @@ class TestIngest:
 
 
 class TestDetours:
+    def test_snapshot_path_matches_in_memory_graph(self, tmp_path):
+        # ingest -> snapshot file -> detours sees exactly the weights that
+        # the in-memory pipeline (the one the oracles check) computes
+        rng = random.Random(8)
+        hosts = [f"10.1.0.{i}" for i in range(8)]
+        lines = []
+        for i in range(400):
+            source, dest = rng.sample(hosts, 2)
+            runs = tuple(rng.uniform(0.1, 90.0) for _ in range(rng.randint(1, 3)))
+            record = PingRecord(f"m{i % 3}", source, dest, 4, "stopped", 1_680_000_000, runs)
+            lines.append(serialize_record(record))
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["--output-dir", str(tmp_path), "ingest", str(feed)]) == 0
+        in_memory, _, _ = ingest_to_graph([feed], FilterSpec(address_family=4))
+        from_file = load_graph(tmp_path / "graph.csv")
+        assert set(from_file.edges()) == set(in_memory.edges())
+        assert list(enumerate_detours(from_file, 0.0)) == list(enumerate_detours(in_memory, 0.0))
+
+    def test_sub_millisecond_edge_survives_snapshot(self, tmp_path):
+        snapshot = tmp_path / "graph.csv"
+        save_graph(make_graph({("A", "B"): 0.0004, ("B", "C"): 2.0, ("A", "C"): 3.0}), snapshot)
+        assert load_graph(snapshot).edge_rtt(key("A"), key("B")) == 0.0004
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "detours", str(snapshot)]) == 0
+        assert read_csv(out / "insights.csv")[1][:4] == ["A", "B", "C", "2.000"]
+
     def test_four_node_fixture_matches_hand_enumeration(self, tmp_path, capsys):
         snapshot = tmp_path / "graph.csv"
         save_graph(make_graph(FOUR_NODE_EDGES), snapshot)
@@ -406,6 +439,17 @@ class TestConfig:
         rows = read_csv(tmp_path / "cli_wins" / "insights.csv")
         improvements = [r for r in rows[1:] if r[-1] == "improvement"]
         assert len(improvements) == 2
+
+    def test_negative_top_rejected(self, tmp_path, capsys):
+        snapshot = tmp_path / "graph.csv"
+        save_graph(make_graph(FOUR_NODE_EDGES), snapshot)
+        out = str(tmp_path / "out")
+        assert main(["--output-dir", out, "detours", str(snapshot), "--top", "-1"]) == 2
+        config = tmp_path / "pipeline.cfg"
+        config.write_text("[detours]\ntop = -1\n", encoding="utf-8")
+        assert main(["--config", str(config), "--output-dir", out, "detours", str(snapshot)]) == 2
+        assert capsys.readouterr().err.count("top must be >= 0") == 2
+        assert not (tmp_path / "out").exists()
 
     def test_bad_format_rejected(self, tmp_path):
         snapshot = tmp_path / "graph.csv"

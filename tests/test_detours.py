@@ -2,10 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import math
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     brute_force_best,
@@ -14,18 +21,22 @@ from conftest import (
     make_graph,
     random_graph,
 )
+from detourkit.cli import main
 from detourkit.detours import (
     KIND_BRIDGE,
     KIND_IMPROVEMENT,
+    DetourInsight,
     best_detour,
     enumerate_detours,
     improvement_histogram,
     insight_row,
     report_order,
+    search_detours,
     write_histogram_csv,
     write_insights_csv,
+    write_rows_json,
 )
-from detourkit.graph import EndpointKey
+from detourkit.graph import EndpointKey, save_graph
 
 
 def key(text):
@@ -251,6 +262,15 @@ class TestExport:
             "80,1",
         ]
 
+    def test_json_rows_spell_overflowed_overlay_as_json_does(self, tmp_path):
+        graph = make_graph({("A", "B"): 1e308, ("B", "C"): 1e308, ("C", "D"): 1.0})
+        rows = search_detours(graph, 1.0)
+        path = tmp_path / "insights.json"
+        assert write_rows_json(rows, path) == 2
+        text = path.read_text(encoding="utf-8")
+        assert text == reference_json(rows.insights())
+        assert '"overlay_rtt_ms": Infinity' in text
+
     def test_report_order_improvements_then_bridges(self):
         graph = make_graph(
             {
@@ -263,3 +283,63 @@ class TestExport:
         ordered = report_order(enumerate_detours(graph, 1.0))
         kinds = [i.kind for i in ordered]
         assert kinds == sorted(kinds, key=lambda k: k == KIND_BRIDGE)
+
+
+# probe ids, IPs and hostnames sort by kind then value; some values need
+# CSV quoting
+ENDPOINTS = ["7", "12", "300", "10.0.0.1", "10.0.0.12", "9.9.9.9", "a,b", 'say "hi"', 'x",y']
+
+
+def reference_json(insights) -> str:
+    """The insight file as ``json.dump(indent=2)`` renders it."""
+    objects = [
+        {
+            "source": i.source.value,
+            "via": i.via.value,
+            "destination": i.destination.value,
+            "overlay_rtt_ms": i.overlay_rtt_ms,
+            "direct_rtt_ms": i.direct_rtt_ms,
+            "improvement_ms": i.improvement_ms,
+            "improvement_pct": i.improvement_pct,
+            "kind": i.kind,
+        }
+        for i in insights
+    ]
+    return json.dumps(objects, indent=2) + "\n"
+
+
+@st.composite
+def quirky_graphs(draw):
+    names = draw(st.lists(st.sampled_from(ENDPOINTS), min_size=3, max_size=7, unique=True))
+    pairs = [(s, d) for s in names for d in names if s != d]
+    # a few integer RTTs make improvement percentages tie across vias and pairs
+    weights = st.sampled_from([None, 1, 2, 3, 4, 6, 8, 12])
+    rtts = draw(st.lists(weights, min_size=len(pairs), max_size=len(pairs)))
+    edges = {pair: float(rtt) for pair, rtt in zip(pairs, rtts) if rtt is not None}
+    return make_graph(edges or {pairs[0]: 1.0})
+
+
+class TestReportOrderProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(graph=quirky_graphs(), threshold=st.sampled_from([0.0, 1.0, 20.0, 50.0]))
+    def test_enumeration_is_oracle_in_report_order(self, graph, threshold):
+        oracle = report_order(DetourInsight(*row) for row in brute_force_detours(graph, threshold))
+        assert list(enumerate_detours(graph, threshold)) == oracle
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=quirky_graphs(), threshold=st.sampled_from([0.0, 1.0, 20.0]))
+    def test_cli_files_match_reference_writers(self, graph, threshold):
+        oracle = report_order(DetourInsight(*row) for row in brute_force_detours(graph, threshold))
+        with tempfile.TemporaryDirectory() as work:
+            work = Path(work)
+            snapshot = work / "graph.csv"
+            save_graph(graph, snapshot)
+            expected = work / "expected.csv"
+            write_insights_csv(oracle, expected)
+            for fmt in ("csv", "json"):
+                argv = ["--output-dir", str(work / fmt), "--format", fmt, "detours", str(snapshot)]
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv + ["--threshold-pct", str(threshold)]) == 0
+            assert (work / "csv" / "insights.csv").read_bytes() == expected.read_bytes()
+            produced = (work / "json" / "insights.json").read_text(encoding="utf-8")
+            assert produced == reference_json(oracle)
