@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import detours as detours_mod
 from . import geo as geo_mod
@@ -73,91 +73,84 @@ def _parse_regions(text: str) -> Optional[frozenset[str]]:
     return values or None
 
 
+def _lower(text: str) -> str:
+    return text.strip().lower()
+
+
+def _path(text: str) -> Path:
+    return Path(text.strip())
+
+
+def _address_family(text: str) -> Optional[int]:
+    return None if text.strip().lower() == "any" else int(text)
+
+
+def _boolean(text: str) -> bool:
+    # the spellings and the error of ConfigParser.getboolean
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()]
+    except KeyError:
+        raise ValueError(f"Not a boolean: {text}") from None
+
+
+KEY_BY_CHOICES = ("ip", "probe")
+GEO_PROVIDERS = ("none", "static", "http")
+FORMATS = ("csv", "json")
+
+# (section, key, PipelineConfig field, converter, allowed values or None);
+# a flag overrides the field through the argparse dest of the same name
+CONFIG_KEYS = (
+    ("filter", "status", "status", _lower, None),
+    ("filter", "af", "address_family", _address_family, None),
+    ("filter", "min_start", "min_start", parse_time, None),
+    ("filter", "max_start", "max_start", parse_time, None),
+    ("filter", "regions", "regions", _parse_regions, None),
+    ("ingest", "key_by", "key_by", str.strip, KEY_BY_CHOICES),
+    ("ingest", "sidecar", "sidecar", _path, None),
+    ("detours", "threshold_pct", "threshold_pct", float, None),
+    ("detours", "bucket_width_pct", "bucket_width_pct", float, None),
+    ("detours", "top", "top", int, None),
+    ("detours", "cumulative", "cumulative", _boolean, None),
+    ("overlay", "mode_bin_width_ms", "mode_bin_width_ms", float, None),
+    ("overlay", "forwarding_delay_ms", "forwarding_delay_ms", float, None),
+    ("geo", "provider", "geo_provider", _lower, GEO_PROVIDERS),
+    ("geo", "static_file", "geo_static_file", _path, None),
+    ("geo", "base_url", "geo_base_url", str.strip, None),
+    ("geo", "min_interval_s", "geo_min_interval_s", float, None),
+    ("geo", "cache", "geo_cache", _path, None),
+    ("output", "dir", "output_dir", _path, None),
+    ("output", "format", "format", _lower, FORMATS),
+)
+
+
 def load_config_file(path: Path) -> PipelineConfig:
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     with open(path, "r", encoding="utf-8") as handle:
         parser.read_string(handle.read())
     cfg = PipelineConfig()
-
-    def get(section: str, key: str) -> Optional[str]:
-        return parser.get(section, key, fallback=None)
-
-    if value := get("filter", "status"):
-        cfg.status = value.strip().lower()
-    if value := get("filter", "af"):
-        cfg.address_family = None if value.strip().lower() == "any" else int(value)
-    if value := get("filter", "min_start"):
-        cfg.min_start = parse_time(value)
-    if value := get("filter", "max_start"):
-        cfg.max_start = parse_time(value)
-    if value := get("filter", "regions"):
-        cfg.regions = _parse_regions(value)
-    if value := get("ingest", "key_by"):
-        cfg.key_by = value.strip()
-    if value := get("ingest", "sidecar"):
-        cfg.sidecar = Path(value.strip())
-    if value := get("detours", "threshold_pct"):
-        cfg.threshold_pct = float(value)
-    if value := get("detours", "bucket_width_pct"):
-        cfg.bucket_width_pct = float(value)
-    if value := get("detours", "top"):
-        cfg.top = int(value)
-    if value := get("detours", "cumulative"):
-        cfg.cumulative = parser.getboolean("detours", "cumulative")
-    if value := get("overlay", "mode_bin_width_ms"):
-        cfg.mode_bin_width_ms = float(value)
-    if value := get("overlay", "forwarding_delay_ms"):
-        cfg.forwarding_delay_ms = float(value)
-    if value := get("geo", "provider"):
-        cfg.geo_provider = value.strip().lower()
-    if value := get("geo", "static_file"):
-        cfg.geo_static_file = Path(value.strip())
-    if value := get("geo", "base_url"):
-        cfg.geo_base_url = value.strip()
-    if value := get("geo", "min_interval_s"):
-        cfg.geo_min_interval_s = float(value)
-    if value := get("geo", "cache"):
-        cfg.geo_cache = Path(value.strip())
-    if value := get("output", "dir"):
-        cfg.output_dir = Path(value.strip())
-    if value := get("output", "format"):
-        cfg.format = value.strip().lower()
+    for section, key, name, convert, allowed in CONFIG_KEYS:
+        if text := parser.get(section, key, fallback=None):
+            value = convert(text)
+            if allowed is not None and value not in allowed:
+                choices = ", ".join(allowed)
+                raise ValueError(f"[{section}] {key} must be one of {choices}, got {value!r}")
+            setattr(cfg, name, value)
     return cfg
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     cfg = load_config_file(args.config) if args.config else PipelineConfig()
-    overrides = {
-        "status": getattr(args, "status", None),
-        "address_family": getattr(args, "af", None),
-        "min_start": getattr(args, "min_start", None),
-        "max_start": getattr(args, "max_start", None),
-        "regions": getattr(args, "regions", None),
-        "key_by": getattr(args, "key_by", None),
-        "sidecar": getattr(args, "sidecar", None),
-        "threshold_pct": getattr(args, "threshold_pct", None),
-        "bucket_width_pct": getattr(args, "bucket_width_pct", None),
-        "top": getattr(args, "top", None),
-        "mode_bin_width_ms": getattr(args, "mode_bin_width", None),
-        "forwarding_delay_ms": getattr(args, "forwarding_delay", None),
-        "geo_provider": getattr(args, "geo_provider", None),
-        "geo_static_file": getattr(args, "geo_static_file", None),
-        "geo_base_url": getattr(args, "geo_base_url", None),
-        "geo_cache": getattr(args, "geo_cache", None),
-        "output_dir": args.output_dir,
-        "format": args.format,
-    }
-    for name, value in overrides.items():
-        if value is not None:
-            setattr(cfg, name, value)
+    for field in dataclasses.fields(cfg):
+        value = getattr(args, field.name, None)
+        if value is not None and field.name != "cumulative":
+            setattr(cfg, field.name, value)
+    # the two switches can only turn their setting on
     if getattr(args, "cumulative", False):
         cfg.cumulative = True
     if getattr(args, "af_any", False):
         cfg.address_family = None
     if cfg.top < 0:
         raise ValueError(f"top must be >= 0, got {cfg.top}")
-    if cfg.format not in ("csv", "json"):
-        raise ValueError(f"unsupported format {cfg.format!r}")
     return cfg
 
 
@@ -181,10 +174,43 @@ def ingest_to_graph(
     return graph, feed_stats, build_stats
 
 
-def _write_json(path: Path, payload: object) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2)
-        handle.write("\n")
+# (column name, format spec of its CSV cell)
+HISTOGRAM_COLUMNS = (("bucket_pct", "g"), ("pair_count", ""))
+TRACE_REPORT_COLUMNS = (
+    ("source_label", ""),
+    ("destination", ""),
+    ("hop_count", ""),
+    ("city_verdict", ""),
+)
+SUMMARY_COLUMNS = (
+    ("label", ""),
+    ("mean_ms", ".2f"),
+    ("median_ms", ".2f"),
+    ("variance_ms2", ".2f"),
+    ("mode_ms", ".2f"),
+    ("std_dev_ms", ".2f"),
+    ("sample_count", ""),
+    ("modality", ""),
+)
+
+
+def write_table(
+    path: Path, fmt: str, columns: Sequence[tuple[str, str]], rows: Iterable[Sequence]
+) -> None:
+    """Write ``rows`` as CSV, each cell rendered with its column's format
+    spec, or as a JSON list of one object per row keyed by column name."""
+    names = [name for name, _ in columns]
+    if fmt == "json":
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump([dict(zip(names, row)) for row in rows], handle, indent=2)
+            handle.write("\n")
+        return
+    specs = [spec for _, spec in columns]
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(names)
+        for row in rows:
+            writer.writerow([format(value, spec) for value, spec in zip(row, specs)])
 
 
 def _geo_lookup_from_config(cfg: PipelineConfig, allow_provider: bool = True) -> geo_mod.GeoLookup:
@@ -263,16 +289,15 @@ def cmd_detours(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     if cfg.format == "json":
         detours_mod.write_rows_json(rows, cfg.output_dir / "insights.json")
-        counts = histogram.cumulative() if cfg.cumulative else histogram.counts
-        _write_json(
-            cfg.output_dir / "histogram.json",
-            [{"bucket_pct": bucket, "pair_count": count} for bucket, count in sorted(counts.items())],
-        )
     else:
         detours_mod.write_rows_csv(rows, cfg.output_dir / "insights.csv")
-        detours_mod.write_histogram_csv(
-            histogram, cfg.output_dir / "histogram.csv", cumulative=cfg.cumulative
-        )
+    counts = histogram.cumulative() if cfg.cumulative else histogram.counts
+    write_table(
+        cfg.output_dir / f"histogram.{cfg.format}",
+        cfg.format,
+        HISTOGRAM_COLUMNS,
+        sorted(counts.items()),
+    )
 
     print(
         f"insights={len(rows)} improvements={len(rows.improvements)} "
@@ -333,26 +358,17 @@ def cmd_traceroutes(args: argparse.Namespace, cfg: PipelineConfig) -> int:
                 trace.source_label or path.stem,
                 trace.destination,
                 traceroute_mod.hop_count(trace),
-                detection.verdict,
+                detection.verdict.capitalize(),
             )
         )
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.format == "json":
-        _write_json(
-            cfg.output_dir / "traceroute_report.json",
-            [
-                {
-                    "source_label": label,
-                    "destination": destination,
-                    "hop_count": hops,
-                    "city_verdict": verdict.capitalize(),
-                }
-                for label, destination, hops, verdict in rows
-            ],
-        )
-    else:
-        traceroute_mod.write_trace_report_csv(rows, cfg.output_dir / "traceroute_report.csv")
+    write_table(
+        cfg.output_dir / f"traceroute_report.{cfg.format}",
+        cfg.format,
+        TRACE_REPORT_COLUMNS,
+        rows,
+    )
     print(f"traces={len(rows)} errors={failures}")
     return EXIT_OK
 
@@ -417,29 +433,12 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         distributions.append(("direct", direct_samples))
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.format == "json":
-        _write_json(
-            cfg.output_dir / "overlay_summary.json",
-            [
-                {
-                    "label": label,
-                    "mean_ms": s.mean_ms,
-                    "median_ms": s.median_ms,
-                    "variance_ms2": s.variance_ms2,
-                    "mode_ms": s.mode_ms,
-                    "std_dev_ms": s.std_dev_ms,
-                    "sample_count": s.sample_count,
-                    "modality": s.modality,
-                }
-                for label, s in rows
-            ],
-        )
-    else:
-        with open(cfg.output_dir / "overlay_summary.csv", "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(stats_mod.SUMMARY_HEADER)
-            for label, summary in rows:
-                writer.writerow(stats_mod.summary_row(label, summary))
+    write_table(
+        cfg.output_dir / f"overlay_summary.{cfg.format}",
+        cfg.format,
+        SUMMARY_COLUMNS,
+        [(label, *(getattr(s, name) for name, _ in SUMMARY_COLUMNS[1:])) for label, s in rows],
+    )
 
     for label, samples in distributions:
         safe = label.replace("/", "_").replace(" ", "_")
@@ -503,14 +502,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", type=Path, default=None, help="key=value sections file")
     parser.add_argument("--output-dir", type=Path, default=None)
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
+    parser.add_argument("--format", choices=FORMATS, default=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ingest = sub.add_parser("ingest", help="parse + filter feeds into a graph snapshot")
     p_ingest.add_argument("inputs", nargs="+")
-    p_ingest.add_argument("--key-by", dest="key_by", choices=("ip", "probe"), default=None)
+    p_ingest.add_argument("--key-by", dest="key_by", choices=KEY_BY_CHOICES, default=None)
     p_ingest.add_argument("--status", default=None, help="required status, e.g. stopped")
-    p_ingest.add_argument("--af", type=int, default=None)
+    p_ingest.add_argument("--af", dest="address_family", type=int, default=None)
     p_ingest.add_argument("--af-any", action="store_true", help="disable the address-family filter")
     p_ingest.add_argument("--min-start", type=parse_time, default=None)
     p_ingest.add_argument("--max-start", type=parse_time, default=None, help="exclusive bound")
@@ -539,16 +538,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_overlay = sub.add_parser("overlay", help="summarize legs and compose a relay prediction")
     p_overlay.add_argument("--leg", action="append", metavar="LABEL=FILE")
     p_overlay.add_argument("--direct", default=None, metavar="FILE")
-    p_overlay.add_argument("--mode-bin-width", dest="mode_bin_width", type=float, default=None)
     p_overlay.add_argument(
-        "--forwarding-delay", dest="forwarding_delay", type=float, default=None
+        "--mode-bin-width", dest="mode_bin_width_ms", type=float, default=None
+    )
+    p_overlay.add_argument(
+        "--forwarding-delay", dest="forwarding_delay_ms", type=float, default=None
     )
     p_overlay.set_defaults(func=cmd_overlay)
 
     p_warm = sub.add_parser("geo-warm", help="pre-populate the geo cache for a list of IPs")
     p_warm.add_argument("ips", help="file with one IP per line")
     p_warm.add_argument("--geo-cache", type=Path, default=None)
-    p_warm.add_argument("--geo-provider", choices=("none", "static", "http"), default=None)
+    p_warm.add_argument("--geo-provider", choices=GEO_PROVIDERS, default=None)
     p_warm.add_argument("--geo-static-file", type=Path, default=None)
     p_warm.add_argument("--geo-base-url", default=None)
     p_warm.set_defaults(func=cmd_geo_warm)

@@ -212,9 +212,6 @@ class ImprovementHistogram:
     def total_pairs(self) -> int:
         return sum(self.counts.values())
 
-    def sorted_items(self) -> list[tuple[float, int]]:
-        return sorted(self.counts.items())
-
     def cumulative(self) -> dict[float, int]:
         """Per-bucket counts re-rendered as at-least-this-bucket totals."""
         out: dict[float, int] = {}
@@ -381,14 +378,3 @@ def write_rows_json(rows: DetourRows, path: str | Path) -> int:
         _write_batched(handle, objects, ",\n")
         handle.write("\n]\n")
     return len(rows)
-
-
-def write_histogram_csv(
-    histogram: ImprovementHistogram, path: str | Path, cumulative: bool = False
-) -> None:
-    counts = histogram.cumulative() if cumulative else histogram.counts
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bucket_pct", "pair_count"])
-        for bucket, count in sorted(counts.items()):
-            writer.writerow([f"{bucket:g}", count])

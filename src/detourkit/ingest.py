@@ -151,9 +151,9 @@ def _parse_json_line(text: str, key_by: str) -> PingRecord:
         if not isinstance(entry, dict):
             continue
         rtt = entry.get("rtt")
-        if isinstance(rtt, (int, float)) and math.isfinite(rtt) and rtt > 0:
+        if type(rtt) in (int, float) and math.isfinite(rtt) and rtt > 0:
             runs.append(float(rtt))
-        # entries with "x", "error", or a bad rtt are lost runs
+        # entries with "x", "error", or a bad rtt (a boolean included) are lost runs
 
     region = obj.get("region")
     try:
@@ -297,12 +297,6 @@ class FeedStats:
     parsed: int = 0
     parse_errors: int = 0
     drops: Counter = field(default_factory=Counter)
-
-    def merge(self, other: "FeedStats") -> None:
-        self.lines += other.lines
-        self.parsed += other.parsed
-        self.parse_errors += other.parse_errors
-        self.drops.update(other.drops)
 
 
 def read_result_file(

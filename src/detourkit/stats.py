@@ -39,18 +39,6 @@ _MODALITY_RANK = {
 # a secondary histogram peak below this fraction of the tallest peak is noise
 PEAK_MIN_FRACTION = 0.10
 
-SUMMARY_HEADER = (
-    "label",
-    "mean_ms",
-    "median_ms",
-    "variance_ms2",
-    "mode_ms",
-    "std_dev_ms",
-    "sample_count",
-    "modality",
-)
-
-
 @dataclass(frozen=True, slots=True)
 class RttSummary:
     """Summary statistics of one RTT distribution."""
@@ -326,15 +314,3 @@ def frequency_distribution(
     counts = _histogram(samples, bin_width_ms)
     return [(index * bin_width_ms, counts[index]) for index in sorted(counts)]
 
-
-def summary_row(label: str, summary: RttSummary) -> list[str]:
-    return [
-        label,
-        f"{summary.mean_ms:.2f}",
-        f"{summary.median_ms:.2f}",
-        f"{summary.variance_ms2:.2f}",
-        f"{summary.mode_ms:.2f}",
-        f"{summary.std_dev_ms:.2f}",
-        str(summary.sample_count),
-        summary.modality,
-    ]

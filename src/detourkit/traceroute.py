@@ -13,11 +13,10 @@ router geo data alone is too unreliable to lead.
 
 from __future__ import annotations
 
-import csv
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import ParseError
 from .geo import GeoRecord
@@ -31,8 +30,6 @@ VERDICT_UNKNOWN = "unknown"
 UNKNOWN_HOP_FRACTION = 0.5
 
 COMMON_INITIAL_TTLS = (64, 128, 255)
-
-REPORT_HEADER = ("source_label", "destination", "hop_count", "city_verdict")
 
 _HOP_LINE = re.compile(r"^\s*(\d+)\s+(.*)$")
 _TRACEROUTE_TO = re.compile(r"^traceroute to (\S+)(?: \(([\d.]+)\))?", re.IGNORECASE)
@@ -273,13 +270,3 @@ def detect_city(trace: TracerouteTrace, city_spec: CitySpec) -> CityDetection:
         return CityDetection(verdict=VERDICT_UNKNOWN, evidence=())
     return CityDetection(verdict=VERDICT_NO, evidence=())
 
-
-def write_trace_report_csv(
-    rows: Iterable[tuple[str, str, int, str]], path: str | Path
-) -> None:
-    """Write label/destination/hops/verdict rows; verdicts are title-cased."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(REPORT_HEADER)
-        for label, destination, hops, verdict in rows:
-            writer.writerow([label, destination, hops, verdict.capitalize()])

@@ -3,14 +3,28 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import random
+import re
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import detourkit
 from conftest import FIXTURES, make_graph
-from detourkit.cli import ingest_to_graph, main
+from detourkit.cli import (
+    CONFIG_KEYS,
+    PipelineConfig,
+    build_parser,
+    ingest_to_graph,
+    load_config_file,
+    main,
+    resolve_config,
+)
 from detourkit.detours import enumerate_detours
 from detourkit.graph import EndpointKey, load_graph, save_graph
 from detourkit.ingest import FilterSpec, PingRecord, serialize_record
@@ -457,3 +471,66 @@ class TestConfig:
         config = tmp_path / "pipeline.cfg"
         config.write_text("[output]\nformat = xml\n", encoding="utf-8")
         assert main(["--config", str(config), "detours", str(snapshot)]) == 2
+
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [("ingest", "key_by", "Probe"), ("geo", "provider", "htp"), ("output", "format", "xml")],
+    )
+    def test_config_values_checked_like_flags(self, tmp_path, capsys, section, key, value):
+        ips = tmp_path / "ips.txt"
+        ips.write_text("8.0.0.7\n", encoding="utf-8")
+        config = tmp_path / "pipeline.cfg"
+        sections = {"geo": [f"cache = {tmp_path / 'cache.csv'}"]}
+        sections.setdefault(section, []).append(f"{key} = {value}")
+        config.write_text(
+            "".join(f"[{name}]\n" + "\n".join(lines) + "\n" for name, lines in sections.items()),
+            encoding="utf-8",
+        )
+        assert main(["--config", str(config), "geo-warm", str(ips)]) == 2
+        assert f"[{section}] {key} must be one of" in capsys.readouterr().err
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        path = tmp_path / "pipeline.cfg"
+        path.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1), encoding="utf-8")
+        cfg = load_config_file(path)
+        assert cfg.max_start == 1684454400  # 2023-05-19, the comment stripped
+        assert cfg.regions == frozenset({"US"})
+        assert cfg.geo_provider == "static" and cfg.format == "csv"
+
+    def test_one_table_covers_every_setting(self):
+        names = [name for _, _, name, _, _ in CONFIG_KEYS]
+        assert sorted(names) == sorted(f.name for f in dataclasses.fields(PipelineConfig))
+        assert len({(section, key) for section, key, _, _, _ in CONFIG_KEYS}) == len(names) == 20
+
+    def test_flags_reach_their_fields(self):
+        parser = build_parser()
+        cfg = resolve_config(parser.parse_args(["ingest", "f", "--af", "6", "--key-by", "probe"]))
+        assert (cfg.address_family, cfg.key_by) == (6, "probe")
+        cfg = resolve_config(
+            parser.parse_args(
+                ["overlay", "--direct", "d", "--mode-bin-width", "0.2", "--forwarding-delay", "3"]
+            )
+        )
+        assert (cfg.mode_bin_width_ms, cfg.forwarding_delay_ms) == (0.2, 3.0)
+
+    def test_switches_only_turn_settings_on(self, tmp_path):
+        config = tmp_path / "pipeline.cfg"
+        config.write_text("[filter]\naf = 6\n\n[detours]\ncumulative = yes\n", encoding="utf-8")
+        parser = build_parser()
+        cfg = resolve_config(parser.parse_args(["--config", str(config), "detours", "g"]))
+        assert cfg.cumulative is True and cfg.address_family == 6
+        argv = ["--config", str(config), "ingest", "f", "--af-any"]
+        assert resolve_config(parser.parse_args(argv)).address_family is None
+
+
+def test_cli_import_loads_no_http_stack():
+    src = Path(detourkit.__file__).parents[1]
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import detourkit.cli; "
+        "print(sorted({'requests', 'urllib.request'} & set(sys.modules)))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

@@ -21,7 +21,7 @@ from conftest import (
     make_graph,
     random_graph,
 )
-from detourkit.cli import main
+from detourkit.cli import HISTOGRAM_COLUMNS, main, write_table
 from detourkit.detours import (
     KIND_BRIDGE,
     KIND_IMPROVEMENT,
@@ -32,7 +32,6 @@ from detourkit.detours import (
     insight_row,
     report_order,
     search_detours,
-    write_histogram_csv,
     write_insights_csv,
     write_rows_json,
 )
@@ -256,7 +255,7 @@ class TestExport:
             [i for i in insights if i.kind == KIND_IMPROVEMENT], 1.0
         )
         hist_path = tmp_path / "hist.csv"
-        write_histogram_csv(histogram, hist_path)
+        write_table(hist_path, "csv", HISTOGRAM_COLUMNS, sorted(histogram.counts.items()))
         assert hist_path.read_text(encoding="utf-8").splitlines() == [
             "bucket_pct,pair_count",
             "80,1",

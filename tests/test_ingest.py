@@ -73,6 +73,21 @@ class TestParseJson:
         )
         assert parse_result_line(line).rtt_runs == (5.0, 6.0)
 
+    def test_boolean_rtt_is_lost_run(self):
+        # JSON true is not a 1 ms run; an integer rtt still is one
+        line = json.dumps(
+            {
+                "msm_id": 1,
+                "from": "8.0.0.1",
+                "dst_addr": "8.0.0.2",
+                "timestamp": 0,
+                "result": [{"rtt": True}, {"rtt": 1}, {"rtt": False}],
+            }
+        )
+        assert parse_result_line(line).rtt_runs == (1.0,)
+        only_bool = line.replace('{"rtt": 1}, ', "")
+        assert parse_result_line(only_bool).rtt_runs == ()
+
     def test_truncated_line(self):
         line = '{"msm_id": 1, "from": "a", "result": [{"rtt": 5.0}'
         with pytest.raises(ParseError) as exc:

@@ -9,6 +9,7 @@ import statistics
 import pytest
 from hypothesis import given, strategies as st
 
+from detourkit.cli import SUMMARY_COLUMNS, write_table
 from detourkit.errors import EmptyInputError, ParseError
 from detourkit.stats import (
     OverlayPath,
@@ -19,7 +20,6 @@ from detourkit.stats import (
     monte_carlo_compose,
     read_samples,
     summarize,
-    summary_row,
 )
 
 # full-precision per-leg statistics of the reference measurement runs
@@ -265,10 +265,14 @@ class TestSampleIo:
         dist = frequency_distribution([1.0, 1.1, 2.0], bin_width_ms=0.5)
         assert dist == [(1.0, 2), (2.0, 1)]
 
-    def test_summary_row_two_decimal_rendering(self):
+    def test_summary_row_two_decimal_rendering(self, tmp_path):
         composed = compose(OverlayPath(legs=(leg(LEG_AB), leg(LEG_BC, modality="bimodal"))))
-        row = summary_row("via-relay", composed)
-        assert row == ["via-relay", "67.92", "70.22", "170.60", "71.52", "13.06", "1000", "bimodal"]
+        row = ("via-relay", *(getattr(composed, name) for name, _ in SUMMARY_COLUMNS[1:]))
+        out = tmp_path / "summary.csv"
+        write_table(out, "csv", SUMMARY_COLUMNS, [row])
+        assert out.read_text(encoding="utf-8").splitlines()[1].split(",") == [
+            "via-relay", "67.92", "70.22", "170.60", "71.52", "13.06", "1000", "bimodal"
+        ]
 
 
 class TestSummaryInvariants:

