@@ -23,7 +23,7 @@ from . import geo as geo_mod
 from . import stats as stats_mod
 from . import traceroute as traceroute_mod
 from .errors import EmptyInputError, ParseError, ToolkitError
-from .graph import BuildStats, LatencyGraph, build_graph, load_graph, save_graph
+from .graph import BuildStats, LatencyGraph, build_graph, canonical_ipv4, load_graph, save_graph
 from .ingest import FeedStats, FilterSpec, filter_records, load_status_sidecar, read_result_file
 
 EXIT_OK = 0
@@ -246,12 +246,18 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     region_of = None
     if cfg.regions is not None and cfg.geo_cache is not None and cfg.geo_cache.exists():
         lookup = _geo_lookup_from_config(cfg, allow_provider=False)
+        # records far outnumber endpoints: look each endpoint text up once
+        regions: dict[str, Optional[str]] = {}
 
         def region_of(endpoint: str) -> Optional[str]:
+            if endpoint in regions:
+                return regions[endpoint]
             try:
-                return lookup.lookup(endpoint).country
+                region = lookup.lookup(endpoint).country
             except ToolkitError:
-                return None
+                region = None
+            regions[endpoint] = region
+            return region
 
     graph, feed, build = ingest_to_graph(
         paths, spec, key_by=cfg.key_by, sidecar=sidecar, region_of=region_of
@@ -387,6 +393,11 @@ def _annotate_hops(
     return dataclasses.replace(trace, hops=tuple(hops))
 
 
+def _distribution_name(label: str) -> str:
+    safe = label.replace("/", "_").replace(" ", "_")
+    return f"distribution_{safe}.csv"
+
+
 def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     legs: list[tuple[str, Path]] = []
     for item in args.leg or []:
@@ -398,6 +409,16 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     if not legs and args.direct is None:
         print("nothing to do: give --leg and/or --direct", file=sys.stderr)
         return EXIT_USAGE
+    labels = [label for label, _ in legs] + (["direct"] if args.direct is not None else [])
+    owners: dict[str, str] = {}
+    for label in labels:
+        name = _distribution_name(label)
+        if name in owners:
+            print(
+                f"labels {owners[name]!r} and {label!r} would both write {name}", file=sys.stderr
+            )
+            return EXIT_USAGE
+        owners[name] = label
 
     def load(path: Path) -> list[float]:
         if not path.exists():
@@ -441,11 +462,9 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     )
 
     for label, samples in distributions:
-        safe = label.replace("/", "_").replace(" ", "_")
         dist = stats_mod.frequency_distribution(samples, cfg.mode_bin_width_ms)
-        with open(
-            cfg.output_dir / f"distribution_{safe}.csv", "w", encoding="utf-8", newline=""
-        ) as f:
+        path = cfg.output_dir / _distribution_name(label)
+        with open(path, "w", encoding="utf-8", newline="") as f:
             f.write("bin_center,count\n")
             for center, count in dist:
                 f.write(f"{center:g},{count}\n")
@@ -477,13 +496,16 @@ def cmd_geo_warm(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         return EXIT_USAGE
     lookup = _geo_lookup_from_config(cfg)
     resolved = 0
-    total = 0
-    with open(ips_path, "r", encoding="utf-8") as handle:
+    seen: set[str] = set()
+    with lookup.cache, open(ips_path, "r", encoding="utf-8") as handle:
         for line in handle:
             ip = line.strip()
             if not ip or ip.startswith("#"):
                 continue
-            total += 1
+            address = canonical_ipv4(ip) or ip
+            if address in seen:
+                continue
+            seen.add(address)
             try:
                 record = lookup.lookup(ip)
             except ToolkitError as exc:
@@ -491,7 +513,7 @@ def cmd_geo_warm(args: argparse.Namespace, cfg: PipelineConfig) -> int:
                 continue
             if record.country is not None:
                 resolved += 1
-    print(f"warmed {total} addresses, {resolved} resolved, cache={cfg.geo_cache}")
+    print(f"warmed {len(seen)} addresses, {resolved} resolved, cache={cfg.geo_cache}")
     return EXIT_OK
 
 

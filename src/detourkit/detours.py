@@ -23,6 +23,7 @@ from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, TextIO
 
+from .errors import ToolkitError
 from .graph import EndpointKey, LatencyGraph
 
 KIND_IMPROVEMENT = "improvement"
@@ -246,9 +247,16 @@ def _bucketed(best_pcts: Iterable[float], bucket_width_pct: float) -> Improvemen
     if bucket_width_pct <= 0:
         raise ValueError("bucket_width_pct must be > 0")
     counts: dict[float, int] = {}
-    for pct in best_pcts:
-        bucket = math.floor(pct / bucket_width_pct) * bucket_width_pct
-        counts[bucket] = counts.get(bucket, 0) + 1
+    try:
+        for pct in best_pcts:
+            bucket = math.floor(pct / bucket_width_pct) * bucket_width_pct
+            counts[bucket] = counts.get(bucket, 0) + 1
+    except OverflowError:
+        # an RTT near the float limit makes 100 * gain, and so pct, infinite
+        raise ToolkitError(
+            f"improvement of {pct!r}% does not fit a {bucket_width_pct!r}% bucket: "
+            "edge RTTs are too large"
+        ) from None
     return ImprovementHistogram(bucket_width_pct=bucket_width_pct, counts=counts)
 
 

@@ -14,11 +14,12 @@ from __future__ import annotations
 import csv
 import ipaddress
 import json
+import os
 import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .detours import DetourInsight
 from .errors import InvalidAddressError
@@ -138,7 +139,14 @@ class HttpGeoProvider:
 
 
 class GeoCache:
-    """CSV-backed ip -> location cache; appends only, last entry wins."""
+    """CSV-backed ip -> location cache; appends only, last entry wins.
+
+    Rows are appended through one handle, opened on the first put and
+    flushed after every row; close the cache (or use it as a context
+    manager) once done. A last line without its newline is a torn write:
+    loading skips it and counts it in ``torn_lines``, and the first put
+    cuts it off so that the new row starts on a line of its own.
+    """
 
     HEADER = ("ip", "city", "region", "country", "timestamp")
 
@@ -146,19 +154,36 @@ class GeoCache:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: dict[str, GeoRecord] = {}
+        self._handle: Optional[TextIO] = None
+        self._complete_bytes: Optional[int] = None
+        self.torn_lines = 0
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
+        # one shared str per distinct place name instead of one per row
+        names: dict[str, str] = {}
         with open(self.path, "r", encoding="utf-8", newline="") as handle:
-            for row in csv.reader(handle):
+            for row in csv.reader(self._complete_lines(handle)):
                 if not row or not row[0].strip() or row[0].strip().lower() == "ip":
                     continue
                 padded = [cell.strip() for cell in row] + ["", "", ""]
-                city, region, country = _normalize_fields(padded[1], padded[2], padded[3])
+                city, region, country = _normalize_fields(
+                    *(names.setdefault(name, name) for name in padded[1:4])
+                )
                 self._entries[padded[0]] = GeoRecord(
                     ip=padded[0], city=city, region=region, country=country, source=SOURCE_CACHE
                 )
+
+    def _complete_lines(self, handle: TextIO) -> Iterator[str]:
+        """The lines of ``handle``, less a last one that lacks its line end."""
+        for line in handle:
+            if line.endswith(("\n", "\r")):
+                yield line
+            else:
+                self.torn_lines += 1
+                size = os.fstat(handle.fileno()).st_size
+                self._complete_bytes = size - len(line.encode("utf-8"))
 
     def get(self, ip: str) -> Optional[GeoRecord]:
         return self._entries.get(ip)
@@ -166,20 +191,35 @@ class GeoCache:
     def put(self, record: GeoRecord) -> None:
         with self._lock:
             self._entries[record.ip] = replace(record, source=SOURCE_CACHE)
-            new_file = not self.path.exists()
-            with open(self.path, "a", encoding="utf-8", newline="") as handle:
-                writer = csv.writer(handle)
-                if new_file:
-                    writer.writerow(self.HEADER)
-                writer.writerow(
-                    [
-                        record.ip,
-                        record.city or "",
-                        record.region or "",
-                        record.country or "",
-                        int(time.time()),
-                    ]
-                )
+            if self._handle is None:
+                self._handle = open(self.path, "a", encoding="utf-8", newline="")
+                if self._complete_bytes is not None:
+                    self._handle.truncate(self._complete_bytes)
+                    self._complete_bytes = None
+                if self._handle.seek(0, os.SEEK_END) == 0:
+                    csv.writer(self._handle).writerow(self.HEADER)
+            csv.writer(self._handle).writerow(
+                [
+                    record.ip,
+                    record.city or "",
+                    record.region or "",
+                    record.country or "",
+                    int(time.time()),
+                ]
+            )
+            self._handle.flush()
+
+    def close(self) -> None:
+        with self._lock:
+            if self._handle is not None:
+                self._handle.close()
+                self._handle = None
+
+    def __enter__(self) -> "GeoCache":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     def __len__(self) -> int:
         return len(self._entries)

@@ -25,7 +25,9 @@ from detourkit.cli import (
     main,
     resolve_config,
 )
+from detourkit import geo
 from detourkit.detours import enumerate_detours
+from detourkit.errors import ToolkitError
 from detourkit.graph import EndpointKey, load_graph, save_graph
 from detourkit.ingest import FilterSpec, PingRecord, serialize_record
 
@@ -117,6 +119,80 @@ class TestIngest:
         assert code == 0
         assert "parse_errors=1" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("key_by", ["ip", "probe"])
+    def test_region_filter_matches_per_record_lookup(self, tmp_path, capsys, monkeypatch, key_by):
+        # endpoints repeat across records: cached (US, CA, DE), reserved,
+        # invalid, a hostname, a non-canonical spelling and an uncached one
+        cache = tmp_path / "cache.csv"
+        cache.write_text(
+            "ip,city,region,country,timestamp\n"
+            "8.8.0.1,Mountain View,CA,US,1\n8.8.0.2,Ashburn,VA,US,1\n"
+            "8.8.0.3,Frankfurt,HE,DE,1\n8.8.0.4,,,CA,1\n",
+            encoding="utf-8",
+        )
+        endpoints = [
+            "8.8.0.1", "8.8.0.2", "8.8.0.3", "8.8.0.4", "8.8.000.1",
+            "10.1.2.3", "not-an-ip", "host.example", "9.9.9.9",
+        ]
+        rng = random.Random(4)
+        lines = []
+        for i in range(300):
+            source, dest = rng.sample(endpoints, 2)
+            rtt = round(rng.uniform(1.0, 90.0), 3)
+            if i % 4 == 0:
+                lines.append(f"{i % 5},{source},{dest},4,stopped,1680000000,{rtt},,")
+            else:
+                target = "dst_name" if dest == "host.example" else "dst_addr"
+                lines.append(json.dumps({
+                    "msm_id": i % 5, "prb_id": 100 + i % 3, "from": source, target: dest,
+                    "af": 4, "timestamp": 1_680_000_000, "result": [{"rtt": rtt}],
+                    "status": "stopped",
+                }))
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        calls = []
+        unmemoized = geo.GeoLookup.lookup
+
+        def counted(self, ip):
+            calls.append(ip)
+            return unmemoized(self, ip)
+
+        monkeypatch.setattr(geo.GeoLookup, "lookup", counted)
+        out = tmp_path / "out"
+        code = main(
+            ["--output-dir", str(out), "ingest", str(feed), "--key-by", key_by,
+             "--regions", "US,CA", "--geo-cache", str(cache)]
+        )
+        assert code == 0
+        memo_calls, calls[:] = list(calls), []
+
+        # reference: filter_records with one uncached lookup per endpoint of every record
+        lookup = geo.GeoLookup(cache=geo.GeoCache(cache))
+
+        def region_of(endpoint):
+            try:
+                return lookup.lookup(endpoint).country
+            except ToolkitError:
+                return None
+
+        spec = FilterSpec(region_allowlist=frozenset({"US", "CA"}))
+        graph, feed_stats, build = ingest_to_graph([feed], spec, key_by=key_by, region_of=region_of)
+        reference = tmp_path / "reference.csv"
+        save_graph(graph, reference)
+        snapshot = out / "graph.csv"
+        expected = [f"lines={feed_stats.lines} parse_errors={feed_stats.parse_errors} kept={build.records}"]
+        expected += [f"dropped[{r}]={c}" for r, c in sorted(feed_stats.drops.items())]
+        expected += [f"skipped[{r}]={c}" for r, c in sorted(build.skipped.items())]
+        expected.append(f"nodes={graph.node_count} edges={graph.edge_count} snapshot={snapshot}")
+        assert capsys.readouterr().out == "\n".join(expected) + "\n"
+        assert snapshot.read_bytes() == reference.read_bytes()
+        assert feed_stats.drops["region_unresolved"] > 0 and feed_stats.drops["region"] > 0
+        assert build.records > 0
+        # one lookup per distinct endpoint text, against two per record
+        assert sorted(memo_calls) == sorted(set(calls))
+        assert len(calls) == 2 * (feed_stats.lines - feed_stats.parse_errors)
+
 
 class TestDetours:
     def test_snapshot_path_matches_in_memory_graph(self, tmp_path):
@@ -205,6 +281,18 @@ class TestDetours:
 
     def test_missing_snapshot(self, tmp_path):
         assert main(["detours", str(tmp_path / "nope.csv")]) == 2
+
+    def test_huge_rtt_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        # 100 * gain overflows to an infinite percentage, which no bucket holds
+        snapshot = tmp_path / "graph.csv"
+        save_graph(make_graph({("A", "B"): 1.0, ("B", "C"): 1.0, ("A", "C"): 1e307}), snapshot)
+        out = tmp_path / "out"
+        code = main(["--output-dir", str(out), "detours", str(snapshot)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: improvement of inf% does not fit")
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_json_format(self, tmp_path):
         snapshot = tmp_path / "graph.csv"
@@ -391,6 +479,20 @@ class TestOverlay:
     def test_no_inputs_is_usage_error(self, tmp_path):
         assert main(["--output-dir", str(tmp_path), "overlay"]) == 2
 
+    @pytest.mark.parametrize(
+        "first, second",
+        [("A/B", "A_B"), ("A B", "A/B"), ("AB", "AB"), ("direct", None)],
+    )
+    def test_colliding_distribution_files_rejected(self, tmp_path, capsys, first, second):
+        sample = str(FIXTURES / "overlay" / "direct_ac.txt")
+        out = tmp_path / "out"
+        argv = ["--output-dir", str(out), "overlay", "--leg", f"{first}={sample}"]
+        argv += ["--leg", f"{second}={sample}"] if second else ["--direct", sample]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"labels {first!r} and {second or 'direct'!r} would both write" in err
+        assert not out.exists()
+
 
 class TestGeoWarm:
     def test_warm_from_static_provider(self, tmp_path, capsys):
@@ -414,6 +516,42 @@ class TestGeoWarm:
         assert code == 0
         assert "warmed 3 addresses, 1 resolved" in capsys.readouterr().out
         assert "8.0.0.7,Ashburn,VA,US" in cache.read_text()
+
+    def test_counts_each_distinct_address_once(self, tmp_path, capsys):
+        ips = tmp_path / "ips.txt"
+        ips.write_text("8.0.0.7\n8.0.000.7\n10.0.0.1\nbad\n8.0.0.7\nbad\n", encoding="utf-8")
+        static = tmp_path / "static.csv"
+        static.write_text("ip,city,region,country\n8.0.0.7,Ashburn,VA,US\n", encoding="utf-8")
+        cache = tmp_path / "cache.csv"
+        argv = ["geo-warm", str(ips), "--geo-cache", str(cache)]
+        argv += ["--geo-provider", "static", "--geo-static-file", str(static)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("warmed 3 addresses, 1 resolved")
+        assert captured.err.count("skipping bad") == 1
+        assert cache.read_text().count("8.0.0.7,") == 1
+
+    def test_leaves_no_open_file_handle(self, tmp_path, capsys, monkeypatch):
+        handles = []
+
+        def tracked_open(*args, **kwargs):
+            handles.append(open(*args, **kwargs))
+            return handles[-1]
+
+        monkeypatch.setattr(geo, "open", tracked_open, raising=False)
+        ips = tmp_path / "ips.txt"
+        ips.write_text("8.0.0.7\n8.0.0.8\n8.0.0.9\n", encoding="utf-8")
+        static = tmp_path / "static.csv"
+        static.write_text("8.0.0.7,Ashburn,VA,US\n8.0.0.8,Paris,IDF,FR\n", encoding="utf-8")
+        cache = tmp_path / "cache.csv"
+        cache.write_text("ip,city,region,country,timestamp\n8.0.0.9,,,JP,1\n", encoding="utf-8")
+        argv = ["geo-warm", str(ips), "--geo-cache", str(cache)]
+        argv += ["--geo-provider", "static", "--geo-static-file", str(static)]
+        assert main(argv) == 0
+        assert "warmed 3 addresses, 3 resolved" in capsys.readouterr().out
+        # the static table, the cache load and one append handle for both puts
+        assert [Path(h.name).name for h in handles] == ["static.csv", "cache.csv", "cache.csv"]
+        assert all(h.closed for h in handles)
 
     def test_cache_required(self, tmp_path):
         ips = tmp_path / "ips.txt"

@@ -11,6 +11,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from conftest import make_graph
+from detourkit import geo as geo_module
 from detourkit.detours import enumerate_detours
 from detourkit.errors import InvalidAddressError
 from detourkit.geo import (
@@ -52,9 +53,9 @@ class TestLookup:
 
     def test_provider_miss_persists_to_cache(self, tmp_path):
         provider = CountingProvider({"9.9.9.9": ("Paris", "IDF", "FR")})
-        cache = GeoCache(tmp_path / "cache.csv")
-        lookup = GeoLookup(cache=cache, provider=provider)
-        record = lookup.lookup("9.9.9.9")
+        with GeoCache(tmp_path / "cache.csv") as cache:
+            lookup = GeoLookup(cache=cache, provider=provider)
+            record = lookup.lookup("9.9.9.9")
         assert record.city == "Paris" and record.source == "provider"
         assert provider.calls == ["9.9.9.9"]
         # round-trip through a fresh cache object reads the persisted row
@@ -110,10 +111,11 @@ class TestLookup:
 class TestCache:
     def test_persist_reload_round_trip(self, tmp_path):
         path = tmp_path / "cache.csv"
-        cache = GeoCache(path)
-        cache.put(GeoRecord("1.1.1.1", "Sydney", "NSW", "AU", "provider"))
-        cache.put(GeoRecord("2.2.2.2", None, None, None, "provider"))
-        reloaded = GeoCache(path)
+        with GeoCache(path) as cache:
+            cache.put(GeoRecord("1.1.1.1", "Sydney", "NSW", "AU", "provider"))
+            cache.put(GeoRecord("2.2.2.2", None, None, None, "provider"))
+            # every put is flushed: a second cache reads the rows before close
+            reloaded = GeoCache(path)
         assert reloaded.get("1.1.1.1") == GeoRecord("1.1.1.1", "Sydney", "NSW", "AU", "cache")
         assert reloaded.get("2.2.2.2") == GeoRecord("2.2.2.2", None, None, None, "cache")
         assert len(reloaded) == 2
@@ -127,6 +129,63 @@ class TestCache:
             encoding="utf-8",
         )
         assert GeoCache(path).get("1.1.1.1").city == "Sydney"
+
+    def test_puts_share_one_handle_and_read_back(self, tmp_path, monkeypatch):
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(geo_module, "open", counting_open, raising=False)
+        path = tmp_path / "cache.csv"
+        records = [GeoRecord(f"8.0.0.{i}", "Reno", "NV", "US", "provider") for i in range(1, 6)]
+        with GeoCache(path) as cache:
+            for record in records:
+                cache.put(record)
+        assert opened == [path]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "ip,city,region,country,timestamp"
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
+            f"8.0.0.{i},Reno,NV,US" for i in range(1, 6)
+        ]
+        reloaded = GeoCache(path)
+        assert [reloaded.get(r.ip) for r in records] == [
+            GeoRecord(r.ip, "Reno", "NV", "US", "cache") for r in records
+        ]
+
+    def test_torn_last_line_is_skipped_and_cut_before_the_next_put(self, tmp_path):
+        path = tmp_path / "cache.csv"
+        path.write_text(
+            "ip,city,region,country,timestamp\n8.8.0.6,Reno,NV,US,1\n8.8.0.7,San Di",
+            encoding="utf-8",
+        )
+        cache = GeoCache(path)
+        assert cache.torn_lines == 1
+        assert len(cache) == 1
+        # the torn row is a miss, not an unknown hit, so the provider is asked
+        provider = CountingProvider({"8.8.0.8": ("Austin", "TX", "US")})
+        with cache:
+            lookup = GeoLookup(cache=cache, provider=provider)
+            assert lookup.lookup("8.8.0.7").country is None
+            assert lookup.lookup("8.8.0.8").city == "Austin"
+        assert provider.calls == ["8.8.0.7", "8.8.0.8"]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[:2] == ["ip,city,region,country,timestamp", "8.8.0.6,Reno,NV,US,1"]
+        assert lines[2].startswith("8.8.0.8,Austin,TX,US,") and len(lines) == 3
+        reloaded = GeoCache(path)
+        assert reloaded.torn_lines == 0
+        assert reloaded.get("8.8.0.7") is None
+        assert reloaded.get("8.8.0.8") == GeoRecord("8.8.0.8", "Austin", "TX", "US", "cache")
+
+    def test_place_names_are_shared(self, tmp_path):
+        path = tmp_path / "cache.csv"
+        path.write_text(
+            "ip,city,region,country\n8.0.0.1,Reno,NV,US\n8.0.0.2,Reno,NV,US\n", encoding="utf-8"
+        )
+        cache = GeoCache(path)
+        first, second = cache.get("8.0.0.1"), cache.get("8.0.0.2")
+        assert first.city is second.city and first.country is second.country
 
 
 class TestProviders:
@@ -195,8 +254,8 @@ class TestProviders:
         try:
             base = f"http://127.0.0.1:{server.server_port}"
             provider = HttpGeoProvider(base, min_interval_s=0.0)
-            cache = GeoCache(tmp_path / "cache.csv")
-            record = GeoLookup(cache=cache, provider=provider).lookup("8.0.0.77")
+            with GeoCache(tmp_path / "cache.csv") as cache:
+                record = GeoLookup(cache=cache, provider=provider).lookup("8.0.0.77")
             assert record == GeoRecord("8.0.0.77", "Hilliard", "OH", "US", "provider")
             assert GeoCache(tmp_path / "cache.csv").get("8.0.0.77").city == "Hilliard"
         finally:
