@@ -23,7 +23,15 @@ from . import geo as geo_mod
 from . import stats as stats_mod
 from . import traceroute as traceroute_mod
 from .errors import EmptyInputError, ParseError, ToolkitError
-from .graph import BuildStats, LatencyGraph, build_graph, canonical_ipv4, load_graph, save_graph
+from .graph import (
+    BuildStats,
+    LatencyGraph,
+    build_graph,
+    canonical_ipv4,
+    load_graph,
+    replaced_on_success,
+    save_graph,
+)
 from .ingest import FeedStats, FilterSpec, filter_records, load_status_sidecar, read_result_file
 
 EXIT_OK = 0
@@ -198,15 +206,16 @@ def write_table(
     path: Path, fmt: str, columns: Sequence[tuple[str, str]], rows: Iterable[Sequence]
 ) -> None:
     """Write ``rows`` as CSV, each cell rendered with its column's format
-    spec, or as a JSON list of one object per row keyed by column name."""
+    spec, or as a JSON list of one object per row keyed by column name,
+    replacing ``path`` atomically."""
     names = [name for name, _ in columns]
     if fmt == "json":
-        with open(path, "w", encoding="utf-8") as handle:
+        with replaced_on_success(path) as handle:
             json.dump([dict(zip(names, row)) for row in rows], handle, indent=2)
             handle.write("\n")
         return
     specs = [spec for _, spec in columns]
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with replaced_on_success(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(names)
         for row in rows:
@@ -464,7 +473,7 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     for label, samples in distributions:
         dist = stats_mod.frequency_distribution(samples, cfg.mode_bin_width_ms)
         path = cfg.output_dir / _distribution_name(label)
-        with open(path, "w", encoding="utf-8", newline="") as f:
+        with replaced_on_success(path, newline="") as f:
             f.write("bin_center,count\n")
             for center, count in dist:
                 f.write(f"{center:g},{count}\n")

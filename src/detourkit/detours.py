@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional, TextIO
 
 from .errors import ToolkitError
-from .graph import EndpointKey, LatencyGraph
+from .graph import EndpointKey, LatencyGraph, replaced_on_success
 
 KIND_IMPROVEMENT = "improvement"
 KIND_BRIDGE = "bridge"
@@ -333,7 +333,8 @@ def _csv_cells(nodes: list[EndpointKey]) -> list[str]:
 
 def write_rows_csv(rows: DetourRows, path: str | Path) -> int:
     """Write ``rows`` byte-identical to :func:`write_insights_csv` over
-    ``rows.insights()``; returns the number of rows written."""
+    ``rows.insights()``, replacing ``path`` atomically; returns the number
+    of rows written."""
     cell = _csv_cells(rows.nodes)
     lines = chain(
         (
@@ -346,7 +347,7 @@ def write_rows_csv(rows: DetourRows, path: str | Path) -> int:
             for s, v, d, overlay in rows.bridges
         ),
     )
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with replaced_on_success(path, newline="") as handle:
         handle.write(",".join(INSIGHT_HEADER) + "\r\n")
         _write_batched(handle, lines)
     return len(rows)
@@ -359,8 +360,8 @@ def _json_float(value: float) -> str:
 
 def write_rows_json(rows: DetourRows, path: str | Path) -> int:
     """Write ``rows`` byte-identical to ``json.dump(indent=2)`` of one object
-    per insight keyed by :data:`INSIGHT_HEADER`, plus a newline; returns the
-    number of rows written."""
+    per insight keyed by :data:`INSIGHT_HEADER`, plus a newline, replacing
+    ``path`` atomically; returns the number of rows written."""
     cell = [json.dumps(node.value) for node in rows.nodes]
     objects = chain(
         (
@@ -378,7 +379,7 @@ def write_rows_json(rows: DetourRows, path: str | Path) -> int:
             for s, v, d, overlay in rows.bridges
         ),
     )
-    with open(path, "w", encoding="utf-8") as handle:
+    with replaced_on_success(path) as handle:
         if not len(rows):
             handle.write("[]\n")
             return 0

@@ -12,6 +12,7 @@ timestamp``); the last entry for an IP wins.
 from __future__ import annotations
 
 import csv
+import io
 import ipaddress
 import json
 import os
@@ -19,7 +20,7 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
 
 from .detours import DetourInsight
 from .errors import InvalidAddressError
@@ -161,29 +162,35 @@ class GeoCache:
             self._load()
 
     def _load(self) -> None:
-        # one shared str per distinct place name instead of one per row
-        names: dict[str, str] = {}
-        with open(self.path, "r", encoding="utf-8", newline="") as handle:
-            for row in csv.reader(self._complete_lines(handle)):
-                if not row or not row[0].strip() or row[0].strip().lower() == "ip":
-                    continue
-                padded = [cell.strip() for cell in row] + ["", "", ""]
-                city, region, country = _normalize_fields(
-                    *(names.setdefault(name, name) for name in padded[1:4])
-                )
-                self._entries[padded[0]] = GeoRecord(
-                    ip=padded[0], city=city, region=region, country=country, source=SOURCE_CACHE
-                )
-
-    def _complete_lines(self, handle: TextIO) -> Iterator[str]:
-        """The lines of ``handle``, less a last one that lacks its line end."""
-        for line in handle:
-            if line.endswith(("\n", "\r")):
-                yield line
-            else:
+        with open(self.path, "rb") as raw:
+            raw.seek(max(raw.seek(0, os.SEEK_END) - 1, 0))
+            torn = raw.read(1) not in (b"", b"\n", b"\r")
+            raw.seek(0)
+            source: BinaryIO = raw
+            if torn:
+                # cut on bytes: the write may have stopped inside a
+                # multi-byte character, which would fail to decode
+                data = raw.read()
+                self._complete_bytes = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
                 self.torn_lines += 1
-                size = os.fstat(handle.fileno()).st_size
-                self._complete_bytes = size - len(line.encode("utf-8"))
+                source = io.BytesIO(data[: self._complete_bytes])
+            # one shared str per distinct place name instead of one per row
+            names: dict[str, str] = {}
+            with io.TextIOWrapper(source, encoding="utf-8", newline="") as handle:
+                for row in csv.reader(handle):
+                    if not row or not row[0].strip() or row[0].strip().lower() == "ip":
+                        continue
+                    padded = [cell.strip() for cell in row] + ["", "", ""]
+                    city, region, country = _normalize_fields(
+                        *(names.setdefault(name, name) for name in padded[1:4])
+                    )
+                    self._entries[padded[0]] = GeoRecord(
+                        ip=padded[0],
+                        city=city,
+                        region=region,
+                        country=country,
+                        source=SOURCE_CACHE,
+                    )
 
     def get(self, ip: str) -> Optional[GeoRecord]:
         return self._entries.get(ip)

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Iterable, Iterator, Mapping, Optional, TextIO
 
 from .errors import NoDataError, ParseError
 from .ingest import PingRecord, representative_rtt
@@ -144,23 +146,30 @@ def build_graph(records: Iterable[PingRecord], stats: Optional[BuildStats] = Non
     samples of the representative RTT). Self-pairs and no-data records are
     skipped and counted. Deterministic and independent of record order.
     """
+    from array import array  # here, so that CLI start-up imports no new module
+
     if stats is None:
         stats = BuildStats()
+    # endpoint text, and the value of each key, -> the one shared key, so
+    # that texts canonicalizing alike (8.8.000.1, 8.8.0.1) share a key
     keys: dict[str, EndpointKey] = {}
-    # (source, destination) -> measurement_id -> sample rtts
-    # fsum over the collected values keeps the result exact, so the graph is
-    # bit-identical under any record reordering
-    groups: dict[tuple[EndpointKey, EndpointKey], dict[str, list[float]]] = {}
 
+    def shared_key(text: str) -> EndpointKey:
+        key = EndpointKey.from_text(text)
+        key = keys[text] = keys.setdefault(key.value, key)
+        return key
+
+    # (source value, destination value) -> measurement_id -> sample rtts,
+    # 8 bytes a sample as doubles rather than a float object each; a value
+    # names one key, as only a probe id is all digits. fsum over the
+    # collected values keeps the result exact, so the graph is bit-identical
+    # under any record reordering
+    groups: dict[tuple[str, str], dict[str, array]] = {}
     for record in records:
         stats.records += 1
-        source = keys.get(record.source_id)
-        if source is None:
-            source = keys[record.source_id] = EndpointKey.from_text(record.source_id)
-        destination = keys.get(record.destination_id)
-        if destination is None:
-            destination = keys[record.destination_id] = EndpointKey.from_text(record.destination_id)
-        if source == destination:
+        source = keys.get(record.source_id) or shared_key(record.source_id)
+        destination = keys.get(record.destination_id) or shared_key(record.destination_id)
+        if source is destination:
             stats.skipped["self_pair"] += 1
             continue
         try:
@@ -168,8 +177,8 @@ def build_graph(records: Iterable[PingRecord], stats: Optional[BuildStats] = Non
         except NoDataError:
             stats.skipped["no_data"] += 1
             continue
-        by_msm = groups.setdefault((source, destination), {})
-        by_msm.setdefault(record.measurement_id, []).append(rtt)
+        by_msm = groups.setdefault((source.value, destination.value), {})
+        by_msm.setdefault(record.measurement_id, array("d")).append(rtt)
         stats.used += 1
 
     graph = LatencyGraph()
@@ -177,8 +186,8 @@ def build_graph(records: Iterable[PingRecord], stats: Optional[BuildStats] = Non
         means = [math.fsum(rtts) / len(rtts) for _, rtts in sorted(by_msm.items())]
         graph.add_edge(
             LatencyEdge(
-                source=source,
-                destination=destination,
+                source=keys[source],
+                destination=keys[destination],
                 rtt_ms=math.fsum(means) / len(means),
                 sample_count=sum(len(rtts) for rtts in by_msm.values()),
                 measurement_count=len(by_msm),
@@ -187,10 +196,30 @@ def build_graph(records: Iterable[PingRecord], stats: Optional[BuildStats] = Non
     return graph
 
 
+@contextmanager
+def replaced_on_success(path: str | Path, newline: Optional[str] = None) -> Iterator[TextIO]:
+    """Write UTF-8 text to a temporary file beside ``path`` that replaces
+    ``path`` when the ``with`` block completes.
+
+    If the block raises, the temporary file is removed and ``path`` keeps
+    what it held before, so a reader never sees a partial output.
+    """
+    target = Path(path)
+    temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8", newline=newline) as handle:
+            yield handle
+        os.replace(temporary, target)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def save_graph(graph: LatencyGraph, path: str | Path) -> None:
     """Write the snapshot CSV (RTTs in shortest round-trip form, so
-    :func:`load_graph` reads back the exact weights)."""
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    :func:`load_graph` reads back the exact weights), replacing ``path``
+    atomically."""
+    with replaced_on_success(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SNAPSHOT_HEADER)
         rows = sorted(graph.edges(), key=lambda e: (e.source, e.destination))

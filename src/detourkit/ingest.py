@@ -21,9 +21,9 @@ import csv
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import NoDataError, ParseError
 
@@ -55,14 +55,7 @@ def normalize_status(raw: object) -> str:
     return STATUS_OTHER
 
 
-@dataclass(frozen=True, slots=True)
-class PingRecord:
-    """One ping measurement sample.
-
-    ``rtt_runs`` holds only the successful runs, in feed order; lost runs
-    are simply absent. ``start_time`` is UTC epoch seconds.
-    """
-
+class _PingFields(NamedTuple):
     measurement_id: str
     source_id: str
     destination_id: str
@@ -72,14 +65,31 @@ class PingRecord:
     rtt_runs: tuple[float, ...]
     region: Optional[str] = None
 
-    def __post_init__(self) -> None:
-        if self.status not in STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
-        if len(self.rtt_runs) > MAX_RUNS:
+
+class PingRecord(_PingFields):
+    """One ping measurement sample.
+
+    ``rtt_runs`` holds only the successful runs, in feed order; lost runs
+    are simply absent. ``start_time`` is UTC epoch seconds.
+
+    A named tuple, so that :func:`read_result_file` turns the fields that
+    :func:`parse_fields` has already checked into a record without copying
+    them one by one. The constructor checks the fields it is given;
+    ``_make`` and ``_replace`` do not.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "PingRecord":
+        record = super().__new__(cls, *args, **kwargs)
+        if record.status not in STATUSES:
+            raise ValueError(f"unknown status {record.status!r}")
+        if len(record.rtt_runs) > MAX_RUNS:
             raise ValueError(f"at most {MAX_RUNS} runs per sample")
-        for rtt in self.rtt_runs:
+        for rtt in record.rtt_runs:
             if not (math.isfinite(rtt) and rtt > 0):
                 raise ValueError(f"rtt runs must be finite and > 0, got {rtt!r}")
+        return record
 
 
 @dataclass(frozen=True)
@@ -98,28 +108,47 @@ class FilterSpec:
     region_allowlist: Optional[frozenset[str]] = None
 
 
-def parse_result_line(line: str, key_by: str = "ip") -> PingRecord:
-    """Parse one feed line into a :class:`PingRecord`.
+def parse_fields(line: str, key_by: str = "ip") -> tuple:
+    """Parse one feed line into the fields of a :class:`PingRecord`.
 
+    Returns ``(measurement_id, source_id, destination_id, address_family,
+    status, start_time, rtt_runs, region)``, already valid for a record:
+    the status is normalized and the runs are finite and positive.
     ``key_by`` selects the source endpoint key for JSON lines: ``"ip"``
     uses the ``from`` address, ``"probe"`` prefers the numeric ``prb_id``.
-    Raises :class:`ParseError` (with byte offset) on malformed lines; the
-    caller is expected to skip and count those.
+    Raises :class:`ParseError` (with byte offset) on malformed lines,
+    including a number that is not finite or too large where an integer is
+    needed; the caller is expected to skip and count those.
     """
     stripped = line.strip()
     if not stripped:
         raise ParseError(0, "empty line")
     if stripped.startswith("{"):
-        return _parse_json_line(stripped, key_by)
-    return _parse_csv_line(stripped)
+        return _json_fields(stripped, key_by)
+    return _csv_fields(stripped)
 
 
-def _parse_json_line(text: str, key_by: str) -> PingRecord:
+def parse_result_line(line: str, key_by: str = "ip") -> PingRecord:
+    """Parse one feed line into a :class:`PingRecord`; see :func:`parse_fields`."""
+    return PingRecord(*parse_fields(line, key_by))
+
+
+# json.loads less its per-call checks for a BOM and for whitespace around
+# the value, which a stripped line starting with "{" has none of
+_decode = json.JSONDecoder().raw_decode
+
+
+def _json_fields(text: str, key_by: str) -> tuple:
     try:
-        obj = json.loads(text)
+        obj, end = _decode(text)
     except json.JSONDecodeError as exc:
         reason = "unterminated record" if exc.pos >= len(text) else exc.msg
         raise ParseError(exc.pos, reason) from exc
+    except (ValueError, RecursionError) as exc:  # an integer too long, or nesting too deep
+        raise ParseError(0, str(exc)) from exc
+    if end != len(text):
+        # where json.loads reports it: past the whitespace after the value
+        raise ParseError(len(text) - len(text[end:].lstrip(" \t\n\r")), "Extra data")
     if not isinstance(obj, dict):
         raise ParseError(0, "record is not an object")
 
@@ -141,37 +170,36 @@ def _parse_json_line(text: str, key_by: str) -> PingRecord:
     if timestamp is None:
         raise ParseError(0, "missing timestamp")
 
-    runs: list[float] = []
     result = obj.get("result", [])
     if not isinstance(result, list):
         raise ParseError(0, "result is not an array")
-    for entry in result:
-        if len(runs) == MAX_RUNS:
-            break
-        if not isinstance(entry, dict):
-            continue
-        rtt = entry.get("rtt")
-        if type(rtt) in (int, float) and math.isfinite(rtt) and rtt > 0:
-            runs.append(float(rtt))
-        # entries with "x", "error", or a bad rtt (a boolean included) are lost runs
-
     region = obj.get("region")
     try:
-        return PingRecord(
-            measurement_id=str(msm_id),
-            source_id=str(source),
-            destination_id=str(destination),
-            address_family=int(obj.get("af", 4)),
-            status=normalize_status(obj.get("status")),
-            start_time=int(timestamp),
-            rtt_runs=tuple(runs),
-            region=str(region) if region is not None else None,
+        runs: list[float] = []
+        for entry in result:
+            if len(runs) == MAX_RUNS:
+                break
+            if not isinstance(entry, dict):
+                continue
+            rtt = entry.get("rtt")
+            # entries with "x", "error", or a bad rtt (a boolean included) are lost runs
+            if type(rtt) in (int, float) and math.isfinite(rtt) and rtt > 0:
+                runs.append(float(rtt))
+        return (
+            str(msm_id),
+            str(source),
+            str(destination),
+            int(obj.get("af", 4)),
+            normalize_status(obj.get("status")),
+            int(timestamp),
+            tuple(runs),
+            str(region) if region is not None else None,
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(0, str(exc)) from exc
 
 
-def _parse_csv_line(text: str) -> PingRecord:
+def _csv_fields(text: str) -> tuple:
     cells = text.split(",")
     if len(cells) != len(CSV_FIELDS):
         raise ParseError(0, f"expected {len(CSV_FIELDS)} fields, got {len(cells)}")
@@ -190,16 +218,17 @@ def _parse_csv_line(text: str) -> PingRecord:
         if math.isfinite(rtt) and rtt > 0:
             runs.append(rtt)
     try:
-        return PingRecord(
-            measurement_id=msm_id,
-            source_id=source,
-            destination_id=destination,
-            address_family=int(af),
-            status=normalize_status(status),
-            start_time=int(float(start_time)),
-            rtt_runs=tuple(runs),
+        return (
+            msm_id,
+            source,
+            destination,
+            int(af),
+            normalize_status(status),
+            int(float(start_time)),
+            tuple(runs),
+            None,
         )
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ParseError(0, str(exc)) from exc
 
 
@@ -312,48 +341,63 @@ def read_result_file(
     """
     if stats is None:
         stats = FeedStats()
+    make = PingRecord._make  # parse_fields has checked the fields
     with open(path, "r", encoding="utf-8") as handle:
         for line in handle:
             if not line.strip() or line.startswith("#"):
                 continue
             stats.lines += 1
             try:
-                record = parse_result_line(line, key_by=key_by)
+                fields = parse_fields(line, key_by=key_by)
             except ParseError:
                 stats.parse_errors += 1
                 continue
             stats.parsed += 1
             if sidecar is not None:
-                meta = sidecar.get(record.measurement_id)
+                meta = sidecar.get(fields[0])
                 if meta is not None:
-                    status, start_time = meta
-                    changes: dict[str, object] = {}
-                    if status is not None:
-                        changes["status"] = normalize_status(status)
-                    if start_time is not None:
-                        changes["start_time"] = start_time
-                    if changes:
-                        record = replace(record, **changes)
-            yield record
+                    fields = _patched(fields, *meta)
+            yield make(fields)
+
+
+def _patched(fields: tuple, status: Optional[str], start_time: Optional[int]) -> tuple:
+    """``fields`` with the sidecar's status and start time, where given."""
+    msm_id, source, destination, af, own_status, own_start_time, runs, region = fields
+    return (
+        msm_id,
+        source,
+        destination,
+        af,
+        normalize_status(status) if status is not None else own_status,
+        start_time if start_time is not None else own_start_time,
+        runs,
+        region,
+    )
 
 
 def load_status_sidecar(path: str | Path) -> dict[str, tuple[Optional[str], Optional[int]]]:
     """Load a measurement-id -> (status, start_time) CSV table.
 
     Expected columns: ``measurement_id,status,start_time`` (header row
-    optional, start_time column optional).
+    optional, start_time column optional). Raises ``ValueError`` naming the
+    line of a row that cannot be read, such as a start time that is not a
+    finite number.
     """
     table: dict[str, tuple[Optional[str], Optional[int]]] = {}
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        for row in csv.reader(handle):
-            if not row or not row[0].strip():
-                continue
-            if row[0].strip().lower() == "measurement_id":
-                continue
-            msm_id = row[0].strip()
-            status = row[1].strip() if len(row) > 1 and row[1].strip() else None
-            start_time: Optional[int] = None
-            if len(row) > 2 and row[2].strip():
-                start_time = int(float(row[2]))
-            table[msm_id] = (status, start_time)
+        reader = csv.reader(handle)
+        try:
+            for row in reader:
+                if not row or not row[0].strip():
+                    continue
+                if row[0].strip().lower() == "measurement_id":
+                    continue
+                msm_id = row[0].strip()
+                status = row[1].strip() if len(row) > 1 and row[1].strip() else None
+                start_time: Optional[int] = None
+                if len(row) > 2 and row[2].strip():
+                    start_time = int(float(row[2]))
+                table[msm_id] = (status, start_time)
+        except (ValueError, OverflowError, csv.Error) as exc:
+            raise ValueError(f"sidecar {path} line {reader.line_num}: {exc}") from exc
     return table

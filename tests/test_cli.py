@@ -18,17 +18,20 @@ import detourkit
 from conftest import FIXTURES, make_graph
 from detourkit.cli import (
     CONFIG_KEYS,
+    HISTOGRAM_COLUMNS,
     PipelineConfig,
     build_parser,
     ingest_to_graph,
     load_config_file,
     main,
     resolve_config,
+    write_table,
 )
 from detourkit import geo
-from detourkit.detours import enumerate_detours
+from detourkit import stats as stats_module
+from detourkit.detours import DetourRows, enumerate_detours, write_rows_csv, write_rows_json
 from detourkit.errors import ToolkitError
-from detourkit.graph import EndpointKey, load_graph, save_graph
+from detourkit.graph import EndpointKey, LatencyGraph, load_graph, save_graph
 from detourkit.ingest import FilterSpec, PingRecord, serialize_record
 
 REFERENCE_EDGES = {
@@ -118,6 +121,40 @@ class TestIngest:
         code = main(["--output-dir", str(tmp_path / "out"), "ingest", str(feed)])
         assert code == 0
         assert "parse_errors=1" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            '{"msm_id":1,"from":"8.0.0.1","dst_addr":"8.0.0.2","timestamp":Infinity,'
+            '"result":[{"rtt":1.0}]}',
+            '{"msm_id":1,"from":"8.0.0.1","dst_addr":"8.0.0.2","timestamp":1680000000,'
+            '"result":[{"rtt":' + "9" * 400 + "}]}",
+            "m1,8.0.0.1,8.0.0.2,4,stopped,1e999,1.0,,",
+        ],
+        ids=["json-infinite-timestamp", "json-400-digit-rtt", "csv-overflowing-start-time"],
+    )
+    def test_out_of_range_number_is_a_parse_error(self, tmp_path, capsys, bad_line):
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text(feed_line(1) + "\n" + bad_line + "\n", encoding="utf-8")
+        code = main(["--output-dir", str(tmp_path / "out"), "ingest", str(feed)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out.startswith("lines=2 parse_errors=1 kept=1\n")
+
+    def test_overflowing_sidecar_start_time_is_a_usage_error(self, tmp_path, capsys):
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text(feed_line(1) + "\n", encoding="utf-8")
+        sidecar = tmp_path / "meta.csv"
+        sidecar.write_text(
+            "measurement_id,status,start_time\nm1,stopped,1e999\n", encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        code = main(["--output-dir", str(out), "ingest", str(feed), "--sidecar", str(sidecar)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "line 2" in err and "infinity" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("key_by", ["ip", "probe"])
     def test_region_filter_matches_per_record_lookup(self, tmp_path, capsys, monkeypatch, key_by):
@@ -553,10 +590,86 @@ class TestGeoWarm:
         assert [Path(h.name).name for h in handles] == ["static.csv", "cache.csv", "cache.csv"]
         assert all(h.closed for h in handles)
 
+    def test_line_torn_inside_a_character_is_skipped_and_cut(self, tmp_path, capsys):
+        # the write stopped inside the two bytes of an accented city name
+        cache = tmp_path / "cache.csv"
+        cache.write_bytes(b"ip,city,region,country,timestamp\n8.0.0.6,Reno,NV,US,1\n8.8.0.7,S\xc3")
+        ips = tmp_path / "ips.txt"
+        ips.write_text("8.0.0.7\n", encoding="utf-8")
+        static = tmp_path / "static.csv"
+        static.write_text("8.0.0.7,Ashburn,VA,US\n", encoding="utf-8")
+        argv = ["geo-warm", str(ips), "--geo-cache", str(cache)]
+        argv += ["--geo-provider", "static", "--geo-static-file", str(static)]
+        assert main(argv) == 0
+        assert "warmed 1 addresses, 1 resolved" in capsys.readouterr().out
+        lines = cache.read_bytes().splitlines()
+        assert lines[:2] == [b"ip,city,region,country,timestamp", b"8.0.0.6,Reno,NV,US,1"]
+        assert lines[2].startswith(b"8.0.0.7,Ashburn,VA,US,") and len(lines) == 3
+        reloaded = geo.GeoCache(cache)
+        assert reloaded.torn_lines == 0 and len(reloaded) == 2
+
     def test_cache_required(self, tmp_path):
         ips = tmp_path / "ips.txt"
         ips.write_text("8.0.0.7\n", encoding="utf-8")
         assert main(["geo-warm", str(ips)]) == 2
+
+
+class FailingGraph(LatencyGraph):
+    """A graph whose edge listing fails after the snapshot header is written."""
+
+    def edges(self):
+        yield from make_graph({("A", "B"): 1.0}).edges()
+        raise RuntimeError("writer failed")
+
+
+def failing_rows():
+    yield (1.0, 2)
+    raise RuntimeError("writer failed")
+
+
+# a bridge row naming a node rank that does not exist fails mid-file
+BROKEN_ROWS = DetourRows(
+    nodes=[key("A"), key("B"), key("C")],
+    improvements=[(0, 1, 2, 1.0, 3.0, 2.0, 66.67)],
+    bridges=[(0, 1, 7, 1.0)],
+)
+
+FAILING_WRITERS = {
+    "save_graph": lambda path: save_graph(FailingGraph(), path),
+    "write_table-csv": lambda path: write_table(path, "csv", HISTOGRAM_COLUMNS, failing_rows()),
+    "write_table-json": lambda path: write_table(path, "json", HISTOGRAM_COLUMNS, failing_rows()),
+    "write_rows_csv": lambda path: write_rows_csv(BROKEN_ROWS, path),
+    "write_rows_json": lambda path: write_rows_json(BROKEN_ROWS, path),
+}
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", sorted(FAILING_WRITERS))
+    def test_failed_writer_keeps_old_output(self, tmp_path, writer):
+        target = tmp_path / "output"
+        target.write_bytes(b"old contents\n")
+        with pytest.raises((RuntimeError, IndexError)):
+            FAILING_WRITERS[writer](target)
+        assert target.read_bytes() == b"old contents\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["output"]
+
+    def test_failed_distribution_write_keeps_old_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        out.mkdir()
+        old = out / "distribution_direct.csv"
+        old.write_bytes(b"old contents\n")
+
+        def failing_distribution(samples, width):
+            yield (1.0, 1)
+            raise RuntimeError("writer failed")
+
+        monkeypatch.setattr(stats_module, "frequency_distribution", failing_distribution)
+        direct = FIXTURES / "overlay" / "direct_ac.txt"
+        with pytest.raises(RuntimeError):
+            main(["--output-dir", str(out), "overlay", "--direct", str(direct)])
+        assert old.read_bytes() == b"old contents\n"
+        written = sorted(p.name for p in out.iterdir())
+        assert written == ["distribution_direct.csv", "overlay_summary.csv"]
 
 
 class TestConfig:

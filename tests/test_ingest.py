@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import statistics
+import tempfile
 from collections import Counter
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from detourkit.errors import NoDataError, ParseError
 from detourkit.ingest import (
@@ -17,6 +19,7 @@ from detourkit.ingest import (
     PingRecord,
     filter_records,
     load_status_sidecar,
+    parse_fields,
     parse_result_line,
     read_result_file,
     representative_rtt,
@@ -94,6 +97,16 @@ class TestParseJson:
             parse_result_line(line)
         assert exc.value.position > 0
         assert "unterminated" in exc.value.reason.lower() or "record" in exc.value.reason.lower()
+
+    @pytest.mark.parametrize(
+        "line", ['{"msm_id": 1} x', '{"msm_id": 1}{}', '{"msm_id": 1}\t ]', '{"msm_id": 1,}']
+    )
+    def test_error_position_and_reason_as_json_loads(self, line):
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(line)
+        with pytest.raises(ParseError) as exc:
+            parse_result_line(line)
+        assert (exc.value.position, exc.value.reason) == (expected.value.pos, expected.value.msg)
 
     def test_unrecognized_fields_ignored(self):
         line = json.dumps(
@@ -187,6 +200,115 @@ def test_serialize_parse_round_trip(msm, source, dest, af, status, start, runs, 
         region=region,
     )
     assert parse_result_line(serialize_record(original)) == original
+
+
+VALID_JSON = {
+    "msm_id": 1,
+    "prb_id": 100,
+    "from": "8.8.0.1",
+    "dst_addr": "8.8.0.2",
+    "af": 4,
+    "timestamp": 1680000000,
+    "result": [{"rtt": 1.0}, {"rtt": 2.0}, {"rtt": 3.0}],
+    "status": "stopped",
+    "region": "US",
+}
+VALID_CSV = ["m1", "8.8.0.1", "8.8.0.2", "4", "stopped", "1680000000", "1.0", "2.0", "3.0"]
+
+odd_numbers = st.sampled_from(
+    [float("nan"), float("inf"), float("-inf"), 1e308, -0.0, 10**400, -(10**400), 2**63]
+    + [True, False]
+)
+json_values = st.recursive(
+    st.one_of(
+        st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6), odd_numbers
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+odd_cells = st.one_of(
+    st.sampled_from(["1e999", "-1e999", "nan", "inf", "9" * 400, "1_0", "0x10", "", " ", "-1"]),
+    st.text(max_size=8),
+)
+
+
+def parses_or_raises_parse_error(line: str, key_by: str = "ip") -> None:
+    try:
+        fields = parse_fields(line, key_by)
+    except ParseError:
+        with pytest.raises(ParseError):
+            parse_result_line(line, key_by)
+        return
+    assert parse_result_line(line, key_by) == PingRecord(*fields)
+
+
+class TestParserFuzz:
+    """The feed parsers raise only their documented errors."""
+
+    @given(
+        text=st.one_of(st.text(), st.text().map(lambda t: "{" + t)),
+        key_by=st.sampled_from(["ip", "probe"]),
+    )
+    def test_arbitrary_text(self, text, key_by):
+        parses_or_raises_parse_error(text, key_by)
+
+    @settings(max_examples=300)
+    @given(
+        field=st.sampled_from(sorted(VALID_JSON) + ["rtt", "result entry"]),
+        value=json_values,
+        key_by=st.sampled_from(["ip", "probe"]),
+    )
+    def test_mutated_json_line(self, field, value, key_by):
+        obj = dict(VALID_JSON)
+        if field == "rtt":
+            obj["result"] = [{"rtt": value}, {"rtt": 1.0}]
+        elif field == "result entry":
+            obj["result"] = [value, {"rtt": 1.0}]
+        else:
+            obj[field] = value
+        parses_or_raises_parse_error(json.dumps(obj), key_by)
+
+    @given(index=st.integers(0, len(VALID_CSV) - 1), cell=odd_cells)
+    def test_mutated_csv_line(self, index, cell):
+        cells = list(VALID_CSV)
+        cells[index] = cell
+        parses_or_raises_parse_error(",".join(cells))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"msm_id": 1, "timestamp": ' + "9" * 5000 + "}",
+            '{"msm_id": 1, "result": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        ],
+        ids=["integer-over-the-digit-limit", "nesting-over-the-recursion-limit"],
+    )
+    def test_decoder_limits_are_parse_errors(self, line):
+        with pytest.raises(ParseError):
+            parse_result_line(line)
+
+    @given(
+        data=st.one_of(st.binary(), st.text().map(lambda t: t.encode("utf-8", "surrogatepass")))
+    )
+    def test_arbitrary_sidecar(self, data):
+        self._load_sidecar_or_value_error(data)
+
+    @given(cells=st.lists(odd_cells, min_size=1, max_size=4))
+    def test_mutated_sidecar_row(self, cells):
+        text = "measurement_id,status,start_time\n" + ",".join(cells) + "\n"
+        self._load_sidecar_or_value_error(text.encode("utf-8", "surrogatepass"))
+
+    @staticmethod
+    def _load_sidecar_or_value_error(data: bytes) -> None:
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "meta.csv"
+            path.write_bytes(data)
+            try:
+                table = load_status_sidecar(path)
+            except ValueError:
+                return
+        assert all(isinstance(start, (int, type(None))) for _, start in table.values())
 
 
 class TestRepresentativeRtt:
