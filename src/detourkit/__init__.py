@@ -20,7 +20,7 @@ from .errors import (
     ParseError,
     ToolkitError,
 )
-from .geo import GeoCache, GeoLookup, GeoRecord, annotate
+from .geo import GeoCache, GeoLookup, GeoRecord
 from .graph import EndpointKey, LatencyEdge, LatencyGraph, build_graph, load_graph, save_graph
 from .ingest import (
     FilterSpec,
@@ -73,7 +73,6 @@ __all__ = [
     "ToolkitError",
     "TracerouteHop",
     "TracerouteTrace",
-    "annotate",
     "best_detour",
     "build_graph",
     "compare",

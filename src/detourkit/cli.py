@@ -10,13 +10,14 @@ import argparse
 import configparser
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import detours as detours_mod
 from . import geo as geo_mod
@@ -25,6 +26,7 @@ from . import traceroute as traceroute_mod
 from .errors import EmptyInputError, ParseError, ToolkitError
 from .graph import (
     BuildStats,
+    EndpointKey,
     LatencyGraph,
     build_graph,
     canonical_ipv4,
@@ -222,13 +224,13 @@ def write_table(
             writer.writerow([format(value, spec) for value, spec in zip(row, specs)])
 
 
-def _geo_lookup_from_config(cfg: PipelineConfig, allow_provider: bool = True) -> geo_mod.GeoLookup:
+def _geo_lookup_from_config(cfg: PipelineConfig) -> geo_mod.GeoLookup:
     provider = geo_mod.NullGeoProvider()
-    if allow_provider and cfg.geo_provider == "static":
+    if cfg.geo_provider == "static":
         if cfg.geo_static_file is None:
             raise ValueError("static geo provider needs geo.static_file")
         provider = geo_mod.StaticFileGeoProvider(cfg.geo_static_file)
-    elif allow_provider and cfg.geo_provider == "http":
+    elif cfg.geo_provider == "http":
         if cfg.geo_base_url is None:
             raise ValueError("http geo provider needs geo.base_url")
         provider = geo_mod.HttpGeoProvider(
@@ -236,6 +238,14 @@ def _geo_lookup_from_config(cfg: PipelineConfig, allow_provider: bool = True) ->
         )
     cache = geo_mod.GeoCache(cfg.geo_cache) if cfg.geo_cache is not None else None
     return geo_mod.GeoLookup(cache=cache, provider=provider)
+
+
+def _cached_locate(cfg: PipelineConfig) -> Optional[Callable[[str], geo_mod.GeoRecord]]:
+    """``GeoLookup.locate`` answering from the geo cache file alone, or
+    None when there is no cache file."""
+    if cfg.geo_cache is None or not cfg.geo_cache.exists():
+        return None
+    return geo_mod.GeoLookup(cache=geo_mod.GeoCache(cfg.geo_cache)).locate
 
 
 def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
@@ -252,22 +262,9 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         address_family=cfg.address_family,
         region_allowlist=cfg.regions,
     )
-    region_of = None
-    if cfg.regions is not None and cfg.geo_cache is not None and cfg.geo_cache.exists():
-        lookup = _geo_lookup_from_config(cfg, allow_provider=False)
-        # records far outnumber endpoints: look each endpoint text up once
-        regions: dict[str, Optional[str]] = {}
-
-        def region_of(endpoint: str) -> Optional[str]:
-            if endpoint in regions:
-                return regions[endpoint]
-            try:
-                region = lookup.lookup(endpoint).country
-            except ToolkitError:
-                region = None
-            regions[endpoint] = region
-            return region
-
+    locate = _cached_locate(cfg) if cfg.regions is not None else None
+    # records far outnumber endpoints: look each endpoint text up once
+    region_of = functools.cache(lambda e: locate(e).country) if locate is not None else None
     graph, feed, build = ingest_to_graph(
         paths, spec, key_by=cfg.key_by, sidecar=sidecar, region_of=region_of
     )
@@ -284,12 +281,6 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     if feed.lines == 0:
         print("warning: no input lines", file=sys.stderr)
     return EXIT_OK
-
-
-def _located_label(record: geo_mod.GeoRecord, fallback: str) -> str:
-    if record.city is not None:
-        return f"{record.city}, {record.country}"
-    return fallback
 
 
 def cmd_detours(args: argparse.Namespace, cfg: PipelineConfig) -> int:
@@ -319,20 +310,16 @@ def cmd_detours(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         f"bridges={len(rows.bridges)} improvable_pairs={histogram.total_pairs()}"
     )
 
-    top = list(islice(rows.insights(), cfg.top))
-    use_geo = cfg.geo_cache is not None and cfg.geo_cache.exists()
-    if use_geo:
-        lookup = _geo_lookup_from_config(cfg, allow_provider=False)
-        located = geo_mod.annotate(top, lookup)
-        for item in located:
-            i = item.insight
-            source = _located_label(item.source_geo, i.source.value)
-            via = _located_label(item.via_geo, i.via.value)
-            destination = _located_label(item.destination_geo, i.destination.value)
-            print(f"{source} -> {destination} via {via}: {_describe(i)}")
-    else:
-        for i in top:
-            print(f"{i.source.value} -> {i.destination.value} via {i.via.value}: {_describe(i)}")
+    locate = _cached_locate(cfg)
+
+    def label(key: EndpointKey) -> str:
+        place = locate(key.value) if locate is not None else None
+        if place is None or place.city is None:
+            return key.value
+        return f"{place.city}, {place.country}"
+
+    for i in islice(rows.insights(), cfg.top):
+        print(f"{label(i.source)} -> {label(i.destination)} via {label(i.via)}: {_describe(i)}")
     return EXIT_OK
 
 
@@ -352,9 +339,7 @@ def cmd_traceroutes(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         return EXIT_USAGE
     tokens = frozenset(t.strip().lower() for t in args.city_tokens.split(",") if t.strip())
     spec = traceroute_mod.CitySpec(tokens=tokens, geo_city=args.geo_city)
-    lookup = None
-    if cfg.geo_cache is not None and cfg.geo_cache.exists():
-        lookup = _geo_lookup_from_config(cfg, allow_provider=False)
+    locate = _cached_locate(cfg)
 
     rows = []
     failures = 0
@@ -365,9 +350,7 @@ def cmd_traceroutes(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             failures += 1
             print(f"error: {path.name}: {exc}", file=sys.stderr)
             continue
-        if lookup is not None:
-            trace = _annotate_hops(trace, lookup)
-        detection = traceroute_mod.detect_city(trace, spec)
+        detection = traceroute_mod.detect_city(trace, spec, locate)
         rows.append(
             (
                 trace.source_label or path.stem,
@@ -386,20 +369,6 @@ def cmd_traceroutes(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     )
     print(f"traces={len(rows)} errors={failures}")
     return EXIT_OK
-
-
-def _annotate_hops(
-    trace: traceroute_mod.TracerouteTrace, lookup: geo_mod.GeoLookup
-) -> traceroute_mod.TracerouteTrace:
-    hops = []
-    for hop in trace.hops:
-        if hop.address is not None and hop.geo is None:
-            try:
-                hop = dataclasses.replace(hop, geo=lookup.lookup(hop.address))
-            except ToolkitError:
-                pass
-        hops.append(hop)
-    return dataclasses.replace(trace, hops=tuple(hops))
 
 
 def _distribution_name(label: str) -> str:

@@ -20,11 +20,10 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
+from typing import BinaryIO, Callable, Optional, TextIO
 
-from .detours import DetourInsight
 from .errors import InvalidAddressError
-from .graph import KIND_PROBE, canonical_ipv4
+from .graph import canonical_ipv4
 
 SOURCE_CACHE = "cache"
 SOURCE_PROVIDER = "provider"
@@ -294,58 +293,10 @@ class GeoLookup:
                 self.cache.put(record)
             return record
 
-
-@dataclass(frozen=True, slots=True)
-class LocatedInsight:
-    """A detour insight plus the location of each endpoint."""
-
-    insight: DetourInsight
-    source_geo: GeoRecord
-    via_geo: GeoRecord
-    destination_geo: GeoRecord
-
-
-def load_probe_locations(path: str | Path) -> dict[str, GeoRecord]:
-    """Load a probe_id,city,region,country sidecar table."""
-    table: dict[str, GeoRecord] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        for row in csv.reader(handle):
-            if not row or not row[0].strip() or row[0].strip().lower() == "probe_id":
-                continue
-            padded = [cell.strip() for cell in row] + ["", "", ""]
-            city, region, country = _normalize_fields(padded[1], padded[2], padded[3])
-            table[padded[0]] = GeoRecord(
-                ip=padded[0], city=city, region=region, country=country, source=SOURCE_STATIC
-            )
-    return table
-
-
-def annotate(
-    insights: Iterable[DetourInsight],
-    lookup: GeoLookup,
-    probe_locations: Optional[dict[str, GeoRecord]] = None,
-) -> Iterator[LocatedInsight]:
-    """Attach a location to every endpoint of every insight.
-
-    Insights are passed through untouched (counts and numbers preserved);
-    endpoints that cannot be located get unknown records. Probe-keyed
-    endpoints are resolved through the sidecar table.
-    """
-    probe_locations = probe_locations or {}
-
-    def locate(key) -> GeoRecord:
-        if key.kind == KIND_PROBE:
-            found = probe_locations.get(key.value)
-            return found if found is not None else unknown_record(key.value)
+    def locate(self, text: str) -> GeoRecord:
+        """:meth:`lookup`, except that text that is not an IPv4 address (a
+        probe id or a host name) is unknown instead of an error."""
         try:
-            return lookup.lookup(key.value)
+            return self.lookup(text)
         except InvalidAddressError:
-            return unknown_record(key.value)
-
-    for insight in insights:
-        yield LocatedInsight(
-            insight=insight,
-            source_geo=locate(insight.source),
-            via_geo=locate(insight.via),
-            destination_geo=locate(insight.destination),
-        )
+            return unknown_record(text)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, TextIO
 
-from .errors import NoDataError, ParseError
+from .errors import NoDataError, ParseError, ToolkitError
 from .ingest import PingRecord, representative_rtt
 
 KIND_PROBE = "probe"
@@ -145,6 +145,8 @@ def build_graph(records: Iterable[PingRecord], stats: Optional[BuildStats] = Non
     Edge weight = mean over measurements of (mean over that measurement's
     samples of the representative RTT). Self-pairs and no-data records are
     skipped and counted. Deterministic and independent of record order.
+    Raises :class:`ToolkitError` when finite RTTs add up past the largest
+    float.
     """
     from array import array  # here, so that CLI start-up imports no new module
 
@@ -183,12 +185,19 @@ def build_graph(records: Iterable[PingRecord], stats: Optional[BuildStats] = Non
 
     graph = LatencyGraph()
     for (source, destination), by_msm in groups.items():
-        means = [math.fsum(rtts) / len(rtts) for _, rtts in sorted(by_msm.items())]
+        try:
+            means = [math.fsum(rtts) / len(rtts) for _, rtts in sorted(by_msm.items())]
+            rtt = math.fsum(means) / len(means)
+        except OverflowError:
+            rtt = math.inf
+        # inf also comes from a two-run mean that overflowed
+        if rtt == math.inf:
+            raise ToolkitError(f"RTTs of {source} -> {destination} add up past the largest float")
         graph.add_edge(
             LatencyEdge(
                 source=keys[source],
                 destination=keys[destination],
-                rtt_ms=math.fsum(means) / len(means),
+                rtt_ms=rtt,
                 sample_count=sum(len(rtts) for rtts in by_msm.values()),
                 measurement_count=len(by_msm),
             )

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .errors import EmptyInputError, ParseError
+from .errors import EmptyInputError, ParseError, ToolkitError
 
 MODALITY_UNIMODAL = "unimodal"
 MODALITY_BIMODAL = "bimodal"
@@ -92,8 +92,12 @@ def _bin_index(value: float, width: float) -> int:
 
 def _histogram(samples: Iterable[float], width: float) -> Counter:
     counts: Counter = Counter()
-    for value in samples:
-        counts[_bin_index(value, width)] += 1
+    try:
+        for value in samples:
+            counts[_bin_index(value, width)] += 1
+    except OverflowError:
+        message = f"a sample over the bin width {width:g} passes the largest float"
+        raise ToolkitError(message) from None
     return counts
 
 
@@ -144,7 +148,9 @@ def summarize(samples: Sequence[float], mode_bin_width_ms: float = 0.5) -> RttSu
 
     Median uses the midpoint convention for even counts; variance is the
     population variance; the mode is the center of the most populated bin,
-    with count ties going to the lower bin.
+    with count ties going to the lower bin. Raises :class:`ToolkitError`
+    when the sum, a squared deviation or a bin index passes the largest
+    float.
     """
     if mode_bin_width_ms <= 0:
         raise ValueError("mode_bin_width_ms must be > 0")
@@ -155,8 +161,11 @@ def summarize(samples: Sequence[float], mode_bin_width_ms: float = 0.5) -> RttSu
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"samples must be finite and > 0, got {value!r}")
 
-    mean = math.fsum(samples) / n
-    variance = math.fsum((value - mean) ** 2 for value in samples) / n
+    try:
+        mean = math.fsum(samples) / n
+        variance = math.fsum((value - mean) ** 2 for value in samples) / n
+    except OverflowError:
+        raise ToolkitError("the sample sum or variance passes the largest float") from None
     median = statistics.median(samples)
 
     counts = _histogram(samples, mode_bin_width_ms)
@@ -201,7 +210,8 @@ def compose(path: OverlayPath, forwarding_delay_ms: float = 0.0) -> RttSummary:
     dev is the square root of that total. A multi-peaked leg marks the
     whole prediction as multi-peaked. Median and mode addition follows the
     per-leg reporting convention; see :func:`monte_carlo_compose` for the
-    empirical alternative.
+    empirical alternative. Raises :class:`ToolkitError` when a result is
+    not finite, as when a sum passes the largest float.
     """
     legs = path.legs
     relay_delay = forwarding_delay_ms * (len(legs) - 1)
@@ -210,6 +220,8 @@ def compose(path: OverlayPath, forwarding_delay_ms: float = 0.0) -> RttSummary:
     median = sum(leg.median_ms for leg in legs) + relay_delay
     mode = sum(leg.mode_ms for leg in legs) + relay_delay
     variance = sum(leg.variance_ms2 for leg in legs)
+    if not all(map(math.isfinite, (mean, median, mode, variance))):
+        raise ToolkitError("composing the legs gives a value that is not finite")
     rank = max(_MODALITY_RANK[leg.modality] for leg in legs)
     modality = {1: MODALITY_UNIMODAL, 2: MODALITY_BIMODAL, 3: MODALITY_MULTIMODAL}[rank]
     return RttSummary(
@@ -288,12 +300,19 @@ def monte_carlo_compose(
     if not leg_samples or any(len(leg) == 0 for leg in leg_samples):
         raise EmptyInputError("every leg needs samples")
     legs = [list(leg) for leg in leg_samples]
-    sums = [math.fsum(rng.choice(leg) for leg in legs) for _ in range(draws)]
+    try:
+        sums = [math.fsum(rng.choice(leg) for leg in legs) for _ in range(draws)]
+    except OverflowError:
+        raise ToolkitError("leg samples add up past the largest float") from None
     return summarize(sums, mode_bin_width_ms=mode_bin_width_ms)
 
 
 def read_samples(path: str | Path) -> list[float]:
-    """Read one RTT (ms) per line; blank lines and # comments are skipped."""
+    """Read one RTT (ms) per line; blank lines and # comments are skipped.
+
+    Raises :class:`ParseError` with the line number for text that is not a
+    finite number > 0.
+    """
     samples: list[float] = []
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -301,9 +320,12 @@ def read_samples(path: str | Path) -> list[float]:
             if not text or text.startswith("#"):
                 continue
             try:
-                samples.append(float(text))
+                value = float(text)
             except ValueError as exc:
                 raise ParseError(lineno, f"bad sample {text!r}") from exc
+            if not 0 < value < math.inf:
+                raise ParseError(lineno, f"sample must be finite and > 0, got {text!r}")
+            samples.append(value)
     return samples
 
 

@@ -4,7 +4,7 @@ Trace files carry a one-line header ``# source_label | destination``
 followed by conventional traceroute output (hop number, responding
 name/address pairs, up to three RTTs, ``*`` for timeouts). Hop counts come
 from the raw hop lines; the TTL left in a ping response gives an
-independent hop estimate to cross-check against.
+independent hop estimate.
 
 Whether a trace transits a given city is decided by reverse-DNS token
 matching first (airport-code style router names), geolocation second;
@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import ParseError
 from .geo import GeoRecord
@@ -47,7 +47,6 @@ class TracerouteHop:
     address: Optional[str]
     rdns_name: Optional[str]
     rtts_ms: tuple[float, ...]
-    geo: Optional[GeoRecord] = None
 
     @property
     def responded(self) -> bool:
@@ -214,13 +213,6 @@ def ttl_hop_estimate(observed_ttl: int) -> Optional[int]:
     return initial - observed_ttl + 1
 
 
-def hops_agree(ttl_estimate: Optional[int], traceroute_hops: int, slack: int = 1) -> bool:
-    """Cross-check the TTL estimate against the traceroute hop count."""
-    if ttl_estimate is None:
-        return False
-    return abs(ttl_estimate - traceroute_hops) <= slack
-
-
 def _name_candidates(name: str) -> set[str]:
     segments = name.lower().split(".")
     candidates = set(segments)
@@ -240,12 +232,18 @@ def _hop_token_match(hop: TracerouteHop, tokens: frozenset[str]) -> Optional[str
     return None
 
 
-def detect_city(trace: TracerouteTrace, city_spec: CitySpec) -> CityDetection:
+def detect_city(
+    trace: TracerouteTrace,
+    city_spec: CitySpec,
+    locate: Optional[Callable[[str], GeoRecord]] = None,
+) -> CityDetection:
     """Decide whether the trace transits the given city.
 
     ``yes`` needs evidence (a matched rDNS token or a geolocated hop);
     with no evidence the verdict degrades from ``no`` to ``unknown`` when
     at least half the hops cannot be assessed (no reverse DNS and no geo).
+    ``locate`` (such as :meth:`GeoLookup.locate`) is asked only for the
+    address of a hop that no token matched.
     """
     evidence: list[tuple[int, str]] = []
     unassessable = 0
@@ -254,7 +252,9 @@ def detect_city(trace: TracerouteTrace, city_spec: CitySpec) -> CityDetection:
         if matched is not None:
             evidence.append((hop.index, matched))
             continue
-        geo_city = hop.geo.city if hop.geo is not None else None
+        geo_city = None
+        if locate is not None and hop.address is not None:
+            geo_city = locate(hop.address).city
         if (
             city_spec.geo_city is not None
             and geo_city is not None

@@ -156,6 +156,26 @@ class TestIngest:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "lines", [[[1.5e308], [1.5e308]], [[1.5e308, 1.5e308]]], ids=["fsum", "two-run-mean"]
+    )
+    def test_rtts_past_the_float_range_are_an_error(self, tmp_path, capsys, lines):
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text(
+            "".join(
+                json.dumps({"msm_id": 1, "prb_id": 1, "from": "8.8.0.1", "dst_addr": "8.8.0.2",
+                            "af": 4, "timestamp": 1_680_000_000,
+                            "result": [{"rtt": rtt} for rtt in runs]}) + "\n"
+                for runs in lines
+            ),
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "ingest", str(feed)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: RTTs of 8.8.0.1 -> 8.8.0.2 add up past the largest float\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("key_by", ["ip", "probe"])
     def test_region_filter_matches_per_record_lookup(self, tmp_path, capsys, monkeypatch, key_by):
         # endpoints repeat across records: cached (US, CA, DE), reserved,
@@ -515,6 +535,38 @@ class TestOverlay:
 
     def test_no_inputs_is_usage_error(self, tmp_path):
         assert main(["--output-dir", str(tmp_path), "overlay"]) == 2
+
+    @pytest.mark.parametrize(
+        "legs, extra, message",
+        [
+            (["1e308\n1e308\n"], [], "the sample sum or variance passes the largest float"),
+            (["1e200\n1\n"], [], "the sample sum or variance passes the largest float"),
+            (["1e308\n"], [], "a sample over the bin width 0.5 passes the largest float"),
+            (["1e308\n", "1e308\n"], ["--mode-bin-width", "1"],
+             "composing the legs gives a value that is not finite"),
+        ],
+        ids=["fsum", "squared-deviation", "bin-index", "composed"],
+    )
+    def test_samples_past_the_float_range_are_an_error(
+        self, tmp_path, capsys, legs, extra, message
+    ):
+        out = tmp_path / "out"
+        argv = ["--output-dir", str(out), "overlay", *extra]
+        for i, text in enumerate(legs):
+            path = tmp_path / f"leg{i}.txt"
+            path.write_text(text, encoding="utf-8")
+            argv += ["--leg", f"L{i}={path}"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_bad_sample_is_a_parse_error_with_its_line(self, tmp_path, capsys):
+        leg = tmp_path / "leg.txt"
+        leg.write_text("1.5\nnan\n", encoding="utf-8")
+        assert main(["--output-dir", str(tmp_path / "out"), "overlay", "--leg", f"A={leg}"]) == 1
+        assert capsys.readouterr().err == (
+            "analysis error: parse error at 2: sample must be finite and > 0, got 'nan'\n"
+        )
 
     @pytest.mark.parametrize(
         "first, second",

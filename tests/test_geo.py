@@ -1,4 +1,4 @@
-"""Geolocation lookups: cache, providers, reserved ranges, annotation."""
+"""Geolocation lookups: cache, providers, reserved ranges, locate."""
 
 from __future__ import annotations
 
@@ -10,9 +10,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from conftest import make_graph
 from detourkit import geo as geo_module
-from detourkit.detours import enumerate_detours
 from detourkit.errors import InvalidAddressError
 from detourkit.geo import (
     GeoCache,
@@ -20,8 +18,6 @@ from detourkit.geo import (
     GeoRecord,
     HttpGeoProvider,
     StaticFileGeoProvider,
-    annotate,
-    load_probe_locations,
 )
 
 
@@ -263,55 +259,34 @@ class TestProviders:
             server.server_close()
 
 
-class TestAnnotate:
-    def graph_insights(self):
-        graph = make_graph(
-            {
-                ("8.0.0.1", "8.0.0.2"): 1.0,
-                ("8.0.0.2", "8.0.0.3"): 1.0,
-                ("8.0.0.1", "8.0.0.3"): 10.0,
-            }
-        )
-        return list(enumerate_detours(graph, threshold_pct=1.0))
+class TestLocate:
+    CACHE = (
+        "ip,city,region,country,timestamp\n"
+        "8.0.0.1,Milpitas,CA,US,1\n"
+        "10.0.0.1,Reserved City,XX,US,1\n"
+        "100,Chicago,IL,US,1\n"
+        "host.example,Somewhere,XX,US,1\n"
+    )
 
-    def test_preserves_insights_bit_exactly(self):
-        insights = self.graph_insights()
-        located = list(annotate(insights, GeoLookup()))
-        assert [l.insight for l in located] == insights
-
-    def test_cached_endpoints_located(self, tmp_path):
+    def locate_with(self, tmp_path, provider):
         cache_path = tmp_path / "cache.csv"
-        cache_path.write_text(
-            "ip,city,region,country,timestamp\n"
-            "8.0.0.1,Milpitas,CA,US,1\n"
-            "8.0.0.2,Las Cruces,NM,US,1\n"
-            "8.0.0.3,Morrisdale,PA,US,1\n",
-            encoding="utf-8",
-        )
-        lookup = GeoLookup(cache=GeoCache(cache_path))
-        located = list(annotate(self.graph_insights(), lookup))
-        assert located[0].source_geo.city == "Milpitas"
-        assert located[0].via_geo.city == "Las Cruces"
-        assert located[0].destination_geo.city == "Morrisdale"
+        cache_path.write_text(self.CACHE, encoding="utf-8")
+        return GeoLookup(cache=GeoCache(cache_path), provider=provider).locate
 
-    def test_unknown_via_retained(self):
-        located = list(annotate(self.graph_insights(), GeoLookup()))
-        assert len(located) == len(self.graph_insights())
-        assert located[0].via_geo.city is None
+    def test_cached_hit(self, tmp_path):
+        provider = CountingProvider()
+        locate = self.locate_with(tmp_path, provider)
+        assert locate("8.0.0.1") == GeoRecord("8.0.0.1", "Milpitas", "CA", "US", "cache")
+        assert locate("8.0.0.001").city == "Milpitas"
+        assert provider.calls == []
 
-    def test_probe_keyed_endpoints_use_sidecar(self, tmp_path):
-        sidecar = tmp_path / "probes.csv"
-        sidecar.write_text(
-            "probe_id,city,region,country\n10194,Chicago,IL,US\n6636,Sydney,NSW,AU\n",
-            encoding="utf-8",
-        )
-        probes = load_probe_locations(sidecar)
-        graph = make_graph({("10194", "1003746"): 0.3, ("1003746", "6636"): 4.6})
-        insights = list(enumerate_detours(graph, threshold_pct=1.0))
-        located = list(annotate(insights, GeoLookup(), probe_locations=probes))
-        assert located[0].source_geo.city == "Chicago"
-        assert located[0].via_geo.city is None  # not in the sidecar
-        assert located[0].destination_geo.city == "Sydney"
+    @pytest.mark.parametrize("text", ["100", "host.example", "10.0.0.1"])
+    def test_unknown_without_provider_call(self, tmp_path, text):
+        # a probe id, a host name and a reserved address, each with a cache row
+        provider = CountingProvider({text: ("Nowhere", "XX", "US")})
+        record = self.locate_with(tmp_path, provider)(text)
+        assert (record.ip, record.city, record.region, record.country) == (text, None, None, None)
+        assert provider.calls == []
 
 
 class TestGeoRecordInvariant:

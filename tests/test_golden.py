@@ -80,10 +80,32 @@ def _reference_snapshot(work: Path) -> str:
     return str(snapshot)
 
 
-def _warm_cache(work: Path) -> str:
+def _warm_cache(work: Path, name: str = "geo_cache.csv") -> str:
     cache = work / "cache.csv"
-    shutil.copy(INPUTS / "geo_cache.csv", cache)
+    shutil.copy(INPUTS / name, cache)
     return str(cache)
+
+
+# located endpoints (8.8.0.1, 8.8.0.3), a country without a city (8.8.0.9),
+# an uncached address (8.8.0.7), and a reserved address, a probe id and a host
+# name that all have rows in the cache but must still print as themselves
+GEO_EDGES = {
+    ("8.8.0.1", "8.8.0.9"): 1.0,
+    ("8.8.0.9", "8.8.0.3"): 1.0,
+    ("8.8.0.1", "8.8.0.3"): 10.0,
+    ("100", "10.0.0.1"): 1.0,
+    ("10.0.0.1", "host.example"): 1.0,
+    ("100", "host.example"): 5.0,
+    ("host.example", "8.8.0.7"): 2.0,
+    ("8.8.0.7", "8.8.0.1"): 2.0,
+    ("8.8.0.3", "100"): 1.0,
+}
+
+
+def _geo_snapshot(work: Path) -> str:
+    snapshot = work / "graph.csv"
+    save_graph(make_graph(GEO_EDGES), snapshot)
+    return str(snapshot)
 
 
 def _overlay_args(*extra: str) -> list[str]:
@@ -153,6 +175,10 @@ COMMAND_CASES = {
         "[output]\ndir = {work}/out\nformat = json\n",
     )
     + ["detours", _reference_snapshot(w)],
+    ("detours", "geo"): lambda w: [
+        "--output-dir", str(w / "out"), "detours", _geo_snapshot(w),
+        "--geo-cache", _warm_cache(w, "detours_geo_cache.csv"),
+    ],
     ("geo-warm", "flags"): lambda w: [
         "geo-warm", str(INPUTS / "ips.txt"), "--geo-cache", _warm_cache(w),
         "--geo-provider", "static", "--geo-static-file", str(INPUTS / "static_geo.csv"),

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from detourkit.cli import SUMMARY_COLUMNS, write_table
-from detourkit.errors import EmptyInputError, ParseError
+from detourkit.errors import EmptyInputError, ParseError, ToolkitError
 from detourkit.stats import (
     OverlayPath,
     RttSummary,
@@ -261,6 +261,15 @@ class TestSampleIo:
             read_samples(path)
         assert exc.value.position == 2
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "0", "-3"])
+    def test_read_samples_rejects_non_finite_and_non_positive(self, tmp_path, text):
+        path = tmp_path / "s.txt"
+        path.write_text(f"1.5\n# comment\n{text}\n2.5\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_samples(path)
+        assert exc.value.position == 3
+        assert repr(text) in exc.value.reason
+
     def test_frequency_distribution(self):
         dist = frequency_distribution([1.0, 1.1, 2.0], bin_width_ms=0.5)
         assert dist == [(1.0, 2), (2.0, 1)]
@@ -294,3 +303,17 @@ class TestSummaryInvariants:
             RttSummary(1.0, 1.0, 0.0, 1.0, 0.0, 0, 0.5, "unimodal")
         with pytest.raises(ValueError):
             RttSummary(1.0, 1.0, 0.0, 1.0, 0.0, 5, 0.5, "degenerate")
+
+
+class TestFloatOverflow:
+    """Finite values whose sum passes the largest float raise ToolkitError
+    (``summarize`` is checked through ``overlay`` in test_cli.py)."""
+
+    def test_compose(self):
+        huge = RttSummary.from_moments(1e308, 1e308, 0.0, 1e308)
+        with pytest.raises(ToolkitError):
+            compose(OverlayPath(legs=(huge, huge)))
+
+    def test_monte_carlo_compose(self):
+        with pytest.raises(ToolkitError):
+            monte_carlo_compose([[1e308], [1e308]], draws=10, rng=random.Random(1))

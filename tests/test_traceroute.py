@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from detourkit.cli import TRACE_REPORT_COLUMNS, write_table
 from detourkit.errors import ParseError
-from detourkit.geo import GeoRecord
+from detourkit.geo import GeoRecord, unknown_record
 from detourkit.traceroute import (
     LOS_ANGELES,
+    CityDetection,
     CitySpec,
+    TracerouteHop,
+    TracerouteTrace,
     detect_city,
     hop_count,
-    hops_agree,
     parse_traceroute,
     read_trace_file,
     ttl_hop_estimate,
@@ -149,9 +151,8 @@ class TestTtlEstimate:
 
     def test_cross_check_against_fixture(self, fixtures_dir):
         trace = read_trace_file(fixtures_dir / "traceroutes" / "01_ucsd_cse_wifi.txt")
-        assert hops_agree(ttl_hop_estimate(60), hop_count(trace))
-        assert not hops_agree(ttl_hop_estimate(40), hop_count(trace))
-        assert not hops_agree(None, hop_count(trace))
+        assert ttl_hop_estimate(60) == hop_count(trace)
+        assert ttl_hop_estimate(40) != hop_count(trace)
 
 
 class TestDetectCity:
@@ -177,14 +178,11 @@ class TestDetectCity:
 
     def test_geo_city_fallback(self):
         trace = parse_traceroute("# x | y\n 1  core7.carrier.net (10.0.0.1)  1.0 ms\n")
-        located = dataclasses.replace(
-            trace.hops[0],
-            geo=GeoRecord(ip="10.0.0.1", city="Los Angeles", region="CA", country="US", source="cache"),
-        )
-        trace = dataclasses.replace(trace, hops=(located,))
-        detection = detect_city(trace, LOS_ANGELES)
+        place = GeoRecord("10.0.0.1", "Los Angeles", "CA", "US", "cache")
+        detection = detect_city(trace, LOS_ANGELES, {"10.0.0.1": place}.__getitem__)
         assert detection.verdict == "yes"
         assert detection.evidence == ((1, "Los Angeles"),)
+        assert detect_city(trace, LOS_ANGELES).verdict == "no"
 
     def test_unknown_when_half_unassessable(self):
         trace = parse_traceroute(
@@ -212,6 +210,89 @@ class TestDetectCity:
     def test_city_spec_needs_criteria(self):
         with pytest.raises(ValueError):
             CitySpec(tokens=frozenset())
+
+
+def reference_token(hop, tokens):
+    """First sorted token that starts a dot- or hyphen-separated part of
+    the hop's rDNS name."""
+    if hop.rdns_name is None:
+        return None
+    parts = set()
+    for segment in hop.rdns_name.lower().split("."):
+        parts.update([segment, *segment.split("-")])
+    return next((t for t in sorted(tokens) if any(p.startswith(t.lower()) for p in parts)), None)
+
+
+def eager_detect_city(trace, city_spec, locate) -> CityDetection:
+    """Reference: locate every hop with an address first, then decide."""
+    places = {hop.index: locate(hop.address) for hop in trace.hops if hop.address is not None}
+    evidence = []
+    unassessable = 0
+    for hop in trace.hops:
+        token = reference_token(hop, city_spec.tokens)
+        if token is not None:
+            evidence.append((hop.index, token))
+            continue
+        city = places[hop.index].city if hop.index in places else None
+        wanted = city_spec.geo_city
+        if city is not None and wanted is not None and city.lower() == wanted.lower():
+            evidence.append((hop.index, city))
+            continue
+        if hop.rdns_name is None and city is None:
+            unassessable += 1
+    if evidence:
+        return CityDetection("yes", tuple(evidence))
+    if trace.hops and unassessable / len(trace.hops) >= 0.5:
+        return CityDetection("unknown", ())
+    return CityDetection("no", ())
+
+
+ADDRESSES = ["10.0.0.1", "198.51.100.7", "203.0.113.9", "(bogus)"]
+NAMES = ["lax-core.carrier.net", "ae-lax-3.carrier.net", "relax.example", "la-cr1.x", "core7.net"]
+CITIES = ["Los Angeles", "los angeles", "San Diego"]
+
+
+@st.composite
+def traces_and_tables(draw):
+    hops = tuple(
+        TracerouteHop(
+            index=index,
+            address=draw(st.none() | st.sampled_from(ADDRESSES)),
+            rdns_name=draw(st.none() | st.sampled_from(NAMES)),
+            rtts_ms=(),
+        )
+        for index in range(1, draw(st.integers(0, 8)) + 1)
+    )
+    tokens = draw(st.frozensets(st.sampled_from(["lax", "la-", "losangeles", "core"])))
+    geo_city = draw(st.none() | st.sampled_from(CITIES))
+    if not tokens and geo_city is None:
+        geo_city = "Los Angeles"
+    table = draw(st.dictionaries(st.sampled_from(ADDRESSES), st.none() | st.sampled_from(CITIES)))
+    trace = TracerouteTrace(source_label="x", destination="y", hops=hops, reached=False)
+    return trace, CitySpec(tokens=tokens, geo_city=geo_city), table
+
+
+@settings(max_examples=300, deadline=None)
+@given(traces_and_tables())
+def test_lazy_locate_matches_eager_reference(case):
+    trace, spec, table = case
+    calls = []
+
+    def locate(address):
+        calls.append(address)
+        if table.get(address) is None:
+            return unknown_record(address)
+        return GeoRecord(address, table[address], None, "US", "cache")
+
+    expected = eager_detect_city(trace, spec, locate)
+    calls.clear()
+    assert detect_city(trace, spec, locate) == expected
+    # asked only for the address of a hop that no token matched
+    assert calls == [
+        hop.address
+        for hop in trace.hops
+        if hop.address is not None and reference_token(hop, spec.tokens) is None
+    ]
 
 
 class TestReport:
