@@ -12,6 +12,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -161,6 +162,10 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
         cfg.address_family = None
     if cfg.top < 0:
         raise ValueError(f"top must be >= 0, got {cfg.top}")
+    for _, key, name, convert, _ in CONFIG_KEYS:
+        value = getattr(cfg, name)
+        if convert is float and not math.isfinite(value):
+            raise ValueError(f"{key} must be a finite number, got {value}")
     return cfg
 
 
@@ -406,14 +411,14 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             raise EmptyInputError(f"no samples in {path}")
         return samples
 
+    # keep only each file's distribution, so its samples are freed once summarized
     rows: list[tuple[str, stats_mod.RttSummary]] = []
-    distributions: list[tuple[str, list[float]]] = []
+    distributions: list[tuple[str, list[tuple[float, int]]]] = []
     leg_summaries = []
     for label, path in legs:
-        samples = load(path)
-        summary = stats_mod.summarize(samples, mode_bin_width_ms=cfg.mode_bin_width_ms)
+        summary, dist = stats_mod.describe(load(path), cfg.mode_bin_width_ms)
         rows.append((label, summary))
-        distributions.append((label, samples))
+        distributions.append((label, dist))
         leg_summaries.append(summary)
 
     composed = None
@@ -426,10 +431,9 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
     direct = None
     if args.direct is not None:
-        direct_samples = load(Path(args.direct))
-        direct = stats_mod.summarize(direct_samples, mode_bin_width_ms=cfg.mode_bin_width_ms)
+        direct, dist = stats_mod.describe(load(Path(args.direct)), cfg.mode_bin_width_ms)
         rows.append(("direct", direct))
-        distributions.append(("direct", direct_samples))
+        distributions.append(("direct", dist))
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     write_table(
@@ -439,8 +443,7 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         [(label, *(getattr(s, name) for name, _ in SUMMARY_COLUMNS[1:])) for label, s in rows],
     )
 
-    for label, samples in distributions:
-        dist = stats_mod.frequency_distribution(samples, cfg.mode_bin_width_ms)
+    for label, dist in distributions:
         path = cfg.output_dir / _distribution_name(label)
         with replaced_on_success(path, newline="") as f:
             f.write("bin_center,count\n")

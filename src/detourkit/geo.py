@@ -18,6 +18,7 @@ import json
 import os
 import threading
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Callable, Optional, TextIO
@@ -231,16 +232,52 @@ class GeoCache:
         return len(self._entries)
 
 
+def _reserved_bounds() -> list[int]:
+    """Sorted ``[start, end + 1, ...]`` of the disjoint address ranges that
+    :mod:`ipaddress` of the running Python classes as private, reserved,
+    loopback, link-local, multicast or unspecified."""
+    constants = ipaddress.IPv4Address._constants
+
+    def span(network) -> tuple[int, int]:
+        return int(network.network_address), int(network.broadcast_address) + 1
+
+    ranges = [span(network) for network in constants._private_networks]
+    # newer releases carve a few globally reachable blocks out of the private ones
+    for network in getattr(constants, "_private_networks_exceptions", ()):
+        cut_start, cut_end = span(network)
+        ranges = [
+            (start, end)
+            for low, high in ranges
+            for start, end in ((low, min(high, cut_start)), (max(low, cut_end), high))
+            if start < end
+        ]
+    ranges += [
+        span(network)
+        for network in (
+            constants._reserved_network,
+            constants._loopback_network,
+            constants._linklocal_network,
+            constants._multicast_network,
+            ipaddress.IPv4Network(constants._unspecified_address),
+        )
+    ]
+    bounds: list[int] = []
+    for start, end in sorted(ranges):
+        if bounds and start <= bounds[-1]:
+            bounds[-1] = max(bounds[-1], end)
+        else:
+            bounds += (start, end)
+    return bounds
+
+
+_RESERVED_BOUNDS = _reserved_bounds()
+
+
 def _is_reserved(ip: str) -> bool:
-    address = ipaddress.IPv4Address(ip)
-    return (
-        address.is_private
-        or address.is_reserved
-        or address.is_loopback
-        or address.is_link_local
-        or address.is_multicast
-        or address.is_unspecified
-    )
+    """Whether a canonical dotted quad lies in one of the ranges of
+    :func:`_reserved_bounds`."""
+    a, b, c, d = map(int, ip.split("."))
+    return bisect_right(_RESERVED_BOUNDS, (a << 24) | (b << 16) | (c << 8) | d) % 2 == 1
 
 
 class GeoLookup:

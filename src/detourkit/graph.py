@@ -26,19 +26,27 @@ KIND_IP = "ip"
 SNAPSHOT_HEADER = ("source", "destination", "rtt_ms", "sample_count", "measurement_count")
 
 
+# each spelling of an octet with at most three ASCII digits -> its canonical text
+_OCTETS = {text.zfill(width): text for text in map(str, range(256)) for width in (1, 2, 3)}
+
+
 def canonical_ipv4(text: str) -> Optional[str]:
-    """Return the canonical dotted-quad form (no leading zeros), or None."""
+    """Return the canonical dotted-quad form (no leading zeros), or None.
+
+    Octets are ASCII digits, as :mod:`ipaddress` reads them; unlike it,
+    leading zeros are accepted and dropped. Never raises.
+    """
     parts = text.split(".")
     if len(parts) != 4:
         return None
     octets = []
     for part in parts:
-        if not part.isdigit():
+        if len(part) > 3:  # longer spellings are octets only through leading zeros
+            part = part.lstrip("0") or "0"
+        octet = _OCTETS.get(part)
+        if octet is None:
             return None
-        value = int(part)
-        if value > 255:
-            return None
-        octets.append(str(value))
+        octets.append(octet)
     return ".".join(octets)
 
 

@@ -85,20 +85,18 @@ class RttSummary:
         )
 
 
-def _bin_index(value: float, width: float) -> int:
-    # bins centered on multiples of width: bin k covers [k*w - w/2, k*w + w/2)
-    return math.floor(value / width + 0.5)
-
-
 def _histogram(samples: Iterable[float], width: float) -> Counter:
-    counts: Counter = Counter()
+    """Sample count per bin index; bins are centered on multiples of
+    ``width``, so bin k covers [k*w - w/2, k*w + w/2)."""
     try:
-        for value in samples:
-            counts[_bin_index(value, width)] += 1
+        return Counter(math.floor(value / width + 0.5) for value in samples)
     except OverflowError:
         message = f"a sample over the bin width {width:g} passes the largest float"
         raise ToolkitError(message) from None
-    return counts
+
+
+def _distribution(counts: Counter, width: float) -> list[tuple[float, int]]:
+    return [(index * width, counts[index]) for index in sorted(counts)]
 
 
 def _peaks(counts: Counter) -> list[tuple[int, int]]:
@@ -152,6 +150,14 @@ def summarize(samples: Sequence[float], mode_bin_width_ms: float = 0.5) -> RttSu
     when the sum, a squared deviation or a bin index passes the largest
     float.
     """
+    return describe(samples, mode_bin_width_ms)[0]
+
+
+def describe(
+    samples: Sequence[float], mode_bin_width_ms: float
+) -> tuple[RttSummary, list[tuple[float, int]]]:
+    """``(summarize(samples, w), frequency_distribution(samples, w))`` for
+    ``w = mode_bin_width_ms``, binning the samples once."""
     if mode_bin_width_ms <= 0:
         raise ValueError("mode_bin_width_ms must be > 0")
     n = len(samples)
@@ -172,7 +178,7 @@ def summarize(samples: Sequence[float], mode_bin_width_ms: float = 0.5) -> RttSu
     mode_index, _ = max(counts.items(), key=lambda item: (item[1], -item[0]))
     mode = mode_index * mode_bin_width_ms
 
-    return RttSummary(
+    summary = RttSummary(
         mean_ms=mean,
         median_ms=median,
         variance_ms2=variance,
@@ -182,6 +188,7 @@ def summarize(samples: Sequence[float], mode_bin_width_ms: float = 0.5) -> RttSu
         mode_bin_width_ms=mode_bin_width_ms,
         modality=_modality(counts),
     )
+    return summary, _distribution(counts, mode_bin_width_ms)
 
 
 @dataclass(frozen=True)
@@ -215,11 +222,17 @@ def compose(path: OverlayPath, forwarding_delay_ms: float = 0.0) -> RttSummary:
     """
     legs = path.legs
     relay_delay = forwarding_delay_ms * (len(legs) - 1)
-    # left-fold addition so nested composition reproduces flat composition
-    mean = sum(leg.mean_ms for leg in legs) + relay_delay
-    median = sum(leg.median_ms for leg in legs) + relay_delay
-    mode = sum(leg.mode_ms for leg in legs) + relay_delay
-    variance = sum(leg.variance_ms2 for leg in legs)
+    # plain left-fold addition, so nested composition reproduces flat
+    # composition (sum() of floats is compensated from Python 3.12 on)
+    mean = median = mode = variance = 0.0
+    for leg in legs:
+        mean += leg.mean_ms
+        median += leg.median_ms
+        mode += leg.mode_ms
+        variance += leg.variance_ms2
+    mean += relay_delay
+    median += relay_delay
+    mode += relay_delay
     if not all(map(math.isfinite, (mean, median, mode, variance))):
         raise ToolkitError("composing the legs gives a value that is not finite")
     rank = max(_MODALITY_RANK[leg.modality] for leg in legs)
@@ -333,6 +346,5 @@ def frequency_distribution(
     samples: Sequence[float], bin_width_ms: float
 ) -> list[tuple[float, int]]:
     """(bin center, count) pairs sorted by center, for plotting."""
-    counts = _histogram(samples, bin_width_ms)
-    return [(index * bin_width_ms, counts[index]) for index in sorted(counts)]
+    return _distribution(_histogram(samples, bin_width_ms), bin_width_ms)
 

@@ -161,7 +161,10 @@ def parse_traceroute(text: str) -> TracerouteTrace:
         if hop_match is None:
             raise ParseError(lineno, f"unrecognizable line {line!r}")
         saw_content = True
-        index = int(hop_match.group(1))
+        try:
+            index = int(hop_match.group(1))
+        except ValueError:  # past the int-digit limit
+            raise ParseError(lineno, "hop index too long") from None
         if index <= last_index:
             raise ParseError(lineno, f"hop index {index} not increasing")
         last_index = index

@@ -141,6 +141,15 @@ class TestIngest:
         assert code == 0, captured.err
         assert captured.out.startswith("lines=2 parse_errors=1 kept=1\n")
 
+    def test_non_ascii_digit_address_is_kept_as_a_name(self, tmp_path, capsys):
+        feed = tmp_path / "feed.jsonl"
+        odd = feed_line(2, source="1.2.3.\u00b2")
+        feed.write_text(feed_line(1) + "\n" + odd + "\n", encoding="utf-8")
+        code = main(["--output-dir", str(tmp_path / "out"), "ingest", str(feed)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out.startswith("lines=2 parse_errors=0 kept=2\n")
+
     def test_overflowing_sidecar_start_time_is_a_usage_error(self, tmp_path, capsys):
         feed = tmp_path / "feed.jsonl"
         feed.write_text(feed_line(1) + "\n", encoding="utf-8")
@@ -438,6 +447,28 @@ class TestTraceroutes:
     def test_missing_directory(self, tmp_path):
         assert main(["traceroutes", str(tmp_path / "nothere")]) == 2
 
+    def test_non_ascii_digit_hop_is_a_name(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        (traces / "t.txt").write_text("# a | b\n 1  1.2.3.\u00b2  1.0 ms\n", encoding="utf-8")
+        code = main(["--output-dir", str(tmp_path / "out"), "traceroutes", str(traces)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.out == "traces=1 errors=0\n"
+
+    def test_overlong_hop_index_is_a_parse_error(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        shutil.copy(FIXTURES / "traceroutes" / "01_ucsd_cse_wifi.txt", traces / "a.txt")
+        (traces / "long.txt").write_text(
+            "# a | b\n" + "1" * 4400 + "  gw (10.0.0.1)  1.0 ms\n", encoding="utf-8"
+        )
+        code = main(["--output-dir", str(tmp_path / "out"), "traceroutes", str(traces)])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "traces=1 errors=1\n"
+        assert "long.txt: parse error at 2" in captured.err
+
     def test_geo_cache_resolves_tokenless_hop(self, tmp_path):
         traces = tmp_path / "traces"
         traces.mkdir()
@@ -665,6 +696,14 @@ class TestGeoWarm:
         ips.write_text("8.0.0.7\n", encoding="utf-8")
         assert main(["geo-warm", str(ips)]) == 2
 
+    def test_non_ascii_digit_address_is_skipped(self, tmp_path, capsys):
+        ips = tmp_path / "ips.txt"
+        ips.write_text("8.0.0.7\n1.2.3.\u00b2\n", encoding="utf-8")
+        assert main(["geo-warm", str(ips), "--geo-cache", str(tmp_path / "cache.csv")]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("warmed 2 addresses, 0 resolved")
+        assert "skipping 1.2.3.\u00b2: not an IPv4 address" in captured.err
+
 
 class FailingGraph(LatencyGraph):
     """A graph whose edge listing fails after the snapshot header is written."""
@@ -711,11 +750,17 @@ class TestAtomicWrites:
         old = out / "distribution_direct.csv"
         old.write_bytes(b"old contents\n")
 
-        def failing_distribution(samples, width):
+        real_describe = stats_module.describe
+
+        def failing_distribution():
             yield (1.0, 1)
             raise RuntimeError("writer failed")
 
-        monkeypatch.setattr(stats_module, "frequency_distribution", failing_distribution)
+        def describe(samples, width):
+            summary, _ = real_describe(samples, width)
+            return summary, failing_distribution()
+
+        monkeypatch.setattr(stats_module, "describe", describe)
         direct = FIXTURES / "overlay" / "direct_ac.txt"
         with pytest.raises(RuntimeError):
             main(["--output-dir", str(out), "overlay", "--direct", str(direct)])
@@ -791,6 +836,40 @@ class TestConfig:
         )
         assert main(["--config", str(config), "geo-warm", str(ips)]) == 2
         assert f"[{section}] {key} must be one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,setting",
+        [
+            (["detours", "g.csv", "--threshold-pct", "nan"], "threshold_pct"),
+            (["detours", "g.csv", "--bucket-width", "inf"], "bucket_width_pct"),
+            (["overlay", "--direct", "d.txt", "--mode-bin-width", "nan"], "mode_bin_width_ms"),
+            (["overlay", "--direct", "d.txt", "--forwarding-delay", "inf"], "forwarding_delay_ms"),
+        ],
+        ids=["threshold-pct", "bucket-width", "mode-bin-width", "forwarding-delay"],
+    )
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, argv, setting):
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), *argv]) == 2
+        assert f"{setting} must be a finite number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "section,key,value,command",
+        [
+            ("detours", "threshold_pct", "nan", ["detours", "g.csv"]),
+            ("detours", "bucket_width_pct", "inf", ["detours", "g.csv"]),
+            ("overlay", "mode_bin_width_ms", "nan", ["overlay", "--direct", "d.txt"]),
+            ("overlay", "forwarding_delay_ms", "-inf", ["overlay", "--direct", "d.txt"]),
+            ("geo", "min_interval_s", "inf", ["geo-warm", "ips.txt", "--geo-cache", "c.csv"]),
+        ],
+    )
+    def test_non_finite_config_value_rejected(self, tmp_path, capsys, section, key, value, command):
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(f"[{section}]\n{key} = {value}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(config), "--output-dir", str(out), *command]) == 2
+        assert f"{key} must be a finite number, got {value}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_readme_config_example_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

@@ -9,6 +9,7 @@ import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
+from hypothesis import given, strategies as st
 
 from detourkit import geo as geo_module
 from detourkit.errors import InvalidAddressError
@@ -33,6 +34,19 @@ class CountingProvider:
     def fetch(self, ip):
         self.calls.append(ip)
         return self.answers.get(ip)
+
+
+def is_reserved_oracle(number: int) -> bool:
+    """The six address classes of the running Python's ipaddress."""
+    address = ipaddress.IPv4Address(number)
+    return (
+        address.is_private
+        or address.is_reserved
+        or address.is_loopback
+        or address.is_link_local
+        or address.is_multicast
+        or address.is_unspecified
+    )
 
 
 class TestLookup:
@@ -78,19 +92,33 @@ class TestLookup:
         provider = CountingProvider()
         lookup = GeoLookup(cache=None, provider=provider)
         for ip in ("10.0.0.1", "127.0.0.1", "192.168.1.1", "169.254.0.5", "224.0.0.1", "0.0.0.0"):
-            # the stdlib address classification is the oracle here
-            parsed = ipaddress.IPv4Address(ip)
-            assert (
-                parsed.is_private
-                or parsed.is_loopback
-                or parsed.is_link_local
-                or parsed.is_multicast
-                or parsed.is_reserved
-                or parsed.is_unspecified
-            )
+            assert is_reserved_oracle(int(ipaddress.IPv4Address(ip)))
             record = lookup.lookup(ip)
             assert record.city is None and record.country is None
         assert provider.calls == []
+
+    @pytest.mark.parametrize(
+        "number",
+        sorted(
+            {0, 2**32 - 1}
+            | {
+                bound + step
+                for bound in geo_module._RESERVED_BOUNDS
+                for step in (-1, 0, 1)
+                if 0 <= bound + step < 2**32
+            }
+        ),
+    )
+    def test_reserved_table_edges_match_ipaddress(self, number):
+        assert geo_module._is_reserved(str(ipaddress.IPv4Address(number))) == is_reserved_oracle(
+            number
+        )
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_reserved_table_matches_ipaddress(self, number):
+        assert geo_module._is_reserved(str(ipaddress.IPv4Address(number))) == is_reserved_oracle(
+            number
+        )
 
     def test_invalid_address(self):
         lookup = GeoLookup()

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import ipaddress
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from detourkit.errors import ParseError
 from detourkit.graph import (
@@ -51,9 +53,46 @@ class TestEndpointKey:
         assert canonical_ipv4("1.2.3.999") is None
         assert canonical_ipv4("a.b.c.d") is None
 
+    @pytest.mark.parametrize(
+        "text",
+        ["1.2.3.\u00b2", "1.2.3.\u0663", "1.2.3." + "9" * 4400],
+        ids=["superscript-two", "arabic-indic-three", "4400-digit-octet"],
+    )
+    def test_canonical_ipv4_takes_ascii_digits_only_and_never_raises(self, text):
+        # a superscript passed str.isdigit and failed int(); other scripts'
+        # digits passed both; a long octet hit the int-digit limit
+        assert canonical_ipv4(text) is None
+
+    def test_canonical_ipv4_drops_leading_zeros(self):
+        assert canonical_ipv4("8.8.000.1") == "8.8.0.1"
+        assert canonical_ipv4("8.8.0000.01") == "8.8.0.1"
+        assert canonical_ipv4("1.2.3." + "0" * 4400 + "1") == "1.2.3.1"
+
     def test_ordering_is_kind_then_value(self):
         assert EndpointKey("ip", "a") < EndpointKey("probe", "1")
         assert EndpointKey("probe", "1") < EndpointKey("probe", "2")
+
+
+OCTET_TEXT = st.one_of(
+    st.integers(0, 300).map(str),
+    st.integers(0, 255).map(lambda value: f"{value:03d}"),
+    st.text(st.sampled_from("0123456789\u00b2\u0663 +-x"), max_size=5),
+    st.text(max_size=4),
+)
+
+
+@given(st.one_of(st.text(), st.lists(OCTET_TEXT, min_size=3, max_size=5).map(".".join)))
+@example("1.2.3." + "9" * 4400)
+def test_canonical_ipv4_agrees_with_ipaddress(text):
+    canonical = canonical_ipv4(text)  # never raises
+    try:
+        expected = str(ipaddress.IPv4Address(text))
+    except ValueError:
+        expected = None
+    if expected is not None:
+        assert canonical == expected
+    if canonical is not None:
+        assert str(ipaddress.IPv4Address(canonical)) == canonical
 
 
 class TestBuildGraph:

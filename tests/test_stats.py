@@ -16,6 +16,7 @@ from detourkit.stats import (
     RttSummary,
     compare,
     compose,
+    describe,
     frequency_distribution,
     monte_carlo_compose,
     read_samples,
@@ -282,6 +283,23 @@ class TestSampleIo:
         assert out.read_text(encoding="utf-8").splitlines()[1].split(",") == [
             "via-relay", "67.92", "70.22", "170.60", "71.52", "13.06", "1000", "bimodal"
         ]
+
+
+@given(
+    st.lists(st.floats(min_value=1e-3, max_value=1e6), min_size=1, max_size=200),
+    st.sampled_from([0.01, 0.1, 0.5, 1.0, 7.5]),
+)
+def test_describe_is_summarize_and_frequency_distribution(samples, width):
+    assert describe(samples, width) == (
+        summarize(samples, mode_bin_width_ms=width),
+        frequency_distribution(samples, width),
+    )
+
+
+def test_describe_bin_index_overflow_is_a_toolkit_error():
+    for binned in (describe, summarize, frequency_distribution):
+        with pytest.raises(ToolkitError, match="passes the largest float"):
+            binned([1.0, 1e308], 1e-10)
 
 
 class TestSummaryInvariants:

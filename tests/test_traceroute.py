@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from conftest import FIXTURES
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detourkit.cli import TRACE_REPORT_COLUMNS, write_table
@@ -102,6 +103,11 @@ class TestParse:
     def test_non_increasing_hop_index(self):
         with pytest.raises(ParseError):
             parse_traceroute("# x | y\n 2  gw (10.0.0.1)  1.0 ms\n 1  gw2 (10.0.0.2)  2.0 ms\n")
+
+    def test_hop_index_past_the_int_digit_limit(self):
+        with pytest.raises(ParseError) as exc:
+            parse_traceroute("# x | y\n" + "1" * 4400 + "  gw (10.0.0.1)  1.0 ms\n")
+        assert exc.value.position == 2
 
     def test_unreached_trace(self):
         trace = parse_traceroute("# x | y.example\n 1  gw (10.0.0.1)  1.0 ms\n 2  * * *\n")
@@ -308,3 +314,35 @@ class TestReport:
             "UCSD CSE wifi,ieng6.ucsd.edu,5,No",
             "SAN wifi,ieng6.ucsd.edu,15,Unknown",
         ]
+
+
+CORPUS_LINES = [
+    line
+    for path in sorted((FIXTURES / "traceroutes").iterdir())
+    for line in path.read_text(encoding="utf-8").splitlines()
+]
+
+
+@st.composite
+def mutated_traces(draw):
+    """Lines of the fixture corpus, some with a span replaced by other text."""
+    lines = []
+    for line in draw(st.lists(st.sampled_from(CORPUS_LINES), min_size=1, max_size=8)):
+        if draw(st.booleans()):
+            start = draw(st.integers(0, len(line)))
+            end = draw(st.integers(start, min(start + 6, len(line))))
+            filler = draw(st.text(max_size=6) | st.text("0123456789.()*!- ms", max_size=6))
+            line = line[:start] + filler + line[end:]
+        lines.append(line)
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | mutated_traces())
+@example("# x | y\n" + "9" * 4400 + "  gw (10.0.0.1)  1.0 ms")
+@example("# x | y\n 1  1.2.3.\u00b2  1.0 ms")
+def test_parse_raises_only_parse_error(text):
+    try:
+        parse_traceroute(text)
+    except ParseError:
+        pass
