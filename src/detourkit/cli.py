@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
-import dataclasses
 import functools
 import json
 import math
@@ -35,7 +34,9 @@ from .graph import (
     replaced_on_success,
     save_graph,
 )
-from .ingest import FeedStats, FilterSpec, filter_records, load_status_sidecar, read_result_file
+from .ingest import (
+    STATUSES, FeedStats, FilterSpec, filter_records, load_status_sidecar, read_result_file
+)
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -70,7 +71,6 @@ class PipelineConfig:
 
 def parse_time(text: str) -> int:
     """Epoch seconds from an integer or an ISO date/datetime (UTC)."""
-    text = text.strip()
     if text.lstrip("-").isdigit():
         return int(text)
     moment = datetime.fromisoformat(text)
@@ -84,16 +84,8 @@ def _parse_regions(text: str) -> Optional[frozenset[str]]:
     return values or None
 
 
-def _lower(text: str) -> str:
-    return text.strip().lower()
-
-
-def _path(text: str) -> Path:
-    return Path(text.strip())
-
-
 def _address_family(text: str) -> Optional[int]:
-    return None if text.strip().lower() == "any" else int(text)
+    return None if text.lower() == "any" else int(text)
 
 
 def _boolean(text: str) -> bool:
@@ -109,63 +101,63 @@ GEO_PROVIDERS = ("none", "static", "http")
 FORMATS = ("csv", "json")
 
 # (section, key, PipelineConfig field, converter, allowed values or None);
-# a flag overrides the field through the argparse dest of the same name
+# a setting's flag, where it has one, stores its text under the field's name
 CONFIG_KEYS = (
-    ("filter", "status", "status", _lower, None),
+    ("filter", "status", "status", str.lower, STATUSES),
     ("filter", "af", "address_family", _address_family, None),
     ("filter", "min_start", "min_start", parse_time, None),
     ("filter", "max_start", "max_start", parse_time, None),
     ("filter", "regions", "regions", _parse_regions, None),
-    ("ingest", "key_by", "key_by", str.strip, KEY_BY_CHOICES),
-    ("ingest", "sidecar", "sidecar", _path, None),
+    ("ingest", "key_by", "key_by", str, KEY_BY_CHOICES),
+    ("ingest", "sidecar", "sidecar", Path, None),
     ("detours", "threshold_pct", "threshold_pct", float, None),
     ("detours", "bucket_width_pct", "bucket_width_pct", float, None),
     ("detours", "top", "top", int, None),
     ("detours", "cumulative", "cumulative", _boolean, None),
     ("overlay", "mode_bin_width_ms", "mode_bin_width_ms", float, None),
     ("overlay", "forwarding_delay_ms", "forwarding_delay_ms", float, None),
-    ("geo", "provider", "geo_provider", _lower, GEO_PROVIDERS),
-    ("geo", "static_file", "geo_static_file", _path, None),
-    ("geo", "base_url", "geo_base_url", str.strip, None),
+    ("geo", "provider", "geo_provider", str.lower, GEO_PROVIDERS),
+    ("geo", "static_file", "geo_static_file", Path, None),
+    ("geo", "base_url", "geo_base_url", str, None),
     ("geo", "min_interval_s", "geo_min_interval_s", float, None),
-    ("geo", "cache", "geo_cache", _path, None),
-    ("output", "dir", "output_dir", _path, None),
-    ("output", "format", "format", _lower, FORMATS),
+    ("geo", "cache", "geo_cache", Path, None),
+    ("output", "dir", "output_dir", Path, None),
+    ("output", "format", "format", str.lower, FORMATS),
 )
 
 
 def load_config_file(path: Path) -> PipelineConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    with open(path, "r", encoding="utf-8") as handle:
-        parser.read_string(handle.read())
-    cfg = PipelineConfig()
-    for section, key, name, convert, allowed in CONFIG_KEYS:
-        if text := parser.get(section, key, fallback=None):
-            value = convert(text)
-            if allowed is not None and value not in allowed:
-                choices = ", ".join(allowed)
-                raise ValueError(f"[{section}] {key} must be one of {choices}, got {value!r}")
-            setattr(cfg, name, value)
-    return cfg
+    """The settings of a config file, as if no flag were given."""
+    return resolve_config(argparse.Namespace(config=path))
 
 
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = load_config_file(args.config) if args.config else PipelineConfig()
-    for field in dataclasses.fields(cfg):
-        value = getattr(args, field.name, None)
-        if value is not None and field.name != "cumulative":
-            setattr(cfg, field.name, value)
-    # the two switches can only turn their setting on
-    if getattr(args, "cumulative", False):
-        cfg.cumulative = True
-    if getattr(args, "af_any", False):
-        cfg.address_family = None
-    if cfg.top < 0:
-        raise ValueError(f"top must be >= 0, got {cfg.top}")
-    for _, key, name, convert, _ in CONFIG_KEYS:
-        value = getattr(cfg, name)
+    """The settings from the flags in ``args`` and the config file it names:
+    a setting's flag text if given, else its config text, either stripped,
+    converted and checked by its ``CONFIG_KEYS`` row; empty keeps the default."""
+    file = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as handle:
+            file.read_string(handle.read())
+    cfg = PipelineConfig()
+    for section, key, name, convert, allowed in CONFIG_KEYS:
+        text = getattr(args, name, None)
+        if text is None:
+            text = file.get(section, key, fallback="")
+        if not (text := text.strip()):
+            continue
+        setting = f"[{section}] {key}"
+        try:
+            value = convert(text)
+        except ValueError as exc:
+            raise ValueError(f"{setting}: {exc}") from None
+        if allowed is not None and value not in allowed:
+            raise ValueError(f"{setting} must be one of {', '.join(allowed)}, got {value!r}")
         if convert is float and not math.isfinite(value):
-            raise ValueError(f"{key} must be a finite number, got {value}")
+            raise ValueError(f"{setting} must be a finite number, got {value}")
+        if name == "top" and value < 0:
+            raise ValueError(f"{setting} must be >= 0, got {value}")
+        setattr(cfg, name, value)
     return cfg
 
 
@@ -498,63 +490,65 @@ def cmd_geo_warm(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
+def _choices(values: Sequence[str]) -> str:
+    return "{" + ",".join(values) + "}"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detourkit",
         description="Analyze ping feeds for faster one-hop relay paths and report on them.",
     )
     parser.add_argument("--config", type=Path, default=None, help="key=value sections file")
-    parser.add_argument("--output-dir", type=Path, default=None)
-    parser.add_argument("--format", choices=FORMATS, default=None)
+    parser.add_argument("--output-dir")
+    parser.add_argument("--format", metavar=_choices(FORMATS))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_ingest = sub.add_parser("ingest", help="parse + filter feeds into a graph snapshot")
     p_ingest.add_argument("inputs", nargs="+")
-    p_ingest.add_argument("--key-by", dest="key_by", choices=KEY_BY_CHOICES, default=None)
-    p_ingest.add_argument("--status", default=None, help="required status, e.g. stopped")
-    p_ingest.add_argument("--af", dest="address_family", type=int, default=None)
-    p_ingest.add_argument("--af-any", action="store_true", help="disable the address-family filter")
-    p_ingest.add_argument("--min-start", type=parse_time, default=None)
-    p_ingest.add_argument("--max-start", type=parse_time, default=None, help="exclusive bound")
-    p_ingest.add_argument("--regions", type=_parse_regions, default=None)
-    p_ingest.add_argument("--sidecar", type=Path, default=None)
-    p_ingest.add_argument("--geo-cache", type=Path, default=None)
+    p_ingest.add_argument("--key-by", metavar=_choices(KEY_BY_CHOICES))
+    p_ingest.add_argument("--status", metavar=_choices(STATUSES), help="required status")
+    p_ingest.add_argument("--af", dest="address_family")
+    p_ingest.add_argument(
+        "--af-any", dest="address_family", action="store_const", const="any", help="= --af any"
+    )
+    p_ingest.add_argument("--min-start")
+    p_ingest.add_argument("--max-start", help="exclusive bound")
+    p_ingest.add_argument("--regions")
+    p_ingest.add_argument("--sidecar")
+    p_ingest.add_argument("--geo-cache")
     p_ingest.add_argument("--snapshot-name", default="graph.csv")
     p_ingest.set_defaults(func=cmd_ingest)
 
     p_detours = sub.add_parser("detours", help="enumerate relay insights from a snapshot")
     p_detours.add_argument("snapshot")
-    p_detours.add_argument("--threshold-pct", dest="threshold_pct", type=float, default=None)
-    p_detours.add_argument("--bucket-width", dest="bucket_width_pct", type=float, default=None)
-    p_detours.add_argument("--top", type=int, default=None)
-    p_detours.add_argument("--cumulative", action="store_true")
-    p_detours.add_argument("--geo-cache", type=Path, default=None)
+    p_detours.add_argument("--threshold-pct")
+    p_detours.add_argument("--bucket-width", dest="bucket_width_pct")
+    p_detours.add_argument("--top")
+    p_detours.add_argument("--cumulative", action="store_const", const="yes")
+    p_detours.add_argument("--geo-cache")
     p_detours.set_defaults(func=cmd_detours)
 
     p_traces = sub.add_parser("traceroutes", help="hop counts and city transit per trace file")
     p_traces.add_argument("trace_dir")
     p_traces.add_argument("--city-tokens", default="lax,losangeles,la-")
     p_traces.add_argument("--geo-city", default="Los Angeles")
-    p_traces.add_argument("--geo-cache", type=Path, default=None)
+    p_traces.add_argument("--geo-cache")
     p_traces.set_defaults(func=cmd_traceroutes)
 
     p_overlay = sub.add_parser("overlay", help="summarize legs and compose a relay prediction")
     p_overlay.add_argument("--leg", action="append", metavar="LABEL=FILE")
     p_overlay.add_argument("--direct", default=None, metavar="FILE")
-    p_overlay.add_argument(
-        "--mode-bin-width", dest="mode_bin_width_ms", type=float, default=None
-    )
-    p_overlay.add_argument(
-        "--forwarding-delay", dest="forwarding_delay_ms", type=float, default=None
-    )
+    p_overlay.add_argument("--mode-bin-width", dest="mode_bin_width_ms")
+    p_overlay.add_argument("--forwarding-delay", dest="forwarding_delay_ms")
     p_overlay.set_defaults(func=cmd_overlay)
 
     p_warm = sub.add_parser("geo-warm", help="pre-populate the geo cache for a list of IPs")
     p_warm.add_argument("ips", help="file with one IP per line")
-    p_warm.add_argument("--geo-cache", type=Path, default=None)
-    p_warm.add_argument("--geo-provider", choices=GEO_PROVIDERS, default=None)
-    p_warm.add_argument("--geo-static-file", type=Path, default=None)
-    p_warm.add_argument("--geo-base-url", default=None)
+    p_warm.add_argument("--geo-cache")
+    p_warm.add_argument("--geo-provider", metavar=_choices(GEO_PROVIDERS))
+    p_warm.add_argument("--geo-static-file")
+    p_warm.add_argument("--geo-base-url")
     p_warm.set_defaults(func=cmd_geo_warm)
 
     return parser

@@ -21,9 +21,9 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, Callable, Optional, TextIO
+from typing import BinaryIO, Callable, Iterator, Optional, TextIO
 
-from .errors import InvalidAddressError
+from .errors import InvalidAddressError, ParseError
 from .graph import canonical_ipv4
 
 SOURCE_CACHE = "cache"
@@ -63,6 +63,19 @@ def unknown_record(ip: str, source: str = SOURCE_PROVIDER) -> GeoRecord:
     return GeoRecord(ip=ip, city=None, region=None, country=None, source=source)
 
 
+def _location_rows(handle: TextIO, path: str | Path) -> Iterator[list[str]]:
+    """Stripped ``[ip, city, region, country]`` of each row of an ``ip,city,
+    region,country`` CSV but blank and header rows; an unreadable row is a
+    :class:`ParseError` naming ``path``."""
+    reader = csv.reader(handle)
+    try:
+        for row in reader:
+            if row and (ip := row[0].strip()) and ip.lower() != "ip":
+                yield [ip, *(cell.strip() for cell in row[1:4])] + [""] * (4 - len(row))
+    except csv.Error as exc:
+        raise ParseError(reader.line_num, f"{path}: {exc}") from None
+
+
 class NullGeoProvider:
     """Always answers unknown; the fully-offline default."""
 
@@ -78,13 +91,9 @@ class StaticFileGeoProvider:
     source_label = SOURCE_STATIC
 
     def __init__(self, path: str | Path):
-        self._table: dict[str, tuple[Optional[str], Optional[str], Optional[str]]] = {}
         with open(path, "r", encoding="utf-8", newline="") as handle:
-            for row in csv.reader(handle):
-                if not row or not row[0].strip() or row[0].strip().lower() == "ip":
-                    continue
-                padded = [cell.strip() for cell in row] + ["", "", ""]
-                self._table[padded[0]] = _normalize_fields(padded[1], padded[2], padded[3])
+            rows = _location_rows(handle, path)
+            self._table = {ip: _normalize_fields(*place) for ip, *place in rows}
 
     def fetch(self, ip: str) -> ProviderResult:
         return self._table.get(ip)
@@ -177,15 +186,12 @@ class GeoCache:
             # one shared str per distinct place name instead of one per row
             names: dict[str, str] = {}
             with io.TextIOWrapper(source, encoding="utf-8", newline="") as handle:
-                for row in csv.reader(handle):
-                    if not row or not row[0].strip() or row[0].strip().lower() == "ip":
-                        continue
-                    padded = [cell.strip() for cell in row] + ["", "", ""]
+                for ip, *place in _location_rows(handle, self.path):
                     city, region, country = _normalize_fields(
-                        *(names.setdefault(name, name) for name in padded[1:4])
+                        *(names.setdefault(name, name) for name in place)
                     )
-                    self._entries[padded[0]] = GeoRecord(
-                        ip=padded[0],
+                    self._entries[ip] = GeoRecord(
+                        ip=ip,
                         city=city,
                         region=region,
                         country=country,

@@ -261,24 +261,27 @@ def load_graph(path: str | Path) -> LatencyGraph:
     graph = LatencyGraph()
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        for lineno, row in enumerate(reader, start=1):
-            if not row:
-                continue
-            if lineno == 1:
-                if tuple(cell.strip() for cell in row) != SNAPSHOT_HEADER:
-                    raise ParseError(lineno, "bad snapshot header")
-                continue
-            if len(row) != len(SNAPSHOT_HEADER):
-                raise ParseError(lineno, f"expected {len(SNAPSHOT_HEADER)} columns")
-            try:
-                edge = LatencyEdge(
-                    source=EndpointKey.from_text(row[0]),
-                    destination=EndpointKey.from_text(row[1]),
-                    rtt_ms=float(row[2]),
-                    sample_count=int(row[3]),
-                    measurement_count=int(row[4]),
-                )
-            except ValueError as exc:
-                raise ParseError(lineno, str(exc)) from exc
-            graph.add_edge(edge)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if not row:
+                    continue
+                if lineno == 1:
+                    if tuple(cell.strip() for cell in row) != SNAPSHOT_HEADER:
+                        raise ParseError(lineno, "bad snapshot header")
+                    continue
+                if len(row) != len(SNAPSHOT_HEADER):
+                    raise ParseError(lineno, f"expected {len(SNAPSHOT_HEADER)} columns")
+                try:
+                    edge = LatencyEdge(
+                        source=EndpointKey.from_text(row[0]),
+                        destination=EndpointKey.from_text(row[1]),
+                        rtt_ms=float(row[2]),
+                        sample_count=int(row[3]),
+                        measurement_count=int(row[4]),
+                    )
+                except ValueError as exc:
+                    raise ParseError(lineno, str(exc)) from exc
+                graph.add_edge(edge)
+        except csv.Error as exc:  # e.g. a field past csv's size limit
+            raise ParseError(reader.line_num, str(exc)) from None
     return graph

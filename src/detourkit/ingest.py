@@ -116,6 +116,9 @@ def parse_fields(line: str, key_by: str = "ip") -> tuple:
     the status is normalized and the runs are finite and positive.
     ``key_by`` selects the source endpoint key for JSON lines: ``"ip"``
     uses the ``from`` address, ``"probe"`` prefers the numeric ``prb_id``.
+    Under ``"probe"``, a line with no probe id (every CSV line, and a JSON
+    line without ``prb_id``) keys its source by address, so a feed that
+    mixes them can name one host twice: as its probe and as its address.
     Raises :class:`ParseError` (with byte offset) on malformed lines,
     including a number that is not finite or too large where an integer is
     needed; the caller is expected to skip and count those.

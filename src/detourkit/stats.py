@@ -102,29 +102,20 @@ def _distribution(counts: Counter, width: float) -> list[tuple[float, int]]:
 def _peaks(counts: Counter) -> list[tuple[int, int]]:
     """Local maxima of the binned histogram as (bin index, count).
 
-    Bins are scanned in contiguous segments (empty bins are zero valleys);
-    a plateau of equal counts bounded by strictly smaller neighbors is one
-    peak, reported at its lowest bin.
+    A maximal run of adjacent bins with equal counts is one peak, reported
+    at its lowest bin, when the bins on both sides of it hold fewer (an
+    empty bin holds 0).
     """
     indices = sorted(counts)
     peaks: list[tuple[int, int]] = []
-    segment_start = 0
-    for position in range(1, len(indices) + 1):
-        if position < len(indices) and indices[position] == indices[position - 1] + 1:
+    start = 0
+    for end in range(1, len(indices) + 1):
+        first, last, value = indices[start], indices[end - 1], counts[indices[start]]
+        if end < len(indices) and indices[end] == last + 1 and counts[indices[end]] == value:
             continue
-        segment = indices[segment_start:position]
-        values = [counts[i] for i in segment]
-        # sentinel zeros: segment boundaries face empty bins
-        run_start = 0
-        for i in range(1, len(values) + 1):
-            if i < len(values) and values[i] == values[run_start]:
-                continue
-            left = values[run_start - 1] if run_start > 0 else 0
-            right = values[i] if i < len(values) else 0
-            if values[run_start] > left and values[run_start] > right:
-                peaks.append((segment[run_start], values[run_start]))
-            run_start = i
-        segment_start = position
+        if value > counts[first - 1] and value > counts[last + 1]:
+            peaks.append((first, value))
+        start = end
     return peaks
 
 

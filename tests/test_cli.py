@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import argparse
+import configparser
 import csv
 import dataclasses
 import json
 import random
 import re
+import shlex
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import detourkit
 from conftest import FIXTURES, make_graph
@@ -31,7 +35,7 @@ from detourkit import geo
 from detourkit import stats as stats_module
 from detourkit.detours import DetourRows, enumerate_detours, write_rows_csv, write_rows_json
 from detourkit.errors import ToolkitError
-from detourkit.graph import EndpointKey, LatencyGraph, load_graph, save_graph
+from detourkit.graph import SNAPSHOT_HEADER, EndpointKey, LatencyGraph, load_graph, save_graph
 from detourkit.ingest import FilterSpec, PingRecord, serialize_record
 
 REFERENCE_EDGES = {
@@ -99,6 +103,14 @@ class TestIngest:
         assert "kept=90" in captured.out
         assert "dropped[status]=10" in captured.out
         assert (tmp_path / "out" / "graph.csv").exists()
+
+    @pytest.mark.parametrize("status", ["stopped", "Stopped", "STOPPED"])
+    def test_status_flag_reads_any_case(self, tmp_path, capsys, status):
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text(f"{feed_line(0)}\n{feed_line(1)}\n", encoding="utf-8")
+        out = str(tmp_path / "out")
+        assert main(["--output-dir", out, "ingest", str(feed), "--status", status]) == 0
+        assert "kept=2" in capsys.readouterr().out
 
     def test_empty_input(self, tmp_path, capsys):
         feed = tmp_path / "empty.jsonl"
@@ -705,6 +717,79 @@ class TestGeoWarm:
         assert "skipping 1.2.3.\u00b2: not an IPv4 address" in captured.err
 
 
+# a geo row whose city is one character past csv's default field size limit
+OVERSIZED_ROW = f'8.8.8.8,"{"x" * 131_073}",,US\n'
+
+
+def _oversized_snapshot(tmp_path):
+    path = tmp_path / "big_graph.csv"
+    path.write_text(f"{','.join(SNAPSHOT_HEADER)}\nA,B,{'1' * 131_073},1,1\n", encoding="utf-8")
+    return ["detours", str(path)]
+
+
+def _ips(tmp_path):
+    ips = tmp_path / "ips.txt"
+    ips.write_text("8.8.8.8\n", encoding="utf-8")
+    return ["geo-warm", str(ips)]
+
+
+def _oversized_static_file(tmp_path):
+    static = tmp_path / "big_static.csv"
+    static.write_text("ip,city,region,country\n" + OVERSIZED_ROW, encoding="utf-8")
+    return [
+        *_ips(tmp_path),
+        "--geo-cache",
+        str(tmp_path / "cache.csv"),
+        "--geo-provider",
+        "static",
+        "--geo-static-file",
+        str(static),
+    ]
+
+
+def _oversized_cache(command):
+    def argv(tmp_path):
+        cache = tmp_path / "big_cache.csv"
+        cache.write_text("ip,city,region,country,timestamp\n" + OVERSIZED_ROW, encoding="utf-8")
+        return [*command(tmp_path), "--geo-cache", str(cache)]
+
+    return argv
+
+
+def _feed(tmp_path):
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text(feed_line(0) + "\n", encoding="utf-8")
+    return ["ingest", str(feed), "--regions", "US"]
+
+
+def _traces(tmp_path):
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    shutil.copy(FIXTURES / "traceroutes" / "01_ucsd_cse_wifi.txt", traces)
+    return ["traceroutes", str(traces)]
+
+
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        (_oversized_snapshot, None),
+        (_oversized_cache(_feed), "big_cache.csv"),
+        (_oversized_cache(_traces), "big_cache.csv"),
+        (_oversized_cache(_ips), "big_cache.csv"),
+        (_oversized_static_file, "big_static.csv"),
+    ],
+    ids=["detours", "ingest-regions", "traceroutes", "geo-warm-cache", "geo-warm-static-file"],
+)
+def test_oversized_csv_field_is_a_parse_error(tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), *command(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error: parse error at 2: ") and "field larger" in err
+    assert "Traceback" not in err
+    assert name is None or name in err
+    assert not out.exists()
+
+
 class FailingGraph(LatencyGraph):
     """A graph whose edge listing fails after the snapshot header is written."""
 
@@ -904,6 +989,160 @@ class TestConfig:
         assert cfg.cumulative is True and cfg.address_family == 6
         argv = ["--config", str(config), "ingest", "f", "--af-any"]
         assert resolve_config(parser.parse_args(argv)).address_family is None
+
+
+# PipelineConfig field -> the command line around its flag's words
+FLAG_COMMANDS = {
+    **dict.fromkeys(
+        ["status", "address_family", "min_start", "max_start", "regions", "key_by", "sidecar"],
+        lambda flag: ["ingest", "f.jsonl", *flag],
+    ),
+    **dict.fromkeys(
+        ["threshold_pct", "bucket_width_pct", "top", "cumulative"],
+        lambda flag: ["detours", "g.csv", *flag],
+    ),
+    **dict.fromkeys(
+        ["mode_bin_width_ms", "forwarding_delay_ms"],
+        lambda flag: ["overlay", "--direct", "d.txt", *flag],
+    ),
+    **dict.fromkeys(
+        ["geo_provider", "geo_static_file", "geo_base_url", "geo_cache"],
+        lambda flag: ["geo-warm", "ips.txt", *flag],
+    ),
+    **dict.fromkeys(["output_dir", "format"], lambda flag: [*flag, "detours", "g.csv"]),
+}
+
+# (PipelineConfig field, the flag's words, the same setting's config text)
+FLAG_AND_KEY_CASES = [
+    ("status", ["--status", "stopped"], "stopped"),
+    ("status", ["--status", "Stopped"], "Stopped"),
+    ("status", ["--status", " STOPPED "], "STOPPED"),
+    ("status", ["--status", "ongoing"], "ongoing"),
+    ("status", ["--status", "stoped"], "stoped"),
+    ("status", ["--status", ""], ""),
+    ("address_family", ["--af", "6"], "6"),
+    ("address_family", ["--af", "any"], "any"),
+    ("address_family", ["--af", "ANY"], "ANY"),
+    ("address_family", ["--af-any"], "any"),
+    ("address_family", ["--af", "four"], "four"),
+    ("min_start", ["--min-start", "2023-05-19"], "2023-05-19"),
+    ("min_start", ["--min-start", "1684454400"], "1684454400"),
+    ("min_start", ["--min-start", "yesterday"], "yesterday"),
+    ("max_start", ["--max-start", "2023-05-19T12:00:00+02:00"], "2023-05-19T12:00:00+02:00"),
+    ("regions", ["--regions", "us, ca"], "us, ca"),
+    ("regions", ["--regions", ","], ","),
+    ("key_by", ["--key-by", "probe"], "probe"),
+    ("key_by", ["--key-by", "Probe"], "Probe"),
+    ("sidecar", ["--sidecar", "meta.csv"], "meta.csv"),
+    ("threshold_pct", ["--threshold-pct", "60"], "60"),
+    ("threshold_pct", ["--threshold-pct", "nan"], "nan"),
+    ("threshold_pct", ["--threshold-pct", "abc"], "abc"),
+    ("bucket_width_pct", ["--bucket-width", "2.5"], "2.5"),
+    ("bucket_width_pct", ["--bucket-width", "inf"], "inf"),
+    ("top", ["--top", "3"], "3"),
+    ("top", ["--top", "-1"], "-1"),
+    ("top", ["--top", "abc"], "abc"),
+    ("cumulative", ["--cumulative"], "yes"),
+    ("mode_bin_width_ms", ["--mode-bin-width", "0.2"], "0.2"),
+    ("mode_bin_width_ms", ["--mode-bin-width", "nan"], "nan"),
+    ("forwarding_delay_ms", ["--forwarding-delay", "3"], "3"),
+    ("forwarding_delay_ms", ["--forwarding-delay", "x"], "x"),
+    ("geo_provider", ["--geo-provider", "static"], "static"),
+    ("geo_provider", ["--geo-provider", "STATIC"], "STATIC"),
+    ("geo_provider", ["--geo-provider", "htp"], "htp"),
+    ("geo_static_file", ["--geo-static-file", "geo.csv"], "geo.csv"),
+    ("geo_base_url", ["--geo-base-url", "https://geo.example/json"], "https://geo.example/json"),
+    ("geo_base_url", ["--geo-base-url", "https://geo.example/a%20b"], "https://geo.example/a%20b"),
+    ("geo_cache", ["--geo-cache", "cache.csv"], "cache.csv"),
+    ("output_dir", ["--output-dir", "out"], "out"),
+    ("format", ["--format", "json"], "json"),
+    ("format", ["--format", "JSON"], "JSON"),
+    ("format", ["--format", "xml"], "xml"),
+]
+
+
+FIELDS = [name for _, _, name, _, _ in CONFIG_KEYS]
+KEYS = [key for _, key, _, _, _ in CONFIG_KEYS]
+# section headers, key lines with any value, and any other line
+CONFIG_TEXTS = st.lists(
+    st.one_of(
+        st.sampled_from(sorted({f"[{section}]" for section, *_ in CONFIG_KEYS})),
+        st.builds("{} = {}".format, st.sampled_from(KEYS), st.text()),
+        st.text(),
+    )
+).map("\n".join)
+
+
+def _settle(argv, capsys):
+    """The settings ``main`` runs ``argv`` with, or its exit code and stderr
+    when they are refused."""
+    try:
+        return resolve_config(build_parser().parse_args(argv))
+    except ValueError:
+        return main(argv), capsys.readouterr().err
+
+
+class TestOneReadingPerSetting:
+    def test_every_flag_has_cases(self):
+        assert {name for name, _, _ in FLAG_AND_KEY_CASES} == set(FLAG_COMMANDS)
+        assert set(FIELDS) - set(FLAG_COMMANDS) == {"geo_min_interval_s"}
+
+    @pytest.mark.parametrize(
+        "name,flag,text", FLAG_AND_KEY_CASES, ids=[" ".join(c[1]) for c in FLAG_AND_KEY_CASES]
+    )
+    def test_flag_reads_like_its_config_key(self, tmp_path, capsys, name, flag, text):
+        section, key = next((sec, k) for sec, k, field, _, _ in CONFIG_KEYS if field == name)
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
+        command = FLAG_COMMANDS[name]
+        from_flag = _settle(command(flag), capsys)
+        assert from_flag == _settle(["--config", str(config), *command([])], capsys)
+        if isinstance(from_flag, tuple):
+            code, err = from_flag
+            assert code == 2 and err.startswith(f"bad configuration: [{section}] {key}")
+
+    @pytest.mark.parametrize(
+        "command,choices",
+        [
+            ([], "--format {csv,json}"),
+            (["ingest"], "--key-by {ip,probe}"),
+            (["geo-warm"], "--geo-provider {none,static,http}"),
+        ],
+    )
+    def test_help_lists_allowed_values(self, capsys, command, choices):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, "--help"])
+        assert choices in capsys.readouterr().out
+
+    def test_readme_command_lines_resolve(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"```\n(.*?)```", readme, re.S)
+        lines = [
+            line
+            for block in blocks
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("detourkit ")
+        ]
+        assert len(lines) >= 5
+        parser = build_parser()
+        for line in lines:
+            resolve_config(parser.parse_args(shlex.split(line, comments=True)[1:]))
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(text=CONFIG_TEXTS, flags=st.dictionaries(st.sampled_from(FIELDS), st.text()))
+    def test_config_errors_are_typed(self, tmp_path, text, flags):
+        path = tmp_path / "pipeline.cfg"
+        path.write_text(text, encoding="utf-8")
+        for resolve in (
+            lambda: load_config_file(path),
+            lambda: resolve_config(argparse.Namespace(config=path, **flags)),
+        ):
+            try:
+                resolve()
+            except (ValueError, OSError, configparser.Error):
+                pass
 
 
 def test_cli_import_loads_no_http_stack():

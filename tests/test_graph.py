@@ -6,10 +6,11 @@ import ipaddress
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from detourkit.errors import ParseError
 from detourkit.graph import (
+    SNAPSHOT_HEADER,
     BuildStats,
     EndpointKey,
     LatencyEdge,
@@ -234,6 +235,33 @@ class TestSnapshot:
         path.write_text("who,what\n")
         with pytest.raises(ParseError):
             load_graph(path)
+
+    def test_oversized_field_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(f"{','.join(SNAPSHOT_HEADER)}\nA,B,1,1,1\n{'x' * 200_000},B,1,1,1\n")
+        with pytest.raises(ParseError) as exc:
+            load_graph(path)
+        assert exc.value.position == 3
+
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        st.lists(
+            st.one_of(
+                st.just(",".join(SNAPSHOT_HEADER)),
+                st.lists(st.sampled_from(["A", "10.0.0.1", "7", "1", "0", "-2", "nan", "1e999"]))
+                .map(",".join),
+                st.text(),
+            )
+        ).map("\n".join)
+    )
+    @example(f"{','.join(SNAPSHOT_HEADER)}\n\"{'x' * 131_073}\",B,1,1,1\n")
+    def test_load_raises_only_parse_error(self, tmp_path, text):
+        path = tmp_path / "snapshot.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            load_graph(path)
+        except ParseError:
+            pass
 
 
 class TestEdgeInvariants:

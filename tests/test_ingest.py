@@ -139,6 +139,24 @@ class TestParseJson:
         assert parse_result_line(line, key_by="probe").source_id == "10194"
         assert parse_result_line(line, key_by="ip").source_id == "10.0.0.1"
 
+    def test_key_by_probe_keys_a_line_without_probe_id_by_address(self, tmp_path):
+        with_probe = {"msm_id": 1, "prb_id": 100, "from": "8.8.0.1", "dst_addr": "b"}
+        without_probe = {"msm_id": 1, "from": "8.8.0.1", "dst_addr": "b"}
+        feed = tmp_path / "feed.txt"
+        feed.write_text(
+            "\n".join(
+                [
+                    json.dumps({**with_probe, "timestamp": 0, "result": [{"rtt": 1.0}]}),
+                    json.dumps({**without_probe, "timestamp": 0, "result": [{"rtt": 1.0}]}),
+                    "1,8.8.0.1,b,4,stopped,0,1.0,,",
+                ]
+            ),
+            encoding="utf-8",
+        )
+        sources = [r.source_id for r in read_result_file(feed, key_by="probe")]
+        # one host, as its probe and twice as its address
+        assert sources == ["100", "8.8.0.1", "8.8.0.1"]
+
     def test_status_normalization(self):
         for raw, expected in (("Stopped", "stopped"), ("Ongoing", "ongoing"), ("Failed", "other")):
             line = json.dumps(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import statistics
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -22,6 +23,7 @@ from detourkit.stats import (
     read_samples,
     summarize,
 )
+from detourkit.stats import _peaks
 
 # full-precision per-leg statistics of the reference measurement runs
 LEG_AB = dict(
@@ -294,6 +296,30 @@ def test_describe_is_summarize_and_frequency_distribution(samples, width):
         summarize(samples, mode_bin_width_ms=width),
         frequency_distribution(samples, width),
     )
+
+
+def brute_force_peaks(counts):
+    """Every plateau of equal counts over a dense bin range, kept when both
+    bins around it hold fewer, reported at its lowest bin."""
+    if not counts:
+        return []
+    low, high = min(counts) - 1, max(counts) + 1
+    dense = [counts.get(index, 0) for index in range(low, high + 1)]
+    peaks = []
+    for start in range(1, len(dense) - 1):
+        if dense[start] == 0 or dense[start - 1] == dense[start]:
+            continue
+        end = start
+        while dense[end + 1] == dense[start]:
+            end += 1
+        if dense[start - 1] < dense[start] > dense[end + 1]:
+            peaks.append((low + start, dense[start]))
+    return peaks
+
+
+@given(st.dictionaries(st.integers(-12, 12), st.integers(1, 3), max_size=20))
+def test_peaks_match_brute_force(bins):
+    assert _peaks(Counter(bins)) == brute_force_peaks(bins)
 
 
 def test_describe_bin_index_overflow_is_a_toolkit_error():
