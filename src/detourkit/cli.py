@@ -304,7 +304,7 @@ def cmd_detours(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
     print(
         f"insights={len(rows)} improvements={len(rows.improvements)} "
-        f"bridges={len(rows.bridges)} improvable_pairs={histogram.total_pairs()}"
+        f"bridges={rows.bridge_count} improvable_pairs={histogram.total_pairs()}"
     )
 
     locate = _cached_locate(cfg)

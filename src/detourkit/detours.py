@@ -9,7 +9,10 @@ histogram using each pair's best relay.
 
 The search walks endpoints in key order and keeps its findings as compact
 rank-indexed rows (:class:`DetourRows`) that are already in report order, so
-the CLI renders them without building an object or sorting per insight.
+the CLI renders them without building an object or sorting per insight. It
+holds the rank-sorted adjacency, the improvement rows and a count of
+bridges, so memory is O(edges + improvements); bridges, the bulk of the
+rows on a dense graph, are walked again from the adjacency on output.
 """
 
 from __future__ import annotations
@@ -89,18 +92,48 @@ def _make_insight(
 class DetourRows:
     """Every insight of one search as compact rows, already in report order.
 
-    Endpoints are ranks into ``nodes``, which is sorted by key. Improvement
-    rows are ``(source, via, destination, overlay, direct, gain, pct)``,
-    ordered by pct descending then by rank; bridge rows are
-    ``(source, via, destination, overlay)``, ordered by rank.
+    Endpoints are ranks into ``nodes``, which is sorted by key, and
+    ``successors[s]`` is the ``(destination, rtt)`` list of s's edges,
+    sorted by rank. Improvement rows are ``(source, via, destination,
+    overlay, direct, gain, pct)``, ordered by pct descending then by rank.
+    Bridges are not held: :meth:`bridge_runs` and :meth:`bridges` walk
+    ``successors`` again on each call, in rank order, and ``bridge_count``
+    is how many bridges there are. Memory is O(edges + improvements).
     """
 
     nodes: list[EndpointKey]
+    successors: list[list[tuple[int, float]]]
     improvements: list[tuple[int, int, int, float, float, float, float]]
-    bridges: list[tuple[int, int, int, float]]
+    bridge_count: int
 
     def __len__(self) -> int:
-        return len(self.improvements) + len(self.bridges)
+        return len(self.improvements) + self.bridge_count
+
+    def bridge_runs(self) -> Iterator[tuple[int, int, float, list[tuple[int, float]]]]:
+        """``(source, via, leg_in, legs_out)`` for each (source, via) with
+        bridges, in rank order; ``legs_out`` is the rank-sorted ``(destination,
+        leg_out)`` list of that via's bridged destinations. Walks
+        ``successors`` again on each call."""
+        successors = self.successors
+        # marks the source and its direct destinations; reset per source
+        direct = [False] * len(self.nodes)
+        for s, out in enumerate(successors):
+            direct[s] = True
+            for d, _ in out:
+                direct[d] = True
+            for v, leg_in in out:
+                legs_out = [leg for leg in successors[v] if not direct[leg[0]]]
+                if legs_out:
+                    yield s, v, leg_in, legs_out
+            direct[s] = False
+            for d, _ in out:
+                direct[d] = False
+
+    def bridges(self) -> Iterator[tuple[int, int, int, float]]:
+        """Bridge rows ``(source, via, destination, overlay)``, ordered by rank."""
+        for s, v, leg_in, legs_out in self.bridge_runs():
+            for d, leg_out in legs_out:
+                yield (s, v, d, leg_in + leg_out)
 
     def insights(self) -> Iterator[DetourInsight]:
         """The rows as insights, in report order."""
@@ -109,7 +142,7 @@ class DetourRows:
             yield DetourInsight(
                 nodes[s], nodes[v], nodes[d], overlay, direct, gain, pct, KIND_IMPROVEMENT
             )
-        for s, v, d, overlay in self.bridges:
+        for s, v, d, overlay in self.bridges():
             yield DetourInsight(nodes[s], nodes[v], nodes[d], overlay, None, None, None, KIND_BRIDGE)
 
     def histogram(self, bucket_width_pct: float = 1.0) -> ImprovementHistogram:
@@ -126,8 +159,9 @@ def search_detours(graph: LatencyGraph, threshold_pct: float = 1.0) -> DetourRow
     Improvements require a strictly faster relay path whose gain is at
     least ``threshold_pct`` percent of the direct RTT. Each (s, m, d)
     triplet with both legs present is considered exactly once. Sources,
-    vias and destinations are walked in key order, so bridges come out in
-    report order and improvements need only a stable sort on pct.
+    vias and destinations are walked in key order, so improvements need
+    only a stable sort on pct; bridges are only counted here, and
+    :meth:`DetourRows.bridges` walks them again in the same order.
     """
     if threshold_pct < 0:
         raise ValueError("threshold_pct must be >= 0")
@@ -139,9 +173,8 @@ def search_detours(graph: LatencyGraph, threshold_pct: float = 1.0) -> DetourRow
         for node in nodes
     ]
     improvements: list[tuple[int, int, int, float, float, float, float]] = []
-    bridges: list[tuple[int, int, int, float]] = []
     add_improvement = improvements.append
-    add_bridge = bridges.append
+    bridge_count = 0
     # direct[d] is the source's direct RTT to d, or None; reset per source
     direct: list[Optional[float]] = [None] * len(nodes)
     for s, out in enumerate(successors):
@@ -151,11 +184,11 @@ def search_detours(graph: LatencyGraph, threshold_pct: float = 1.0) -> DetourRow
             for d, leg_out in successors[v]:
                 if d == s:
                     continue
-                overlay = leg_in + leg_out
                 direct_rtt = direct[d]
                 if direct_rtt is None:
-                    add_bridge((s, v, d, overlay))
+                    bridge_count += 1
                     continue
+                overlay = leg_in + leg_out
                 gain = direct_rtt - overlay
                 if gain > 0:
                     pct = 100.0 * gain / direct_rtt
@@ -164,7 +197,7 @@ def search_detours(graph: LatencyGraph, threshold_pct: float = 1.0) -> DetourRow
         for d, _ in out:
             direct[d] = None
     improvements.sort(key=lambda row: -row[6])
-    return DetourRows(nodes, improvements, bridges)
+    return DetourRows(nodes, successors, improvements, bridge_count)
 
 
 def enumerate_detours(graph: LatencyGraph, threshold_pct: float = 1.0) -> Iterator[DetourInsight]:
@@ -342,9 +375,12 @@ def write_rows_csv(rows: DetourRows, path: str | Path) -> int:
             f"{KIND_IMPROVEMENT}\r\n"
             for s, v, d, overlay, direct, gain, pct in rows.improvements
         ),
+        # the source and via cells are joined once per run, not per row
         (
-            f"{cell[s]},{cell[v]},{cell[d]},{overlay:.3f},,,,{KIND_BRIDGE}\r\n"
-            for s, v, d, overlay in rows.bridges
+            f"{prefix}{cell[d]},{leg_in + leg_out:.3f},,,,{KIND_BRIDGE}\r\n"
+            for s, v, leg_in, legs_out in rows.bridge_runs()
+            for prefix in [f"{cell[s]},{cell[v]},"]
+            for d, leg_out in legs_out
         ),
     )
     with replaced_on_success(path, newline="") as handle:
@@ -372,11 +408,15 @@ def write_rows_json(rows: DetourRows, path: str | Path) -> int:
             for s, v, d, overlay, direct, gain, pct in rows.improvements
         ),
         (
-            f'  {{\n    "source": {cell[s]},\n    "via": {cell[v]},\n    "destination": {cell[d]},'
-            f'\n    "overlay_rtt_ms": {_json_float(overlay)},\n    "direct_rtt_ms": null,'
+            f'{prefix}{cell[d]},'
+            f'\n    "overlay_rtt_ms": {_json_float(leg_in + leg_out)},\n    "direct_rtt_ms": null,'
             f'\n    "improvement_ms": null,\n    "improvement_pct": null,'
             f'\n    "kind": "{KIND_BRIDGE}"\n  }}'
-            for s, v, d, overlay in rows.bridges
+            for s, v, leg_in, legs_out in rows.bridge_runs()
+            for prefix in [
+                f'  {{\n    "source": {cell[s]},\n    "via": {cell[v]},\n    "destination": '
+            ]
+            for d, leg_out in legs_out
         ),
     )
     with replaced_on_success(path) as handle:

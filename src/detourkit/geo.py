@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Optional, TextIO
 
-from .errors import InvalidAddressError, ParseError
+from .errors import InvalidAddressError, ParseError, undecodable
 from .graph import canonical_ipv4
 
 SOURCE_CACHE = "cache"
@@ -65,8 +65,8 @@ def unknown_record(ip: str, source: str = SOURCE_PROVIDER) -> GeoRecord:
 
 def _location_rows(handle: TextIO, path: str | Path) -> Iterator[list[str]]:
     """Stripped ``[ip, city, region, country]`` of each row of an ``ip,city,
-    region,country`` CSV but blank and header rows; an unreadable row is a
-    :class:`ParseError` naming ``path``."""
+    region,country`` CSV but blank and header rows; an unreadable row or a
+    byte that is not UTF-8 is a :class:`ParseError` naming ``path``."""
     reader = csv.reader(handle)
     try:
         for row in reader:
@@ -74,6 +74,8 @@ def _location_rows(handle: TextIO, path: str | Path) -> Iterator[list[str]]:
                 yield [ip, *(cell.strip() for cell in row[1:4])] + [""] * (4 - len(row))
     except csv.Error as exc:
         raise ParseError(reader.line_num, f"{path}: {exc}") from None
+    except UnicodeDecodeError:
+        raise undecodable(path) from None
 
 
 class NullGeoProvider:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, TextIO
 
-from .errors import NoDataError, ParseError, ToolkitError
+from .errors import NoDataError, ParseError, ToolkitError, undecodable
 from .ingest import PingRecord, representative_rtt
 
 KIND_PROBE = "probe"
@@ -256,9 +256,23 @@ def load_graph(path: str | Path) -> LatencyGraph:
     """Read a snapshot CSV back into a graph.
 
     Raises :class:`ParseError` with the offending line number on malformed
-    snapshots.
+    snapshots, including a second row for the same edge.
     """
     graph = LatencyGraph()
+    for lineno, edge in _snapshot_edges(path):
+        if graph.edge(edge.source, edge.destination) is not None:
+            # found again rather than remembered, so a valid load keeps no line table
+            pair = (edge.source, edge.destination)
+            first = next(n for n, e in _snapshot_edges(path) if (e.source, e.destination) == pair)
+            raise ParseError(
+                lineno, f"duplicate edge {edge.source} -> {edge.destination}, first at line {first}"
+            )
+        graph.add_edge(edge)
+    return graph
+
+
+def _snapshot_edges(path: str | Path) -> Iterator[tuple[int, LatencyEdge]]:
+    """``(line number, edge)`` of each row of a snapshot CSV."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         try:
@@ -281,7 +295,8 @@ def load_graph(path: str | Path) -> LatencyGraph:
                     )
                 except ValueError as exc:
                     raise ParseError(lineno, str(exc)) from exc
-                graph.add_edge(edge)
+                yield lineno, edge
         except csv.Error as exc:  # e.g. a field past csv's size limit
             raise ParseError(reader.line_num, str(exc)) from None
-    return graph
+        except UnicodeDecodeError:
+            raise undecodable(path) from None

@@ -292,6 +292,18 @@ class TestDetours:
         assert set(from_file.edges()) == set(in_memory.edges())
         assert list(enumerate_detours(from_file, 0.0)) == list(enumerate_detours(in_memory, 0.0))
 
+    def test_duplicate_edge_is_a_parse_error(self, tmp_path, capsys):
+        snapshot = tmp_path / "graph.csv"
+        rows = ["10.0.0.1,B,1.0,1,1", "A,B,1.0,1,1", "10.0.0.01,B,2.0,1,1"]
+        snapshot.write_text("\n".join([",".join(SNAPSHOT_HEADER), *rows]) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--output-dir", str(out), "detours", str(snapshot)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "analysis error: parse error at 4: duplicate edge 10.0.0.1 -> B, first at line 2\n"
+        )
+        assert not out.exists()
+
     def test_sub_millisecond_edge_survives_snapshot(self, tmp_path):
         snapshot = tmp_path / "graph.csv"
         save_graph(make_graph({("A", "B"): 0.0004, ("B", "C"): 2.0, ("A", "C"): 3.0}), snapshot)
@@ -790,6 +802,55 @@ def test_oversized_csv_field_is_a_parse_error(tmp_path, capsys, command, name):
     assert not out.exists()
 
 
+def _undecodable_snapshot(tmp_path):
+    path = tmp_path / "bad_graph.csv"
+    path.write_bytes(f"{','.join(SNAPSHOT_HEADER)}\nA,B,1,1,1\n".encode() + b"A,C\xff,1,1,1\n")
+    return ["detours", str(path)]
+
+
+def _undecodable_static_file(tmp_path):
+    static = tmp_path / "bad_static.csv"
+    static.write_bytes(b"ip,city,region,country\n8.8.4.4,,,US\n8.8.8.8,Mountain Vi\xe9w,CA,US\n")
+    return [
+        *_ips(tmp_path),
+        "--geo-cache",
+        str(tmp_path / "cache.csv"),
+        "--geo-provider",
+        "static",
+        "--geo-static-file",
+        str(static),
+    ]
+
+
+def _undecodable_cache(tmp_path):
+    # the bad line is not the last one, so it is no torn write
+    cache = tmp_path / "bad_cache.csv"
+    cache.write_bytes(
+        b"ip,city,region,country,timestamp\n8.8.4.4,,,US,1\n8.8.8.8,Z\xfcrich,,CH,1\n"
+        b"1.1.1.1,,,AU,1\n"
+    )
+    return [*_ips(tmp_path), "--geo-cache", str(cache)]
+
+
+@pytest.mark.parametrize(
+    "command,name",
+    [
+        (_undecodable_snapshot, "bad_graph.csv"),
+        (_undecodable_static_file, "bad_static.csv"),
+        (_undecodable_cache, "bad_cache.csv"),
+    ],
+    ids=["detours", "geo-warm-static-file", "geo-warm-cache"],
+)
+def test_undecodable_byte_is_a_parse_error(tmp_path, capsys, command, name):
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), *command(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("analysis error: parse error at 3: ") and "is not UTF-8" in err
+    assert name in err
+    assert "codec" not in err and "bad arguments" not in err
+    assert not out.exists()
+
+
 class FailingGraph(LatencyGraph):
     """A graph whose edge listing fails after the snapshot header is written."""
 
@@ -803,11 +864,13 @@ def failing_rows():
     raise RuntimeError("writer failed")
 
 
-# a bridge row naming a node rank that does not exist fails mid-file
+# a successor list naming a node rank that does not exist fails mid-file,
+# when the writer walks the bridges after the improvement rows
 BROKEN_ROWS = DetourRows(
     nodes=[key("A"), key("B"), key("C")],
+    successors=[[(1, 1.0)], [(7, 1.0)], []],
     improvements=[(0, 1, 2, 1.0, 3.0, 2.0, 66.67)],
-    bridges=[(0, 1, 7, 1.0)],
+    bridge_count=1,
 )
 
 FAILING_WRITERS = {

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -33,6 +34,7 @@ from detourkit.detours import (
     report_order,
     search_detours,
     write_insights_csv,
+    write_rows_csv,
     write_rows_json,
 )
 from detourkit.graph import EndpointKey, save_graph
@@ -155,6 +157,48 @@ class TestEnumerate:
                 == best_detour(scaled, source, destination).via
             )
 
+
+class TestBridgeStream:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), threshold=st.sampled_from([0.0, 1.0, 20.0]))
+    def test_bridges_are_the_oracle_in_report_order(self, seed, threshold):
+        graph = random_graph(random.Random(seed), max_nodes=12)
+        rows = search_detours(graph, threshold)
+        walked = list(rows.bridges())
+        assert list(rows.bridges()) == walked
+        nodes = rows.nodes
+        produced = [
+            DetourInsight(nodes[s], nodes[v], nodes[d], overlay, None, None, None, KIND_BRIDGE)
+            for s, v, d, overlay in walked
+        ]
+        oracle = report_order(
+            DetourInsight(*row)
+            for row in brute_force_detours(graph, threshold)
+            if row[-1] == KIND_BRIDGE
+        )
+        assert produced == oracle
+        assert len(walked) == rows.bridge_count
+        with tempfile.TemporaryDirectory() as work:
+            csv_path = Path(work) / "insights.csv"
+            assert write_rows_csv(rows, csv_path) == len(rows)
+            # endpoint names are digits, so one line per row after the header
+            assert len(csv_path.read_bytes().splitlines()) == len(rows) + 1
+            assert write_rows_json(rows, Path(work) / "insights.json") == len(rows)
+
+    def test_search_holds_no_bridge_rows(self):
+        # 150 nodes: 205,469 bridges and 14,592 improvements at 1%
+        graph = random_graph(random.Random(6), max_nodes=160)
+        tracemalloc.start()
+        try:
+            rows = search_detours(graph, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rows.bridge_count >= 100_000
+        # an improvement row of seven fields takes about 200 bytes; a held
+        # bridge row would take about 120
+        beyond_improvements = peak - 256 * len(rows.improvements)
+        assert beyond_improvements < 16 * rows.bridge_count
 
 class TestHistogram:
     def _insight(self, source, destination, pct, via="V"):
