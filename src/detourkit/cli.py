@@ -23,7 +23,7 @@ from . import detours as detours_mod
 from . import geo as geo_mod
 from . import stats as stats_mod
 from . import traceroute as traceroute_mod
-from .errors import EmptyInputError, ParseError, ToolkitError
+from .errors import EmptyInputError, ParseError, ToolkitError, open_text
 from .graph import (
     BuildStats,
     EndpointKey,
@@ -137,7 +137,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     converted and checked by its ``CONFIG_KEYS`` row; empty keeps the default."""
     file = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as handle:
+        with open_text(args.config) as handle:
             file.read_string(handle.read())
     cfg = PipelineConfig()
     for section, key, name, convert, allowed in CONFIG_KEYS:
@@ -247,10 +247,8 @@ def _cached_locate(cfg: PipelineConfig) -> Optional[Callable[[str], geo_mod.GeoR
 
 def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     paths = [Path(p) for p in args.inputs]
-    for path in paths:
-        if not path.exists():
-            print(f"input not found: {path}", file=sys.stderr)
-            return EXIT_USAGE
+    for path in paths:  # fail on a missing feed before reading any
+        open(path, "rb").close()
     sidecar = load_status_sidecar(cfg.sidecar) if cfg.sidecar else None
     spec = FilterSpec(
         required_status=cfg.status,
@@ -281,11 +279,7 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 
 def cmd_detours(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    snapshot = Path(args.snapshot)
-    if not snapshot.exists():
-        print(f"input not found: {snapshot}", file=sys.stderr)
-        return EXIT_USAGE
-    graph = load_graph(snapshot)
+    graph = load_graph(args.snapshot)
     rows = detours_mod.search_detours(graph, threshold_pct=cfg.threshold_pct)
     histogram = rows.histogram(cfg.bucket_width_pct)
 
@@ -330,17 +324,13 @@ def _describe(insight: detours_mod.DetourInsight) -> str:
 
 
 def cmd_traceroutes(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    directory = Path(args.trace_dir)
-    if not directory.is_dir():
-        print(f"input not found: {directory}", file=sys.stderr)
-        return EXIT_USAGE
     tokens = frozenset(t.strip().lower() for t in args.city_tokens.split(",") if t.strip())
     spec = traceroute_mod.CitySpec(tokens=tokens, geo_city=args.geo_city)
     locate = _cached_locate(cfg)
 
     rows = []
     failures = 0
-    for path in sorted(p for p in directory.iterdir() if p.is_file()):
+    for path in sorted(p for p in Path(args.trace_dir).iterdir() if p.is_file()):
         try:
             trace = traceroute_mod.read_trace_file(path)
         except ParseError as exc:
@@ -396,8 +386,6 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         owners[name] = label
 
     def load(path: Path) -> list[float]:
-        if not path.exists():
-            raise FileNotFoundError(f"input not found: {path}")
         samples = stats_mod.read_samples(path)
         if not samples:
             raise EmptyInputError(f"no samples in {path}")
@@ -463,14 +451,10 @@ def cmd_geo_warm(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     if cfg.geo_cache is None:
         print("geo-warm needs a cache path (--geo-cache)", file=sys.stderr)
         return EXIT_USAGE
-    ips_path = Path(args.ips)
-    if not ips_path.exists():
-        print(f"input not found: {ips_path}", file=sys.stderr)
-        return EXIT_USAGE
     lookup = _geo_lookup_from_config(cfg)
     resolved = 0
     seen: set[str] = set()
-    with lookup.cache, open(ips_path, "r", encoding="utf-8") as handle:
+    with lookup.cache, open_text(args.ips) as handle:
         for line in handle:
             ip = line.strip()
             if not ip or ip.startswith("#"):
@@ -555,17 +539,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-    except (ValueError, OSError, configparser.Error) as exc:
-        print(f"bad configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        try:
+            cfg = resolve_config(args)
+        except (ValueError, configparser.Error) as exc:
+            print(f"bad configuration: {exc}", file=sys.stderr)
+            return EXIT_USAGE
         return args.func(args, cfg)
-    except FileNotFoundError as exc:
-        print(str(exc), file=sys.stderr)
+    except FileNotFoundError as exc:  # any input file, the config file among them
+        print(f"input not found: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import io
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator, Optional, TextIO
 
 
 class ToolkitError(Exception):
@@ -23,20 +26,31 @@ class ParseError(ToolkitError, ValueError):
         self.reason = reason
 
 
-def undecodable(path: str | Path) -> ParseError:
-    """A :class:`ParseError` at the line of ``path``'s first byte that is not
-    UTF-8, naming the file, the byte and its column."""
-    with open(path, "rb") as handle:
-        # a UTF-8 sequence never holds a newline byte, so lines split cleanly
-        for lineno, line in enumerate(handle, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return ParseError(
-                    lineno,
-                    f"{path}: byte {line[exc.start]:#04x} at column {exc.start + 1} is not UTF-8",
-                )
-    return ParseError(0, f"{path}: not UTF-8")
+@contextmanager
+def open_text(
+    path: str | Path, newline: Optional[str] = None, size: Optional[int] = None
+) -> Iterator[TextIO]:
+    """``path``, or its first ``size`` bytes, opened to read as UTF-8 text. A
+    byte that is not UTF-8, met as the ``with`` block reads, is a
+    :class:`ParseError` at its line naming the file, the byte and its column."""
+    if size is None:
+        handle = open(path, "r", encoding="utf-8", newline=newline)
+    else:
+        with open(path, "rb") as raw:
+            handle = io.TextIOWrapper(io.BytesIO(raw.read(size)), encoding="utf-8", newline=newline)
+    with handle:
+        try:
+            yield handle
+        except UnicodeDecodeError:
+            # only a failed read goes over the bytes; no UTF-8 sequence holds a b"\n"
+            with open(path, "rb") as raw:
+                for lineno, line in enumerate(raw, start=1):
+                    try:
+                        line.decode("utf-8")
+                    except UnicodeDecodeError as exc:
+                        byte = f"byte {line[exc.start]:#04x} at column {exc.start + 1}"
+                        raise ParseError(lineno, f"{path}: {byte} is not UTF-8") from None
+            raise  # not a byte of this file
 
 
 class NoDataError(ToolkitError):

@@ -12,7 +12,6 @@ timestamp``); the last entry for an IP wins.
 from __future__ import annotations
 
 import csv
-import io
 import ipaddress
 import json
 import os
@@ -21,9 +20,9 @@ import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterator, Optional, TextIO
+from typing import Callable, Iterator, Optional, TextIO
 
-from .errors import InvalidAddressError, ParseError, undecodable
+from .errors import InvalidAddressError, ParseError, open_text
 from .graph import canonical_ipv4
 
 SOURCE_CACHE = "cache"
@@ -65,8 +64,8 @@ def unknown_record(ip: str, source: str = SOURCE_PROVIDER) -> GeoRecord:
 
 def _location_rows(handle: TextIO, path: str | Path) -> Iterator[list[str]]:
     """Stripped ``[ip, city, region, country]`` of each row of an ``ip,city,
-    region,country`` CSV but blank and header rows; an unreadable row or a
-    byte that is not UTF-8 is a :class:`ParseError` naming ``path``."""
+    region,country`` CSV but blank and header rows; an unreadable row is a
+    :class:`ParseError` naming ``path``."""
     reader = csv.reader(handle)
     try:
         for row in reader:
@@ -74,8 +73,6 @@ def _location_rows(handle: TextIO, path: str | Path) -> Iterator[list[str]]:
                 yield [ip, *(cell.strip() for cell in row[1:4])] + [""] * (4 - len(row))
     except csv.Error as exc:
         raise ParseError(reader.line_num, f"{path}: {exc}") from None
-    except UnicodeDecodeError:
-        raise undecodable(path) from None
 
 
 class NullGeoProvider:
@@ -93,7 +90,7 @@ class StaticFileGeoProvider:
     source_label = SOURCE_STATIC
 
     def __init__(self, path: str | Path):
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with open_text(path, newline="") as handle:
             rows = _location_rows(handle, path)
             self._table = {ip: _normalize_fields(*place) for ip, *place in rows}
 
@@ -175,30 +172,27 @@ class GeoCache:
     def _load(self) -> None:
         with open(self.path, "rb") as raw:
             raw.seek(max(raw.seek(0, os.SEEK_END) - 1, 0))
-            torn = raw.read(1) not in (b"", b"\n", b"\r")
-            raw.seek(0)
-            source: BinaryIO = raw
-            if torn:
+            if raw.read(1) not in (b"", b"\n", b"\r"):
                 # cut on bytes: the write may have stopped inside a
                 # multi-byte character, which would fail to decode
+                raw.seek(0)
                 data = raw.read()
                 self._complete_bytes = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
                 self.torn_lines += 1
-                source = io.BytesIO(data[: self._complete_bytes])
-            # one shared str per distinct place name instead of one per row
-            names: dict[str, str] = {}
-            with io.TextIOWrapper(source, encoding="utf-8", newline="") as handle:
-                for ip, *place in _location_rows(handle, self.path):
-                    city, region, country = _normalize_fields(
-                        *(names.setdefault(name, name) for name in place)
-                    )
-                    self._entries[ip] = GeoRecord(
-                        ip=ip,
-                        city=city,
-                        region=region,
-                        country=country,
-                        source=SOURCE_CACHE,
-                    )
+        # one shared str per distinct place name instead of one per row
+        names: dict[str, str] = {}
+        with open_text(self.path, newline="", size=self._complete_bytes) as handle:
+            for ip, *place in _location_rows(handle, self.path):
+                city, region, country = _normalize_fields(
+                    *(names.setdefault(name, name) for name in place)
+                )
+                self._entries[ip] = GeoRecord(
+                    ip=ip,
+                    city=city,
+                    region=region,
+                    country=country,
+                    source=SOURCE_CACHE,
+                )
 
     def get(self, ip: str) -> Optional[GeoRecord]:
         return self._entries.get(ip)

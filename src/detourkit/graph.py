@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Optional, TextIO
 
-from .errors import NoDataError, ParseError, ToolkitError, undecodable
+from .errors import NoDataError, ParseError, ToolkitError, open_text
 from .ingest import PingRecord, representative_rtt
 
 KIND_PROBE = "probe"
@@ -75,6 +75,16 @@ class EndpointKey:
 
     def __str__(self) -> str:
         return self.value
+
+
+def _shared_key(keys: dict[str, EndpointKey], text: str) -> EndpointKey:
+    """The key of endpoint ``text``, parsed once per distinct text; texts
+    canonicalizing alike (8.8.000.1, 8.8.0.1) share it through ``keys``."""
+    key = keys.get(text)
+    if key is None:
+        key = EndpointKey.from_text(text)
+        key = keys[text] = keys.setdefault(key.value, key)
+    return key
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,15 +170,7 @@ def build_graph(records: Iterable[PingRecord], stats: Optional[BuildStats] = Non
 
     if stats is None:
         stats = BuildStats()
-    # endpoint text, and the value of each key, -> the one shared key, so
-    # that texts canonicalizing alike (8.8.000.1, 8.8.0.1) share a key
-    keys: dict[str, EndpointKey] = {}
-
-    def shared_key(text: str) -> EndpointKey:
-        key = EndpointKey.from_text(text)
-        key = keys[text] = keys.setdefault(key.value, key)
-        return key
-
+    keys: dict[str, EndpointKey] = {}  # text, and each key's value -> its key
     # (source value, destination value) -> measurement_id -> sample rtts,
     # 8 bytes a sample as doubles rather than a float object each; a value
     # names one key, as only a probe id is all digits. fsum over the
@@ -177,8 +179,8 @@ def build_graph(records: Iterable[PingRecord], stats: Optional[BuildStats] = Non
     groups: dict[tuple[str, str], dict[str, array]] = {}
     for record in records:
         stats.records += 1
-        source = keys.get(record.source_id) or shared_key(record.source_id)
-        destination = keys.get(record.destination_id) or shared_key(record.destination_id)
+        source = keys.get(record.source_id) or _shared_key(keys, record.source_id)
+        destination = keys.get(record.destination_id) or _shared_key(keys, record.destination_id)
         if source is destination:
             stats.skipped["self_pair"] += 1
             continue
@@ -273,7 +275,8 @@ def load_graph(path: str | Path) -> LatencyGraph:
 
 def _snapshot_edges(path: str | Path) -> Iterator[tuple[int, LatencyEdge]]:
     """``(line number, edge)`` of each row of a snapshot CSV."""
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    keys: dict[str, EndpointKey] = {}  # text, and each key's value -> its key
+    with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
             for lineno, row in enumerate(reader, start=1):
@@ -287,8 +290,8 @@ def _snapshot_edges(path: str | Path) -> Iterator[tuple[int, LatencyEdge]]:
                     raise ParseError(lineno, f"expected {len(SNAPSHOT_HEADER)} columns")
                 try:
                     edge = LatencyEdge(
-                        source=EndpointKey.from_text(row[0]),
-                        destination=EndpointKey.from_text(row[1]),
+                        source=_shared_key(keys, row[0]),
+                        destination=_shared_key(keys, row[1]),
                         rtt_ms=float(row[2]),
                         sample_count=int(row[3]),
                         measurement_count=int(row[4]),
@@ -298,5 +301,3 @@ def _snapshot_edges(path: str | Path) -> Iterator[tuple[int, LatencyEdge]]:
                 yield lineno, edge
         except csv.Error as exc:  # e.g. a field past csv's size limit
             raise ParseError(reader.line_num, str(exc)) from None
-        except UnicodeDecodeError:
-            raise undecodable(path) from None

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
-from .errors import NoDataError, ParseError
+from .errors import NoDataError, ParseError, open_text
 
 STATUS_STOPPED = "stopped"
 STATUS_ONGOING = "ongoing"
@@ -337,7 +337,8 @@ def read_result_file(
     sidecar: Optional[dict[str, tuple[Optional[str], Optional[int]]]] = None,
     stats: Optional[FeedStats] = None,
 ) -> Iterator[PingRecord]:
-    """Stream records from a feed file, skipping and counting bad lines.
+    """Stream records from a feed file, skipping and counting bad lines,
+    a line with a byte that is not UTF-8 among them.
 
     ``sidecar`` patches status (and start time, when given) by measurement
     id, for feeds where that metadata is not inline.
@@ -345,14 +346,17 @@ def read_result_file(
     if stats is None:
         stats = FeedStats()
     make = PingRecord._make  # parse_fields has checked the fields
-    with open(path, "r", encoding="utf-8") as handle:
+    # a byte that is not UTF-8 comes in as a lone surrogate, which encode() rejects
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line in handle:
             if not line.strip() or line.startswith("#"):
                 continue
             stats.lines += 1
             try:
+                if not line.isascii():
+                    line.encode()
                 fields = parse_fields(line, key_by=key_by)
-            except ParseError:
+            except (ParseError, UnicodeEncodeError):
                 stats.parse_errors += 1
                 continue
             stats.parsed += 1
@@ -384,23 +388,22 @@ def load_status_sidecar(path: str | Path) -> dict[str, tuple[Optional[str], Opti
     Expected columns: ``measurement_id,status,start_time`` (header row
     optional, start_time column optional). Raises ``ValueError`` naming the
     line of a row that cannot be read, such as a start time that is not a
-    finite number.
+    finite number, or of a byte that is not UTF-8.
     """
     table: dict[str, tuple[Optional[str], Optional[int]]] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            for row in reader:
-                if not row or not row[0].strip():
-                    continue
-                if row[0].strip().lower() == "measurement_id":
-                    continue
-                msm_id = row[0].strip()
-                status = row[1].strip() if len(row) > 1 and row[1].strip() else None
-                start_time: Optional[int] = None
-                if len(row) > 2 and row[2].strip():
-                    start_time = int(float(row[2]))
-                table[msm_id] = (status, start_time)
-        except (ValueError, OverflowError, csv.Error) as exc:
-            raise ValueError(f"sidecar {path} line {reader.line_num}: {exc}") from exc
+    try:
+        with open_text(path, newline="") as handle:
+            reader = csv.reader(handle)
+            try:
+                for row in reader:
+                    msm_id, status, start = (cell.strip() for cell in [*row, "", "", ""][:3])
+                    if msm_id and msm_id.lower() != "measurement_id":
+                        table[msm_id] = (status or None, int(float(start)) if start else None)
+            except UnicodeDecodeError:
+                raise  # open_text names its line
+            except (ValueError, OverflowError, csv.Error) as exc:
+                raise ParseError(reader.line_num, f"{path}: {exc}") from exc
+    except ParseError as exc:
+        # a settings file: a fault in it is a usage error (exit 2), not bad data
+        raise ValueError(f"sidecar line {exc.position}: {exc.reason}") from exc
     return table

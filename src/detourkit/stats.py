@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
-from .errors import EmptyInputError, ParseError, ToolkitError
+from .errors import EmptyInputError, ParseError, ToolkitError, open_text
 
 MODALITY_UNIMODAL = "unimodal"
 MODALITY_BIMODAL = "bimodal"
@@ -315,10 +315,10 @@ def read_samples(path: str | Path) -> list[float]:
     """Read one RTT (ms) per line; blank lines and # comments are skipped.
 
     Raises :class:`ParseError` with the line number for text that is not a
-    finite number > 0.
+    finite number > 0, or a byte that is not UTF-8.
     """
     samples: list[float] = []
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             text = line.strip()
             if not text or text.startswith("#"):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from .errors import ParseError
+from .errors import ParseError, open_text
 from .geo import GeoRecord
 from .graph import canonical_ipv4
 
@@ -194,7 +194,7 @@ def parse_traceroute(text: str) -> TracerouteTrace:
 
 
 def read_trace_file(path: str | Path) -> TracerouteTrace:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open_text(path) as handle:
         return parse_traceroute(handle.read())
 
 
@@ -224,12 +224,13 @@ def _name_candidates(name: str) -> set[str]:
     return candidates
 
 
-def _hop_token_match(hop: TracerouteHop, tokens: frozenset[str]) -> Optional[str]:
+def _hop_token_match(hop: TracerouteHop, tokens: list[tuple[str, str]]) -> Optional[str]:
+    """The first token of ``tokens``, sorted ``(token, token.lower())``
+    pairs, that begins a segment of the hop's reverse-DNS name."""
     if hop.rdns_name is None:
         return None
     candidates = _name_candidates(hop.rdns_name)
-    for token in sorted(tokens):
-        lowered = token.lower()
+    for token, lowered in tokens:
         if any(candidate.startswith(lowered) for candidate in candidates):
             return token
     return None
@@ -250,8 +251,9 @@ def detect_city(
     """
     evidence: list[tuple[int, str]] = []
     unassessable = 0
+    tokens = [(token, token.lower()) for token in sorted(city_spec.tokens)]
     for hop in trace.hops:
-        matched = _hop_token_match(hop, city_spec.tokens)
+        matched = _hop_token_match(hop, tokens)
         if matched is not None:
             evidence.append((hop.index, matched))
             continue

@@ -31,7 +31,7 @@ from detourkit.cli import (
     resolve_config,
     write_table,
 )
-from detourkit import geo
+from detourkit import errors, geo
 from detourkit import stats as stats_module
 from detourkit.detours import DetourRows, enumerate_detours, write_rows_csv, write_rows_json
 from detourkit.errors import ToolkitError
@@ -133,6 +133,19 @@ class TestIngest:
         code = main(["--output-dir", str(tmp_path / "out"), "ingest", str(feed)])
         assert code == 0
         assert "parse_errors=1" in capsys.readouterr().out
+
+    def test_undecodable_line_is_one_parse_error(self, tmp_path, capsys):
+        good = [feed_line(1).encode(), feed_line(2).encode()]
+        feed = tmp_path / "feed.jsonl"
+        feed.write_bytes(b"\n".join([good[0], b'{"msm_id":"m\xff1"}', good[1], b""]))
+        clean = tmp_path / "clean.jsonl"
+        clean.write_bytes(b"\n".join([*good, b""]))
+        assert main(["--output-dir", str(tmp_path / "out"), "ingest", str(feed)]) == 0
+        # lines = parsed + parse_errors, and the good lines are in the snapshot
+        assert capsys.readouterr().out.startswith("lines=3 parse_errors=1 kept=2\n")
+        assert main(["--output-dir", str(tmp_path / "clean"), "ingest", str(clean)]) == 0
+        snapshot = (tmp_path / "out" / "graph.csv").read_bytes()
+        assert snapshot == (tmp_path / "clean" / "graph.csv").read_bytes()
 
     @pytest.mark.parametrize(
         "bad_line",
@@ -682,7 +695,8 @@ class TestGeoWarm:
             handles.append(open(*args, **kwargs))
             return handles[-1]
 
-        monkeypatch.setattr(geo, "open", tracked_open, raising=False)
+        for module in (geo, errors):
+            monkeypatch.setattr(module, "open", tracked_open, raising=False)
         ips = tmp_path / "ips.txt"
         ips.write_text("8.0.0.7\n8.0.0.8\n8.0.0.9\n", encoding="utf-8")
         static = tmp_path / "static.csv"
@@ -693,8 +707,10 @@ class TestGeoWarm:
         argv += ["--geo-provider", "static", "--geo-static-file", str(static)]
         assert main(argv) == 0
         assert "warmed 3 addresses, 3 resolved" in capsys.readouterr().out
-        # the static table, the cache load and one append handle for both puts
-        assert [Path(h.name).name for h in handles] == ["static.csv", "cache.csv", "cache.csv"]
+        # the static table, the cache's torn-tail check and load, the address
+        # list and one append handle for both puts
+        names = ["static.csv", "cache.csv", "cache.csv", "ips.txt", "cache.csv"]
+        assert [Path(h.name).name for h in handles] == names
         assert all(h.closed for h in handles)
 
     def test_line_torn_inside_a_character_is_skipped_and_cut(self, tmp_path, capsys):
@@ -832,14 +848,28 @@ def _undecodable_cache(tmp_path):
     return [*_ips(tmp_path), "--geo-cache", str(cache)]
 
 
+def _undecodable_samples(tmp_path):
+    samples = tmp_path / "bad_samples.txt"
+    samples.write_bytes(b"12.5\n13\n1\xff4\n")
+    return ["overlay", "--leg", f"A={samples}"]
+
+
+def _undecodable_address_list(tmp_path):
+    ips = tmp_path / "bad_ips.txt"
+    ips.write_bytes(b"8.8.8.8\n8.8.4.4\n8.8.\xc3.1\n")
+    return ["geo-warm", str(ips), "--geo-cache", str(tmp_path / "cache.csv")]
+
+
 @pytest.mark.parametrize(
     "command,name",
     [
         (_undecodable_snapshot, "bad_graph.csv"),
         (_undecodable_static_file, "bad_static.csv"),
         (_undecodable_cache, "bad_cache.csv"),
+        (_undecodable_samples, "bad_samples.txt"),
+        (_undecodable_address_list, "bad_ips.txt"),
     ],
-    ids=["detours", "geo-warm-static-file", "geo-warm-cache"],
+    ids=["detours", "geo-warm-static-file", "geo-warm-cache", "overlay", "geo-warm-address-list"],
 )
 def test_undecodable_byte_is_a_parse_error(tmp_path, capsys, command, name):
     out = tmp_path / "out"
@@ -849,6 +879,174 @@ def test_undecodable_byte_is_a_parse_error(tmp_path, capsys, command, name):
     assert name in err
     assert "codec" not in err and "bad arguments" not in err
     assert not out.exists()
+    assert not (tmp_path / "cache.csv").exists()
+
+
+def test_undecodable_trace_file_is_one_error(tmp_path, capsys):
+    traces = tmp_path / "traces"
+    traces.mkdir()
+    shutil.copy(FIXTURES / "traceroutes" / "01_ucsd_cse_wifi.txt", traces / "a.txt")
+    shutil.copy(FIXTURES / "traceroutes" / "02_ucsd_geisel_wifi.txt", traces / "c.txt")
+    (traces / "b.txt").write_bytes(
+        b"# x | y\n 1  r1 (10.0.0.1)  1.0 ms\n 2  r\xff (10.0.0.2)  2.0 ms\n"
+    )
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), "traceroutes", str(traces)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "traces=2 errors=1\n"
+    assert captured.err.startswith("error: b.txt: parse error at 3: ")
+    assert "byte 0xff at column 6 is not UTF-8" in captured.err and "codec" not in captured.err
+    report = read_csv(out / "traceroute_report.csv")
+    assert [row[0] for row in report[1:]] == ["UCSD CSE wifi", "UCSD Geisel wifi"]
+
+
+@pytest.mark.parametrize(
+    "setting,argv,message",
+    [
+        (
+            "meta.csv",
+            lambda feed, path: ["ingest", str(feed), "--sidecar", str(path)],
+            "bad arguments: sidecar line 3: ",
+        ),
+        (
+            "pipeline.cfg",
+            lambda feed, path: ["--config", str(path), "ingest", str(feed)],
+            "bad configuration: parse error at 3: ",
+        ),
+    ],
+    ids=["sidecar", "config"],
+)
+def test_undecodable_settings_file_is_a_usage_error(tmp_path, capsys, setting, argv, message):
+    feed = tmp_path / "feed.jsonl"
+    feed.write_text(feed_line(1) + "\n", encoding="utf-8")
+    path = tmp_path / setting
+    text = {
+        "meta.csv": b"measurement_id,status,start_time\nm1,stopped,1\nm2,st\xf6pped,\n",
+        "pipeline.cfg": b"[filter]\nstatus = stopped\n; caf\xe9\n",
+    }[setting]
+    path.write_bytes(text)
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), *argv(feed, path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and f"{setting}: byte " in err and "is not UTF-8" in err
+    assert "codec" not in err and "line 0" not in err
+    assert not out.exists()
+
+
+# argv, per input kind, given a directory of valid inputs and the path of
+# the missing one
+MISSING_INPUTS = {
+    "ingest-feed": lambda ok, missing: ["ingest", str(ok / "feed.jsonl"), missing],
+    "ingest-sidecar": lambda ok, missing: [
+        "ingest", str(ok / "feed.jsonl"), "--sidecar", missing
+    ],
+    "detours": lambda ok, missing: ["detours", missing],
+    "traceroutes": lambda ok, missing: ["traceroutes", missing],
+    "overlay-leg": lambda ok, missing: ["overlay", "--leg", f"A={missing}"],
+    "overlay-direct": lambda ok, missing: ["overlay", "--direct", missing],
+    "geo-warm-address-list": lambda ok, missing: [
+        "geo-warm", missing, "--geo-cache", str(ok / "cache.csv")
+    ],
+    "geo-warm-static-file": lambda ok, missing: [
+        "geo-warm", str(ok / "ips.txt"), "--geo-cache", str(ok / "cache.csv"),
+        "--geo-provider", "static", "--geo-static-file", missing,
+    ],
+    "config": lambda ok, missing: ["--config", missing, "ingest", str(ok / "feed.jsonl")],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MISSING_INPUTS))
+def test_missing_input_is_one_usage_error(tmp_path, capsys, kind):
+    (tmp_path / "feed.jsonl").write_text(feed_line(1) + "\n", encoding="utf-8")
+    (tmp_path / "ips.txt").write_text("8.8.8.8\n", encoding="utf-8")
+    missing = str(tmp_path / "nothere")
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), *MISSING_INPUTS[kind](tmp_path, missing)]) == 2
+    assert capsys.readouterr().err == f"input not found: {missing}\n"
+    assert not out.exists()
+
+
+# each input kind: (file name, valid contents, argv given the file's path and
+# a directory holding valid inputs of the other kinds)
+FUZZED_INPUTS = {
+    "feed": (
+        "feed.jsonl",
+        f"{feed_line(1)}\n1,8.0.0.1,8.0.0.2,4,stopped,1680000000,1,2,3\n".encode(),
+        lambda path, ok: ["ingest", str(path)],
+    ),
+    "sidecar": (
+        "meta.csv",
+        b"measurement_id,status,start_time\nm1,stopped,1680000000\n",
+        lambda path, ok: ["ingest", str(ok / "feed.jsonl"), "--sidecar", str(path)],
+    ),
+    "snapshot": (
+        "graph.csv",
+        f"{','.join(SNAPSHOT_HEADER)}\nA,B,1,1,1\nB,C,2,1,1\nA,C,9,1,1\n".encode(),
+        lambda path, ok: ["detours", str(path)],
+    ),
+    "static-geo-file": (
+        "static.csv",
+        "ip,city,region,country\n8.8.8.8,Z\u00fcrich,,CH\n".encode(),
+        lambda path, ok: [
+            "geo-warm", str(ok / "ips.txt"), "--geo-cache", str(ok / "warm.csv"),
+            "--geo-provider", "static", "--geo-static-file", str(path),
+        ],
+    ),
+    "geo-cache": (
+        "cache.csv",
+        "ip,city,region,country,timestamp\n8.8.8.8,Z\u00fcrich,,CH,1\n".encode(),
+        lambda path, ok: ["geo-warm", str(ok / "ips.txt"), "--geo-cache", str(path)],
+    ),
+    "samples": (
+        "samples.txt",
+        b"# ms\n12.5\n13\n",
+        lambda path, ok: ["overlay", "--leg", f"A={path}", "--direct", str(path)],
+    ),
+    "address-list": (
+        "ips.txt",
+        b"8.8.8.8\n# comment\n1.1.1.1\n",
+        lambda path, ok: ["geo-warm", str(path), "--geo-cache", str(ok / "warm.csv")],
+    ),
+    "trace": (
+        "traces/trace.txt",
+        (FIXTURES / "traceroutes" / "01_ucsd_cse_wifi.txt").read_bytes(),
+        lambda path, ok: ["traceroutes", str(path.parent)],
+    ),
+    "config": (
+        "pipeline.cfg",
+        b"[detours]\ntop = 3\n[output]\nformat = json\n",
+        lambda path, ok: ["--config", str(path), "detours", str(ok / "graph.csv")],
+    ),
+}
+
+
+def _spliced(valid: bytes):
+    """``valid`` with a few arbitrary bytes put in at an arbitrary place."""
+    return st.tuples(st.integers(0, len(valid)), st.binary(min_size=1, max_size=4)).map(
+        lambda cut: valid[: cut[0]] + cut[1] + valid[cut[0] :]
+    )
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZED_INPUTS))
+@settings(
+    max_examples=15, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_arbitrary_input_bytes_exit_cleanly(tmp_path, capsys, kind, data):
+    name, valid, argv = FUZZED_INPUTS[kind]
+    ok = tmp_path / "ok"
+    if not ok.exists():
+        ok.mkdir()
+        for other, contents, _ in FUZZED_INPUTS.values():
+            if "/" not in other:
+                (ok / other).write_bytes(contents)
+    path = tmp_path / "fuzzed" / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(data.draw(st.one_of(st.binary(max_size=200), _spliced(valid))))
+    code = main(["--output-dir", str(tmp_path / "out"), *argv(path, ok)])
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err and "codec can't" not in err
 
 
 class FailingGraph(LatencyGraph):
