@@ -126,11 +126,6 @@ CONFIG_KEYS = (
 )
 
 
-def load_config_file(path: Path) -> PipelineConfig:
-    """The settings of a config file, as if no flag were given."""
-    return resolve_config(argparse.Namespace(config=path))
-
-
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     """The settings from the flags in ``args`` and the config file it names:
     a setting's flag text if given, else its config text, either stripped,
@@ -263,7 +258,6 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     graph, feed, build = ingest_to_graph(
         paths, spec, key_by=cfg.key_by, sidecar=sidecar, region_of=region_of
     )
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     snapshot = cfg.output_dir / args.snapshot_name
     save_graph(graph, snapshot)
 
@@ -283,7 +277,6 @@ def cmd_detours(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     rows = detours_mod.search_detours(graph, threshold_pct=cfg.threshold_pct)
     histogram = rows.histogram(cfg.bucket_width_pct)
 
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     if cfg.format == "json":
         detours_mod.write_rows_json(rows, cfg.output_dir / "insights.json")
     else:
@@ -347,7 +340,6 @@ def cmd_traceroutes(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             )
         )
 
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     write_table(
         cfg.output_dir / f"traceroute_report.{cfg.format}",
         cfg.format,
@@ -415,7 +407,6 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         rows.append(("direct", direct))
         distributions.append(("direct", dist))
 
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     write_table(
         cfg.output_dir / f"overlay_summary.{cfg.format}",
         cfg.format,
@@ -452,13 +443,13 @@ def cmd_geo_warm(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         print("geo-warm needs a cache path (--geo-cache)", file=sys.stderr)
         return EXIT_USAGE
     lookup = _geo_lookup_from_config(cfg)
+    # the whole list is read, and so checked, before the first lookup
+    with open_text(args.ips) as handle:
+        ips = [ip for line in handle if (ip := line.strip()) and not ip.startswith("#")]
     resolved = 0
     seen: set[str] = set()
-    with lookup.cache, open_text(args.ips) as handle:
-        for line in handle:
-            ip = line.strip()
-            if not ip or ip.startswith("#"):
-                continue
+    with lookup.cache:
+        for ip in ips:
             address = canonical_ipv4(ip) or ip
             if address in seen:
                 continue
@@ -515,8 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_traces = sub.add_parser("traceroutes", help="hop counts and city transit per trace file")
     p_traces.add_argument("trace_dir")
-    p_traces.add_argument("--city-tokens", default="lax,losangeles,la-")
-    p_traces.add_argument("--geo-city", default="Los Angeles")
+    default_city = traceroute_mod.LOS_ANGELES
+    p_traces.add_argument("--city-tokens", default=",".join(sorted(default_city.tokens)))
+    p_traces.add_argument("--geo-city", default=default_city.geo_city)
     p_traces.add_argument("--geo-cache")
     p_traces.set_defaults(func=cmd_traceroutes)
 

@@ -293,53 +293,6 @@ def _bucketed(best_pcts: Iterable[float], bucket_width_pct: float) -> Improvemen
     return ImprovementHistogram(bucket_width_pct=bucket_width_pct, counts=counts)
 
 
-def report_order(insights: Iterable[DetourInsight]) -> list[DetourInsight]:
-    """Deterministic report ordering.
-
-    Improvements first, by percentage descending then source/via/destination;
-    bridges after, by keys.
-    """
-    return sorted(
-        insights,
-        key=lambda i: (
-            0 if i.kind == KIND_IMPROVEMENT else 1,
-            -(i.improvement_pct or 0.0),
-            i.source,
-            i.via,
-            i.destination,
-        ),
-    )
-
-
-def _fmt_opt(value: Optional[float], digits: int) -> str:
-    return "" if value is None else f"{value:.{digits}f}"
-
-
-def insight_row(insight: DetourInsight) -> list[str]:
-    return [
-        insight.source.value,
-        insight.via.value,
-        insight.destination.value,
-        f"{insight.overlay_rtt_ms:.3f}",
-        _fmt_opt(insight.direct_rtt_ms, 3),
-        _fmt_opt(insight.improvement_ms, 3),
-        _fmt_opt(insight.improvement_pct, 2),
-        insight.kind,
-    ]
-
-
-def write_insights_csv(insights: Iterable[DetourInsight], path: str | Path) -> int:
-    """Write the insight export; returns the number of rows written."""
-    rows = 0
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(INSIGHT_HEADER)
-        for insight in insights:
-            writer.writerow(insight_row(insight))
-            rows += 1
-    return rows
-
-
 def _write_batched(handle: TextIO, items: Iterator[str], separator: str = "") -> None:
     """Write ``separator.join(items)`` a few thousand items at a time."""
     first = True
@@ -351,7 +304,7 @@ def _write_batched(handle: TextIO, items: Iterator[str], separator: str = "") ->
 
 
 def _csv_cells(nodes: list[EndpointKey]) -> list[str]:
-    """Each node's value as :func:`write_insights_csv` renders it."""
+    """Each node's value as a cell of a :func:`csv.writer` row."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     cells = []
@@ -365,9 +318,10 @@ def _csv_cells(nodes: list[EndpointKey]) -> list[str]:
 
 
 def write_rows_csv(rows: DetourRows, path: str | Path) -> int:
-    """Write ``rows`` byte-identical to :func:`write_insights_csv` over
-    ``rows.insights()``, replacing ``path`` atomically; returns the number
-    of rows written."""
+    """Write ``rows`` as :func:`csv.writer` writes the :data:`INSIGHT_HEADER`
+    row and then one row per insight of ``rows.insights()``: RTTs and gains
+    to 3 decimals, pct to 2, a bridge's absent values empty. Replaces
+    ``path`` atomically; returns the number of rows written."""
     cell = _csv_cells(rows.nodes)
     lines = chain(
         (

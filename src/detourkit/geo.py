@@ -150,11 +150,12 @@ class HttpGeoProvider:
 class GeoCache:
     """CSV-backed ip -> location cache; appends only, last entry wins.
 
-    Rows are appended through one handle, opened on the first put and
-    flushed after every row; close the cache (or use it as a context
-    manager) once done. A last line without its newline is a torn write:
-    loading skips it and counts it in ``torn_lines``, and the first put
-    cuts it off so that the new row starts on a line of its own.
+    Rows are appended through one handle, opened on the first put (which
+    creates the file's directory if it is missing) and flushed after every
+    row; close the cache (or use it as a context manager) once done. A last
+    line without its newline is a torn write: loading skips it and counts it
+    in ``torn_lines``, and the first put cuts it off so that the new row
+    starts on a line of its own.
     """
 
     HEADER = ("ip", "city", "region", "country", "timestamp")
@@ -201,6 +202,7 @@ class GeoCache:
         with self._lock:
             self._entries[record.ip] = replace(record, source=SOURCE_CACHE)
             if self._handle is None:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._handle = open(self.path, "a", encoding="utf-8", newline="")
                 if self._complete_bytes is not None:
                     self._handle.truncate(self._complete_bytes)

@@ -218,13 +218,15 @@ def build_graph(records: Iterable[PingRecord], stats: Optional[BuildStats] = Non
 @contextmanager
 def replaced_on_success(path: str | Path, newline: Optional[str] = None) -> Iterator[TextIO]:
     """Write UTF-8 text to a temporary file beside ``path`` that replaces
-    ``path`` when the ``with`` block completes.
+    ``path`` when the ``with`` block completes, creating ``path``'s
+    directory first if it is missing.
 
     If the block raises, the temporary file is removed and ``path`` keeps
     what it held before, so a reader never sees a partial output.
     """
     target = Path(path)
     temporary = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    target.parent.mkdir(parents=True, exist_ok=True)
     try:
         with open(temporary, "w", encoding="utf-8", newline=newline) as handle:
             yield handle

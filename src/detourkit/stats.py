@@ -95,10 +95,6 @@ def _histogram(samples: Iterable[float], width: float) -> Counter:
         raise ToolkitError(message) from None
 
 
-def _distribution(counts: Counter, width: float) -> list[tuple[float, int]]:
-    return [(index * width, counts[index]) for index in sorted(counts)]
-
-
 def _peaks(counts: Counter) -> list[tuple[int, int]]:
     """Local maxima of the binned histogram as (bin index, count).
 
@@ -147,8 +143,9 @@ def summarize(samples: Sequence[float], mode_bin_width_ms: float = 0.5) -> RttSu
 def describe(
     samples: Sequence[float], mode_bin_width_ms: float
 ) -> tuple[RttSummary, list[tuple[float, int]]]:
-    """``(summarize(samples, w), frequency_distribution(samples, w))`` for
-    ``w = mode_bin_width_ms``, binning the samples once."""
+    """``summarize(samples, w)`` for ``w = mode_bin_width_ms``, and the
+    ``(bin center, count)`` pairs of the histogram it takes the mode from,
+    sorted by center (for plotting)."""
     if mode_bin_width_ms <= 0:
         raise ValueError("mode_bin_width_ms must be > 0")
     n = len(samples)
@@ -179,7 +176,7 @@ def describe(
         mode_bin_width_ms=mode_bin_width_ms,
         modality=_modality(counts),
     )
-    return summary, _distribution(counts, mode_bin_width_ms)
+    return summary, [(index * mode_bin_width_ms, counts[index]) for index in sorted(counts)]
 
 
 @dataclass(frozen=True)
@@ -331,11 +328,3 @@ def read_samples(path: str | Path) -> list[float]:
                 raise ParseError(lineno, f"sample must be finite and > 0, got {text!r}")
             samples.append(value)
     return samples
-
-
-def frequency_distribution(
-    samples: Sequence[float], bin_width_ms: float
-) -> list[tuple[float, int]]:
-    """(bin center, count) pairs sorted by center, for plotting."""
-    return _distribution(_histogram(samples, bin_width_ms), bin_width_ms)
-

@@ -1,17 +1,27 @@
-"""Shared test helpers: tiny graph builders and brute-force oracles.
+"""Shared test helpers: tiny graph builders and reference oracles.
 
 The oracles deliberately re-derive results by exhaustive triple loops over
 edge lookups, independent of the adjacency-driven production code paths.
+The reference report path (one object per insight, sorted, then written
+with :mod:`csv`) and the reference histogram binning live here too: no
+command runs them, so they check the streamed writers and ``describe``
+rather than sit beside them in ``src/``.
 """
 
 from __future__ import annotations
 
+import argparse
+import csv
+import math
 import random
+from collections import Counter
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 import pytest
 
+from detourkit.cli import PipelineConfig, resolve_config
+from detourkit.detours import INSIGHT_HEADER, KIND_IMPROVEMENT, DetourInsight
 from detourkit.graph import EndpointKey, LatencyEdge, LatencyGraph
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -111,6 +121,67 @@ def insight_key(insight) -> tuple:
         insight.improvement_pct,
         insight.kind,
     )
+
+
+def report_order(insights: Iterable[DetourInsight]) -> list[DetourInsight]:
+    """Deterministic report ordering.
+
+    Improvements first, by percentage descending then source/via/destination;
+    bridges after, by keys.
+    """
+    return sorted(
+        insights,
+        key=lambda i: (
+            0 if i.kind == KIND_IMPROVEMENT else 1,
+            -(i.improvement_pct or 0.0),
+            i.source,
+            i.via,
+            i.destination,
+        ),
+    )
+
+
+def _fmt_opt(value: Optional[float], digits: int) -> str:
+    return "" if value is None else f"{value:.{digits}f}"
+
+
+def insight_row(insight: DetourInsight) -> list[str]:
+    return [
+        insight.source.value,
+        insight.via.value,
+        insight.destination.value,
+        f"{insight.overlay_rtt_ms:.3f}",
+        _fmt_opt(insight.direct_rtt_ms, 3),
+        _fmt_opt(insight.improvement_ms, 3),
+        _fmt_opt(insight.improvement_pct, 2),
+        insight.kind,
+    ]
+
+
+def write_insights_csv(insights: Iterable[DetourInsight], path: str | Path) -> int:
+    """Write the insight export; returns the number of rows written."""
+    rows = 0
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(INSIGHT_HEADER)
+        for insight in insights:
+            writer.writerow(insight_row(insight))
+            rows += 1
+    return rows
+
+
+def frequency_distribution(
+    samples: Sequence[float], bin_width_ms: float
+) -> list[tuple[float, int]]:
+    """(bin center, count) pairs sorted by center: a sample v falls in the
+    bin k = floor(v / w + 0.5) centered on k * w."""
+    counts = Counter(math.floor(value / bin_width_ms + 0.5) for value in samples)
+    return [(index * bin_width_ms, counts[index]) for index in sorted(counts)]
+
+
+def load_config_file(path: Path) -> PipelineConfig:
+    """The settings of a config file, as if no flag were given."""
+    return resolve_config(argparse.Namespace(config=path))
 
 
 @pytest.fixture

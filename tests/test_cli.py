@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import random
 import re
@@ -13,20 +15,20 @@ import shlex
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import detourkit
-from conftest import FIXTURES, make_graph
+from conftest import FIXTURES, load_config_file, make_graph
 from detourkit.cli import (
     CONFIG_KEYS,
     HISTOGRAM_COLUMNS,
     PipelineConfig,
     build_parser,
     ingest_to_graph,
-    load_config_file,
     main,
     resolve_config,
     write_table,
@@ -121,6 +123,16 @@ class TestIngest:
         assert "warning" in captured.err.lower()
         rows = read_csv(tmp_path / "out" / "graph.csv")
         assert rows == [["source", "destination", "rtt_ms", "sample_count", "measurement_count"]]
+
+    def test_snapshot_name_in_a_new_directory(self, tmp_path, capsys):
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text(feed_line(1) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["--output-dir", str(out), "ingest", str(feed), "--snapshot-name", "sub/g.csv"]
+        assert main(argv) == 0
+        assert f"snapshot={out / 'sub' / 'g.csv'}" in capsys.readouterr().out
+        assert [p.name for p in (out / "sub").iterdir()] == ["g.csv"]
+        assert load_graph(out / "sub" / "g.csv").edge_count == 1
 
     def test_missing_input(self, tmp_path, capsys):
         code = main(["ingest", str(tmp_path / "nope.jsonl")])
@@ -730,6 +742,35 @@ class TestGeoWarm:
         assert lines[2].startswith(b"8.0.0.7,Ashburn,VA,US,") and len(lines) == 3
         reloaded = geo.GeoCache(cache)
         assert reloaded.torn_lines == 0 and len(reloaded) == 2
+
+    def test_cache_in_a_new_directory(self, tmp_path, capsys):
+        ips = tmp_path / "ips.txt"
+        ips.write_text("8.0.0.7\n", encoding="utf-8")
+        static = tmp_path / "static.csv"
+        static.write_text("8.0.0.7,Ashburn,VA,US\n", encoding="utf-8")
+        cache = tmp_path / "nodir" / "c.csv"
+        argv = ["geo-warm", str(ips), "--geo-cache", str(cache)]
+        argv += ["--geo-provider", "static", "--geo-static-file", str(static)]
+        assert main(argv) == 0
+        assert "warmed 1 addresses, 1 resolved" in capsys.readouterr().out
+        assert "8.0.0.7,Ashburn,VA,US," in cache.read_text(encoding="utf-8")
+
+    def test_undecodable_address_list_appends_no_row(self, tmp_path, capsys):
+        # the bad byte lies past the first 8 KiB, which a text reader decodes at once
+        covered = [f"8.8.{i // 250}.{i % 250 + 1}" for i in range(1000)]
+        ips = tmp_path / "ips.txt"
+        ips.write_bytes("".join(f"{ip}\n" for ip in covered).encode() + b"8.8.\xff.1\n")
+        static = tmp_path / "static.csv"
+        static.write_text("".join(f"{ip},Ashburn,VA,US\n" for ip in covered), encoding="utf-8")
+        cache = tmp_path / "cache.csv"
+        cache.write_text("ip,city,region,country,timestamp\n8.0.0.9,,,JP,1\n", encoding="utf-8")
+        before = cache.read_bytes()
+        argv = ["geo-warm", str(ips), "--geo-cache", str(cache)]
+        argv += ["--geo-provider", "static", "--geo-static-file", str(static)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("analysis error: parse error at 1001: ") and "ips.txt" in err
+        assert cache.read_bytes() == before
 
     def test_cache_required(self, tmp_path):
         ips = tmp_path / "ips.txt"
@@ -1404,6 +1445,186 @@ class TestOneReadingPerSetting:
                 resolve()
             except (ValueError, OSError, configparser.Error):
                 pass
+
+
+# generated command lines: run in a directory holding one small valid input
+# of each kind, with paths relative to it; a path that is written to is only
+# ever one of these names, so no run writes outside that directory
+ARGV_INPUTS = {
+    "feed.jsonl": f"{feed_line(1)}\n{feed_line(2)}\n1,8.0.0.1,8.0.0.2,4,stopped,1680000000,1,2,3\n",
+    "meta.csv": "measurement_id,status,start_time\nm1,stopped,1680000000\n",
+    "ab.txt": "12.5\n13\n",
+    "bc.txt": "# ms\n3\n4.5\n",
+    "ips.txt": "8.8.8.8\n8.8.000.8\n10.0.0.1\nbad\n",
+    "static.csv": "ip,city,region,country\n8.8.8.8,Mountain View,CA,US\n",
+    "cache.csv": "ip,city,region,country,timestamp\n8.8.4.4,Sydney,NSW,AU,1\n",
+    "pipeline.cfg": "[detours]\ntop = 2\n",
+}
+WRITTEN_PATHS = st.sampled_from(["out", "out/sub", "new/dir", "", ".", "graph.csv", "a\x00b"])
+# an input name, or any short name but a path (no "/" and no ".", so it
+# never names a directory outside the run's own)
+READ_PATHS = st.one_of(
+    st.sampled_from(
+        [*ARGV_INPUTS, "graph.csv", "traces", "missing.txt", "nodir/x.csv", "", "out"]
+    ),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/\\."), max_size=4),
+)
+# any short text on one line
+SHORT_TEXT = st.text(st.characters(blacklist_categories=("Cs", "Zl", "Zp", "Cc")), max_size=6)
+
+
+def _values(*words):
+    return st.one_of(st.sampled_from(words), SHORT_TEXT)
+
+
+NUMBERS = _values("1", "0", "-1", "2.5", " 3 ", "nan", "inf", "1e308", "1e-320", "abc", "")
+TIMES = _values("1680000000", "2023-03-28", "2023-03-28T12:00:00+02:00", "-1", "0001-01-01", "")
+# each setting's text, from a flag or a config key
+SETTING_VALUES = {
+    "status": _values("stopped", "Stopped", "ongoing", "other"),
+    "address_family": _values("4", "6", "any"),
+    "min_start": TIMES,
+    "max_start": TIMES,
+    "regions": _values("US", "us, ca", ","),
+    "key_by": _values("ip", "probe", "Probe"),
+    "sidecar": READ_PATHS | st.just("meta.csv"),
+    "threshold_pct": NUMBERS,
+    "bucket_width_pct": NUMBERS,
+    "top": NUMBERS,
+    "cumulative": _values("yes", "no", "1"),
+    "mode_bin_width_ms": NUMBERS,
+    "forwarding_delay_ms": NUMBERS,
+    # never "http": that provider would reach the network
+    "geo_provider": _values("none", "static", "STATIC", "", "htp").filter(
+        lambda text: text.strip().lower() != "http"
+    ),
+    "geo_static_file": READ_PATHS | st.just("static.csv"),
+    "geo_base_url": _values("https://geo.example/json"),
+    "geo_min_interval_s": NUMBERS,
+    "geo_cache": WRITTEN_PATHS | st.sampled_from(["cache.csv", "new/c.csv", "missing.csv"]),
+    "output_dir": WRITTEN_PATHS,
+    "format": _values("csv", "json", "JSON", "xml"),
+}
+LEGS = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(["A", "B", "A/B", "A_B", "direct", ""]), READ_PATHS),
+    SHORT_TEXT,
+)
+# per subcommand: its positional words, and each option's value (None for a switch)
+ARGV_GRAMMAR = {
+    "ingest": (
+        st.lists(READ_PATHS | st.just("feed.jsonl"), min_size=1, max_size=2),
+        {
+            "--key-by": SETTING_VALUES["key_by"],
+            "--status": SETTING_VALUES["status"],
+            "--af": SETTING_VALUES["address_family"],
+            "--af-any": None,
+            "--min-start": TIMES,
+            "--max-start": TIMES,
+            "--regions": SETTING_VALUES["regions"],
+            "--sidecar": SETTING_VALUES["sidecar"],
+            "--geo-cache": SETTING_VALUES["geo_cache"],
+            "--snapshot-name": st.sampled_from(["g.csv", "sub/g.csv", "", ".", "a\x00b"]),
+        },
+    ),
+    "detours": (
+        st.lists(READ_PATHS | st.just("graph.csv"), min_size=1, max_size=1),
+        {
+            "--threshold-pct": NUMBERS,
+            "--bucket-width": NUMBERS,
+            "--top": NUMBERS,
+            "--cumulative": None,
+            "--geo-cache": SETTING_VALUES["geo_cache"],
+        },
+    ),
+    "traceroutes": (
+        st.lists(READ_PATHS | st.just("traces"), min_size=1, max_size=1),
+        {
+            "--city-tokens": _values("lax", ",", "la-,sd"),
+            "--geo-city": _values("Los Angeles", "Mountain View"),
+            "--geo-cache": SETTING_VALUES["geo_cache"],
+        },
+    ),
+    "overlay": (
+        st.just([]),
+        {
+            "--leg": LEGS,
+            "--direct": READ_PATHS | st.just("ab.txt"),
+            "--mode-bin-width": NUMBERS,
+            "--forwarding-delay": NUMBERS,
+        },
+    ),
+    "geo-warm": (
+        st.lists(READ_PATHS | st.just("ips.txt"), min_size=1, max_size=1),
+        {
+            "--geo-cache": SETTING_VALUES["geo_cache"],
+            "--geo-provider": SETTING_VALUES["geo_provider"],
+            "--geo-static-file": SETTING_VALUES["geo_static_file"],
+            "--geo-base-url": SETTING_VALUES["geo_base_url"],
+        },
+    ),
+}
+GLOBAL_OPTIONS = {
+    "--config": READ_PATHS | st.just("generated.cfg"),
+    "--output-dir": WRITTEN_PATHS,
+    "--format": SETTING_VALUES["format"],
+}
+
+
+@st.composite
+def _options(draw, options):
+    """Options in any order, each given any number of times, with a value or
+    an empty value; now and then the last one is missing its value."""
+    flags = draw(st.lists(st.sampled_from(sorted(options)), max_size=5))
+    groups = [[flag] if options[flag] is None else [flag, draw(options[flag])] for flag in flags]
+    if groups and draw(st.integers(0, 14)) == 0:
+        groups.append([flags[-1]])
+    return groups
+
+
+@st.composite
+def command_lines(draw):
+    """``(argv, config file text)`` from :data:`ARGV_GRAMMAR`."""
+    command = draw(st.sampled_from(sorted(ARGV_GRAMMAR)))
+    positionals, options = ARGV_GRAMMAR[command]
+    groups = [[word] for word in draw(positionals)] + draw(_options(options))
+    if draw(st.integers(0, 19)) == 0:
+        groups.append(["--help"])
+    argv = [word for group in draw(_options(GLOBAL_OPTIONS)) for word in group] + [command]
+    argv += [word for group in draw(st.permutations(groups)) for word in group]
+    lines = []
+    for section, key, name, _, _ in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=4)):
+        lines += [f"[{section}]", f"{key} = {draw(SETTING_VALUES[name])}"]
+    return argv, "\n".join(lines)
+
+
+def _run_main(argv):
+    """``main(argv)``'s exit code, argparse's exit counted, and its stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(line=command_lines())
+def test_generated_command_lines_exit_cleanly(tmp_path, monkeypatch, line):
+    argv, config = line
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    for name, text in ARGV_INPUTS.items():
+        (work / name).write_text(text, encoding="utf-8")
+    (work / "generated.cfg").write_text(config, encoding="utf-8")
+    save_graph(make_graph(FOUR_NODE_EDGES), work / "graph.csv")
+    (work / "traces").mkdir()
+    shutil.copy(FIXTURES / "traceroutes" / "01_ucsd_cse_wifi.txt", work / "traces")
+    monkeypatch.chdir(work)
+    code, err = _run_main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err
 
 
 def test_cli_import_loads_no_http_stack():

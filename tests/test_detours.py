@@ -19,8 +19,11 @@ from conftest import (
     brute_force_best,
     brute_force_detours,
     insight_key,
+    insight_row,
     make_graph,
     random_graph,
+    report_order,
+    write_insights_csv,
 )
 from detourkit.cli import HISTOGRAM_COLUMNS, main, write_table
 from detourkit.detours import (
@@ -30,10 +33,7 @@ from detourkit.detours import (
     best_detour,
     enumerate_detours,
     improvement_histogram,
-    insight_row,
-    report_order,
     search_detours,
-    write_insights_csv,
     write_rows_csv,
     write_rows_json,
 )

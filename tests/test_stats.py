@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import frequency_distribution
 from detourkit.cli import SUMMARY_COLUMNS, write_table
 from detourkit.errors import EmptyInputError, ParseError, ToolkitError
 from detourkit.stats import (
@@ -18,7 +19,6 @@ from detourkit.stats import (
     compare,
     compose,
     describe,
-    frequency_distribution,
     monte_carlo_compose,
     read_samples,
     summarize,
@@ -276,6 +276,7 @@ class TestSampleIo:
     def test_frequency_distribution(self):
         dist = frequency_distribution([1.0, 1.1, 2.0], bin_width_ms=0.5)
         assert dist == [(1.0, 2), (2.0, 1)]
+        assert describe([1.0, 1.1, 2.0], 0.5)[1] == [(1.0, 2), (2.0, 1)]
 
     def test_summary_row_two_decimal_rendering(self, tmp_path):
         composed = compose(OverlayPath(legs=(leg(LEG_AB), leg(LEG_BC, modality="bimodal"))))
@@ -323,7 +324,7 @@ def test_peaks_match_brute_force(bins):
 
 
 def test_describe_bin_index_overflow_is_a_toolkit_error():
-    for binned in (describe, summarize, frequency_distribution):
+    for binned in (describe, summarize):
         with pytest.raises(ToolkitError, match="passes the largest float"):
             binned([1.0, 1e308], 1e-10)
 
