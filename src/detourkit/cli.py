@@ -241,6 +241,12 @@ def _cached_locate(cfg: PipelineConfig) -> Optional[Callable[[str], geo_mod.GeoR
 
 
 def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+    name = Path(args.snapshot_name)
+    if name.is_absolute() or not name.parts or ".." in name.parts:
+        raise ValueError(
+            f"--snapshot-name must be a relative file path under --output-dir, "
+            f"got {args.snapshot_name!r}"
+        )
     paths = [Path(p) for p in args.inputs]
     for path in paths:  # fail on a missing feed before reading any
         open(path, "rb").close()
@@ -258,7 +264,7 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     graph, feed, build = ingest_to_graph(
         paths, spec, key_by=cfg.key_by, sidecar=sidecar, region_of=region_of
     )
-    snapshot = cfg.output_dir / args.snapshot_name
+    snapshot = cfg.output_dir / name
     save_graph(graph, snapshot)
 
     print(f"lines={feed.lines} parse_errors={feed.parse_errors} kept={build.records}")

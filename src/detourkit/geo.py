@@ -15,7 +15,6 @@ import csv
 import ipaddress
 import json
 import os
-import threading
 import time
 from bisect import bisect_right
 from dataclasses import dataclass, replace
@@ -28,6 +27,9 @@ from .graph import canonical_ipv4
 SOURCE_CACHE = "cache"
 SOURCE_PROVIDER = "provider"
 SOURCE_STATIC = "static_file"
+
+# seconds an HTTP provider waits for one answer
+HTTP_TIMEOUT_S = 5.0
 
 ProviderResult = Optional[tuple[Optional[str], Optional[str], Optional[str]]]
 
@@ -110,16 +112,13 @@ class HttpGeoProvider:
     def __init__(
         self,
         base_url: str,
-        timeout_s: float = 5.0,
         min_interval_s: float = 0.1,
         fetcher: Optional[Callable[[str, float], dict]] = None,
     ):
         self.base_url = base_url.rstrip("/")
-        self.timeout_s = timeout_s
         self.min_interval_s = min_interval_s
         self._fetcher = fetcher if fetcher is not None else self._http_get
         self._last_request = 0.0
-        self._lock = threading.Lock()
 
     @staticmethod
     def _http_get(url: str, timeout_s: float) -> dict:
@@ -131,13 +130,12 @@ class HttpGeoProvider:
             return json.load(response)
 
     def fetch(self, ip: str) -> ProviderResult:
-        with self._lock:
-            wait = self._last_request + self.min_interval_s - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-            self._last_request = time.monotonic()
+        wait = self._last_request + self.min_interval_s - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
+        self._last_request = time.monotonic()
         try:
-            payload = self._fetcher(f"{self.base_url}/{ip}", self.timeout_s)
+            payload = self._fetcher(f"{self.base_url}/{ip}", HTTP_TIMEOUT_S)
         except Exception:
             return None
         if not isinstance(payload, dict):
@@ -162,7 +160,6 @@ class GeoCache:
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
-        self._lock = threading.Lock()
         self._entries: dict[str, GeoRecord] = {}
         self._handle: Optional[TextIO] = None
         self._complete_bytes: Optional[int] = None
@@ -199,32 +196,30 @@ class GeoCache:
         return self._entries.get(ip)
 
     def put(self, record: GeoRecord) -> None:
-        with self._lock:
-            self._entries[record.ip] = replace(record, source=SOURCE_CACHE)
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self.path, "a", encoding="utf-8", newline="")
-                if self._complete_bytes is not None:
-                    self._handle.truncate(self._complete_bytes)
-                    self._complete_bytes = None
-                if self._handle.seek(0, os.SEEK_END) == 0:
-                    csv.writer(self._handle).writerow(self.HEADER)
-            csv.writer(self._handle).writerow(
-                [
-                    record.ip,
-                    record.city or "",
-                    record.region or "",
-                    record.country or "",
-                    int(time.time()),
-                ]
-            )
-            self._handle.flush()
+        self._entries[record.ip] = replace(record, source=SOURCE_CACHE)
+        if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = open(self.path, "a", encoding="utf-8", newline="")
+            if self._complete_bytes is not None:
+                self._handle.truncate(self._complete_bytes)
+                self._complete_bytes = None
+            if self._handle.seek(0, os.SEEK_END) == 0:
+                csv.writer(self._handle).writerow(self.HEADER)
+        csv.writer(self._handle).writerow(
+            [
+                record.ip,
+                record.city or "",
+                record.region or "",
+                record.country or "",
+                int(time.time()),
+            ]
+        )
+        self._handle.flush()
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                self._handle.close()
-                self._handle = None
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def __enter__(self) -> "GeoCache":
         return self
@@ -287,16 +282,14 @@ def _is_reserved(ip: str) -> bool:
 class GeoLookup:
     """Cache-then-provider lookup pipeline.
 
-    Safe to call from parallel workers: provider calls and cache writes are
-    serialized. Failed lookups are remembered in-process so repeat calls
-    stay idempotent and never re-query the provider.
+    A miss is not remembered: each lookup of an address that is neither
+    cached nor resolved asks the provider again, so a caller that wants
+    one provider call per address asks once per distinct address.
     """
 
     def __init__(self, cache: Optional[GeoCache] = None, provider=None):
         self.cache = cache
         self.provider = provider if provider is not None else NullGeoProvider()
-        self._lock = threading.Lock()
-        self._unresolved: dict[str, GeoRecord] = {}
 
     def lookup(self, ip: str) -> GeoRecord:
         """Locate one IPv4 address; never fails for valid input."""
@@ -309,30 +302,20 @@ class GeoLookup:
             cached = self.cache.get(canonical)
             if cached is not None:
                 return cached
-        with self._lock:
-            known = self._unresolved.get(canonical)
-            if known is not None:
-                return known
-            if self.cache is not None:
-                cached = self.cache.get(canonical)
-                if cached is not None:
-                    return cached
-            result = self.provider.fetch(canonical)
-            if result is None:
-                record = unknown_record(canonical, source=self.provider.source_label)
-                self._unresolved[canonical] = record
-                return record
-            city, region, country = _normalize_fields(*result)
-            record = GeoRecord(
-                ip=canonical,
-                city=city,
-                region=region,
-                country=country,
-                source=self.provider.source_label,
-            )
-            if self.cache is not None:
-                self.cache.put(record)
-            return record
+        result = self.provider.fetch(canonical)
+        if result is None:
+            return unknown_record(canonical, source=self.provider.source_label)
+        city, region, country = _normalize_fields(*result)
+        record = GeoRecord(
+            ip=canonical,
+            city=city,
+            region=region,
+            country=country,
+            source=self.provider.source_label,
+        )
+        if self.cache is not None:
+            self.cache.put(record)
+        return record
 
     def locate(self, text: str) -> GeoRecord:
         """:meth:`lookup`, except that text that is not an IPv4 address (a

@@ -102,7 +102,7 @@ def _parse_hop_line(index: int, rest: str, lineno: int) -> TracerouteHop:
         if token == "*" or token.startswith("!"):
             i += 1
             continue
-        if _is_float(token) and i + 1 < len(tokens) and tokens[i + 1] == "ms":
+        if i + 1 < len(tokens) and tokens[i + 1] == "ms" and _is_float(token):
             rtts.append(float(token))
             i += 2
             continue

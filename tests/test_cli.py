@@ -134,6 +134,21 @@ class TestIngest:
         assert [p.name for p in (out / "sub").iterdir()] == ["g.csv"]
         assert load_graph(out / "sub" / "g.csv").edge_count == 1
 
+    @pytest.mark.parametrize(
+        "name", ["../escaped.csv", "sub/../../escaped.csv", "{tmp}/abs.csv", ".", ""]
+    )
+    def test_snapshot_name_outside_the_output_directory_is_refused(self, tmp_path, capsys, name):
+        feed = tmp_path / "feed.jsonl"
+        feed.write_text(feed_line(1) + "\n", encoding="utf-8")
+        out = tmp_path / "out"
+        name = name.format(tmp=tmp_path)
+        argv = ["--output-dir", str(out), "ingest", str(feed), "--snapshot-name", name]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--snapshot-name must be a relative file path" in captured.err
+        assert captured.out == ""
+        assert [p.name for p in tmp_path.iterdir()] == ["feed.jsonl"]
+
     def test_missing_input(self, tmp_path, capsys):
         code = main(["ingest", str(tmp_path / "nope.jsonl")])
         assert code == 2
@@ -686,9 +701,22 @@ class TestGeoWarm:
         assert "warmed 3 addresses, 1 resolved" in capsys.readouterr().out
         assert "8.0.0.7,Ashburn,VA,US" in cache.read_text()
 
-    def test_counts_each_distinct_address_once(self, tmp_path, capsys):
+    def test_counts_each_distinct_address_once(self, tmp_path, capsys, monkeypatch):
+        # lookups keep no memo of misses: the provider sees each distinct
+        # non-reserved address once because geo-warm asks once
+        fetched = []
+        fetch = geo.StaticFileGeoProvider.fetch
+
+        def counting_fetch(provider, ip):
+            fetched.append(ip)
+            return fetch(provider, ip)
+
+        monkeypatch.setattr(geo.StaticFileGeoProvider, "fetch", counting_fetch)
         ips = tmp_path / "ips.txt"
-        ips.write_text("8.0.0.7\n8.0.000.7\n10.0.0.1\nbad\n8.0.0.7\nbad\n", encoding="utf-8")
+        ips.write_text(
+            "8.0.0.7\n8.0.000.7\n10.0.0.1\nbad\n9.0.0.9\n8.0.0.7\nbad\n9.0.0.09\n",
+            encoding="utf-8",
+        )
         static = tmp_path / "static.csv"
         static.write_text("ip,city,region,country\n8.0.0.7,Ashburn,VA,US\n", encoding="utf-8")
         cache = tmp_path / "cache.csv"
@@ -696,9 +724,10 @@ class TestGeoWarm:
         argv += ["--geo-provider", "static", "--geo-static-file", str(static)]
         assert main(argv) == 0
         captured = capsys.readouterr()
-        assert captured.out.startswith("warmed 3 addresses, 1 resolved")
+        assert captured.out.startswith("warmed 4 addresses, 1 resolved")
         assert captured.err.count("skipping bad") == 1
         assert cache.read_text().count("8.0.0.7,") == 1
+        assert fetched == ["8.0.0.7", "9.0.0.9"]
 
     def test_leaves_no_open_file_handle(self, tmp_path, capsys, monkeypatch):
         handles = []

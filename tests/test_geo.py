@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import tempfile
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from detourkit import geo as geo_module
 from detourkit.errors import InvalidAddressError
@@ -19,6 +21,7 @@ from detourkit.geo import (
     GeoRecord,
     HttpGeoProvider,
     StaticFileGeoProvider,
+    unknown_record,
 )
 
 
@@ -47,6 +50,39 @@ def is_reserved_oracle(number: int) -> bool:
         or address.is_multicast
         or address.is_unspecified
     )
+
+
+# any address, or one of a few reserved, cacheable and never-cached ones
+ADDRESS_NUMBERS = st.one_of(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(
+        [
+            int(ipaddress.IPv4Address(ip))
+            for ip in ("10.0.0.1", "127.0.0.1", "192.168.1.1", "8.0.0.1", "9.9.9.9")
+        ]
+    ),
+)
+# probe ids and host names: endpoint texts that are not addresses
+NON_ADDRESSES = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.from_regex(r"[a-z][a-z0-9-]{0,8}\.example", fullmatch=True),
+)
+# a cache row's city, region and country; a city always has its country
+PLACES = st.sampled_from(
+    [
+        ("Reno", "NV", "US"),
+        (None, "IDF", "FR"),
+        (None, None, "JP"),
+        (None, None, None),
+    ]
+)
+
+
+def spell_with_zeros(data, number: int) -> str:
+    """The dotted quad of ``number`` with leading zeros drawn per octet."""
+    octets = str(ipaddress.IPv4Address(number)).split(".")
+    zeros = data.draw(st.lists(st.integers(0, 2), min_size=4, max_size=4))
+    return ".".join("0" * count + octet for count, octet in zip(zeros, octets))
 
 
 class TestLookup:
@@ -80,13 +116,14 @@ class TestLookup:
         assert record.city is None and record.country is None
         assert record.source == "provider"
 
-    def test_idempotent_with_at_most_one_provider_call(self):
+    def test_idempotent_and_each_miss_asks_the_provider(self):
+        # a miss is not remembered: callers that repeat an address ask again
         provider = CountingProvider()
         lookup = GeoLookup(cache=None, provider=provider)
         first = lookup.lookup("9.9.9.9")
         second = lookup.lookup("9.9.9.9")
         assert first == second
-        assert provider.calls == ["9.9.9.9"]
+        assert provider.calls == ["9.9.9.9", "9.9.9.9"]
 
     def test_reserved_ranges_skip_provider(self):
         provider = CountingProvider()
@@ -315,6 +352,39 @@ class TestLocate:
         record = self.locate_with(tmp_path, provider)(text)
         assert (record.ip, record.city, record.region, record.country) == (text, None, None, None)
         assert provider.calls == []
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_cache_only_locate_matches_a_dict_oracle(self, data):
+        # the cache-only lookup of ingest --regions, detours and traceroutes
+        numbers = data.draw(st.lists(ADDRESS_NUMBERS, min_size=1, max_size=8, unique=True))
+        addresses = [str(ipaddress.IPv4Address(number)) for number in numbers]
+        others = data.draw(st.lists(NON_ADDRESSES, max_size=4))
+        rows = data.draw(st.lists(st.tuples(st.sampled_from(addresses + others), PLACES)))
+        cached = dict(rows)  # the last row wins
+        with tempfile.TemporaryDirectory() as directory:
+            cache_path = Path(directory) / "cache.csv"
+            cache_path.write_text(
+                "ip,city,region,country,timestamp\n"
+                + "".join(f"{ip},{','.join(p or '' for p in place)},1\n" for ip, place in rows),
+                encoding="utf-8",
+            )
+            locate = GeoLookup(cache=GeoCache(cache_path)).locate
+            # each text -> the address it spells, None for the other texts
+            spelled = {spell_with_zeros(data, number): number for number in numbers}
+            spelled.update(dict.fromkeys(others))
+            for text in data.draw(st.lists(st.sampled_from(sorted(spelled)), min_size=1)):
+                number = spelled[text]
+                address = None if number is None else str(ipaddress.IPv4Address(number))
+                if address is None:
+                    expected = unknown_record(text)
+                elif is_reserved_oracle(number):
+                    expected = unknown_record(address)
+                elif address in cached:
+                    expected = GeoRecord(address, *cached[address], "cache")
+                else:
+                    expected = GeoRecord(address, None, None, None, "provider")
+                assert locate(text) == expected
 
 
 class TestGeoRecordInvariant:

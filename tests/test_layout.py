@@ -1,7 +1,8 @@
 """Layout of ``src/detourkit``: every top-level name serves the command line
-or the public API, and only the atomic writer and the geo cache write files.
+or the public API, only the atomic writer and the geo cache write files, and
+no module imports :mod:`threading`.
 
-Both checks read the source with :mod:`ast`; nothing is imported or run.
+The checks read the source with :mod:`ast`; nothing is imported or run.
 Code that only tests call belongs in the tests (``conftest.py`` holds the
 reference oracles), so it cannot drift into a second path beside the one
 users run.
@@ -176,3 +177,21 @@ def test_the_scan_sees_a_test_only_helper_and_a_writer(tmp_path):
     )
     assert unreached_names(package) == ["core._twice", "core.dump", "core.only_tests"]
     assert writing_calls(package) == ["core.dump"]
+
+
+def test_no_module_imports_threading():
+    importers = set()
+    for module, tree in _modules(PACKAGE).items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "threading" for name in names):
+                importers.add(module)
+    assert not importers, (
+        f"{', '.join(sorted(importers))} import threading, but nothing in src/detourkit "
+        "starts a thread: a lock there guards nothing"
+    )

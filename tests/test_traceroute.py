@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from conftest import FIXTURES
 from hypothesis import example, given, settings
@@ -90,6 +92,21 @@ class TestParse:
     def test_annotation_tokens_ignored(self):
         trace = parse_traceroute("# x | y\n 1  gw (10.0.0.1)  1.0 ms !H  1.2 ms\n")
         assert trace.hops[0].rtts_ms == (1.0, 1.2)
+
+    # an RTT is any text float() reads, followed by "ms"
+    @pytest.mark.parametrize(
+        "token, rtt", [("1_0", 10.0), ("1e1", 10.0), (".5", 0.5), ("nan", math.nan)]
+    )
+    def test_float_text_before_ms_is_an_rtt(self, token, rtt):
+        trace = parse_traceroute(f"# x | y\n 1  gw (10.0.0.1)  {token} ms\n")
+        (parsed,) = trace.hops[0].rtts_ms
+        assert parsed == rtt or math.isnan(parsed) and math.isnan(rtt)
+
+    @pytest.mark.parametrize("token", ["12.5", "inf"])
+    def test_float_text_without_ms_is_dangling(self, token):
+        with pytest.raises(ParseError, match=f"dangling value '{token}'") as exc:
+            parse_traceroute(f"# x | y\n 1  gw (10.0.0.1)  1.0 ms  {token}\n")
+        assert exc.value.position == 2
 
     def test_garbage_input(self):
         with pytest.raises(ParseError) as exc:
