@@ -6,13 +6,7 @@ IP locations, analyzes traceroutes for city transit, and composes per-leg
 RTT distributions into end-to-end relay predictions.
 """
 
-from .detours import (
-    DetourInsight,
-    ImprovementHistogram,
-    best_detour,
-    enumerate_detours,
-    improvement_histogram,
-)
+from .detours import DetourInsight, DetourRows, ImprovementHistogram, best_detour, search_detours
 from .errors import (
     EmptyInputError,
     InvalidAddressError,
@@ -55,6 +49,7 @@ __all__ = [
     "CityDetection",
     "CitySpec",
     "DetourInsight",
+    "DetourRows",
     "EmptyInputError",
     "EndpointKey",
     "FilterSpec",
@@ -78,16 +73,15 @@ __all__ = [
     "compare",
     "compose",
     "detect_city",
-    "enumerate_detours",
     "filter_records",
     "hop_count",
-    "improvement_histogram",
     "load_graph",
     "monte_carlo_compose",
     "parse_result_line",
     "parse_traceroute",
     "representative_rtt",
     "save_graph",
+    "search_detours",
     "serialize_record",
     "summarize",
     "ttl_hop_estimate",

@@ -366,21 +366,16 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     for item in args.leg or []:
         label, _, path = item.partition("=")
         if not path:
-            print(f"bad --leg value {item!r}, expected LABEL=FILE", file=sys.stderr)
-            return EXIT_USAGE
+            raise ValueError(f"bad --leg value {item!r}, expected LABEL=FILE")
         legs.append((label, Path(path)))
     if not legs and args.direct is None:
-        print("nothing to do: give --leg and/or --direct", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("nothing to do: give --leg and/or --direct")
     labels = [label for label, _ in legs] + (["direct"] if args.direct is not None else [])
     owners: dict[str, str] = {}
     for label in labels:
         name = _distribution_name(label)
         if name in owners:
-            print(
-                f"labels {owners[name]!r} and {label!r} would both write {name}", file=sys.stderr
-            )
-            return EXIT_USAGE
+            raise ValueError(f"labels {owners[name]!r} and {label!r} would both write {name}")
         owners[name] = label
 
     def load(path: Path) -> list[float]:
@@ -401,9 +396,7 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
     composed = None
     if leg_summaries:
-        path_obj = stats_mod.OverlayPath(
-            legs=tuple(leg_summaries), labels=tuple(label for label, _ in legs)
-        )
+        path_obj = stats_mod.OverlayPath(legs=tuple(leg_summaries))
         composed = stats_mod.compose(path_obj, forwarding_delay_ms=cfg.forwarding_delay_ms)
         rows.append(("composed:" + "+".join(label for label, _ in legs), composed))
 
@@ -446,8 +439,7 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
 
 def cmd_geo_warm(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     if cfg.geo_cache is None:
-        print("geo-warm needs a cache path (--geo-cache)", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("geo-warm needs a cache path (--geo-cache)")
     lookup = _geo_lookup_from_config(cfg)
     # the whole list is read, and so checked, before the first lookup
     with open_text(args.ips) as handle:

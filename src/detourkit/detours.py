@@ -5,7 +5,7 @@ with edges s->m and m->d. When the direct edge exists and the relay path is
 faster by at least the configured percentage, that is an improvement
 insight; when no direct edge exists, the relay path is a connectivity
 bridge. Improvements are bucketed per source-destination pair into a
-histogram using each pair's best relay.
+histogram using each pair's best relay (:meth:`DetourRows.histogram`).
 
 The search walks endpoints in key order and keeps its findings as compact
 rank-indexed rows (:class:`DetourRows`) that are already in report order, so
@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from itertools import chain, islice
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterator, Optional, TextIO
 
 from .errors import ToolkitError
 from .graph import EndpointKey, LatencyGraph, replaced_on_success
@@ -60,32 +60,6 @@ class DetourInsight:
     improvement_ms: Optional[float]
     improvement_pct: Optional[float]
     kind: str
-
-    @property
-    def pair(self) -> tuple[EndpointKey, EndpointKey]:
-        return (self.source, self.destination)
-
-
-def _make_insight(
-    source: EndpointKey,
-    via: EndpointKey,
-    destination: EndpointKey,
-    overlay: float,
-    direct: Optional[float],
-) -> DetourInsight:
-    if direct is None:
-        return DetourInsight(source, via, destination, overlay, None, None, None, KIND_BRIDGE)
-    gain = direct - overlay
-    return DetourInsight(
-        source,
-        via,
-        destination,
-        overlay,
-        direct,
-        gain,
-        100.0 * gain / direct,
-        KIND_IMPROVEMENT,
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,11 +120,25 @@ class DetourRows:
             yield DetourInsight(nodes[s], nodes[v], nodes[d], overlay, None, None, None, KIND_BRIDGE)
 
     def histogram(self, bucket_width_pct: float = 1.0) -> ImprovementHistogram:
-        """Same counts as :func:`improvement_histogram` over the improvements."""
+        """Each improvable (source, destination) pair counted once, in the
+        floored bucket of its best improvement percentage."""
+        if bucket_width_pct <= 0:
+            raise ValueError("bucket_width_pct must be > 0")
         # pct descending means a pair's first row is its best; iterating in
         # reverse lets that first row's value be the last one written
         best = {(row[0], row[2]): row[6] for row in reversed(self.improvements)}
-        return _bucketed(best.values(), bucket_width_pct)
+        counts: dict[float, int] = {}
+        try:
+            for pct in best.values():
+                bucket = math.floor(pct / bucket_width_pct) * bucket_width_pct
+                counts[bucket] = counts.get(bucket, 0) + 1
+        except OverflowError:
+            # an RTT near the float limit makes 100 * gain, and so pct, infinite
+            raise ToolkitError(
+                f"improvement of {pct!r}% does not fit a {bucket_width_pct!r}% bucket: "
+                "edge RTTs are too large"
+            ) from None
+        return ImprovementHistogram(bucket_width_pct=bucket_width_pct, counts=counts)
 
 
 def search_detours(graph: LatencyGraph, threshold_pct: float = 1.0) -> DetourRows:
@@ -200,11 +188,6 @@ def search_detours(graph: LatencyGraph, threshold_pct: float = 1.0) -> DetourRow
     return DetourRows(nodes, successors, improvements, bridge_count)
 
 
-def enumerate_detours(graph: LatencyGraph, threshold_pct: float = 1.0) -> Iterator[DetourInsight]:
-    """Yield the insights of :func:`search_detours`, in report order."""
-    yield from search_detours(graph, threshold_pct).insights()
-
-
 def best_detour(
     graph: LatencyGraph, source: EndpointKey, destination: EndpointKey
 ) -> Optional[DetourInsight]:
@@ -229,7 +212,13 @@ def best_detour(
     if best is None:
         return None
     overlay, via = best
-    return _make_insight(source, via, destination, overlay, graph.edge_rtt(source, destination))
+    direct = graph.edge_rtt(source, destination)
+    if direct is None:
+        return DetourInsight(source, via, destination, overlay, None, None, None, KIND_BRIDGE)
+    gain = direct - overlay
+    return DetourInsight(
+        source, via, destination, overlay, direct, gain, 100.0 * gain / direct, KIND_IMPROVEMENT
+    )
 
 
 @dataclass(frozen=True)
@@ -254,43 +243,6 @@ class ImprovementHistogram:
             running += count
             out[bucket] = running
         return out
-
-
-def improvement_histogram(
-    insights: Iterable[DetourInsight], bucket_width_pct: float = 1.0
-) -> ImprovementHistogram:
-    """Bucket improvement insights per pair by their best percentage.
-
-    Bridges (no percentage) are ignored; callers normally pass a stream
-    already restricted to improvements.
-    """
-    best_pct: dict[tuple[EndpointKey, EndpointKey], float] = {}
-    for insight in insights:
-        if insight.improvement_pct is None:
-            continue
-        pair = insight.pair
-        current = best_pct.get(pair)
-        if current is None or insight.improvement_pct > current:
-            best_pct[pair] = insight.improvement_pct
-    return _bucketed(best_pct.values(), bucket_width_pct)
-
-
-def _bucketed(best_pcts: Iterable[float], bucket_width_pct: float) -> ImprovementHistogram:
-    """Count each pair's best pct into its floored bucket."""
-    if bucket_width_pct <= 0:
-        raise ValueError("bucket_width_pct must be > 0")
-    counts: dict[float, int] = {}
-    try:
-        for pct in best_pcts:
-            bucket = math.floor(pct / bucket_width_pct) * bucket_width_pct
-            counts[bucket] = counts.get(bucket, 0) + 1
-    except OverflowError:
-        # an RTT near the float limit makes 100 * gain, and so pct, infinite
-        raise ToolkitError(
-            f"improvement of {pct!r}% does not fit a {bucket_width_pct!r}% bucket: "
-            "edge RTTs are too large"
-        ) from None
-    return ImprovementHistogram(bucket_width_pct=bucket_width_pct, counts=counts)
 
 
 def _write_batched(handle: TextIO, items: Iterator[str], separator: str = "") -> None:

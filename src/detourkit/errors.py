@@ -30,14 +30,15 @@ class ParseError(ToolkitError, ValueError):
 def open_text(
     path: str | Path, newline: Optional[str] = None, size: Optional[int] = None
 ) -> Iterator[TextIO]:
-    """``path``, or its first ``size`` bytes, opened to read as UTF-8 text. A
-    byte that is not UTF-8, met as the ``with`` block reads, is a
-    :class:`ParseError` at its line naming the file, the byte and its column."""
+    """``path``, or its first ``size`` bytes, opened to read as UTF-8 text,
+    skipping a byte-order mark at its start. A byte that is not UTF-8, met as
+    the ``with`` block reads, is a :class:`ParseError` at its line naming the
+    file, the byte and its column."""
     if size is None:
-        handle = open(path, "r", encoding="utf-8", newline=newline)
+        handle = open(path, "r", encoding="utf-8-sig", newline=newline)
     else:
         with open(path, "rb") as raw:
-            handle = io.TextIOWrapper(io.BytesIO(raw.read(size)), encoding="utf-8", newline=newline)
+            handle = io.TextIOWrapper(io.BytesIO(raw.read(size)), "utf-8-sig", newline=newline)
     with handle:
         try:
             yield handle

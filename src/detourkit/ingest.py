@@ -346,8 +346,9 @@ def read_result_file(
     if stats is None:
         stats = FeedStats()
     make = PingRecord._make  # parse_fields has checked the fields
-    # a byte that is not UTF-8 comes in as a lone surrogate, which encode() rejects
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    # a byte that is not UTF-8 comes in as a lone surrogate, which encode()
+    # rejects; utf-8-sig skips a byte-order mark at the start of the file
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
         for line in handle:
             if not line.strip() or line.startswith("#"):
                 continue

@@ -184,17 +184,12 @@ class OverlayPath:
     """An ordered chain of relay legs, each given by its RTT summary."""
 
     legs: tuple[RttSummary, ...]
-    labels: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if not self.legs:
             raise ValueError("a path needs at least one leg")
         if any(leg.modality == MODALITY_DEGENERATE for leg in self.legs):
             raise ValueError("legs must be non-degenerate")
-        if not self.labels:
-            object.__setattr__(self, "labels", tuple(f"leg{i+1}" for i in range(len(self.legs))))
-        elif len(self.labels) != len(self.legs):
-            raise ValueError("one label per leg")
 
 
 def compose(path: OverlayPath, forwarding_delay_ms: float = 0.0) -> RttSummary:

@@ -102,10 +102,14 @@ def _parse_hop_line(index: int, rest: str, lineno: int) -> TracerouteHop:
         if token == "*" or token.startswith("!"):
             i += 1
             continue
-        if i + 1 < len(tokens) and tokens[i + 1] == "ms" and _is_float(token):
-            rtts.append(float(token))
-            i += 2
-            continue
+        if i + 1 < len(tokens) and tokens[i + 1] == "ms":
+            try:
+                rtts.append(float(token))
+            except ValueError:
+                pass
+            else:
+                i += 2
+                continue
         # a responding endpoint: "name (ip)" or a bare address
         if i + 1 < len(tokens) and tokens[i + 1].startswith("(") and tokens[i + 1].endswith(")"):
             endpoint_name = token

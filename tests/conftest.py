@@ -3,8 +3,9 @@
 The oracles deliberately re-derive results by exhaustive triple loops over
 edge lookups, independent of the adjacency-driven production code paths.
 The reference report path (one object per insight, sorted, then written
-with :mod:`csv`) and the reference histogram binning live here too: no
-command runs them, so they check the streamed writers and ``describe``
+with :mod:`csv`), the reference per-pair improvement histogram and the
+reference histogram binning live here too: no command runs them, so they
+check the streamed writers, ``DetourRows.histogram`` and ``describe``
 rather than sit beside them in ``src/``.
 """
 
@@ -168,6 +169,22 @@ def write_insights_csv(insights: Iterable[DetourInsight], path: str | Path) -> i
             writer.writerow(insight_row(insight))
             rows += 1
     return rows
+
+
+def improvement_histogram(
+    insights: Iterable[DetourInsight], bucket_width_pct: float = 1.0
+) -> dict[float, int]:
+    """Pair count per bucket: each (source, destination) pair's best
+    improvement percentage among ``insights``, bridges skipped, counted in
+    the bucket floor(pct / width) * width."""
+    best: dict[tuple[EndpointKey, EndpointKey], float] = {}
+    for insight in insights:
+        pct = insight.improvement_pct
+        pair = (insight.source, insight.destination)
+        if pct is not None and (pair not in best or pct > best[pair]):
+            best[pair] = pct
+    buckets = (math.floor(pct / bucket_width_pct) * bucket_width_pct for pct in best.values())
+    return dict(Counter(buckets))
 
 
 def frequency_distribution(

@@ -14,14 +14,13 @@ from itertools import permutations, product
 
 import pytest
 
-from conftest import FIXTURES, insight_key, make_graph, random_graph
+from conftest import FIXTURES, improvement_histogram, insight_key, make_graph, random_graph
 from detourkit.cli import ingest_to_graph
 from detourkit.detours import (
     KIND_BRIDGE,
     KIND_IMPROVEMENT,
     best_detour,
-    enumerate_detours,
-    improvement_histogram,
+    search_detours,
 )
 from detourkit.graph import EndpointKey, build_graph
 from detourkit.ingest import FilterSpec, PingRecord, representative_rtt
@@ -108,7 +107,7 @@ def test_reference_insight_fixtures():
     assert bridge.overlay_rtt_ms == pytest.approx(4.9, abs=0.01)
     assert bridge.direct_rtt_ms is None
 
-    emitted = {insight_key(i) for i in enumerate_detours(graph, threshold_pct=1.0)}
+    emitted = {insight_key(i) for i in search_detours(graph, threshold_pct=1.0).insights()}
     assert insight_key(milpitas) in emitted
     assert insight_key(newark) in emitted
     assert insight_key(bridge) in emitted
@@ -160,7 +159,7 @@ def test_detour_search_matches_brute_force_oracle():
         threshold = rng.choice([0.0, 0.5, 1.0, 2.0, 10.0])
         expected_insights, expected_best = _oracle_scan(graph, threshold)
 
-        produced = [insight_key(i) for i in enumerate_detours(graph, threshold)]
+        produced = [insight_key(i) for i in search_detours(graph, threshold).insights()]
         assert len(produced) == len(set(produced))
         assert set(produced) == expected_insights
 
@@ -190,16 +189,19 @@ def test_threshold_monotonicity_and_histogram_conservation():
     rng = random.Random(99)
     for _ in range(100):
         graph = random_graph(rng, max_nodes=25, density=0.3)
+        rows = {t: search_detours(graph, t) for t in (1.0, 0.5, 0.0)}
         by_threshold = {
-            t: [i for i in enumerate_detours(graph, t) if i.kind == KIND_IMPROVEMENT]
-            for t in (1.0, 0.5, 0.0)
+            t: [i for i in rows[t].insights() if i.kind == KIND_IMPROVEMENT] for t in rows
         }
         sets = {t: {insight_key(i) for i in by_threshold[t]} for t in by_threshold}
         assert sets[1.0] <= sets[0.5] <= sets[0.0]
 
+        # the histogram `detours` writes, bucket for bucket against the
+        # per-insight reference binning
         at_one = by_threshold[1.0]
-        histogram = improvement_histogram(at_one, bucket_width_pct=1.0)
-        improvable_pairs = {i.pair for i in at_one}
+        histogram = rows[1.0].histogram(bucket_width_pct=1.0)
+        assert histogram.counts == improvement_histogram(at_one, bucket_width_pct=1.0)
+        improvable_pairs = {(i.source, i.destination) for i in at_one}
         assert histogram.total_pairs() == len(improvable_pairs)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0

@@ -35,7 +35,7 @@ from detourkit.cli import (
 )
 from detourkit import errors, geo
 from detourkit import stats as stats_module
-from detourkit.detours import DetourRows, enumerate_detours, write_rows_csv, write_rows_json
+from detourkit.detours import DetourRows, search_detours, write_rows_csv, write_rows_json
 from detourkit.errors import ToolkitError
 from detourkit.graph import SNAPSHOT_HEADER, EndpointKey, LatencyGraph, load_graph, save_graph
 from detourkit.ingest import FilterSpec, PingRecord, serialize_record
@@ -330,7 +330,8 @@ class TestDetours:
         in_memory, _, _ = ingest_to_graph([feed], FilterSpec(address_family=4))
         from_file = load_graph(tmp_path / "graph.csv")
         assert set(from_file.edges()) == set(in_memory.edges())
-        assert list(enumerate_detours(from_file, 0.0)) == list(enumerate_detours(in_memory, 0.0))
+        produced = list(search_detours(from_file, 0.0).insights())
+        assert produced == list(search_detours(in_memory, 0.0).insights())
 
     def test_duplicate_edge_is_a_parse_error(self, tmp_path, capsys):
         snapshot = tmp_path / "graph.csv"
@@ -676,6 +677,26 @@ class TestOverlay:
         err = capsys.readouterr().err
         assert f"labels {first!r} and {second or 'direct'!r} would both write" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["overlay", "--leg", "nolabel"], "bad --leg value 'nolabel', expected LABEL=FILE"),
+        (["overlay"], "nothing to do: give --leg and/or --direct"),
+        (
+            ["overlay", "--leg", "A/B=s.txt", "--leg", "A_B=s.txt"],
+            "labels 'A/B' and 'A_B' would both write distribution_A_B.csv",
+        ),
+        (["geo-warm", "ips.txt"], "geo-warm needs a cache path (--geo-cache)"),
+    ],
+    ids=["bad-leg", "nothing-to-do", "label-clash", "no-geo-cache"],
+)
+def test_usage_errors_are_reported_by_main(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(["--output-dir", str(out), *argv]) == 2
+    assert capsys.readouterr() == ("", f"bad arguments: {message}\n")
+    assert not out.exists()
 
 
 class TestGeoWarm:
@@ -1117,6 +1138,35 @@ def test_arbitrary_input_bytes_exit_cleanly(tmp_path, capsys, kind, data):
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
     assert "Traceback" not in err and "codec can't" not in err
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZED_INPUTS))
+def test_byte_order_mark_is_skipped(tmp_path, capsys, monkeypatch, kind):
+    # a geo cache row is stamped with the time it was written
+    monkeypatch.setattr(geo.time, "time", lambda: 1_680_000_000)
+    name, valid, argv = FUZZED_INPUTS[kind]
+
+    def run(root: Path, contents: bytes):
+        """Exit code, stdout and every file under ``root`` after the run,
+        the input given without its mark."""
+        ok = root / "ok"
+        ok.mkdir(parents=True)
+        for other, data, _ in FUZZED_INPUTS.values():
+            if "/" not in other:
+                (ok / other).write_bytes(data)
+        path = root / "input" / name
+        path.parent.mkdir(parents=True)
+        path.write_bytes(contents)
+        code = main(["--output-dir", str(root / "out"), *argv(path, ok)])
+        stdout = capsys.readouterr().out.replace(str(root), "<root>")
+        path.write_bytes(path.read_bytes().removeprefix(BOM))
+        files = {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+        return code, stdout, files
+
+    assert run(tmp_path / "marked", BOM + valid) == run(tmp_path / "plain", valid)
 
 
 class FailingGraph(LatencyGraph):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import math
 import random
 import tempfile
 import tracemalloc
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_force_best,
     brute_force_detours,
+    improvement_histogram,
     insight_key,
     insight_row,
     make_graph,
@@ -31,12 +31,11 @@ from detourkit.detours import (
     KIND_IMPROVEMENT,
     DetourInsight,
     best_detour,
-    enumerate_detours,
-    improvement_histogram,
     search_detours,
     write_rows_csv,
     write_rows_json,
 )
+from detourkit.errors import ToolkitError
 from detourkit.graph import EndpointKey, save_graph
 
 
@@ -84,13 +83,13 @@ class TestBestDetour:
 class TestEnumerate:
     def test_equal_overlay_not_emitted(self):
         graph = make_graph({("A", "B"): 5.0, ("B", "C"): 5.0, ("A", "C"): 10.0})
-        assert list(enumerate_detours(graph, threshold_pct=1.0)) == []
+        assert list(search_detours(graph, threshold_pct=1.0).insights()) == []
         # still not an improvement at threshold 0: nothing is strictly saved
-        assert list(enumerate_detours(graph, threshold_pct=0.0)) == []
+        assert list(search_detours(graph, threshold_pct=0.0).insights()) == []
 
     def test_bridge_emitted(self):
         graph = make_graph({("A", "B"): 0.3, ("B", "C"): 4.6})
-        insights = list(enumerate_detours(graph, threshold_pct=1.0))
+        insights = list(search_detours(graph, threshold_pct=1.0).insights())
         assert len(insights) == 1
         bridge = insights[0]
         assert bridge.kind == KIND_BRIDGE
@@ -100,14 +99,14 @@ class TestEnumerate:
     def test_threshold_filters_improvements(self):
         graph = make_graph({("A", "B"): 49.8, ("B", "C"): 49.8, ("A", "C"): 100.0})
         # saving 0.4 of 100 = 0.4%
-        assert list(enumerate_detours(graph, threshold_pct=1.0)) == []
-        found = list(enumerate_detours(graph, threshold_pct=0.1))
+        assert list(search_detours(graph, threshold_pct=1.0).insights()) == []
+        found = list(search_detours(graph, threshold_pct=0.1).insights())
         assert len(found) == 1 and found[0].improvement_pct == pytest.approx(0.4)
 
     def test_improvement_is_exact_leg_sum(self):
         rng = random.Random(3)
         graph = random_graph(rng, max_nodes=20)
-        for insight in enumerate_detours(graph, threshold_pct=0.0):
+        for insight in search_detours(graph, threshold_pct=0.0).insights():
             leg_in = graph.edge_rtt(insight.source, insight.via)
             leg_out = graph.edge_rtt(insight.via, insight.destination)
             assert insight.overlay_rtt_ms == leg_in + leg_out
@@ -119,7 +118,7 @@ class TestEnumerate:
         for _ in range(25):
             graph = random_graph(rng, max_nodes=14)
             threshold = rng.choice([0.0, 0.5, 1.0, 5.0])
-            produced = [insight_key(i) for i in enumerate_detours(graph, threshold)]
+            produced = [insight_key(i) for i in search_detours(graph, threshold).insights()]
             assert len(produced) == len(set(produced))  # each triplet once
             assert set(produced) == brute_force_detours(graph, threshold)
 
@@ -128,7 +127,8 @@ class TestEnumerate:
         for _ in range(10):
             graph = random_graph(rng, max_nodes=12)
             sets = [
-                {insight_key(i) for i in enumerate_detours(graph, t)} for t in (1.0, 0.5, 0.0)
+                {insight_key(i) for i in search_detours(graph, t).insights()}
+                for t in (1.0, 0.5, 0.0)
             ]
             assert sets[0] <= sets[1] <= sets[2]
 
@@ -140,12 +140,12 @@ class TestEnumerate:
         )
         base_pairs = {
             (i.source, i.via, i.destination): i.improvement_pct
-            for i in enumerate_detours(graph, 1.0)
+            for i in search_detours(graph, 1.0).insights()
             if i.kind == KIND_IMPROVEMENT
         }
         scaled_pairs = {
             (i.source, i.via, i.destination): i.improvement_pct
-            for i in enumerate_detours(scaled, 1.0)
+            for i in search_detours(scaled, 1.0).insights()
             if i.kind == KIND_IMPROVEMENT
         }
         assert base_pairs.keys() == scaled_pairs.keys()
@@ -201,32 +201,26 @@ class TestBridgeStream:
         assert beyond_improvements < 16 * rows.bridge_count
 
 class TestHistogram:
-    def _insight(self, source, destination, pct, via="V"):
-        # overlay is 2.0; direct chosen so 100*(direct-2)/direct == pct
-        graph = make_graph(
-            {
-                (source, via): 1.0,
-                (via, destination): 1.0,
-                (source, destination): 2.0 / (1.0 - pct / 100.0),
-            }
-        )
-        found = [
-            i
-            for i in enumerate_detours(graph, threshold_pct=0.0)
-            if i.kind == KIND_IMPROVEMENT
-        ]
-        assert len(found) == 1
-        return found[0]
+    @staticmethod
+    def _rows(pcts):
+        """A search over one graph in which pair (a<i>, b<i>) has one relay,
+        via V, saving about ``pcts[i]`` percent of its direct RTT."""
+        edges = {}
+        for i, pct in enumerate(pcts):
+            # overlay is 2.0; direct chosen so 100*(direct-2)/direct == pct
+            edges[(f"a{i}", "V")] = 1.0
+            edges[("V", f"b{i}")] = 1.0
+            edges[(f"a{i}", f"b{i}")] = 2.0 / (1.0 - pct / 100.0)
+        rows = search_detours(make_graph(edges), threshold_pct=0.0)
+        assert len(rows.improvements) == len(pcts)
+        return rows
 
     def test_floor_bucketing(self):
-        insights = [
-            self._insight("a1", "b1", 1.2),
-            self._insight("a2", "b2", 1.9),
-            self._insight("a3", "b3", 2.5),
-        ]
+        rows = self._rows([1.2, 1.9, 2.5])
         # percentages land near the requested values; buckets are what matter
-        histogram = improvement_histogram(insights, bucket_width_pct=1.0)
+        histogram = rows.histogram(bucket_width_pct=1.0)
         assert histogram.counts == {1.0: 2, 2.0: 1}
+        assert histogram.counts == improvement_histogram(rows.insights(), 1.0)
 
     def test_best_per_pair(self):
         graph = make_graph(
@@ -238,46 +232,47 @@ class TestHistogram:
                 ("A", "C"): 100.0,
             }
         )
-        insights = [i for i in enumerate_detours(graph, 1.0) if i.kind == KIND_IMPROVEMENT]
-        assert len(insights) == 2
-        histogram = improvement_histogram(insights, bucket_width_pct=1.0)
+        rows = search_detours(graph, 1.0)
+        assert len(rows.improvements) == 2
+        histogram = rows.histogram(bucket_width_pct=1.0)
         assert histogram.counts == {80.0: 1}
         assert histogram.total_pairs() == 1
 
     def test_matches_brute_force_recount(self):
         rng = random.Random(20)
-        graph = random_graph(rng, max_nodes=20)
-        insights = [i for i in enumerate_detours(graph, 1.0) if i.kind == KIND_IMPROVEMENT]
-        histogram = improvement_histogram(insights, bucket_width_pct=1.0)
-
-        # independent recount from the oracle's raw triplets
-        best = {}
-        for s, m, d, overlay, direct, gain, pct, kind in brute_force_detours(graph, 1.0):
-            if kind != "improvement":
-                continue
-            if (s, d) not in best or pct > best[(s, d)]:
-                best[(s, d)] = pct
-        expected = {}
-        for pct in best.values():
-            bucket = math.floor(pct / 1.0) * 1.0
-            expected[bucket] = expected.get(bucket, 0) + 1
-        assert histogram.counts == expected
-        assert histogram.total_pairs() == len(best)
+        for _ in range(20):
+            graph = random_graph(rng, max_nodes=20)
+            threshold = rng.choice([0.0, 1.0, 20.0])
+            rows = search_detours(graph, threshold)
+            # independent recount from the oracle's raw triplets
+            oracle = [DetourInsight(*row) for row in brute_force_detours(graph, threshold)]
+            pairs = {(i.source, i.destination) for i in oracle if i.kind == KIND_IMPROVEMENT}
+            for width in (0.25, 1.0, 2.5, 10.0):
+                histogram = rows.histogram(bucket_width_pct=width)
+                assert histogram.counts == improvement_histogram(oracle, width)
+                assert histogram.total_pairs() == len(pairs)
 
     def test_cumulative_rendering(self):
-        insights = [
-            self._insight("a1", "b1", 1.2),
-            self._insight("a2", "b2", 1.9),
-            self._insight("a3", "b3", 2.5),
-        ]
-        histogram = improvement_histogram(insights, bucket_width_pct=1.0)
+        histogram = self._rows([1.2, 1.9, 2.5]).histogram(bucket_width_pct=1.0)
         assert histogram.cumulative() == {2.0: 1, 1.0: 3}
+
+    def test_bucket_width_must_be_positive(self):
+        rows = self._rows([1.2])
+        for width in (0.0, -1.0):
+            with pytest.raises(ValueError, match="bucket_width_pct"):
+                rows.histogram(width)
+
+    def test_infinite_pct_is_a_toolkit_error(self):
+        # 100 * gain passes the largest float, so the pct is infinite
+        graph = make_graph({("A", "B"): 1.0, ("B", "C"): 1.0, ("A", "C"): 1.7e308})
+        with pytest.raises(ToolkitError, match="edge RTTs are too large"):
+            search_detours(graph, 1.0).histogram(1.0)
 
 
 class TestExport:
     def test_insight_rows_render_absent_as_empty(self):
         graph = make_graph({("A", "B"): 0.3, ("B", "C"): 4.6})
-        bridge = next(enumerate_detours(graph, 1.0))
+        bridge = next(search_detours(graph, 1.0).insights())
         row = insight_row(bridge)
         assert row == ["A", "B", "C", "4.900", "", "", "", "bridge"]
 
@@ -285,7 +280,7 @@ class TestExport:
         graph = make_graph(
             {("A", "B"): 1.0, ("B", "C"): 1.0, ("A", "C"): 10.0, ("A", "D"): 1.0}
         )
-        insights = report_order(enumerate_detours(graph, 1.0))
+        insights = report_order(search_detours(graph, 1.0).insights())
         out = tmp_path / "insights.csv"
         assert write_insights_csv(insights, out) == len(insights)
         lines = out.read_text(encoding="utf-8").splitlines()
@@ -295,9 +290,7 @@ class TestExport:
         )
         assert lines[1] == "A,B,C,2.000,10.000,8.000,80.00,improvement"
 
-        histogram = improvement_histogram(
-            [i for i in insights if i.kind == KIND_IMPROVEMENT], 1.0
-        )
+        histogram = search_detours(graph, 1.0).histogram(1.0)
         hist_path = tmp_path / "hist.csv"
         write_table(hist_path, "csv", HISTOGRAM_COLUMNS, sorted(histogram.counts.items()))
         assert hist_path.read_text(encoding="utf-8").splitlines() == [
@@ -323,7 +316,7 @@ class TestExport:
                 ("X", "B"): 1.0,  # X->C has no direct edge: bridge
             }
         )
-        ordered = report_order(enumerate_detours(graph, 1.0))
+        ordered = report_order(search_detours(graph, 1.0).insights())
         kinds = [i.kind for i in ordered]
         assert kinds == sorted(kinds, key=lambda k: k == KIND_BRIDGE)
 
@@ -367,7 +360,7 @@ class TestReportOrderProperty:
     @given(graph=quirky_graphs(), threshold=st.sampled_from([0.0, 1.0, 20.0, 50.0]))
     def test_enumeration_is_oracle_in_report_order(self, graph, threshold):
         oracle = report_order(DetourInsight(*row) for row in brute_force_detours(graph, threshold))
-        assert list(enumerate_detours(graph, threshold)) == oracle
+        assert list(search_detours(graph, threshold).insights()) == oracle
 
     @settings(max_examples=40, deadline=None)
     @given(graph=quirky_graphs(), threshold=st.sampled_from([0.0, 1.0, 20.0]))

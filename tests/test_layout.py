@@ -13,6 +13,8 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import pytest
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "detourkit"
 
 # an open() mode with one of these characters writes
@@ -58,7 +60,8 @@ def _imports(tree: ast.Module) -> dict[str, tuple[str, str | None]]:
 
 def unreached_names(package: Path = PACKAGE) -> list[str]:
     """``module.name`` of each top-level definition that no reference
-    reaches from the names in ``__all__`` and from ``cli.main``."""
+    reaches from the names in ``__all__`` and from ``cli.main``. Raises
+    :class:`LookupError` for an ``__all__`` entry that names nothing."""
     modules = _modules(package)
     defined = {module: _definitions(tree) for module, tree in modules.items()}
     imported = {module: _imports(tree) for module, tree in modules.items()}
@@ -73,8 +76,12 @@ def unreached_names(package: Path = PACKAGE) -> list[str]:
         return module, name
 
     (exported,) = defined["__init__"]["__all__"]
-    roots = [resolve("__init__", name) for name in ast.literal_eval(exported.value)]
-    pending = [root for root in roots + [("cli", "main")] if root is not None]
+    pending: list[tuple[str, str | None]] = [("cli", "main")]
+    for name in ast.literal_eval(exported.value):
+        root = resolve("__init__", name)
+        if root is None:
+            raise LookupError(f"__all__ names {name!r}, which the package does not define")
+        pending.append(root)
     reached: set[tuple[str, str]] = set()
     while pending:
         module, name = pending.pop()
@@ -177,6 +184,14 @@ def test_the_scan_sees_a_test_only_helper_and_a_writer(tmp_path):
     )
     assert unreached_names(package) == ["core._twice", "core.dump", "core.only_tests"]
     assert writing_calls(package) == ["core.dump"]
+    # an __all__ entry naming nothing fails the scan, bound or not
+    for init in (
+        '__all__ = ["run", "no_such_name"]\nfrom .core import run\n',
+        '__all__ = ["run", "gone"]\nfrom .core import run, gone\n',
+    ):
+        (package / "__init__.py").write_text(init, encoding="utf-8")
+        with pytest.raises(LookupError, match="'(no_such_name|gone)'"):
+            unreached_names(package)
 
 
 def test_no_module_imports_threading():
