@@ -12,12 +12,13 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
 from . import detours as detours_mod
 from . import geo as geo_mod
@@ -30,12 +31,19 @@ from .graph import (
     LatencyGraph,
     build_graph,
     canonical_ipv4,
+    group_samples,
     load_graph,
     replaced_on_success,
     save_graph,
 )
 from .ingest import (
-    STATUSES, FeedStats, FilterSpec, filter_records, load_status_sidecar, read_result_file
+    STATUSES,
+    FeedStats,
+    FilterSpec,
+    PingRecord,
+    filter_records,
+    load_status_sidecar,
+    read_result_file,
 )
 
 EXIT_OK = 0
@@ -156,6 +164,83 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     return cfg
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _shares(paths: Sequence[Path], count: int) -> list[list[Path]]:
+    """``paths`` split into ``count`` shares of about equal bytes: largest
+    file first, each to the least-loaded share; a share keeps input order."""
+    sizes = [os.path.getsize(path) for path in paths]
+    loads = [0] * count
+    owner = [0] * len(paths)
+    for index in sorted(range(len(paths)), key=sizes.__getitem__, reverse=True):
+        owner[index] = share = loads.index(min(loads))
+        loads[share] += sizes[index]
+    return [[path for path, o in zip(paths, owner) if o == share] for share in range(count)]
+
+
+def _fork_share(kept: Callable[[FeedStats], Iterable[PingRecord]]) -> tuple[int, BinaryIO]:
+    """Fork a child that groups the records ``kept(feed_stats)`` yields and
+    pickles ``(groups, FeedStats, BuildStats)``, or the exception it met,
+    into a pipe; returns its pid and the pipe's read end."""
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        # the child leaves through os._exit, so an exception never unwinds
+        # into the caller's stack and no finally block of it runs twice
+        code = 1
+        try:
+            os.close(read_fd)
+            feed, build = FeedStats(), BuildStats()
+            try:
+                result = (group_samples(kept(feed), build, {}), feed, build)
+            except BaseException as exc:  # raised again by the parent
+                result = exc
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(result, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, os.fdopen(read_fd, "rb")
+
+
+def _worker_groups(
+    workers: list[tuple[int, BinaryIO]], feed: FeedStats, build: BuildStats
+) -> Iterator[dict]:
+    """Each worker's groups in turn, its counters added to ``feed`` and
+    ``build``; a worker's exception is raised here. A worker leaves
+    ``workers`` once reaped."""
+    import pickle
+
+    while workers:
+        pid, pipe = workers[0]
+        with pipe:
+            # read as it is unpickled, so its bytes are never all held at once
+            try:
+                result = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                result = None  # the worker stopped before it was done
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        del workers[0]
+        if code != 0 or result is None:
+            raise ToolkitError(f"ingest worker {pid} exited with status {code}")
+        if isinstance(result, BaseException):
+            raise result
+        groups, worker_feed, worker_build = result
+        feed.merge(worker_feed)
+        build.merge(worker_build)
+        yield groups
+
+
 def ingest_to_graph(
     paths: Sequence[Path],
     spec: FilterSpec,
@@ -163,16 +248,43 @@ def ingest_to_graph(
     sidecar: Optional[dict] = None,
     region_of=None,
 ) -> tuple[LatencyGraph, FeedStats, BuildStats]:
-    """Run the parse -> filter -> aggregate pipeline over feed files."""
+    """Run the parse -> filter -> aggregate pipeline over feed files.
+
+    The files are split by size into one share per usable CPU, at most one
+    per file. Each share but the first goes to a forked child, which parses,
+    filters and groups it as this process does the first. The children's
+    sample groups join this process's, run by run, before ``build_graph``
+    takes the edge weights, and their counters add to this process's.
+    ``math.fsum`` is correctly rounded, so a weight does not depend on the
+    order of its samples: the graph and the counters are those of one
+    process reading every file, bit for bit, whatever the CPU count. An
+    error in any share stops and reaps the children and is raised here.
+    """
+    shares = _shares(paths, min(len(paths), usable_cpus()) or 1)
     feed_stats = FeedStats()
     build_stats = BuildStats()
 
-    def stream():
-        for path in paths:
-            yield from read_result_file(path, key_by=key_by, sidecar=sidecar, stats=feed_stats)
+    def kept(share: Sequence[Path], stats: FeedStats) -> Iterator[PingRecord]:
+        def stream():
+            for path in share:
+                yield from read_result_file(path, key_by=key_by, sidecar=sidecar, stats=stats)
 
-    kept = filter_records(stream(), spec, drops=feed_stats.drops, region_of=region_of)
-    graph = build_graph(kept, stats=build_stats)
+        return filter_records(stream(), spec, drops=stats.drops, region_of=region_of)
+
+    workers: list[tuple[int, BinaryIO]] = []
+    try:
+        for share in shares[1:]:
+            workers.append(_fork_share(functools.partial(kept, share)))
+        merge = _worker_groups(workers, feed_stats, build_stats)
+        graph = build_graph(kept(shares[0], feed_stats), stats=build_stats, merge=merge)
+    finally:
+        if workers:  # left by an error: stop and reap them
+            import signal
+
+            for pid, pipe in workers:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return graph, feed_stats, build_stats
 
 

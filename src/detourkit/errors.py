@@ -25,6 +25,11 @@ class ParseError(ToolkitError, ValueError):
         self.position = position
         self.reason = reason
 
+    def __reduce__(self):
+        # pickled by its arguments, not by its message, so that it crosses
+        # from a forked ingest worker with position and reason intact
+        return type(self), (self.position, self.reason)
+
 
 @contextmanager
 def open_text(

@@ -156,26 +156,22 @@ class BuildStats:
     used: int = 0
     skipped: Counter = field(default_factory=Counter)
 
+    def merge(self, other: "BuildStats") -> None:
+        self.records += other.records
+        self.used += other.used
+        self.skipped.update(other.skipped)
 
-def build_graph(records: Iterable[PingRecord], stats: Optional[BuildStats] = None) -> LatencyGraph:
-    """Aggregate filtered records into a latency graph.
 
-    Edge weight = mean over measurements of (mean over that measurement's
-    samples of the representative RTT). Self-pairs and no-data records are
-    skipped and counted. Deterministic and independent of record order.
-    Raises :class:`ToolkitError` when finite RTTs add up past the largest
-    float.
-    """
+def group_samples(
+    records: Iterable[PingRecord], stats: BuildStats, keys: dict[str, EndpointKey]
+) -> dict:
+    """The representative RTTs of ``records`` as ``{(source value,
+    destination value): {measurement_id: array('d') of RTTs}}``, skipping
+    and counting self-pairs and no-data records. ``keys`` maps each
+    endpoint text, and each key's value, to its key; a value names one key,
+    as only a probe id is all digits."""
     from array import array  # here, so that CLI start-up imports no new module
 
-    if stats is None:
-        stats = BuildStats()
-    keys: dict[str, EndpointKey] = {}  # text, and each key's value -> its key
-    # (source value, destination value) -> measurement_id -> sample rtts,
-    # 8 bytes a sample as doubles rather than a float object each; a value
-    # names one key, as only a probe id is all digits. fsum over the
-    # collected values keeps the result exact, so the graph is bit-identical
-    # under any record reordering
     groups: dict[tuple[str, str], dict[str, array]] = {}
     for record in records:
         stats.records += 1
@@ -192,6 +188,40 @@ def build_graph(records: Iterable[PingRecord], stats: Optional[BuildStats] = Non
         by_msm = groups.setdefault((source.value, destination.value), {})
         by_msm.setdefault(record.measurement_id, array("d")).append(rtt)
         stats.used += 1
+    return groups
+
+
+def build_graph(
+    records: Iterable[PingRecord],
+    stats: Optional[BuildStats] = None,
+    merge: Iterable[dict] = (),
+) -> LatencyGraph:
+    """Aggregate filtered records into a latency graph.
+
+    Edge weight = mean over measurements of (mean over that measurement's
+    samples of the representative RTT). Self-pairs and no-data records are
+    skipped and counted. Groups in ``merge``, made by :func:`group_samples`
+    from other records, join those of ``records`` before the weights are
+    taken. fsum is correctly rounded, so a weight does not depend on the
+    order of its samples: the graph is bit-identical under any record
+    reordering or split of the records between ``records`` and ``merge``.
+    Raises :class:`ToolkitError` when finite RTTs add up past the largest
+    float.
+    """
+    if stats is None:
+        stats = BuildStats()
+    keys: dict[str, EndpointKey] = {}
+    groups = group_samples(records, stats, keys)
+    for other in merge:
+        while other:  # each merged run is freed at once
+            pair, other_by_msm = other.popitem()
+            for value in pair:
+                _shared_key(keys, value)
+            by_msm = groups.setdefault(pair, {})
+            for msm, rtts in other_by_msm.items():
+                run = by_msm.setdefault(msm, rtts)
+                if run is not rtts:
+                    run.extend(rtts)
 
     graph = LatencyGraph()
     for (source, destination), by_msm in groups.items():

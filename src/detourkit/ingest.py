@@ -330,6 +330,12 @@ class FeedStats:
     parse_errors: int = 0
     drops: Counter = field(default_factory=Counter)
 
+    def merge(self, other: "FeedStats") -> None:
+        self.lines += other.lines
+        self.parsed += other.parsed
+        self.parse_errors += other.parse_errors
+        self.drops.update(other.drops)
+
 
 def read_result_file(
     path: str | Path,

@@ -8,7 +8,8 @@ The oracle does each step the plain way: a validated record per line, the
 sidecar applied with ``_replace``, one ``filter_records`` call per record
 and groups keyed by :class:`EndpointKey` pairs. The two must agree edge
 for edge, bit for bit, and in every counter, and both must conserve their
-counts.
+counts, also with the CPU count patched so that the files split between
+this process and forked children.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import json
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -247,6 +249,29 @@ def assert_conserved(graph, feed: FeedStats, build: BuildStats) -> None:
     regions=None,
 )
 def test_ingest_equals_per_line_oracle(files, spec, key_by, sidecar, regions):
+    assert_ingest_equals_oracle(files, spec, key_by, sidecar, regions)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    files=st.lists(
+        st.lists(st.one_of(json_lines(), json_lines(), csv_lines(), other_lines), max_size=40),
+        min_size=2,
+        max_size=4,
+    ),
+    spec=specs,
+    key_by=st.sampled_from(["ip", "probe"]),
+    sidecar=sidecars,
+    regions=region_tables,
+    cpus=st.sampled_from([2, 4]),
+)
+def test_forked_ingest_equals_per_line_oracle(files, spec, key_by, sidecar, regions, cpus):
+    # the files split between this process and forked children on any runner
+    with mock.patch.object(cli, "usable_cpus", lambda: cpus):
+        assert_ingest_equals_oracle(files, spec, key_by, sidecar, regions)
+
+
+def assert_ingest_equals_oracle(files, spec, key_by, sidecar, regions):
     region_of = regions.get if regions is not None else None
     with tempfile.TemporaryDirectory() as work:
         paths = []
