@@ -173,16 +173,13 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _shares(paths: Sequence[Path], count: int) -> list[list[Path]]:
-    """``paths`` split into ``count`` shares of about equal bytes: largest
-    file first, each to the least-loaded share; a share keeps input order."""
-    sizes = [os.path.getsize(path) for path in paths]
-    loads = [0] * count
-    owner = [0] * len(paths)
-    for index in sorted(range(len(paths)), key=sizes.__getitem__, reverse=True):
-        owner[index] = share = loads.index(min(loads))
-        loads[share] += sizes[index]
-    return [[path for path, o in zip(paths, owner) if o == share] for share in range(count)]
+def _while_parent_lives(records: Iterable[PingRecord], parent: int) -> Iterator[PingRecord]:
+    """``records``, cut short by ``os._exit`` once the process ``parent`` is
+    gone, so a worker outlives a killed command by at most 4096 records."""
+    for count, record in enumerate(records):
+        if not count & 4095 and os.getppid() != parent:
+            os._exit(1)
+        yield record
 
 
 def _fork_share(kept: Callable[[FeedStats], Iterable[PingRecord]]) -> tuple[int, BinaryIO]:
@@ -191,6 +188,7 @@ def _fork_share(kept: Callable[[FeedStats], Iterable[PingRecord]]) -> tuple[int,
     into a pipe; returns its pid and the pipe's read end."""
     import pickle
 
+    parent = os.getpid()
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -201,7 +199,8 @@ def _fork_share(kept: Callable[[FeedStats], Iterable[PingRecord]]) -> tuple[int,
             os.close(read_fd)
             feed, build = FeedStats(), BuildStats()
             try:
-                result = (group_samples(kept(feed), build, {}), feed, build)
+                records = _while_parent_lives(kept(feed), parent)
+                result = (group_samples(records, build, {}), feed, build)
             except BaseException as exc:  # raised again by the parent
                 result = exc
             with os.fdopen(write_fd, "wb") as pipe:
@@ -250,17 +249,19 @@ def ingest_to_graph(
 ) -> tuple[LatencyGraph, FeedStats, BuildStats]:
     """Run the parse -> filter -> aggregate pipeline over feed files.
 
-    The files are split by size into one share per usable CPU, at most one
-    per file. Each share but the first goes to a forked child, which parses,
-    filters and groups it as this process does the first. The children's
-    sample groups join this process's, run by run, before ``build_graph``
-    takes the edge weights, and their counters add to this process's.
+    The files are dealt round-robin into one share per usable CPU, at most
+    one per file. Each share but the first goes to a forked child, which
+    parses, filters and groups it as this process does the first. The
+    children's sample groups join this process's, run by run, before
+    ``build_graph`` takes the edge weights, and their counters add to this
+    process's.
     ``math.fsum`` is correctly rounded, so a weight does not depend on the
     order of its samples: the graph and the counters are those of one
     process reading every file, bit for bit, whatever the CPU count. An
     error in any share stops and reaps the children and is raised here.
     """
-    shares = _shares(paths, min(len(paths), usable_cpus()) or 1)
+    count = min(len(paths), usable_cpus()) or 1
+    shares = [paths[index::count] for index in range(count)]
     feed_stats = FeedStats()
     build_stats = BuildStats()
 

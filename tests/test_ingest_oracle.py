@@ -116,7 +116,7 @@ other_lines = st.sampled_from(
 feeds = st.lists(
     st.lists(st.one_of(json_lines(), json_lines(), csv_lines(), other_lines), max_size=60),
     min_size=1,
-    max_size=2,
+    max_size=3,
 )
 specs = st.builds(
     FilterSpec,
@@ -225,6 +225,7 @@ def assert_conserved(graph, feed: FeedStats, build: BuildStats) -> None:
     key_by=st.sampled_from(["ip", "probe"]),
     sidecar=sidecars,
     regions=region_tables,
+    cpus=st.sampled_from([1, 2, 4]),
 )
 # the sidecar moves a sample into the time window and out of the status
 # filter; two spellings of one address make one edge, and a self-pair
@@ -240,6 +241,7 @@ def assert_conserved(graph, feed: FeedStats, build: BuildStats) -> None:
     key_by="ip",
     sidecar={"1": (None, 105)},
     regions=None,
+    cpus=1,
 )
 @example(
     files=[[LINE % ("8.8.0.1", "8.8.0.2", 100)]],
@@ -247,31 +249,11 @@ def assert_conserved(graph, feed: FeedStats, build: BuildStats) -> None:
     key_by="ip",
     sidecar={"1": ("ongoing", None)},
     regions=None,
+    cpus=1,
 )
-def test_ingest_equals_per_line_oracle(files, spec, key_by, sidecar, regions):
-    assert_ingest_equals_oracle(files, spec, key_by, sidecar, regions)
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    files=st.lists(
-        st.lists(st.one_of(json_lines(), json_lines(), csv_lines(), other_lines), max_size=40),
-        min_size=2,
-        max_size=4,
-    ),
-    spec=specs,
-    key_by=st.sampled_from(["ip", "probe"]),
-    sidecar=sidecars,
-    regions=region_tables,
-    cpus=st.sampled_from([2, 4]),
-)
-def test_forked_ingest_equals_per_line_oracle(files, spec, key_by, sidecar, regions, cpus):
-    # the files split between this process and forked children on any runner
-    with mock.patch.object(cli, "usable_cpus", lambda: cpus):
-        assert_ingest_equals_oracle(files, spec, key_by, sidecar, regions)
-
-
-def assert_ingest_equals_oracle(files, spec, key_by, sidecar, regions):
+def test_ingest_equals_per_line_oracle(files, spec, key_by, sidecar, regions, cpus):
+    # with more than one file and CPU, the files split between this process
+    # and forked children, on any runner
     region_of = regions.get if regions is not None else None
     with tempfile.TemporaryDirectory() as work:
         paths = []
@@ -279,7 +261,8 @@ def assert_ingest_equals_oracle(files, spec, key_by, sidecar, regions):
             path = Path(work) / f"feed-{index}.jsonl"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             paths.append(path)
-        graph, feed, build = cli.ingest_to_graph(paths, spec, key_by, sidecar, region_of)
+        with mock.patch.object(cli, "usable_cpus", lambda: cpus):
+            graph, feed, build = cli.ingest_to_graph(paths, spec, key_by, sidecar, region_of)
         oracle_edges, oracle_feed, oracle_build = oracle_ingest(
             paths, spec, key_by, sidecar, region_of
         )

@@ -16,6 +16,9 @@ import io
 import os
 import pickle
 import random
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -131,16 +134,6 @@ def test_sharded_ingest_equals_golden_single_feed(tmp_path, monkeypatch, case, c
     assert_no_child_left()
 
 
-def test_shares_balance_bytes_largest_first(tmp_path):
-    paths = []
-    for name, size in [("a", 5), ("b", 1), ("c", 4), ("d", 3)]:
-        paths.append(tmp_path / name)
-        paths[-1].write_bytes(b"x" * size)
-    a, b, c, d = paths
-    assert cli._shares(paths, 2) == [[a, b], [c, d]]
-    assert cli._shares(paths, 1) == [paths]
-
-
 def test_usable_cpus_is_one_without_fork(monkeypatch):
     assert cli.usable_cpus() >= 1
     monkeypatch.delattr(os, "fork")
@@ -149,10 +142,11 @@ def test_usable_cpus_is_one_without_fork(monkeypatch):
 
 def failing_share(monkeypatch, tmp_path, fail) -> list[str]:
     """Two CPUs over three shards; ``fail(path)`` runs in place of reading
-    a file of the child's share."""
+    the child's share, the second shard (the main process reads the first
+    and third)."""
     monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
     shards = split_feed(tmp_path)
-    target = cli._shares([Path(shard) for shard in shards], 2)[1][0]
+    target = Path(shards[1])
     read = cli.read_result_file
 
     def patched(path, *args, **kwargs):
@@ -205,7 +199,7 @@ def test_failing_main_share_stops_and_reaps_the_children(tmp_path, monkeypatch):
     # the child would read for a minute: it is stopped, not waited for
     argv = failing_share(monkeypatch, tmp_path, lambda path: time.sleep(60))
     read = cli.read_result_file
-    own = cli._shares([Path(shard) for shard in argv[3:]], 2)[0][0]
+    own = Path(argv[3])
 
     def patched(path, *args, **kwargs):
         if path == own:
@@ -220,3 +214,66 @@ def test_failing_main_share_stops_and_reaps_the_children(tmp_path, monkeypatch):
     assert "error: main share failed" in stderr
     assert not (tmp_path / "out").exists()
     assert_no_child_left()
+
+
+# a command whose child reads its share forever while the main process
+# sleeps; argv: three shards, the file for the child's pid, the output dir
+KILLED_COMMAND = """
+import os, sys, time
+from pathlib import Path
+from detourkit import cli
+
+shards, pid_file = [Path(arg) for arg in sys.argv[1:4]], sys.argv[4]
+read = cli.read_result_file
+
+def patched(path, *args, **kwargs):
+    if path == shards[1]:
+        with open(pid_file + ".tmp", "w", encoding="utf-8") as handle:
+            handle.write(str(os.getpid()))
+        os.replace(pid_file + ".tmp", pid_file)
+        while True:
+            yield from read(path, *args, **kwargs)
+    time.sleep(60)
+    yield from read(path, *args, **kwargs)
+
+cli.usable_cpus = lambda: 2
+cli.read_result_file = patched
+cli.main(["--output-dir", sys.argv[5], "ingest", *sys.argv[1:4]])
+"""
+
+
+def running(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as handle:
+            state = handle.read().rpartition(")")[2].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_worker_of_a_killed_command_exits(tmp_path):
+    # SIGKILL runs no finally block, so the worker itself sees its parent go
+    pid_file = tmp_path / "worker.pid"
+    src = Path(cli.__file__).resolve().parents[1]
+    argv = [*split_feed(tmp_path), str(pid_file), str(tmp_path / "out")]
+    command = subprocess.Popen(
+        [sys.executable, "-c", KILLED_COMMAND, *argv], env=dict(os.environ, PYTHONPATH=str(src))
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not pid_file.exists():
+            assert command.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        command.kill()
+        command.wait()
+    worker = int(pid_file.read_text(encoding="ascii"))
+    deadline = time.monotonic() + 30
+    try:
+        while running(worker):
+            assert time.monotonic() < deadline, "the worker outlived its killed command"
+            time.sleep(0.01)
+    finally:
+        if running(worker):  # it would read forever
+            os.kill(worker, signal.SIGKILL)
