@@ -6,7 +6,7 @@ IP locations, analyzes traceroutes for city transit, and composes per-leg
 RTT distributions into end-to-end relay predictions.
 """
 
-from .detours import DetourInsight, DetourRows, ImprovementHistogram, best_detour, search_detours
+from .detours import DetourInsight, DetourRows, ImprovementHistogram, search_detours
 from .errors import (
     EmptyInputError,
     InvalidAddressError,
@@ -20,9 +20,7 @@ from .ingest import (
     FilterSpec,
     PingRecord,
     filter_records,
-    parse_result_line,
     representative_rtt,
-    serialize_record,
 )
 from .stats import (
     ComparisonVerdict,
@@ -30,8 +28,6 @@ from .stats import (
     RttSummary,
     compare,
     compose,
-    monte_carlo_compose,
-    summarize,
 )
 from .traceroute import (
     CityDetection,
@@ -39,9 +35,7 @@ from .traceroute import (
     TracerouteHop,
     TracerouteTrace,
     detect_city,
-    hop_count,
     parse_traceroute,
-    ttl_hop_estimate,
 )
 
 __all__ = [
@@ -68,23 +62,16 @@ __all__ = [
     "ToolkitError",
     "TracerouteHop",
     "TracerouteTrace",
-    "best_detour",
     "build_graph",
     "compare",
     "compose",
     "detect_city",
     "filter_records",
-    "hop_count",
     "load_graph",
-    "monte_carlo_compose",
-    "parse_result_line",
     "parse_traceroute",
     "representative_rtt",
     "save_graph",
     "search_detours",
-    "serialize_record",
-    "summarize",
-    "ttl_hop_estimate",
 ]
 
 __version__ = "0.1.0"

@@ -454,7 +454,7 @@ def cmd_traceroutes(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             (
                 trace.source_label or path.stem,
                 trace.destination,
-                traceroute_mod.hop_count(trace),
+                len(trace.hops),
                 detection.verdict.capitalize(),
             )
         )

@@ -188,39 +188,6 @@ def search_detours(graph: LatencyGraph, threshold_pct: float = 1.0) -> DetourRow
     return DetourRows(nodes, successors, improvements, bridge_count)
 
 
-def best_detour(
-    graph: LatencyGraph, source: EndpointKey, destination: EndpointKey
-) -> Optional[DetourInsight]:
-    """Return the minimal-overlay relay insight for one pair, or None.
-
-    Ties on overlay RTT break to the smallest via key. The result reports
-    the best relay regardless of any improvement threshold: when the direct
-    edge exists the improvement fields may even be negative.
-    """
-    if source == destination:
-        raise ValueError("source and destination must differ")
-    best: Optional[tuple[float, EndpointKey]] = None
-    for via, leg_in in graph.successors(source).items():
-        if via == destination:
-            continue
-        leg_out = graph.edge(via, destination)
-        if leg_out is None:
-            continue
-        candidate = (leg_in.rtt_ms + leg_out.rtt_ms, via)
-        if best is None or candidate < best:
-            best = candidate
-    if best is None:
-        return None
-    overlay, via = best
-    direct = graph.edge_rtt(source, destination)
-    if direct is None:
-        return DetourInsight(source, via, destination, overlay, None, None, None, KIND_BRIDGE)
-    gain = direct - overlay
-    return DetourInsight(
-        source, via, destination, overlay, direct, gain, 100.0 * gain / direct, KIND_IMPROVEMENT
-    )
-
-
 @dataclass(frozen=True)
 class ImprovementHistogram:
     """Counts of source-destination pairs by floored improvement bucket.

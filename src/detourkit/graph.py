@@ -139,11 +139,6 @@ class LatencyGraph:
         dsts = self._out.get(source)
         return dsts.get(destination) if dsts else None
 
-    def edge_rtt(self, source: EndpointKey, destination: EndpointKey) -> Optional[float]:
-        """Aggregated RTT in ms, or None when no connectivity was observed."""
-        edge = self.edge(source, destination)
-        return edge.rtt_ms if edge is not None else None
-
     def successors(self, source: EndpointKey) -> Mapping[EndpointKey, LatencyEdge]:
         return self._out.get(source, {})
 

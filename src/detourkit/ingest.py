@@ -131,11 +131,6 @@ def parse_fields(line: str, key_by: str = "ip") -> tuple:
     return _csv_fields(stripped)
 
 
-def parse_result_line(line: str, key_by: str = "ip") -> PingRecord:
-    """Parse one feed line into a :class:`PingRecord`; see :func:`parse_fields`."""
-    return PingRecord(*parse_fields(line, key_by))
-
-
 # json.loads less its per-call checks for a BOM and for whitespace around
 # the value, which a stripped line starting with "{" has none of
 _decode = json.JSONDecoder().raw_decode
@@ -233,25 +228,6 @@ def _csv_fields(text: str) -> tuple:
         )
     except (ValueError, OverflowError) as exc:
         raise ParseError(0, str(exc)) from exc
-
-
-def serialize_record(record: PingRecord) -> str:
-    """Render a record as one JSON feed line.
-
-    ``parse_result_line(serialize_record(r))`` reproduces ``r`` exactly.
-    """
-    obj: dict[str, object] = {
-        "msm_id": record.measurement_id,
-        "from": record.source_id,
-        "dst_addr": record.destination_id,
-        "af": record.address_family,
-        "timestamp": record.start_time,
-        "result": [{"rtt": rtt} for rtt in record.rtt_runs],
-        "status": record.status,
-    }
-    if record.region is not None:
-        obj["region"] = record.region
-    return json.dumps(obj, separators=(",", ":"))
 
 
 def representative_rtt(record: PingRecord) -> float:

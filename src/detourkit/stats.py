@@ -8,20 +8,18 @@ the square root of the variance total for the combined standard deviation.
 The mode of a continuous sample is the center of the most populated
 fixed-width histogram bin; bins are centered on multiples of the bin width,
 so a constant sample reports its own value. Median and mode composition by
-plain addition is a modeling convention, not a distributional identity;
-:func:`monte_carlo_compose` gives the empirical sum-distribution
-alternative.
+plain addition is a modeling convention, not a distributional identity: the
+median and mode of a sum of draws need not match the added per-leg values.
 """
 
 from __future__ import annotations
 
 import math
-import random
 import statistics
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import EmptyInputError, ParseError, ToolkitError, open_text
 
@@ -60,29 +58,6 @@ class RttSummary:
         tolerance = 1e-9 * max(abs(self.variance_ms2), 1.0)
         if abs(self.std_dev_ms**2 - self.variance_ms2) > tolerance:
             raise ValueError("std_dev_ms**2 must equal variance_ms2")
-
-    @classmethod
-    def from_moments(
-        cls,
-        mean_ms: float,
-        median_ms: float,
-        variance_ms2: float,
-        mode_ms: float,
-        sample_count: int = 1,
-        mode_bin_width_ms: float = 0.5,
-        modality: str = MODALITY_UNIMODAL,
-    ) -> "RttSummary":
-        """Build a summary from known moments; std dev is derived."""
-        return cls(
-            mean_ms=mean_ms,
-            median_ms=median_ms,
-            variance_ms2=variance_ms2,
-            mode_ms=mode_ms,
-            std_dev_ms=math.sqrt(variance_ms2),
-            sample_count=sample_count,
-            mode_bin_width_ms=mode_bin_width_ms,
-            modality=modality,
-        )
 
 
 def _histogram(samples: Iterable[float], width: float) -> Counter:
@@ -128,24 +103,19 @@ def _modality(counts: Counter) -> str:
     return MODALITY_MULTIMODAL
 
 
-def summarize(samples: Sequence[float], mode_bin_width_ms: float = 0.5) -> RttSummary:
-    """Summarize a list of RTTs (ms). Samples must be finite and > 0.
-
-    Median uses the midpoint convention for even counts; variance is the
-    population variance; the mode is the center of the most populated bin,
-    with count ties going to the lower bin. Raises :class:`ToolkitError`
-    when the sum, a squared deviation or a bin index passes the largest
-    float.
-    """
-    return describe(samples, mode_bin_width_ms)[0]
-
-
 def describe(
     samples: Sequence[float], mode_bin_width_ms: float
 ) -> tuple[RttSummary, list[tuple[float, int]]]:
-    """``summarize(samples, w)`` for ``w = mode_bin_width_ms``, and the
-    ``(bin center, count)`` pairs of the histogram it takes the mode from,
-    sorted by center (for plotting)."""
+    """Summarize a list of RTTs (ms), and give the ``(bin center, count)``
+    pairs, sorted by center, of the histogram the mode is taken from (for
+    plotting). Samples must be finite and > 0.
+
+    Median uses the midpoint convention for even counts; variance is the
+    population variance; the mode is the center of the most populated bin
+    of width ``mode_bin_width_ms``, with count ties going to the lower bin.
+    Raises :class:`ToolkitError` when the sum, a squared deviation or a bin
+    index passes the largest float.
+    """
     if mode_bin_width_ms <= 0:
         raise ValueError("mode_bin_width_ms must be > 0")
     n = len(samples)
@@ -199,9 +169,9 @@ def compose(path: OverlayPath, forwarding_delay_ms: float = 0.0) -> RttSummary:
     constant relay forwarding delay); variances add and the combined std
     dev is the square root of that total. A multi-peaked leg marks the
     whole prediction as multi-peaked. Median and mode addition follows the
-    per-leg reporting convention; see :func:`monte_carlo_compose` for the
-    empirical alternative. Raises :class:`ToolkitError` when a result is
-    not finite, as when a sum passes the largest float.
+    per-leg reporting convention, not the distribution of summed draws.
+    Raises :class:`ToolkitError` when a result is not finite, as when a sum
+    passes the largest float.
     """
     legs = path.legs
     relay_delay = forwarding_delay_ms * (len(legs) - 1)
@@ -277,30 +247,6 @@ def compare(direct: RttSummary, overlay: RttSummary) -> ComparisonVerdict:
         faster=faster,
         description=description,
     )
-
-
-def monte_carlo_compose(
-    leg_samples: Sequence[Sequence[float]],
-    draws: int = 100_000,
-    rng: Optional[random.Random] = None,
-    mode_bin_width_ms: float = 0.5,
-) -> RttSummary:
-    """Empirical sum-distribution summary: resample each leg and add.
-
-    This is the independent check on :func:`compose`: the mean and variance
-    agree, while median and mode of sums need not match the added per-leg
-    values.
-    """
-    if rng is None:
-        rng = random.Random()
-    if not leg_samples or any(len(leg) == 0 for leg in leg_samples):
-        raise EmptyInputError("every leg needs samples")
-    legs = [list(leg) for leg in leg_samples]
-    try:
-        sums = [math.fsum(rng.choice(leg) for leg in legs) for _ in range(draws)]
-    except OverflowError:
-        raise ToolkitError("leg samples add up past the largest float") from None
-    return summarize(sums, mode_bin_width_ms=mode_bin_width_ms)
 
 
 def read_samples(path: str | Path) -> list[float]:

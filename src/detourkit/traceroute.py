@@ -1,10 +1,9 @@
-"""Textual traceroute parsing, hop counting and city-transit detection.
+"""Textual traceroute parsing and city-transit detection.
 
 Trace files carry a one-line header ``# source_label | destination``
 followed by conventional traceroute output (hop number, responding
-name/address pairs, up to three RTTs, ``*`` for timeouts). Hop counts come
-from the raw hop lines; the TTL left in a ping response gives an
-independent hop estimate.
+name/address pairs, up to three RTTs, ``*`` for timeouts). A trace's hop
+count is its number of hop lines, timeouts included.
 
 Whether a trace transits a given city is decided by reverse-DNS token
 matching first (airport-code style router names), geolocation second;
@@ -29,24 +28,22 @@ VERDICT_UNKNOWN = "unknown"
 # fraction of hops that must be unassessable before "no" degrades to "unknown"
 UNKNOWN_HOP_FRACTION = 0.5
 
-COMMON_INITIAL_TTLS = (64, 128, 255)
-
 _HOP_LINE = re.compile(r"^\s*(\d+)\s+(.*)$")
 _TRACEROUTE_TO = re.compile(r"^traceroute to (\S+)(?: \(([\d.]+)\))?", re.IGNORECASE)
 
 
 @dataclass(frozen=True, slots=True)
 class TracerouteHop:
-    """One hop line. Unresponsive hops have no address and no RTTs.
+    """One hop line. Unresponsive hops have no address.
 
     When a line shows several responding endpoints (per-packet load
-    balancing), the first one names the hop; all RTTs on the line are kept.
+    balancing), the first one names the hop; the RTTs on the line are read
+    past, not kept.
     """
 
     index: int
     address: Optional[str]
     rdns_name: Optional[str]
-    rtts_ms: tuple[float, ...]
 
     @property
     def responded(self) -> bool:
@@ -94,7 +91,6 @@ def _parse_hop_line(index: int, rest: str, lineno: int) -> TracerouteHop:
     tokens = rest.split()
     address: Optional[str] = None
     name: Optional[str] = None
-    rtts: list[float] = []
     saw_endpoint = False
     i = 0
     while i < len(tokens):
@@ -102,14 +98,10 @@ def _parse_hop_line(index: int, rest: str, lineno: int) -> TracerouteHop:
         if token == "*" or token.startswith("!"):
             i += 1
             continue
-        if i + 1 < len(tokens) and tokens[i + 1] == "ms":
-            try:
-                rtts.append(float(token))
-            except ValueError:
-                pass
-            else:
-                i += 2
-                continue
+        # an RTT: float text followed by "ms"
+        if i + 1 < len(tokens) and tokens[i + 1] == "ms" and _is_float(token):
+            i += 2
+            continue
         # a responding endpoint: "name (ip)" or a bare address
         if i + 1 < len(tokens) and tokens[i + 1].startswith("(") and tokens[i + 1].endswith(")"):
             endpoint_name = token
@@ -127,7 +119,7 @@ def _parse_hop_line(index: int, rest: str, lineno: int) -> TracerouteHop:
             # traceroute prints the address twice when reverse DNS fails
             name = endpoint_name if endpoint_name != endpoint_addr else None
             saw_endpoint = True
-    return TracerouteHop(index=index, address=address, rdns_name=name, rtts_ms=tuple(rtts))
+    return TracerouteHop(index=index, address=address, rdns_name=name)
 
 
 def parse_traceroute(text: str) -> TracerouteTrace:
@@ -200,24 +192,6 @@ def parse_traceroute(text: str) -> TracerouteTrace:
 def read_trace_file(path: str | Path) -> TracerouteTrace:
     with open_text(path) as handle:
         return parse_traceroute(handle.read())
-
-
-def hop_count(trace: TracerouteTrace) -> int:
-    """Number of hop lines, counted as printed (timeouts included)."""
-    return len(trace.hops)
-
-
-def ttl_hop_estimate(observed_ttl: int) -> Optional[int]:
-    """Estimate path length from the TTL left in a ping response.
-
-    Assumes the sender started from the nearest common initial TTL at or
-    above the observed value (64, 128 or 255). Returns None when the
-    observed TTL is out of range.
-    """
-    if not 1 <= observed_ttl <= 255:
-        return None
-    initial = min(t for t in COMMON_INITIAL_TTLS if t >= observed_ttl)
-    return initial - observed_ttl + 1
 
 
 def _name_candidates(name: str) -> set[str]:

@@ -6,13 +6,20 @@ The reference report path (one object per insight, sorted, then written
 with :mod:`csv`), the reference per-pair improvement histogram and the
 reference histogram binning live here too: no command runs them, so they
 check the streamed writers, ``DetourRows.histogram`` and ``describe``
-rather than sit beside them in ``src/``.
+rather than sit beside them in ``src/``. So do the one-pair best detour
+(:func:`best_detour`), the resampled sum distribution of relay legs
+(:func:`monte_carlo_compose`, the empirical check on ``compose``) and the
+feed-line writer (:func:`serialize_record`, which ``parse_fields`` reads
+back), with small helpers over what the commands run: :func:`edge_rtt`,
+:func:`summarize`, :func:`summary_from_moments` and
+:func:`parse_result_line`.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import random
 from collections import Counter
@@ -22,8 +29,11 @@ from typing import Iterable, Optional, Sequence
 import pytest
 
 from detourkit.cli import PipelineConfig, resolve_config
-from detourkit.detours import INSIGHT_HEADER, KIND_IMPROVEMENT, DetourInsight
+from detourkit.detours import INSIGHT_HEADER, KIND_BRIDGE, KIND_IMPROVEMENT, DetourInsight
+from detourkit.errors import EmptyInputError, ToolkitError
 from detourkit.graph import EndpointKey, LatencyEdge, LatencyGraph
+from detourkit.ingest import PingRecord, parse_fields
+from detourkit.stats import MODALITY_UNIMODAL, RttSummary, describe
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -56,6 +66,14 @@ def random_graph(rng: random.Random, max_nodes: int = 50, density: float = 0.3) 
     return make_graph(edges)
 
 
+def edge_rtt(
+    graph: LatencyGraph, source: EndpointKey, destination: EndpointKey
+) -> Optional[float]:
+    """Aggregated RTT in ms, or None when no connectivity was observed."""
+    edge = graph.edge(source, destination)
+    return edge.rtt_ms if edge is not None else None
+
+
 def brute_force_detours(graph: LatencyGraph, threshold_pct: float) -> set[tuple]:
     """O(V^3) re-derivation of every insight, keyed for set comparison."""
     found = set()
@@ -64,12 +82,12 @@ def brute_force_detours(graph: LatencyGraph, threshold_pct: float) -> set[tuple]
         for destination in nodes:
             if source == destination:
                 continue
-            direct = graph.edge_rtt(source, destination)
+            direct = edge_rtt(graph, source, destination)
             for via in nodes:
                 if via == source or via == destination:
                     continue
-                leg_in = graph.edge_rtt(source, via)
-                leg_out = graph.edge_rtt(via, destination)
+                leg_in = edge_rtt(graph, source, via)
+                leg_out = edge_rtt(graph, via, destination)
                 if leg_in is None or leg_out is None:
                     continue
                 overlay = leg_in + leg_out
@@ -101,14 +119,38 @@ def brute_force_best(
     for via in sorted(graph.nodes()):
         if via == source or via == destination:
             continue
-        leg_in = graph.edge_rtt(source, via)
-        leg_out = graph.edge_rtt(via, destination)
+        leg_in = edge_rtt(graph, source, via)
+        leg_out = edge_rtt(graph, via, destination)
         if leg_in is None or leg_out is None:
             continue
         overlay = leg_in + leg_out
         if best is None or overlay < best[0]:
             best = (overlay, via)
     return best
+
+
+def best_detour(
+    graph: LatencyGraph, source: EndpointKey, destination: EndpointKey
+) -> Optional[DetourInsight]:
+    """The minimal-overlay relay insight for one pair, or None.
+
+    Ties on overlay RTT break to the smallest via key. The result reports
+    the best relay regardless of any improvement threshold: when the direct
+    edge exists the improvement fields may even be negative.
+    """
+    if source == destination:
+        raise ValueError("source and destination must differ")
+    best = brute_force_best(graph, source, destination)
+    if best is None:
+        return None
+    overlay, via = best
+    direct = edge_rtt(graph, source, destination)
+    if direct is None:
+        return DetourInsight(source, via, destination, overlay, None, None, None, KIND_BRIDGE)
+    gain = direct - overlay
+    return DetourInsight(
+        source, via, destination, overlay, direct, gain, 100.0 * gain / direct, KIND_IMPROVEMENT
+    )
 
 
 def insight_key(insight) -> tuple:
@@ -194,6 +236,81 @@ def frequency_distribution(
     bin k = floor(v / w + 0.5) centered on k * w."""
     counts = Counter(math.floor(value / bin_width_ms + 0.5) for value in samples)
     return [(index * bin_width_ms, counts[index]) for index in sorted(counts)]
+
+
+def summarize(samples: Sequence[float], mode_bin_width_ms: float = 0.5) -> RttSummary:
+    """The summary :func:`describe` gives, without its histogram."""
+    return describe(samples, mode_bin_width_ms)[0]
+
+
+def summary_from_moments(
+    mean_ms: float,
+    median_ms: float,
+    variance_ms2: float,
+    mode_ms: float,
+    sample_count: int = 1,
+    mode_bin_width_ms: float = 0.5,
+    modality: str = MODALITY_UNIMODAL,
+) -> RttSummary:
+    """A summary of known moments; the std dev is derived."""
+    return RttSummary(
+        mean_ms=mean_ms,
+        median_ms=median_ms,
+        variance_ms2=variance_ms2,
+        mode_ms=mode_ms,
+        std_dev_ms=math.sqrt(variance_ms2),
+        sample_count=sample_count,
+        mode_bin_width_ms=mode_bin_width_ms,
+        modality=modality,
+    )
+
+
+def monte_carlo_compose(
+    leg_samples: Sequence[Sequence[float]],
+    draws: int = 100_000,
+    rng: Optional[random.Random] = None,
+    mode_bin_width_ms: float = 0.5,
+) -> RttSummary:
+    """Empirical sum-distribution summary: resample each leg and add.
+
+    This is the independent check on ``compose``: the mean and variance
+    agree, while median and mode of sums need not match the added per-leg
+    values.
+    """
+    if rng is None:
+        rng = random.Random()
+    if not leg_samples or any(len(leg) == 0 for leg in leg_samples):
+        raise EmptyInputError("every leg needs samples")
+    legs = [list(leg) for leg in leg_samples]
+    try:
+        sums = [math.fsum(rng.choice(leg) for leg in legs) for _ in range(draws)]
+    except OverflowError:
+        raise ToolkitError("leg samples add up past the largest float") from None
+    return summarize(sums, mode_bin_width_ms=mode_bin_width_ms)
+
+
+def parse_result_line(line: str, key_by: str = "ip") -> PingRecord:
+    """One feed line as a record, as ``read_result_file`` makes it."""
+    return PingRecord(*parse_fields(line, key_by))
+
+
+def serialize_record(record: PingRecord) -> str:
+    """Render a record as one JSON feed line.
+
+    ``parse_result_line(serialize_record(r))`` reproduces ``r`` exactly.
+    """
+    obj: dict[str, object] = {
+        "msm_id": record.measurement_id,
+        "from": record.source_id,
+        "dst_addr": record.destination_id,
+        "af": record.address_family,
+        "timestamp": record.start_time,
+        "result": [{"rtt": rtt} for rtt in record.rtt_runs],
+        "status": record.status,
+    }
+    if record.region is not None:
+        obj["region"] = record.region
+    return json.dumps(obj, separators=(",", ":"))
 
 
 def load_config_file(path: Path) -> PipelineConfig:

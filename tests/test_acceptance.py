@@ -14,24 +14,23 @@ from itertools import permutations, product
 
 import pytest
 
-from conftest import FIXTURES, improvement_histogram, insight_key, make_graph, random_graph
-from detourkit.cli import ingest_to_graph
-from detourkit.detours import (
-    KIND_BRIDGE,
-    KIND_IMPROVEMENT,
+from conftest import (
+    FIXTURES,
     best_detour,
-    search_detours,
+    edge_rtt,
+    improvement_histogram,
+    insight_key,
+    make_graph,
+    random_graph,
+    summarize,
+    summary_from_moments,
 )
+from detourkit.cli import ingest_to_graph
+from detourkit.detours import KIND_BRIDGE, KIND_IMPROVEMENT, search_detours
 from detourkit.graph import EndpointKey, build_graph
 from detourkit.ingest import FilterSpec, PingRecord, representative_rtt
-from detourkit.stats import OverlayPath, RttSummary, compare, compose, summarize
-from detourkit.traceroute import (
-    LOS_ANGELES,
-    detect_city,
-    hop_count,
-    read_trace_file,
-    ttl_hop_estimate,
-)
+from detourkit.stats import OverlayPath, compare, compose
+from detourkit.traceroute import LOS_ANGELES, detect_city, read_trace_file
 
 
 def report(name: str) -> None:
@@ -43,8 +42,8 @@ def key(text: str) -> EndpointKey:
 
 
 def reference_legs():
-    leg_ab = RttSummary.from_moments(57.451, 58.0, 159.085, 59.0, sample_count=1000)
-    leg_bc = RttSummary.from_moments(
+    leg_ab = summary_from_moments(57.451, 58.0, 159.085, 59.0, sample_count=1000)
+    leg_bc = summary_from_moments(
         10.467, 12.217, 11.511, 12.52, sample_count=1000, modality="bimodal"
     )
     return leg_ab, leg_bc
@@ -67,7 +66,7 @@ def test_direct_vs_overlay_verdict():
     started = time.perf_counter()
     leg_ab, leg_bc = reference_legs()
     composed = compose(OverlayPath(legs=(leg_ab, leg_bc)))
-    direct = RttSummary.from_moments(61.723, 62.0, 117.503, 61.0, sample_count=1000)
+    direct = summary_from_moments(61.723, 62.0, 117.503, 61.0, sample_count=1000)
     verdict = compare(direct, composed)
     assert verdict.median_delta_ms == pytest.approx(8.22, abs=0.01)
     assert verdict.mode_delta_ms == pytest.approx(10.52, abs=0.01)
@@ -100,7 +99,7 @@ def test_reference_insight_fixtures():
     assert newark.overlay_rtt_ms == pytest.approx(43.85, abs=0.01)
     assert newark.improvement_pct == pytest.approx(18.04, abs=0.05)
 
-    assert graph.edge_rtt(key("Illinois"), key("Australia")) is None
+    assert edge_rtt(graph, key("Illinois"), key("Australia")) is None
     bridge = best_detour(graph, key("Illinois"), key("Australia"))
     assert bridge.kind == KIND_BRIDGE
     assert bridge.via == key("France")
@@ -276,20 +275,10 @@ def test_traceroute_corpus():
     results = []
     for path in files:
         trace = read_trace_file(path)
-        results.append((hop_count(trace), detect_city(trace, LOS_ANGELES).verdict))
+        results.append((len(trace.hops), detect_city(trace, LOS_ANGELES).verdict))
     assert results == expected
     assert time.perf_counter() - started < 1.0
     report("traceroute-corpus")
-
-
-def test_ttl_round_trip():
-    started = time.perf_counter()
-    for initial in (64, 128, 255):
-        for true_hops in range(1, 31):
-            observed = initial - true_hops + 1
-            assert ttl_hop_estimate(observed) == true_hops
-    assert time.perf_counter() - started < 1.0
-    report("ttl-round-trip")
 
 
 def test_two_cluster_bimodality():

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import detourkit
-from conftest import FIXTURES, load_config_file, make_graph
+from conftest import FIXTURES, edge_rtt, load_config_file, make_graph, serialize_record
 from detourkit.cli import (
     CONFIG_KEYS,
     HISTOGRAM_COLUMNS,
@@ -38,7 +38,7 @@ from detourkit import stats as stats_module
 from detourkit.detours import DetourRows, search_detours, write_rows_csv, write_rows_json
 from detourkit.errors import ToolkitError
 from detourkit.graph import SNAPSHOT_HEADER, EndpointKey, LatencyGraph, load_graph, save_graph
-from detourkit.ingest import FilterSpec, PingRecord, serialize_record
+from detourkit.ingest import FilterSpec, PingRecord
 
 REFERENCE_EDGES = {
     ("Milpitas", "Morrisdale"): 265.49,
@@ -348,7 +348,7 @@ class TestDetours:
     def test_sub_millisecond_edge_survives_snapshot(self, tmp_path):
         snapshot = tmp_path / "graph.csv"
         save_graph(make_graph({("A", "B"): 0.0004, ("B", "C"): 2.0, ("A", "C"): 3.0}), snapshot)
-        assert load_graph(snapshot).edge_rtt(key("A"), key("B")) == 0.0004
+        assert edge_rtt(load_graph(snapshot), key("A"), key("B")) == 0.0004
         out = tmp_path / "out"
         assert main(["--output-dir", str(out), "detours", str(snapshot)]) == 0
         assert read_csv(out / "insights.csv")[1][:4] == ["A", "B", "C", "2.000"]
@@ -1707,10 +1707,12 @@ def test_generated_command_lines_exit_cleanly(tmp_path, monkeypatch, line):
 
 
 def test_cli_import_loads_no_http_stack():
+    # nor what only ingest's workers and aggregation need, imported where they run
     src = Path(detourkit.__file__).parents[1]
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import detourkit.cli; "
-        "print(sorted({'requests', 'urllib.request'} & set(sys.modules)))"
+        "print(sorted({'requests', 'urllib.request', 'array', 'pickle', 'signal'} "
+        "& set(sys.modules)))"
     )
     result = subprocess.run(
         [sys.executable, "-c", code, str(src)], capture_output=True, text=True, check=True

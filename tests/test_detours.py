@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    best_detour,
     brute_force_best,
     brute_force_detours,
+    edge_rtt,
     improvement_histogram,
     insight_key,
     insight_row,
@@ -30,7 +32,6 @@ from detourkit.detours import (
     KIND_BRIDGE,
     KIND_IMPROVEMENT,
     DetourInsight,
-    best_detour,
     search_detours,
     write_rows_csv,
     write_rows_json,
@@ -107,8 +108,8 @@ class TestEnumerate:
         rng = random.Random(3)
         graph = random_graph(rng, max_nodes=20)
         for insight in search_detours(graph, threshold_pct=0.0).insights():
-            leg_in = graph.edge_rtt(insight.source, insight.via)
-            leg_out = graph.edge_rtt(insight.via, insight.destination)
+            leg_in = edge_rtt(graph, insight.source, insight.via)
+            leg_out = edge_rtt(graph, insight.via, insight.destination)
             assert insight.overlay_rtt_ms == leg_in + leg_out
             if insight.kind == KIND_IMPROVEMENT:
                 assert insight.overlay_rtt_ms < insight.direct_rtt_ms

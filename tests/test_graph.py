@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from conftest import edge_rtt
 from detourkit.errors import ParseError
 from detourkit.graph import (
     SNAPSHOT_HEADER,
@@ -104,7 +105,7 @@ class TestBuildGraph:
             record("A", "B", (20.0,), msm="m2"),
         ]
         graph = build_graph(records)
-        assert graph.edge_rtt(key("A"), key("B")) == 15.0
+        assert edge_rtt(graph, key("A"), key("B")) == 15.0
 
     def test_two_level_averaging_not_flat(self):
         # m1 holds two samples (10, 20 -> mean 15), m2 one sample (25)
@@ -114,7 +115,7 @@ class TestBuildGraph:
             record("A", "B", (25.0,), msm="m2"),
         ]
         graph = build_graph(records)
-        assert graph.edge_rtt(key("A"), key("B")) == pytest.approx(20.0)  # (15+25)/2, not 55/3
+        assert edge_rtt(graph, key("A"), key("B")) == pytest.approx(20.0)  # (15+25)/2, not 55/3
         edge = graph.edge(key("A"), key("B"))
         assert edge.sample_count == 3 and edge.measurement_count == 2
 
@@ -132,14 +133,14 @@ class TestBuildGraph:
 
     def test_directed(self):
         graph = build_graph([record("A", "B", (10.0,))])
-        assert graph.edge_rtt(key("A"), key("B")) == 10.0
-        assert graph.edge_rtt(key("B"), key("A")) is None
+        assert edge_rtt(graph, key("A"), key("B")) == 10.0
+        assert edge_rtt(graph, key("B"), key("A")) is None
 
     def test_no_data_skipped_and_counted(self):
         stats = BuildStats()
         graph = build_graph([record("A", "B", ()), record("A", "B", (3.0,))], stats=stats)
         assert stats.skipped["no_data"] == 1
-        assert graph.edge_rtt(key("A"), key("B")) == 3.0
+        assert edge_rtt(graph, key("A"), key("B")) == 3.0
 
     def test_node_count_is_distinct_keys(self):
         records = [record("A", "B", (1.0,)), record("B", "C", (2.0,)), record("A", "C", (3.0,))]
@@ -174,7 +175,7 @@ class TestBuildGraph:
             contributions.append(runs[1])
             records.append(record("A", "B", runs, msm=f"m{i % 7}"))
         graph = build_graph(records)
-        rtt = graph.edge_rtt(key("A"), key("B"))
+        rtt = edge_rtt(graph, key("A"), key("B"))
         assert min(contributions) <= rtt <= max(contributions)
 
     def test_disconnectivity_is_absent_edge(self):
@@ -185,7 +186,7 @@ class TestBuildGraph:
                 record("1003746", "6636", (4.6, 4.6, 4.6)),
             ]
         )
-        assert graph.edge_rtt(key("10194"), key("6636")) is None
+        assert edge_rtt(graph, key("10194"), key("6636")) is None
 
 
 class TestSnapshot:

@@ -22,6 +22,7 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import parse_result_line
 from detourkit import cli
 from detourkit.errors import NoDataError, ParseError
 from detourkit.graph import BuildStats, EndpointKey
@@ -30,7 +31,6 @@ from detourkit.ingest import (
     FilterSpec,
     filter_records,
     normalize_status,
-    parse_result_line,
     representative_rtt,
 )
 from test_golden import COMMAND_CASES

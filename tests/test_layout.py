@@ -1,6 +1,6 @@
-"""Layout of ``src/detourkit``: every top-level name serves the command line
-or the public API, only the atomic writer and the geo cache write files, and
-no module imports :mod:`threading`.
+"""Layout of ``src/detourkit``: every top-level name, every ``__all__``
+entry and every method serves the command line, only the atomic writer and
+the geo cache write files, and no module imports :mod:`threading`.
 
 The checks read the source with :mod:`ast`; nothing is imported or run.
 Code that only tests call belongs in the tests (``conftest.py`` holds the
@@ -11,7 +11,9 @@ users run.
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
+from typing import Callable
 
 import pytest
 
@@ -58,10 +60,10 @@ def _imports(tree: ast.Module) -> dict[str, tuple[str, str | None]]:
     return bound
 
 
-def unreached_names(package: Path = PACKAGE) -> list[str]:
-    """``module.name`` of each top-level definition that no reference
-    reaches from the names in ``__all__`` and from ``cli.main``. Raises
-    :class:`LookupError` for an ``__all__`` entry that names nothing."""
+def _reached(package: Path) -> tuple[set[tuple[str, str]], dict, Callable]:
+    """The ``(module, name)`` of each top-level definition that references
+    reach from ``cli.main``, each module's definitions, and the resolver of
+    a name as seen in a module to where it is defined."""
     modules = _modules(package)
     defined = {module: _definitions(tree) for module, tree in modules.items()}
     imported = {module: _imports(tree) for module, tree in modules.items()}
@@ -75,13 +77,7 @@ def unreached_names(package: Path = PACKAGE) -> list[str]:
             module, name = target
         return module, name
 
-    (exported,) = defined["__init__"]["__all__"]
     pending: list[tuple[str, str | None]] = [("cli", "main")]
-    for name in ast.literal_eval(exported.value):
-        root = resolve("__init__", name)
-        if root is None:
-            raise LookupError(f"__all__ names {name!r}, which the package does not define")
-        pending.append(root)
     reached: set[tuple[str, str]] = set()
     while pending:
         module, name = pending.pop()
@@ -101,12 +97,60 @@ def unreached_names(package: Path = PACKAGE) -> list[str]:
                     continue
                 if target is not None:
                     pending.append(target)
+    return reached, defined, resolve
+
+
+def unreached_names(package: Path = PACKAGE) -> list[str]:
+    """``module.name`` of each top-level definition that no reference
+    reaches from ``cli.main``."""
+    reached, defined, _ = _reached(package)
     return sorted(
         f"{module}.{name}"
         for module, names in defined.items()
         for name in names
         if not (name.startswith("__") and name.endswith("__")) and (module, name) not in reached
     )
+
+
+def unreached_exports(package: Path = PACKAGE) -> list[str]:
+    """Each ``__all__`` entry whose definition ``cli.main`` does not reach.
+    Raises :class:`LookupError` for an entry that names nothing."""
+    reached, defined, resolve = _reached(package)
+    (exported,) = defined["__init__"]["__all__"]
+    unreached = []
+    for name in ast.literal_eval(exported.value):
+        root = resolve("__init__", name)
+        if root is None:
+            raise LookupError(f"__all__ names {name!r}, which the package does not define")
+        if root not in reached:
+            unreached.append(name)
+    return unreached
+
+
+def uncalled_members(package: Path = PACKAGE) -> list[str]:
+    """``module.Class.member`` of each method or property, dunders aside,
+    whose name no attribute (``.member``) in the package names outside the
+    member's own ``def``."""
+    trees = _modules(package)
+
+    def attributes(tree: ast.AST) -> Counter:
+        return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+
+    named = sum((attributes(tree) for tree in trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for member in cls.body:
+                if not isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = member.name
+                if name.startswith("__") and name.endswith("__"):
+                    continue
+                if named[name] - attributes(member)[name] <= 0:
+                    found.append(f"{module}.{cls.name}.{name}")
+    return sorted(found)
 
 
 def _open_mode(call: ast.Call) -> ast.expr | None:
@@ -154,7 +198,17 @@ def writing_calls(package: Path = PACKAGE) -> list[str]:
 
 def test_every_top_level_name_is_reached():
     unreached = unreached_names()
-    assert not unreached, f"reached from neither __all__ nor cli.main: {', '.join(unreached)}"
+    assert not unreached, f"not reached from cli.main: {', '.join(unreached)}"
+
+
+def test_every_export_is_reached():
+    unreached = unreached_exports()
+    assert not unreached, f"__all__ names what cli.main does not reach: {', '.join(unreached)}"
+
+
+def test_every_member_is_named_outside_its_def():
+    uncalled = uncalled_members()
+    assert not uncalled, f"named nowhere in src/detourkit but their own def: {', '.join(uncalled)}"
 
 
 def test_only_the_atomic_writer_and_the_geo_cache_write_files():
@@ -166,11 +220,13 @@ def test_the_scan_sees_a_test_only_helper_and_a_writer(tmp_path):
     package = tmp_path / "detourkit"
     package.mkdir()
     (package / "__init__.py").write_text(
-        '__all__ = ["run"]\n__version__ = "1"\nfrom .core import run\n', encoding="utf-8"
+        '__all__ = ["run", "exported_only"]\n__version__ = "1"\n'
+        "from .core import exported_only, run\n",
+        encoding="utf-8",
     )
     (package / "cli.py").write_text(
         "from . import core as core_mod\n"
-        "def main():\n    return core_mod.LIMIT\n",
+        "def main():\n    return core_mod.run() + core_mod.LIMIT + core_mod.Box().used\n",
         encoding="utf-8",
     )
     (package / "core.py").write_text(
@@ -179,10 +235,24 @@ def test_the_scan_sees_a_test_only_helper_and_a_writer(tmp_path):
         "def _helper():\n    return open('x').read()\n"
         "def only_tests():\n    return _twice()\n"
         "def _twice():\n    return 2\n"
-        "def dump(path):\n    with open(path, 'a', encoding='utf-8') as f:\n        f.write('')\n",
+        "def exported_only():\n    return 1\n"
+        "def dump(path):\n    with open(path, 'a', encoding='utf-8') as f:\n        f.write('')\n"
+        "class Box:\n"
+        "    def __init__(self):\n        self.size = 0\n"
+        "    @property\n    def used(self):\n        return self.size\n"
+        "    def uncalled(self):\n        return self.uncalled()\n",
         encoding="utf-8",
     )
-    assert unreached_names(package) == ["core._twice", "core.dump", "core.only_tests"]
+    # __all__ is no root: a name it alone reaches is unreached
+    assert unreached_names(package) == [
+        "core._twice",
+        "core.dump",
+        "core.exported_only",
+        "core.only_tests",
+    ]
+    assert unreached_exports(package) == ["exported_only"]
+    # a method named only inside its own def is uncalled
+    assert uncalled_members(package) == ["core.Box.uncalled"]
     assert writing_calls(package) == ["core.dump"]
     # an __all__ entry naming nothing fails the scan, bound or not
     for init in (
@@ -191,7 +261,7 @@ def test_the_scan_sees_a_test_only_helper_and_a_writer(tmp_path):
     ):
         (package / "__init__.py").write_text(init, encoding="utf-8")
         with pytest.raises(LookupError, match="'(no_such_name|gone)'"):
-            unreached_names(package)
+            unreached_exports(package)
 
 
 def test_no_module_imports_threading():

@@ -10,19 +10,10 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import frequency_distribution
+from conftest import frequency_distribution, monte_carlo_compose, summarize, summary_from_moments
 from detourkit.cli import SUMMARY_COLUMNS, write_table
 from detourkit.errors import EmptyInputError, ParseError, ToolkitError
-from detourkit.stats import (
-    OverlayPath,
-    RttSummary,
-    compare,
-    compose,
-    describe,
-    monte_carlo_compose,
-    read_samples,
-    summarize,
-)
+from detourkit.stats import OverlayPath, RttSummary, compare, compose, describe, read_samples
 from detourkit.stats import _peaks
 
 # full-precision per-leg statistics of the reference measurement runs
@@ -47,7 +38,7 @@ DIRECT_AC = dict(
 
 
 def leg(stats_dict, modality="unimodal", n=1000):
-    return RttSummary.from_moments(sample_count=n, modality=modality, **stats_dict)
+    return summary_from_moments(sample_count=n, modality=modality, **stats_dict)
 
 
 class TestSummarize:
@@ -152,7 +143,7 @@ class TestCompose:
         assert composed.std_dev_ms == pytest.approx(one.std_dev_ms, rel=1e-15)
 
     def test_zero_variance_leg_keeps_other_std(self):
-        flat = RttSummary.from_moments(5.0, 5.0, 0.0, 5.0, sample_count=10)
+        flat = summary_from_moments(5.0, 5.0, 0.0, 5.0, sample_count=10)
         other = leg(LEG_BC, modality="bimodal")
         composed = compose(OverlayPath(legs=(flat, other)))
         assert composed.std_dev_ms == other.std_dev_ms
@@ -184,7 +175,7 @@ class TestCompose:
         rng = random.Random(31)
         for _ in range(50):
             legs = tuple(
-                RttSummary.from_moments(
+                summary_from_moments(
                     rng.uniform(1, 50),
                     rng.uniform(1, 50),
                     rng.uniform(0, 40),
@@ -293,10 +284,12 @@ class TestSampleIo:
     st.sampled_from([0.01, 0.1, 0.5, 1.0, 7.5]),
 )
 def test_describe_is_summarize_and_frequency_distribution(samples, width):
-    assert describe(samples, width) == (
-        summarize(samples, mode_bin_width_ms=width),
-        frequency_distribution(samples, width),
-    )
+    summary, distribution = describe(samples, width)
+    assert distribution == frequency_distribution(samples, width)
+    # the mode is the center of the fullest bin of that histogram, ties to the lower
+    assert summary.mode_ms == max(distribution, key=lambda bin: (bin[1], -bin[0]))[0]
+    assert summary.median_ms == statistics.median(samples)
+    assert summary.sample_count == len(samples)
 
 
 def brute_force_peaks(counts):
@@ -324,9 +317,8 @@ def test_peaks_match_brute_force(bins):
 
 
 def test_describe_bin_index_overflow_is_a_toolkit_error():
-    for binned in (describe, summarize):
-        with pytest.raises(ToolkitError, match="passes the largest float"):
-            binned([1.0, 1e308], 1e-10)
+    with pytest.raises(ToolkitError, match="passes the largest float"):
+        describe([1.0, 1e308], 1e-10)
 
 
 class TestSummaryInvariants:
@@ -352,10 +344,10 @@ class TestSummaryInvariants:
 
 class TestFloatOverflow:
     """Finite values whose sum passes the largest float raise ToolkitError
-    (``summarize`` is checked through ``overlay`` in test_cli.py)."""
+    (``describe`` is checked through ``overlay`` in test_cli.py)."""
 
     def test_compose(self):
-        huge = RttSummary.from_moments(1e308, 1e308, 0.0, 1e308)
+        huge = summary_from_moments(1e308, 1e308, 0.0, 1e308)
         with pytest.raises(ToolkitError):
             compose(OverlayPath(legs=(huge, huge)))
 

@@ -1,4 +1,4 @@
-"""Traceroute parsing, hop counting, TTL cross-checks, city detection."""
+"""Traceroute parsing, hop counting and city detection."""
 
 from __future__ import annotations
 
@@ -19,10 +19,8 @@ from detourkit.traceroute import (
     TracerouteHop,
     TracerouteTrace,
     detect_city,
-    hop_count,
     parse_traceroute,
     read_trace_file,
-    ttl_hop_estimate,
 )
 
 TABLE_SHAPE = [
@@ -53,17 +51,14 @@ class TestParse:
         assert trace.destination == "target.example.net"
         assert len(trace.hops) == 2
         assert trace.reached is True
-        first = trace.hops[0]
-        assert first.address == "198.51.100.1"
-        assert first.rdns_name == "gw.example.net"
-        assert first.rtts_ms == (1.0, 1.1, 0.9)
+        assert trace.hops[0] == TracerouteHop(1, "198.51.100.1", "gw.example.net")
 
     def test_unresponsive_hop(self):
         trace = parse_traceroute(
             "# x | y\n 1  gw (10.0.0.1)  1.0 ms\n 2  * * *\n 3  y (10.0.0.9)  3.0 ms\n"
         )
         hop = trace.hops[1]
-        assert hop.address is None and hop.rdns_name is None and hop.rtts_ms == ()
+        assert hop == TracerouteHop(2, None, None)
         assert not hop.responded
 
     def test_bare_ip_has_no_rdns(self):
@@ -80,27 +75,29 @@ class TestParse:
         trace = parse_traceroute(
             "# x | y\n 1  a.example (10.0.0.1)  1.0 ms  b.example (10.0.0.2)  2.0 ms\n"
         )
-        hop = trace.hops[0]
-        assert hop.address == "10.0.0.1"
-        assert hop.rdns_name == "a.example"
-        assert hop.rtts_ms == (1.0, 2.0)
+        # the first endpoint names the hop; each RTT is read past
+        assert trace.hops == (TracerouteHop(1, "10.0.0.1", "a.example"),)
 
     def test_repeat_rtt_for_same_endpoint(self):
         trace = parse_traceroute("# x | y\n 1  gw (10.0.0.1)  1.0 ms  1.2 ms  *\n")
-        assert trace.hops[0].rtts_ms == (1.0, 1.2)
+        assert trace.hops == (TracerouteHop(1, "10.0.0.1", "gw"),)
 
     def test_annotation_tokens_ignored(self):
         trace = parse_traceroute("# x | y\n 1  gw (10.0.0.1)  1.0 ms !H  1.2 ms\n")
-        assert trace.hops[0].rtts_ms == (1.0, 1.2)
+        assert trace.hops == (TracerouteHop(1, "10.0.0.1", "gw"),)
 
-    # an RTT is any text float() reads, followed by "ms"
+    # an RTT is any text float() reads, followed by "ms"; it is read past,
+    # where the same text without "ms" is a dangling value
     @pytest.mark.parametrize(
         "token, rtt", [("1_0", 10.0), ("1e1", 10.0), (".5", 0.5), ("nan", math.nan)]
     )
     def test_float_text_before_ms_is_an_rtt(self, token, rtt):
+        assert float(token) == rtt or math.isnan(rtt)
         trace = parse_traceroute(f"# x | y\n 1  gw (10.0.0.1)  {token} ms\n")
-        (parsed,) = trace.hops[0].rtts_ms
-        assert parsed == rtt or math.isnan(parsed) and math.isnan(rtt)
+        assert trace.hops == (TracerouteHop(1, "10.0.0.1", "gw"),)
+        # and before the hop's endpoint
+        trace = parse_traceroute(f"# x | y\n 1  {token} ms  gw (10.0.0.1)\n")
+        assert trace.hops == (TracerouteHop(1, "10.0.0.1", "gw"),)
 
     @pytest.mark.parametrize("token", ["12.5", "inf"])
     def test_float_text_without_ms_is_dangling(self, token):
@@ -136,7 +133,7 @@ class TestHopCount:
     def test_fixture_corpus(self, fixtures_dir, filename, label, hops, verdict):
         trace = read_trace_file(fixtures_dir / "traceroutes" / filename)
         assert trace.source_label == label
-        assert hop_count(trace) == hops
+        assert len(trace.hops) == hops
         assert detect_city(trace, LOS_ANGELES).verdict == verdict
 
     def test_single_hop_loopback(self):
@@ -144,38 +141,11 @@ class TestHopCount:
             "# local | localhost\ntraceroute to localhost (127.0.0.1), 30 hops max\n"
             " 1  localhost (127.0.0.1)  0.05 ms  0.04 ms  0.04 ms\n"
         )
-        assert hop_count(trace) == 1
+        assert len(trace.hops) == 1
 
     def test_counts_unresponsive_trailing_hops(self):
         trace = parse_traceroute("# x | y\n 1  gw (10.0.0.1)  1.0 ms\n 2  * * *\n 3  * * *\n")
-        assert hop_count(trace) == 3
-
-
-class TestTtlEstimate:
-    def test_observed_sixty_means_five_hops(self):
-        # initial 64: 64 - 60 + 1, and the matching 5-hop fixture agrees
-        assert ttl_hop_estimate(60) == 5
-
-    def test_sender_adjacent(self):
-        assert ttl_hop_estimate(64) == 1
-        assert ttl_hop_estimate(128) == 1
-        assert ttl_hop_estimate(255) == 1
-
-    def test_out_of_contract(self):
-        assert ttl_hop_estimate(0) is None
-        assert ttl_hop_estimate(256) is None
-        assert ttl_hop_estimate(-3) is None
-
-    def test_round_trip_over_common_initials(self):
-        for initial in (64, 128, 255):
-            for true_hops in range(1, 31):
-                observed = initial - true_hops + 1
-                assert ttl_hop_estimate(observed) == true_hops
-
-    def test_cross_check_against_fixture(self, fixtures_dir):
-        trace = read_trace_file(fixtures_dir / "traceroutes" / "01_ucsd_cse_wifi.txt")
-        assert ttl_hop_estimate(60) == hop_count(trace)
-        assert ttl_hop_estimate(40) != hop_count(trace)
+        assert len(trace.hops) == 3
 
 
 class TestDetectCity:
@@ -282,7 +252,6 @@ def traces_and_tables(draw):
             index=index,
             address=draw(st.none() | st.sampled_from(ADDRESSES)),
             rdns_name=draw(st.none() | st.sampled_from(NAMES)),
-            rtts_ms=(),
         )
         for index in range(1, draw(st.integers(0, 8)) + 1)
     )
