@@ -2,12 +2,22 @@
 
 Stages communicate through snapshot files so a multi-gigabyte ingestion is
 paid once. Subcommands: ingest, detours, traceroutes, overlay, geo-warm.
+
+``ingest``, ``traceroutes`` and ``overlay`` work on every usable CPU
+through one share runner, :func:`run_shares`: the command's own process
+works through the first share of its inputs and a forked child through
+each other share, and the results come back in share order, so the output
+is that of one process whatever the CPU count. ``ingest`` deals its feed
+files round-robin; ``traceroutes`` and ``overlay`` go through
+:func:`map_in_order`, which cuts their inputs into contiguous slices.
+``detours`` and ``geo-warm`` run in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import functools
 import json
@@ -173,18 +183,17 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _while_parent_lives(records: Iterable[PingRecord], parent: int) -> Iterator[PingRecord]:
-    """``records``, cut short by ``os._exit`` once the process ``parent`` is
-    gone, so a worker outlives a killed command by at most 4096 records."""
-    for count, record in enumerate(records):
-        if not count & 4095 and os.getppid() != parent:
+def _while_parent_lives(items: Iterable, parent: int) -> Iterator:
+    """``items``, cut short by ``os._exit`` once the process ``parent`` is
+    gone, so a child outlives a killed command by at most one item."""
+    for item in items:
+        if os.getppid() != parent:
             os._exit(1)
-        yield record
+        yield item
 
 
-def _fork_share(kept: Callable[[FeedStats], Iterable[PingRecord]]) -> tuple[int, BinaryIO]:
-    """Fork a child that groups the records ``kept(feed_stats)`` yields and
-    pickles ``(groups, FeedStats, BuildStats)``, or the exception it met,
+def _fork_share(work: Callable) -> tuple[int, BinaryIO]:
+    """Fork a child that pickles ``work(alive)``, or the exception it met,
     into a pipe; returns its pid and the pipe's read end."""
     import pickle
 
@@ -197,10 +206,8 @@ def _fork_share(kept: Callable[[FeedStats], Iterable[PingRecord]]) -> tuple[int,
         code = 1
         try:
             os.close(read_fd)
-            feed, build = FeedStats(), BuildStats()
             try:
-                records = _while_parent_lives(kept(feed), parent)
-                result = (group_samples(records, build, {}), feed, build)
+                result = work(functools.partial(_while_parent_lives, parent=parent))
             except BaseException as exc:  # raised again by the parent
                 result = exc
             with os.fdopen(write_fd, "wb") as pipe:
@@ -212,32 +219,79 @@ def _fork_share(kept: Callable[[FeedStats], Iterable[PingRecord]]) -> tuple[int,
     return pid, os.fdopen(read_fd, "rb")
 
 
-def _worker_groups(
-    workers: list[tuple[int, BinaryIO]], feed: FeedStats, build: BuildStats
-) -> Iterator[dict]:
-    """Each worker's groups in turn, its counters added to ``feed`` and
-    ``build``; a worker's exception is raised here. A worker leaves
-    ``workers`` once reaped."""
-    import pickle
+def run_shares(name: str, work: Callable, shares: Sequence) -> Iterator:
+    """Yield ``work(share, alive)`` of each share, in share order. The first
+    share runs in this process; each other share runs in a child forked for
+    it, which pickles its result back through a pipe. ``work`` draws the
+    items it loops over through ``alive``, so that a child whose command
+    was killed (no cleanup runs then) stops at its next item.
 
-    while workers:
-        pid, pipe = workers[0]
-        with pipe:
-            # read as it is unpickled, so its bytes are never all held at once
-            try:
-                result = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                result = None  # the worker stopped before it was done
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        del workers[0]
-        if code != 0 or result is None:
-            raise ToolkitError(f"ingest worker {pid} exited with status {code}")
-        if isinstance(result, BaseException):
-            raise result
-        groups, worker_feed, worker_build = result
-        feed.merge(worker_feed)
-        build.merge(worker_build)
-        yield groups
+    An exception in any share, or closing this generator, stops and reaps
+    the children left; the exception is raised here, in its share's place.
+    A child that stops without a result raises :class:`ToolkitError`,
+    naming it a ``name`` worker.
+    """
+    children: list[tuple[int, BinaryIO]] = []
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(functools.partial(work, share)))
+        yield work(shares[0], lambda items: items)
+        if children:
+            import pickle
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                # read as it is unpickled, so its bytes are never all held at once
+                try:
+                    result, done = pickle.load(pipe), True
+                except (EOFError, pickle.UnpicklingError):
+                    done = False  # the child stopped before it was done
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if code != 0 or not done:
+                raise ToolkitError(f"{name} worker {pid} exited with status {code}")
+            if isinstance(result, BaseException):
+                raise result
+            yield result
+    finally:
+        if children:  # left by an error or a consumer that stopped early
+            import signal
+
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _share_count(items: Sequence) -> int:
+    """One share per usable CPU, at most one per item, and at least one."""
+    return min(len(items), usable_cpus()) or 1
+
+
+def map_in_order(name: str, function: Callable, items: Sequence) -> Iterator:
+    """``function(item)`` of each item, in item order, worked out by
+    :func:`run_shares` over contiguous slices of ``items``. An exception is
+    raised in the place of its item's result, after every earlier item's,
+    as a loop over ``items`` in one process would raise it."""
+
+    def share_results(share: Sequence, alive) -> tuple[list, Optional[Exception]]:
+        results = []
+        try:
+            for item in alive(share):
+                results.append(function(item))
+        except Exception as exc:  # any error waits until the earlier items are out
+            return results, exc
+        return results, None
+
+    count = _share_count(items)
+    size = len(items)
+    slices = [items[size * index // count : size * (index + 1) // count] for index in range(count)]
+    # a failure or an early stop closes the runner, which stops the later shares
+    with contextlib.closing(run_shares(name, share_results, slices)) as shares:
+        for results, failure in shares:
+            yield from results
+            if failure is not None:
+                raise failure
 
 
 def ingest_to_graph(
@@ -249,43 +303,40 @@ def ingest_to_graph(
 ) -> tuple[LatencyGraph, FeedStats, BuildStats]:
     """Run the parse -> filter -> aggregate pipeline over feed files.
 
-    The files are dealt round-robin into one share per usable CPU, at most
-    one per file. Each share but the first goes to a forked child, which
-    parses, filters and groups it as this process does the first. The
-    children's sample groups join this process's, run by run, before
-    ``build_graph`` takes the edge weights, and their counters add to this
-    process's.
+    The files are dealt round-robin into the shares of :func:`run_shares`,
+    each of which is parsed, filtered and grouped by
+    :func:`group_samples`. The groups of every share join before
+    ``build_graph`` takes the edge weights, and the counters add up.
     ``math.fsum`` is correctly rounded, so a weight does not depend on the
     order of its samples: the graph and the counters are those of one
-    process reading every file, bit for bit, whatever the CPU count. An
-    error in any share stops and reaps the children and is raised here.
+    process reading every file, bit for bit, whatever the CPU count.
     """
-    count = min(len(paths), usable_cpus()) or 1
-    shares = [paths[index::count] for index in range(count)]
-    feed_stats = FeedStats()
-    build_stats = BuildStats()
+    count = _share_count(paths)
+    keys: dict[str, EndpointKey] = {}
 
-    def kept(share: Sequence[Path], stats: FeedStats) -> Iterator[PingRecord]:
-        def stream():
+    def group(share: Sequence[Path], alive) -> tuple[dict, FeedStats, BuildStats]:
+        feed, build = FeedStats(), BuildStats()
+
+        def records() -> Iterator[PingRecord]:
             for path in share:
-                yield from read_result_file(path, key_by=key_by, sidecar=sidecar, stats=stats)
+                yield from read_result_file(path, key_by=key_by, sidecar=sidecar, stats=feed)
 
-        return filter_records(stream(), spec, drops=stats.drops, region_of=region_of)
+        kept = filter_records(records(), spec, drops=feed.drops, region_of=region_of)
+        return group_samples(alive(kept), build, keys), feed, build
 
-    workers: list[tuple[int, BinaryIO]] = []
-    try:
-        for share in shares[1:]:
-            workers.append(_fork_share(functools.partial(kept, share)))
-        merge = _worker_groups(workers, feed_stats, build_stats)
-        graph = build_graph(kept(shares[0], feed_stats), stats=build_stats, merge=merge)
-    finally:
-        if workers:  # left by an error: stop and reap them
-            import signal
+    shares = [paths[index::count] for index in range(count)]
+    with contextlib.closing(run_shares("ingest", group, shares)) as results:
+        groups, feed_stats, build_stats = next(results)
 
-            for pid, pipe in workers:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        def merge() -> Iterator[dict]:
+            # one child's groups at a time, each read once the last is joined
+            yield groups
+            for other_groups, feed, build in results:
+                feed_stats.merge(feed)
+                build_stats.merge(build)
+                yield other_groups
+
+        graph = build_graph((), stats=build_stats, merge=merge(), keys=keys)
     return graph, feed_stats, build_stats
 
 
@@ -440,24 +491,25 @@ def cmd_traceroutes(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     spec = traceroute_mod.CitySpec(tokens=tokens, geo_city=args.geo_city)
     locate = _cached_locate(cfg)
 
-    rows = []
-    failures = 0
-    for path in sorted(p for p in Path(args.trace_dir).iterdir() if p.is_file()):
+    def report(path: Path) -> tuple[Optional[tuple], Optional[str]]:
+        """The trace's report row, or the error line of a malformed one."""
         try:
             trace = traceroute_mod.read_trace_file(path)
         except ParseError as exc:
-            failures += 1
-            print(f"error: {path.name}: {exc}", file=sys.stderr)
-            continue
+            return None, f"error: {path.name}: {exc}"
         detection = traceroute_mod.detect_city(trace, spec, locate)
-        rows.append(
-            (
-                trace.source_label or path.stem,
-                trace.destination,
-                len(trace.hops),
-                detection.verdict.capitalize(),
-            )
-        )
+        verdict = detection.verdict.capitalize()
+        return (trace.source_label or path.stem, trace.destination, len(trace.hops), verdict), None
+
+    rows = []
+    failures = 0
+    paths = sorted(p for p in Path(args.trace_dir).iterdir() if p.is_file())
+    for row, error in map_in_order("traceroutes", report, paths):
+        if error is not None:
+            failures += 1
+            print(error, file=sys.stderr)
+        else:
+            rows.append(row)
 
     write_table(
         cfg.output_dir / f"traceroute_report.{cfg.format}",
@@ -491,33 +543,36 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             raise ValueError(f"labels {owners[name]!r} and {label!r} would both write {name}")
         owners[name] = label
 
-    def load(path: Path) -> list[float]:
+    def describe(path: Path) -> tuple[stats_mod.RttSummary, list[tuple[float, int]]]:
+        # only the distribution is kept, so the samples are freed once summarized
         samples = stats_mod.read_samples(path)
         if not samples:
             raise EmptyInputError(f"no samples in {path}")
-        return samples
+        return stats_mod.describe(samples, cfg.mode_bin_width_ms)
 
-    # keep only each file's distribution, so its samples are freed once summarized
+    inputs = [path for _, path in legs] + ([Path(args.direct)] if args.direct is not None else [])
     rows: list[tuple[str, stats_mod.RttSummary]] = []
     distributions: list[tuple[str, list[tuple[float, int]]]] = []
     leg_summaries = []
-    for label, path in legs:
-        summary, dist = stats_mod.describe(load(path), cfg.mode_bin_width_ms)
-        rows.append((label, summary))
-        distributions.append((label, dist))
-        leg_summaries.append(summary)
+    composed = direct = None
+    # the legs are composed before the direct input's result is taken, so a
+    # composing error comes before that input's own, as in one loop
+    with contextlib.closing(map_in_order("overlay", describe, inputs)) as described:
+        for label, _ in legs:
+            summary, dist = next(described)
+            rows.append((label, summary))
+            distributions.append((label, dist))
+            leg_summaries.append(summary)
 
-    composed = None
-    if leg_summaries:
-        path_obj = stats_mod.OverlayPath(legs=tuple(leg_summaries))
-        composed = stats_mod.compose(path_obj, forwarding_delay_ms=cfg.forwarding_delay_ms)
-        rows.append(("composed:" + "+".join(label for label, _ in legs), composed))
+        if leg_summaries:
+            path_obj = stats_mod.OverlayPath(legs=tuple(leg_summaries))
+            composed = stats_mod.compose(path_obj, forwarding_delay_ms=cfg.forwarding_delay_ms)
+            rows.append(("composed:" + "+".join(label for label, _ in legs), composed))
 
-    direct = None
-    if args.direct is not None:
-        direct, dist = stats_mod.describe(load(Path(args.direct)), cfg.mode_bin_width_ms)
-        rows.append(("direct", direct))
-        distributions.append(("direct", dist))
+        if args.direct is not None:
+            direct, dist = next(described)
+            rows.append(("direct", direct))
+            distributions.append(("direct", dist))
 
     write_table(
         cfg.output_dir / f"overlay_summary.{cfg.format}",

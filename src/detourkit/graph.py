@@ -190,6 +190,7 @@ def build_graph(
     records: Iterable[PingRecord],
     stats: Optional[BuildStats] = None,
     merge: Iterable[dict] = (),
+    keys: Optional[dict[str, EndpointKey]] = None,
 ) -> LatencyGraph:
     """Aggregate filtered records into a latency graph.
 
@@ -200,18 +201,22 @@ def build_graph(
     taken. fsum is correctly rounded, so a weight does not depend on the
     order of its samples: the graph is bit-identical under any record
     reordering or split of the records between ``records`` and ``merge``.
-    Raises :class:`ToolkitError` when finite RTTs add up past the largest
-    float.
+    ``keys`` is the endpoint key map of :func:`group_samples`; passing the
+    one that some merged groups were made with spares parsing their
+    endpoints again. Raises :class:`ToolkitError` when finite RTTs add up
+    past the largest float.
     """
     if stats is None:
         stats = BuildStats()
-    keys: dict[str, EndpointKey] = {}
+    if keys is None:
+        keys = {}
     groups = group_samples(records, stats, keys)
     for other in merge:
+        if not groups:  # nothing to join it to: taken as it is
+            groups = other
+            continue
         while other:  # each merged run is freed at once
             pair, other_by_msm = other.popitem()
-            for value in pair:
-                _shared_key(keys, value)
             by_msm = groups.setdefault(pair, {})
             for msm, rtts in other_by_msm.items():
                 run = by_msm.setdefault(msm, rtts)
@@ -230,8 +235,8 @@ def build_graph(
             raise ToolkitError(f"RTTs of {source} -> {destination} add up past the largest float")
         graph.add_edge(
             LatencyEdge(
-                source=keys[source],
-                destination=keys[destination],
+                source=_shared_key(keys, source),
+                destination=_shared_key(keys, destination),
                 rtt_ms=rtt,
                 sample_count=sum(len(rtts) for rtts in by_msm.values()),
                 measurement_count=len(by_msm),

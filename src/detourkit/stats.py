@@ -15,11 +15,11 @@ median and mode of a sum of draws need not match the added per-leg values.
 from __future__ import annotations
 
 import math
-import statistics
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import EmptyInputError, ParseError, ToolkitError, open_text
 
@@ -58,16 +58,6 @@ class RttSummary:
         tolerance = 1e-9 * max(abs(self.variance_ms2), 1.0)
         if abs(self.std_dev_ms**2 - self.variance_ms2) > tolerance:
             raise ValueError("std_dev_ms**2 must equal variance_ms2")
-
-
-def _histogram(samples: Iterable[float], width: float) -> Counter:
-    """Sample count per bin index; bins are centered on multiples of
-    ``width``, so bin k covers [k*w - w/2, k*w + w/2)."""
-    try:
-        return Counter(math.floor(value / width + 0.5) for value in samples)
-    except OverflowError:
-        message = f"a sample over the bin width {width:g} passes the largest float"
-        raise ToolkitError(message) from None
 
 
 def _peaks(counts: Counter) -> list[tuple[int, int]]:
@@ -130,9 +120,26 @@ def describe(
         variance = math.fsum((value - mean) ** 2 for value in samples) / n
     except OverflowError:
         raise ToolkitError("the sample sum or variance passes the largest float") from None
-    median = statistics.median(samples)
+    ordered = sorted(samples)
+    middle = n // 2
+    median = ordered[middle] if n % 2 else (ordered[middle - 1] + ordered[middle]) / 2
 
-    counts = _histogram(samples, mode_bin_width_ms)
+    # bin k = floor(v / w + 0.5) covers [k*w - w/2, k*w + w/2); k never
+    # decreases as v grows, so each bin is one run of the sorted samples
+    def bin_index(value: float) -> int:
+        return math.floor(value / mode_bin_width_ms + 0.5)
+
+    counts: Counter = Counter()
+    start = 0
+    try:
+        while start < n:
+            index = bin_index(ordered[start])
+            end = bisect_right(ordered, index, start, n, key=bin_index)
+            counts[index] = end - start
+            start = end
+    except OverflowError:
+        message = f"a sample over the bin width {mode_bin_width_ms:g} passes the largest float"
+        raise ToolkitError(message) from None
     mode_index, _ = max(counts.items(), key=lambda item: (item[1], -item[0]))
     mode = mode_index * mode_bin_width_ms
 
@@ -146,7 +153,7 @@ def describe(
         mode_bin_width_ms=mode_bin_width_ms,
         modality=_modality(counts),
     )
-    return summary, [(index * mode_bin_width_ms, counts[index]) for index in sorted(counts)]
+    return summary, [(index * mode_bin_width_ms, count) for index, count in counts.items()]
 
 
 @dataclass(frozen=True)
@@ -258,14 +265,15 @@ def read_samples(path: str | Path) -> list[float]:
     samples: list[float] = []
     with open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
-                continue
+            # float() skips the whitespace that strip() would
             try:
-                value = float(text)
+                value = float(line)
             except ValueError as exc:
+                text = line.strip()
+                if not text or text.startswith("#"):
+                    continue
                 raise ParseError(lineno, f"bad sample {text!r}") from exc
             if not 0 < value < math.inf:
-                raise ParseError(lineno, f"sample must be finite and > 0, got {text!r}")
+                raise ParseError(lineno, f"sample must be finite and > 0, got {line.strip()!r}")
             samples.append(value)
     return samples

@@ -251,14 +251,13 @@ def running(pid: int) -> bool:
     return state not in ("Z", "X")
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
-def test_worker_of_a_killed_command_exits(tmp_path):
-    # SIGKILL runs no finally block, so the worker itself sees its parent go
-    pid_file = tmp_path / "worker.pid"
+def assert_worker_of_killed_command_exits(script: str, argv: list[str], pid_file: Path) -> None:
+    """Run ``script`` with ``argv``, kill it once its worker has written
+    ``pid_file``, and wait for that worker to exit by itself: SIGKILL runs
+    no finally block, so the worker itself must see its parent go."""
     src = Path(cli.__file__).resolve().parents[1]
-    argv = [*split_feed(tmp_path), str(pid_file), str(tmp_path / "out")]
     command = subprocess.Popen(
-        [sys.executable, "-c", KILLED_COMMAND, *argv], env=dict(os.environ, PYTHONPATH=str(src))
+        [sys.executable, "-c", script, *argv], env=dict(os.environ, PYTHONPATH=str(src))
     )
     try:
         deadline = time.monotonic() + 30
@@ -269,11 +268,18 @@ def test_worker_of_a_killed_command_exits(tmp_path):
         command.kill()
         command.wait()
     worker = int(pid_file.read_text(encoding="ascii"))
-    deadline = time.monotonic() + 30
+    deadline = time.monotonic() + 20
     try:
         while running(worker):
             assert time.monotonic() < deadline, "the worker outlived its killed command"
             time.sleep(0.01)
     finally:
-        if running(worker):  # it would read forever
+        if running(worker):  # it would go on for a long time
             os.kill(worker, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_worker_of_a_killed_command_exits(tmp_path):
+    pid_file = tmp_path / "worker.pid"
+    argv = [*split_feed(tmp_path), str(pid_file), str(tmp_path / "out")]
+    assert_worker_of_killed_command_exits(KILLED_COMMAND, argv, pid_file)
