@@ -3,14 +3,17 @@
 Stages communicate through snapshot files so a multi-gigabyte ingestion is
 paid once. Subcommands: ingest, detours, traceroutes, overlay, geo-warm.
 
-``ingest``, ``traceroutes`` and ``overlay`` work on every usable CPU
-through one share runner, :func:`run_shares`: the command's own process
-works through the first share of its inputs and a forked child through
-each other share, and the results come back in share order, so the output
-is that of one process whatever the CPU count. ``ingest`` deals its feed
-files round-robin; ``traceroutes`` and ``overlay`` go through
+``ingest``, ``traceroutes``, ``overlay`` and ``detours`` work on every
+usable CPU through one share runner, :func:`run_shares`: the command's own
+process works through the first share of its inputs and a forked child
+through each other share, and the results come back in share order, so the
+output is that of one process whatever the CPU count. ``ingest`` deals its
+feed files round-robin; ``traceroutes`` and ``overlay`` go through
 :func:`map_in_order`, which cuts their inputs into contiguous slices.
-``detours`` and ``geo-warm`` run in one process.
+``detours`` hands the runner to its insight writer, which cuts the bridge
+rows by source into slices of about equal work, at most one per
+``detours.BRIDGE_ROWS_PER_SHARE`` bridges, and copies each child's part
+file in after its own rows. ``geo-warm`` runs in one process.
 """
 
 from __future__ import annotations
@@ -447,10 +450,13 @@ def cmd_detours(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     rows = detours_mod.search_detours(graph, threshold_pct=cfg.threshold_pct)
     histogram = rows.histogram(cfg.bucket_width_pct)
 
-    if cfg.format == "json":
-        detours_mod.write_rows_json(rows, cfg.output_dir / "insights.json")
-    else:
-        detours_mod.write_rows_csv(rows, cfg.output_dir / "insights.csv")
+    write = detours_mod.write_rows_json if cfg.format == "json" else detours_mod.write_rows_csv
+    write(
+        rows,
+        cfg.output_dir / f"insights.{cfg.format}",
+        functools.partial(run_shares, "detours"),
+        usable_cpus(),
+    )
     counts = histogram.cumulative() if cfg.cumulative else histogram.counts
     write_table(
         cfg.output_dir / f"histogram.{cfg.format}",

@@ -1,27 +1,37 @@
-"""``traceroutes`` and ``overlay`` on every CPU, through ``cli.run_shares``.
+"""``traceroutes``, ``overlay`` and ``detours`` on every CPU, through
+``cli.run_shares``.
 
 ``cli.map_in_order`` cuts a command's inputs into one contiguous slice per
 usable CPU, runs the first slice in the command's own process and each
 other one in a forked child, and hands the results back in input order.
-These tests patch the CPU count, so the fork path runs on any runner: the
-output, stdout, stderr and exit code must be byte-identical to one process
-going through the inputs in order, errors included, and no child may be
-left behind.
+``detours`` cuts its bridge rows by source the same way, and copies each
+child's part file in after its own rows. These tests patch the CPU count
+(and, for ``detours``, the bridges a share needs), so the fork path runs on
+any runner: the output, stdout, stderr and exit code must be byte-identical
+to one process going through the inputs in order, errors included, and no
+child, part file or temporary file may be left behind.
 """
 
 from __future__ import annotations
 
 import os
+import random
+import re
 import shutil
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, make_graph, random_graph, write_insights_csv
 from detourkit import cli
+from detourkit import detours as detours_mod
 from detourkit import traceroute as traceroute_mod
-from test_golden import COMMAND_CASES, GOLDEN, run_command_case
+from detourkit.graph import save_graph
+from test_detours import reference_json
+from test_golden import CASES, COMMAND_CASES, GOLDEN, case_name, run_case, run_command_case
 from test_parallel_ingest import assert_no_child_left, assert_worker_of_killed_command_exits, run
 
 TRACES = sorted((FIXTURES / "traceroutes").iterdir())
@@ -268,3 +278,224 @@ def test_traceroutes_worker_of_a_killed_command_exits(tmp_path):
     pid_file = tmp_path / "worker.pid"
     argv = [str(traces), str(pid_file), str(tmp_path / "out")]
     assert_worker_of_killed_command_exits(KILLED_TRACEROUTES, argv, pid_file)
+
+
+DETOURS_CASES = [case_name(*case) for case in CASES] + ["config", "geo"]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+@pytest.mark.parametrize("case", DETOURS_CASES)
+def test_golden_detours_output_with_bridges_in_shares(tmp_path, monkeypatch, case, cpus):
+    # one bridge is enough for a share, so the golden graphs take the fork path
+    forks = patch_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(detours_mod, "BRIDGE_ROWS_PER_SHARE", 1)
+    expected_dir = GOLDEN / "detours" / case
+    if case in ("config", "geo"):
+        produced = run_command_case(tmp_path, "detours", case)
+    else:
+        produced = run_case(tmp_path, *CASES[DETOURS_CASES.index(case)])
+    assert sorted(produced) == sorted(p.name for p in expected_dir.iterdir())
+    for name, content in produced.items():
+        assert content == (expected_dir / name).read_bytes(), name
+    bridges = int(re.search(rb"bridges=(\d+)", produced["stdout.txt"]).group(1))
+    assert len(forks) == min(cpus, bridges) - 1
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+        name for name in produced if name.startswith(("insights.", "histogram."))
+    )
+    assert_no_child_left()
+
+
+def ring(count: int) -> dict[tuple[str, str], float]:
+    """Edges h000 -> h001 -> ... -> h<count-1> -> h000: each source bridges
+    to the endpoint after next through the next one, one triplet each."""
+    return {(f"h{i:03d}", f"h{(i + 1) % count:03d}"): 1.0 + i for i in range(count)}
+
+
+# a0, a1 and a2 all linked: 12 triplets and no bridge, ranked before the
+# ring's 12, so at 2 CPUs the first share has no bridge and the second all
+TRIANGLE = {(s, d): 1.0 for s in ("a0", "a1", "a2") for d in ("a0", "a1", "a2") if s != d}
+SLOW_TRIANGLE = {**TRIANGLE, ("a0", "a2"): 10.0}  # a0 -> a2 saves 80% through a1
+
+EDGE_GRAPHS = {
+    "bridges-only": ring(12),
+    "first-share-without-bridges": {**TRIANGLE, **ring(12)},
+    "improvements-then-first-share-without-bridges": {**SLOW_TRIANGLE, **ring(12)},
+    "improvements-without-bridges": SLOW_TRIANGLE,
+    "no-insights": {("a0", "a1"): 1.0},
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("graph", list(EDGE_GRAPHS))
+def test_detours_file_edge_cases_at_any_cpu_count(tmp_path, monkeypatch, graph, fmt):
+    edges = make_graph(EDGE_GRAPHS[graph])
+    rows = detours_mod.search_detours(edges, 1.0)
+    if graph.endswith("first-share-without-bridges"):
+        first, second = rows.bridge_slices(2)
+        assert not list(rows.bridge_runs(first)) and list(rows.bridge_runs(second))
+    expected = tmp_path / "expected"
+    if fmt == "json":
+        expected.write_text(reference_json(rows.insights()), encoding="utf-8")
+    else:
+        write_insights_csv(rows.insights(), expected)
+    snapshot = tmp_path / "graph.csv"
+    save_graph(edges, snapshot)
+    monkeypatch.setattr(detours_mod, "BRIDGE_ROWS_PER_SHARE", 1)
+    for cpus in (1, 2, 4):
+        forks = patch_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus-{cpus}"
+        code, _, stderr = run(["--output-dir", str(out), "--format", fmt, "detours", str(snapshot)])
+        assert (code, stderr) == (0, "")
+        assert (out / f"insights.{fmt}").read_bytes() == expected.read_bytes()
+        assert sorted(p.name for p in out.iterdir()) == [f"histogram.{fmt}", f"insights.{fmt}"]
+        assert len(forks) == max(min(cpus, rows.bridge_count), 1) - 1
+        assert_no_child_left()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    cuts=st.lists(st.floats(0.0, 1.0), max_size=4),
+    count=st.integers(1, 6),
+)
+def test_bridge_runs_over_contiguous_slices_are_the_whole_walk(seed, cuts, count):
+    rows = detours_mod.search_detours(random_graph(random.Random(seed), max_nodes=14), 1.0)
+    whole = list(rows.bridge_runs())
+    size = len(rows.nodes)
+    bounds = [0, *sorted(int(cut * size) for cut in cuts), size]
+    partition = [range(start, stop) for start, stop in zip(bounds, bounds[1:])]
+    assert [run for part in partition for run in rows.bridge_runs(part)] == whole
+    slices = rows.bridge_slices(count)
+    assert len(slices) == count
+    assert [rank for part in slices for rank in part] == list(range(size))
+    assert [run for part in slices for run in rows.bridge_runs(part)] == whole
+
+
+def bridge_runs_failing_in(monkeypatch, fail) -> None:
+    """Make a forked child's walk call ``fail()`` once it has rendered a
+    run; the command's own process walks as before."""
+    walk = detours_mod.DetourRows.bridge_runs
+    command = os.getpid()
+
+    def patched(self, sources=None):
+        for index, run in enumerate(walk(self, sources)):
+            if index == 1 and os.getpid() != command:
+                fail()
+            yield run
+
+    monkeypatch.setattr(detours_mod.DetourRows, "bridge_runs", patched)
+
+
+def raise_toolkit_error():
+    raise cli.ToolkitError("walk failed")
+
+
+def die():
+    os._exit(3)
+
+
+@pytest.mark.parametrize(
+    "fail,message",
+    [
+        (die, r"error: detours worker \d+ exited with status 3"),
+        (raise_toolkit_error, "error: walk failed"),
+    ],
+)
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_failing_detours_worker_leaves_the_old_file_alone(
+    tmp_path, monkeypatch, fmt, fail, message
+):
+    snapshot = tmp_path / "graph.csv"
+    save_graph(make_graph(ring(40)), snapshot)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / f"insights.{fmt}").write_text("earlier insights\n", encoding="utf-8")
+    patch_cpus(monkeypatch, 2)
+    monkeypatch.setattr(detours_mod, "BRIDGE_ROWS_PER_SHARE", 1)
+    bridge_runs_failing_in(monkeypatch, fail)
+    argv = ["--output-dir", str(out), "--format", fmt, "detours", str(snapshot)]
+    code, stdout, stderr = run(argv)
+    assert code == 1
+    assert stdout == ""
+    assert re.fullmatch(message + "\n", stderr)
+    assert [p.name for p in out.iterdir()] == [f"insights.{fmt}"]
+    assert (out / f"insights.{fmt}").read_text(encoding="utf-8") == "earlier insights\n"
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "child_done,left",
+    [(False, "..insights.csv.*.part1.*.tmp"), (True, ".insights.csv.*.part1")],
+    ids=["child-writing", "child-done"],
+)
+def test_failing_detours_main_share_removes_the_worker_files(
+    tmp_path, monkeypatch, child_done, left
+):
+    # the command's own share fails once the child has its temporary part
+    # file open (the child, which would walk for a minute, is killed) or
+    # once the child has renamed its finished part
+    snapshot = tmp_path / "graph.csv"
+    save_graph(make_graph(ring(40)), snapshot)
+    out = tmp_path / "out"
+    patch_cpus(monkeypatch, 2)
+    monkeypatch.setattr(detours_mod, "BRIDGE_ROWS_PER_SHARE", 1)
+    walk = detours_mod.DetourRows.bridge_runs
+    command = os.getpid()
+
+    def patched(self, sources=None):
+        for run in walk(self, sources):
+            if os.getpid() != command:
+                if not child_done:
+                    time.sleep(60)
+                yield run
+                continue
+            deadline = time.monotonic() + 20
+            while not list(out.glob(left)):
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            raise cli.ToolkitError("main share failed")
+
+    monkeypatch.setattr(detours_mod.DetourRows, "bridge_runs", patched)
+    start = time.perf_counter()
+    code, stdout, stderr = run(["--output-dir", str(out), "detours", str(snapshot)])
+    assert time.perf_counter() - start < 30
+    assert (code, stdout, stderr) == (1, "", "error: main share failed\n")
+    assert list(out.iterdir()) == []
+    assert_no_child_left()
+
+
+# a detours command whose child walks its bridges slowly while the main
+# process sleeps; argv: the snapshot, the file for the child's pid, the output dir
+KILLED_DETOURS = """
+import os, sys, time
+from detourkit import cli
+from detourkit import detours as detours_mod
+
+pid_file, command = sys.argv[2], os.getpid()
+walk = detours_mod.DetourRows.bridge_runs
+
+def patched(self, sources=None):
+    if os.getpid() == command:
+        time.sleep(60)
+    elif not os.path.exists(pid_file):
+        with open(pid_file + ".tmp", "w", encoding="utf-8") as handle:
+            handle.write(str(os.getpid()))
+        os.replace(pid_file + ".tmp", pid_file)
+    for run in walk(self, sources):
+        time.sleep(1)  # the child's 40 runs take 40 s in all
+        yield run
+
+cli.usable_cpus = lambda: 2
+detours_mod.BRIDGE_ROWS_PER_SHARE = 1
+detours_mod.DetourRows.bridge_runs = patched
+cli.main(["--output-dir", sys.argv[3], "detours", sys.argv[1]])
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_detours_worker_of_a_killed_command_exits(tmp_path):
+    snapshot = tmp_path / "graph.csv"
+    save_graph(make_graph(ring(80)), snapshot)
+    pid_file = tmp_path / "worker.pid"
+    argv = [str(snapshot), str(pid_file), str(tmp_path / "out")]
+    assert_worker_of_killed_command_exits(KILLED_DETOURS, argv, pid_file)
