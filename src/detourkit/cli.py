@@ -399,12 +399,14 @@ def _geo_lookup_from_config(cfg: PipelineConfig) -> geo_mod.GeoLookup:
     return geo_mod.GeoLookup(cache=cache, provider=provider)
 
 
-def _cached_locate(cfg: PipelineConfig) -> Optional[Callable[[str], geo_mod.GeoRecord]]:
-    """``GeoLookup.locate`` answering from the geo cache file alone, or
-    None when there is no cache file."""
+def _read_geo_cache(
+    cfg: PipelineConfig, only: Optional[Iterable[str]] = None
+) -> Optional[geo_mod.GeoCache]:
+    """The geo cache file, to be asked through :meth:`GeoCache.place` (with
+    ``only``, for those texts alone), or None when there is no cache file."""
     if cfg.geo_cache is None or not cfg.geo_cache.exists():
         return None
-    return geo_mod.GeoLookup(cache=geo_mod.GeoCache(cfg.geo_cache)).locate
+    return geo_mod.GeoCache(cfg.geo_cache, only)
 
 
 def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
@@ -425,9 +427,15 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         address_family=cfg.address_family,
         region_allowlist=cfg.regions,
     )
-    locate = _cached_locate(cfg) if cfg.regions is not None else None
-    # records far outnumber endpoints: look each endpoint text up once
-    region_of = functools.cache(lambda e: locate(e).country) if locate is not None else None
+    cache = _read_geo_cache(cfg) if cfg.regions is not None else None
+    region_of = None
+    if cache is not None:
+        # records far outnumber endpoints: look each endpoint text up once
+        @functools.cache
+        def region_of(endpoint: str) -> Optional[str]:
+            record = cache.place(endpoint)
+            return None if record is None else record.country
+
     graph, feed, build = ingest_to_graph(
         paths, spec, key_by=cfg.key_by, sidecar=sidecar, region_of=region_of
     )
@@ -470,15 +478,17 @@ def cmd_detours(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         f"bridges={rows.bridge_count} improvable_pairs={histogram.total_pairs()}"
     )
 
-    locate = _cached_locate(cfg)
+    top = list(islice(rows.insights(), cfg.top))
+    shown = {key.value for i in top for key in (i.source, i.via, i.destination)}
+    cache = _read_geo_cache(cfg, only=shown)
 
     def label(key: EndpointKey) -> str:
-        place = locate(key.value) if locate is not None else None
+        place = cache.place(key.value) if cache is not None else None
         if place is None or place.city is None:
             return key.value
         return f"{place.city}, {place.country}"
 
-    for i in islice(rows.insights(), cfg.top):
+    for i in top:
         print(f"{label(i.source)} -> {label(i.destination)} via {label(i.via)}: {_describe(i)}")
     return EXIT_OK
 
@@ -495,7 +505,8 @@ def _describe(insight: detours_mod.DetourInsight) -> str:
 def cmd_traceroutes(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     tokens = frozenset(t.strip().lower() for t in args.city_tokens.split(",") if t.strip())
     spec = traceroute_mod.CitySpec(tokens=tokens, geo_city=args.geo_city)
-    locate = _cached_locate(cfg)
+    cache = _read_geo_cache(cfg)
+    place = cache.place if cache is not None else None
 
     def report(path: Path) -> tuple[Optional[tuple], Optional[str]]:
         """The trace's report row, or the error line of a malformed one."""
@@ -503,13 +514,16 @@ def cmd_traceroutes(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             trace = traceroute_mod.read_trace_file(path)
         except ParseError as exc:
             return None, f"error: {path.name}: {exc}"
-        detection = traceroute_mod.detect_city(trace, spec, locate)
+        detection = traceroute_mod.detect_city(trace, spec, place)
         verdict = detection.verdict.capitalize()
         return (trace.source_label or path.stem, trace.destination, len(trace.hops), verdict), None
 
     rows = []
     failures = 0
-    paths = sorted(p for p in Path(args.trace_dir).iterdir() if p.is_file())
+    trace_dir = Path(args.trace_dir)
+    with os.scandir(trace_dir) as entries:
+        names = sorted(entry.name for entry in entries if entry.is_file())
+    paths = [trace_dir / name for name in names]
     for row, error in map_in_order("traceroutes", report, paths):
         if error is not None:
             failures += 1

@@ -1,9 +1,13 @@
 """IP-to-location enrichment with a local cache.
 
-Lookups go cache first; on a miss the configured provider is queried once
-and the answer persisted. Reserved and private ranges short-circuit to
-unknown without touching the provider, and provider failures degrade to
-unknown fields instead of erroring, so desk-scale runs work fully offline.
+Two questions are asked. :meth:`GeoLookup.lookup` (``geo-warm``) goes
+cache first; on a miss the configured provider is queried once and the
+answer persisted. Reserved and private ranges short-circuit to unknown
+without touching the provider, and provider failures degrade to unknown
+fields instead of erroring, so desk-scale runs work fully offline.
+:meth:`GeoCache.place` (``ingest --regions``, ``detours`` and
+``traceroutes``) answers from the cache alone, with None for any text that
+is not a known, unreserved address.
 
 The cache is a plain append-friendly CSV (``ip,city,region,country,
 timestamp``); the last entry for an IP wins.
@@ -17,9 +21,9 @@ import json
 import os
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, TextIO
 
 from .errors import InvalidAddressError, ParseError, open_text
 from .graph import canonical_ipv4
@@ -64,14 +68,22 @@ def unknown_record(ip: str, source: str = SOURCE_PROVIDER) -> GeoRecord:
     return GeoRecord(ip=ip, city=None, region=None, country=None, source=source)
 
 
-def _location_rows(handle: TextIO, path: str | Path) -> Iterator[list[str]]:
+def _location_rows(
+    handle: TextIO, path: str | Path, ips: Optional[set[str]] = None
+) -> Iterator[list[str]]:
     """Stripped ``[ip, city, region, country]`` of each row of an ``ip,city,
-    region,country`` CSV but blank and header rows; an unreadable row is a
-    :class:`ParseError` naming ``path``."""
+    region,country`` CSV but blank and header rows (and, when ``ips`` is
+    given, the rows of other IPs); every row is read, and an unreadable one
+    is a :class:`ParseError` naming ``path``."""
     reader = csv.reader(handle)
     try:
         for row in reader:
-            if row and (ip := row[0].strip()) and ip.lower() != "ip":
+            if (
+                row
+                and (ip := row[0].strip())
+                and (ips is None or ip in ips)
+                and ip.lower() != "ip"
+            ):
                 yield [ip, *(cell.strip() for cell in row[1:4])] + [""] * (4 - len(row))
     except csv.Error as exc:
         raise ParseError(reader.line_num, f"{path}: {exc}") from None
@@ -154,20 +166,28 @@ class GeoCache:
     line without its newline is a torn write: loading skips it and counts it
     in ``torn_lines``, and the first put cuts it off so that the new row
     starts on a line of its own.
+
+    With ``only``, a cache that answers for a few texts keeps the rows of
+    the addresses they spell and builds no record for the others; the
+    whole file is still read and checked.
     """
 
     HEADER = ("ip", "city", "region", "country", "timestamp")
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, only: Optional[Iterable[str]] = None):
         self.path = Path(path)
         self._entries: dict[str, GeoRecord] = {}
         self._handle: Optional[TextIO] = None
+        self._writer = None
         self._complete_bytes: Optional[int] = None
         self.torn_lines = 0
         if self.path.exists():
-            self._load()
+            ips = None
+            if only is not None:
+                ips = {ip for text in only if (ip := canonical_ipv4(text.strip())) is not None}
+            self._load(ips)
 
-    def _load(self) -> None:
+    def _load(self, ips: Optional[set[str]]) -> None:
         with open(self.path, "rb") as raw:
             raw.seek(max(raw.seek(0, os.SEEK_END) - 1, 0))
             if raw.read(1) not in (b"", b"\n", b"\r"):
@@ -180,7 +200,7 @@ class GeoCache:
         # one shared str per distinct place name instead of one per row
         names: dict[str, str] = {}
         with open_text(self.path, newline="", size=self._complete_bytes) as handle:
-            for ip, *place in _location_rows(handle, self.path):
+            for ip, *place in _location_rows(handle, self.path, ips):
                 city, region, country = _normalize_fields(
                     *(names.setdefault(name, name) for name in place)
                 )
@@ -195,17 +215,31 @@ class GeoCache:
     def get(self, ip: str) -> Optional[GeoRecord]:
         return self._entries.get(ip)
 
+    def place(self, text: str) -> Optional[GeoRecord]:
+        """The cached record of the IPv4 address ``text`` spells, or None
+        where it spells none, a reserved one or one with no cache row."""
+        canonical = canonical_ipv4(text.strip())
+        if canonical is None:
+            return None
+        record = self._entries.get(canonical)
+        if record is None or _is_reserved(canonical):
+            return None
+        return record
+
     def put(self, record: GeoRecord) -> None:
-        self._entries[record.ip] = replace(record, source=SOURCE_CACHE)
-        if self._handle is None:
+        self._entries[record.ip] = GeoRecord(
+            record.ip, record.city, record.region, record.country, SOURCE_CACHE
+        )
+        if self._writer is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "a", encoding="utf-8", newline="")
             if self._complete_bytes is not None:
                 self._handle.truncate(self._complete_bytes)
                 self._complete_bytes = None
+            self._writer = csv.writer(self._handle)
             if self._handle.seek(0, os.SEEK_END) == 0:
-                csv.writer(self._handle).writerow(self.HEADER)
-        csv.writer(self._handle).writerow(
+                self._writer.writerow(self.HEADER)
+        self._writer.writerow(
             [
                 record.ip,
                 record.city or "",
@@ -219,7 +253,7 @@ class GeoCache:
     def close(self) -> None:
         if self._handle is not None:
             self._handle.close()
-            self._handle = None
+            self._handle = self._writer = None
 
     def __enter__(self) -> "GeoCache":
         return self
@@ -316,11 +350,3 @@ class GeoLookup:
         if self.cache is not None:
             self.cache.put(record)
         return record
-
-    def locate(self, text: str) -> GeoRecord:
-        """:meth:`lookup`, except that text that is not an IPv4 address (a
-        probe id or a host name) is unknown instead of an error."""
-        try:
-            return self.lookup(text)
-        except InvalidAddressError:
-            return unknown_record(text)

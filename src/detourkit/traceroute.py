@@ -28,7 +28,6 @@ VERDICT_UNKNOWN = "unknown"
 # fraction of hops that must be unassessable before "no" degrades to "unknown"
 UNKNOWN_HOP_FRACTION = 0.5
 
-_HOP_LINE = re.compile(r"^\s*(\d+)\s+(.*)$")
 _TRACEROUTE_TO = re.compile(r"^traceroute to (\S+)(?: \(([\d.]+)\))?", re.IGNORECASE)
 
 
@@ -87,39 +86,41 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def _parse_hop_line(index: int, rest: str, lineno: int) -> TracerouteHop:
-    tokens = rest.split()
+def _parse_hop_line(index: int, tokens: list[str], lineno: int) -> TracerouteHop:
+    """The hop of a hop line's whitespace-separated ``tokens``, the first
+    of which is its ``index``."""
+    count = len(tokens)
     address: Optional[str] = None
     name: Optional[str] = None
     saw_endpoint = False
-    i = 0
-    while i < len(tokens):
+    i = 1
+    while i < count:
         token = tokens[i]
-        if token == "*" or token.startswith("!"):
+        i += 1
+        following = tokens[i] if i < count else ""  # no token is empty
+        # an RTT: float text followed by "ms"
+        if following == "ms" and _is_float(token):
             i += 1
             continue
-        # an RTT: float text followed by "ms"
-        if i + 1 < len(tokens) and tokens[i + 1] == "ms" and _is_float(token):
-            i += 2
+        if token == "*" or token.startswith("!"):  # neither is float text
             continue
         # a responding endpoint: "name (ip)" or a bare address
-        if i + 1 < len(tokens) and tokens[i + 1].startswith("(") and tokens[i + 1].endswith(")"):
+        if following.startswith("(") and following.endswith(")"):
             endpoint_name = token
-            endpoint_addr = tokens[i + 1][1:-1]
-            i += 2
+            endpoint_addr = following[1:-1]
+            i += 1
         else:
             canonical = canonical_ipv4(token)
             if canonical is None and _is_float(token):
                 raise ParseError(lineno, f"dangling value {token!r}")
             endpoint_name = None if canonical is not None else token
             endpoint_addr = canonical
-            i += 1
         if not saw_endpoint:
             address = endpoint_addr
             # traceroute prints the address twice when reverse DNS fails
             name = endpoint_name if endpoint_name != endpoint_addr else None
             saw_endpoint = True
-    return TracerouteHop(index=index, address=address, rdns_name=name)
+    return TracerouteHop(index, address, name)
 
 
 def parse_traceroute(text: str) -> TracerouteTrace:
@@ -132,9 +133,22 @@ def parse_traceroute(text: str) -> TracerouteTrace:
     saw_content = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        tokens = raw.split()
+        if not tokens:
             continue
+        # a hop line: its index (decimal digits), then at least one more token
+        if len(tokens) > 1 and tokens[0].isdecimal():
+            saw_content = True
+            try:
+                index = int(tokens[0])
+            except ValueError:  # past the int-digit limit
+                raise ParseError(lineno, "hop index too long") from None
+            if index <= last_index:
+                raise ParseError(lineno, f"hop index {index} not increasing")
+            last_index = index
+            hops.append(_parse_hop_line(index, tokens, lineno))
+            continue
+        line = raw.strip()
         if line.startswith("#"):
             if saw_content:
                 raise ParseError(lineno, "header after hop lines")
@@ -147,24 +161,12 @@ def parse_traceroute(text: str) -> TracerouteTrace:
                 source_label = body
             continue
         header = _TRACEROUTE_TO.match(line)
-        if header is not None:
-            if not destination:
-                destination = header.group(1)
-            dest_ip = header.group(2)
-            saw_content = True
-            continue
-        hop_match = _HOP_LINE.match(line)
-        if hop_match is None:
+        if header is None:
             raise ParseError(lineno, f"unrecognizable line {line!r}")
+        if not destination:
+            destination = header.group(1)
+        dest_ip = header.group(2)
         saw_content = True
-        try:
-            index = int(hop_match.group(1))
-        except ValueError:  # past the int-digit limit
-            raise ParseError(lineno, "hop index too long") from None
-        if index <= last_index:
-            raise ParseError(lineno, f"hop index {index} not increasing")
-        last_index = index
-        hops.append(_parse_hop_line(index, hop_match.group(2), lineno))
 
     if not hops:
         raise ParseError(1, "no hop lines found")
@@ -194,20 +196,20 @@ def read_trace_file(path: str | Path) -> TracerouteTrace:
         return parse_traceroute(handle.read())
 
 
-def _name_candidates(name: str) -> set[str]:
-    segments = name.lower().split(".")
+def _hop_token_match(hop: TracerouteHop, tokens: list[tuple[str, str]]) -> Optional[str]:
+    """The first token of ``tokens``, sorted ``(token, token.lower())``
+    pairs, that begins a dot- or hyphen-separated segment of the hop's
+    reverse-DNS name."""
+    if hop.rdns_name is None:
+        return None
+    name = hop.rdns_name.lower()
+    # each segment is a substring of the name, so a token in none is in no segment
+    if not any(lowered in name for _, lowered in tokens):
+        return None
+    segments = name.split(".")
     candidates = set(segments)
     for segment in segments:
         candidates.update(segment.split("-"))
-    return candidates
-
-
-def _hop_token_match(hop: TracerouteHop, tokens: list[tuple[str, str]]) -> Optional[str]:
-    """The first token of ``tokens``, sorted ``(token, token.lower())``
-    pairs, that begins a segment of the hop's reverse-DNS name."""
-    if hop.rdns_name is None:
-        return None
-    candidates = _name_candidates(hop.rdns_name)
     for token, lowered in tokens:
         if any(candidate.startswith(lowered) for candidate in candidates):
             return token
@@ -217,32 +219,32 @@ def _hop_token_match(hop: TracerouteHop, tokens: list[tuple[str, str]]) -> Optio
 def detect_city(
     trace: TracerouteTrace,
     city_spec: CitySpec,
-    locate: Optional[Callable[[str], GeoRecord]] = None,
+    place: Optional[Callable[[str], Optional[GeoRecord]]] = None,
 ) -> CityDetection:
     """Decide whether the trace transits the given city.
 
     ``yes`` needs evidence (a matched rDNS token or a geolocated hop);
     with no evidence the verdict degrades from ``no`` to ``unknown`` when
     at least half the hops cannot be assessed (no reverse DNS and no geo).
-    ``locate`` (such as :meth:`GeoLookup.locate`) is asked only for the
-    address of a hop that no token matched.
+    ``place`` (such as :meth:`GeoCache.place`) gives a hop address's
+    record, or None where it is unknown; it is asked only for the address
+    of a hop that no token matched.
     """
     evidence: list[tuple[int, str]] = []
     unassessable = 0
     tokens = [(token, token.lower()) for token in sorted(city_spec.tokens)]
+    wanted = city_spec.geo_city.lower() if city_spec.geo_city is not None else None
     for hop in trace.hops:
         matched = _hop_token_match(hop, tokens)
         if matched is not None:
             evidence.append((hop.index, matched))
             continue
         geo_city = None
-        if locate is not None and hop.address is not None:
-            geo_city = locate(hop.address).city
-        if (
-            city_spec.geo_city is not None
-            and geo_city is not None
-            and geo_city.lower() == city_spec.geo_city.lower()
-        ):
+        if place is not None and hop.address is not None:
+            record = place(hop.address)
+            if record is not None:
+                geo_city = record.city
+        if geo_city is not None and geo_city.lower() == wanted:
             evidence.append((hop.index, geo_city))
             continue
         if hop.rdns_name is None and geo_city is None:
@@ -252,4 +254,3 @@ def detect_city(
     if trace.hops and unassessable / len(trace.hops) >= UNKNOWN_HOP_FRACTION:
         return CityDetection(verdict=VERDICT_UNKNOWN, evidence=())
     return CityDetection(verdict=VERDICT_NO, evidence=())
-

@@ -12,7 +12,11 @@ rather than sit beside them in ``src/``. So do the one-pair best detour
 feed-line writer (:func:`serialize_record`, which ``parse_fields`` reads
 back), with small helpers over what the commands run: :func:`edge_rtt`,
 :func:`summarize`, :func:`summary_from_moments` and
-:func:`parse_result_line`.
+:func:`parse_result_line`. The traceroute parser's first forms are kept as
+oracles of the faster ones: the regular expression that told a hop line
+(:func:`hop_line_parts`), the hop-line reader that took the line's rest as
+text (:func:`parse_hop_line`) and the token matcher that built every hop
+name's segments (:func:`hop_token_match`).
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import csv
 import json
 import math
 import random
+import re
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -30,10 +35,11 @@ import pytest
 
 from detourkit.cli import PipelineConfig, resolve_config
 from detourkit.detours import INSIGHT_HEADER, KIND_BRIDGE, KIND_IMPROVEMENT, DetourInsight
-from detourkit.errors import EmptyInputError, ToolkitError
-from detourkit.graph import EndpointKey, LatencyEdge, LatencyGraph
+from detourkit.errors import EmptyInputError, ParseError, ToolkitError
+from detourkit.graph import EndpointKey, LatencyEdge, LatencyGraph, canonical_ipv4
 from detourkit.ingest import PingRecord, parse_fields
 from detourkit.stats import MODALITY_UNIMODAL, RttSummary, describe
+from detourkit.traceroute import TracerouteHop
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -311,6 +317,74 @@ def serialize_record(record: PingRecord) -> str:
     if record.region is not None:
         obj["region"] = record.region
     return json.dumps(obj, separators=(",", ":"))
+
+
+HOP_LINE = re.compile(r"^\s*(\d+)\s+(.*)$")
+
+
+def hop_line_parts(line: str) -> Optional[tuple[str, str]]:
+    """The index text and the rest of a stripped trace line that is a hop
+    line, or None."""
+    match = HOP_LINE.match(line)
+    return None if match is None else (match.group(1), match.group(2))
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def parse_hop_line(index: int, rest: str, lineno: int) -> TracerouteHop:
+    """The hop of a hop line whose text past the index is ``rest``."""
+    tokens = rest.split()
+    address: Optional[str] = None
+    name: Optional[str] = None
+    saw_endpoint = False
+    i = 0
+    while i < len(tokens):
+        token = tokens[i]
+        if token == "*" or token.startswith("!"):
+            i += 1
+            continue
+        # an RTT: float text followed by "ms"
+        if i + 1 < len(tokens) and tokens[i + 1] == "ms" and _is_float(token):
+            i += 2
+            continue
+        # a responding endpoint: "name (ip)" or a bare address
+        if i + 1 < len(tokens) and tokens[i + 1].startswith("(") and tokens[i + 1].endswith(")"):
+            endpoint_name = token
+            endpoint_addr = tokens[i + 1][1:-1]
+            i += 2
+        else:
+            canonical = canonical_ipv4(token)
+            if canonical is None and _is_float(token):
+                raise ParseError(lineno, f"dangling value {token!r}")
+            endpoint_name = None if canonical is not None else token
+            endpoint_addr = canonical
+            i += 1
+        if not saw_endpoint:
+            address = endpoint_addr
+            name = endpoint_name if endpoint_name != endpoint_addr else None
+            saw_endpoint = True
+    return TracerouteHop(index=index, address=address, rdns_name=name)
+
+
+def hop_token_match(hop: TracerouteHop, tokens: list[tuple[str, str]]) -> Optional[str]:
+    """The first token of ``tokens``, sorted ``(token, token.lower())``
+    pairs, that begins a segment of the hop's reverse-DNS name."""
+    if hop.rdns_name is None:
+        return None
+    segments = hop.rdns_name.lower().split(".")
+    candidates = set(segments)
+    for segment in segments:
+        candidates.update(segment.split("-"))
+    for token, lowered in tokens:
+        if any(candidate.startswith(lowered) for candidate in candidates):
+            return token
+    return None
 
 
 def load_config_file(path: Path) -> PipelineConfig:

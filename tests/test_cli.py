@@ -270,13 +270,13 @@ class TestIngest:
         feed.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
         calls = []
-        unmemoized = geo.GeoLookup.lookup
+        unmemoized = geo.GeoCache.place
 
-        def counted(self, ip):
-            calls.append(ip)
-            return unmemoized(self, ip)
+        def counted(self, text):
+            calls.append(text)
+            return unmemoized(self, text)
 
-        monkeypatch.setattr(geo.GeoLookup, "lookup", counted)
+        monkeypatch.setattr(geo.GeoCache, "place", counted)
         out = tmp_path / "out"
         code = main(
             ["--output-dir", str(out), "ingest", str(feed), "--key-by", key_by,
@@ -285,10 +285,12 @@ class TestIngest:
         assert code == 0
         memo_calls, calls[:] = list(calls), []
 
-        # reference: filter_records with one uncached lookup per endpoint of every record
+        # reference: filter_records with one uncached lookup per endpoint of
+        # every record, asked through the provider pipeline with no provider
         lookup = geo.GeoLookup(cache=geo.GeoCache(cache))
 
         def region_of(endpoint):
+            calls.append(endpoint)
             try:
                 return lookup.lookup(endpoint).country
             except ToolkitError:
@@ -462,6 +464,55 @@ class TestDetours:
         assert code == 0
         out = capsys.readouterr().out
         assert "Milpitas, US -> Morrisdale, US via Las Cruces, US" in out
+
+    LABELED_EDGES = {("8.0.0.1", "8.0.0.2"): 1.0, ("8.0.0.2", "8.0.0.3"): 1.0, ("8.0.0.1", "8.0.0.3"): 10.0}
+
+    def test_top_labels_keep_only_the_shown_rows_of_the_whole_cache(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        snapshot = tmp_path / "graph.csv"
+        save_graph(make_graph(self.LABELED_EDGES), snapshot)
+        # an address's last row wins, however far down; other addresses'
+        # rows (a non-canonical spelling among them) are read past, and a
+        # torn last line is skipped
+        cache = tmp_path / "cache.csv"
+        cache.write_text(
+            "ip,city,region,country,timestamp\n8.0.0.1,Old Town,CA,US,1\n"
+            + "".join(f"9.0.{i // 256}.{i % 256},Elsewhere,,US,1\n" for i in range(600))
+            + "8.0.0.1,Milpitas,CA,US,2\n8.0.0.2,Las Cruces,NM,US,1\n"
+            "8.0.0.003,Nowhere,PA,US,1\n8.0.0.3,Morrisdale,PA,US,1\n8.0.0.2,Torn",
+            encoding="utf-8",
+        )
+        held = []
+        unspied = geo.GeoCache.place
+
+        def spied(self, text):
+            held.append(len(self))
+            return unspied(self, text)
+
+        monkeypatch.setattr(geo.GeoCache, "place", spied)
+        argv = ["--output-dir", str(tmp_path / "out"), "detours", str(snapshot), "--geo-cache"]
+        assert main([*argv, str(cache)]) == 0
+        out = capsys.readouterr().out
+        assert "Milpitas, US -> Morrisdale, US via Las Cruces, US" in out
+        assert held and max(held) == 3
+
+    def test_bad_cache_row_of_an_unshown_address_exits_1(self, tmp_path, capsys):
+        snapshot = tmp_path / "graph.csv"
+        save_graph(make_graph(self.LABELED_EDGES), snapshot)
+        cache = tmp_path / "cache.csv"
+        cache.write_text(
+            "ip,city,region,country,timestamp\n8.0.0.1,Milpitas,CA,US,1\n"
+            + OVERSIZED_ROW
+            + "8.0.0.3,Morrisdale,PA,US,1\n",
+            encoding="utf-8",
+        )
+        argv = ["--output-dir", str(tmp_path / "out"), "detours", str(snapshot), "--geo-cache"]
+        assert main([*argv, str(cache)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("insights=")
+        assert captured.err.startswith("analysis error: parse error at 3: ")
+        assert "cache.csv" in captured.err and "field larger" in captured.err
 
 
 class TestTraceroutes:

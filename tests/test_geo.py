@@ -21,7 +21,6 @@ from detourkit.geo import (
     GeoRecord,
     HttpGeoProvider,
     StaticFileGeoProvider,
-    unknown_record,
 )
 
 
@@ -325,6 +324,9 @@ class TestProviders:
 
 
 class TestLocate:
+    """``GeoCache.place``: the cache-only question of ``ingest --regions``,
+    ``detours`` and ``traceroutes``."""
+
     CACHE = (
         "ip,city,region,country,timestamp\n"
         "8.0.0.1,Milpitas,CA,US,1\n"
@@ -333,30 +335,25 @@ class TestLocate:
         "host.example,Somewhere,XX,US,1\n"
     )
 
-    def locate_with(self, tmp_path, provider):
+    def cache_with(self, tmp_path):
         cache_path = tmp_path / "cache.csv"
         cache_path.write_text(self.CACHE, encoding="utf-8")
-        return GeoLookup(cache=GeoCache(cache_path), provider=provider).locate
+        return GeoCache(cache_path)
 
     def test_cached_hit(self, tmp_path):
-        provider = CountingProvider()
-        locate = self.locate_with(tmp_path, provider)
-        assert locate("8.0.0.1") == GeoRecord("8.0.0.1", "Milpitas", "CA", "US", "cache")
-        assert locate("8.0.0.001").city == "Milpitas"
-        assert provider.calls == []
+        place = self.cache_with(tmp_path).place
+        assert place("8.0.0.1") == GeoRecord("8.0.0.1", "Milpitas", "CA", "US", "cache")
+        assert place(" 8.0.0.001 ").city == "Milpitas"
 
     @pytest.mark.parametrize("text", ["100", "host.example", "10.0.0.1"])
     def test_unknown_without_provider_call(self, tmp_path, text):
-        # a probe id, a host name and a reserved address, each with a cache row
-        provider = CountingProvider({text: ("Nowhere", "XX", "US")})
-        record = self.locate_with(tmp_path, provider)(text)
-        assert (record.ip, record.city, record.region, record.country) == (text, None, None, None)
-        assert provider.calls == []
+        # a probe id, a host name and a reserved address, each with a cache
+        # row: the cache alone answers, and it answers unknown
+        assert self.cache_with(tmp_path).place(text) is None
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_cache_only_locate_matches_a_dict_oracle(self, data):
-        # the cache-only lookup of ingest --regions, detours and traceroutes
         numbers = data.draw(st.lists(ADDRESS_NUMBERS, min_size=1, max_size=8, unique=True))
         addresses = [str(ipaddress.IPv4Address(number)) for number in numbers]
         others = data.draw(st.lists(NON_ADDRESSES, max_size=4))
@@ -369,22 +366,26 @@ class TestLocate:
                 + "".join(f"{ip},{','.join(p or '' for p in place)},1\n" for ip, place in rows),
                 encoding="utf-8",
             )
-            locate = GeoLookup(cache=GeoCache(cache_path)).locate
             # each text -> the address it spells, None for the other texts
             spelled = {spell_with_zeros(data, number): number for number in numbers}
             spelled.update(dict.fromkeys(others))
-            for text in data.draw(st.lists(st.sampled_from(sorted(spelled)), min_size=1)):
+            texts = data.draw(st.lists(st.sampled_from(sorted(spelled)), min_size=1))
+            # a cache kept for some texts answers for them as the whole cache does
+            only = data.draw(st.lists(st.sampled_from(texts)))
+            place, place_only = GeoCache(cache_path).place, GeoCache(cache_path, only).place
+            for text in texts:
                 number = spelled[text]
                 address = None if number is None else str(ipaddress.IPv4Address(number))
-                if address is None:
-                    expected = unknown_record(text)
-                elif is_reserved_oracle(number):
-                    expected = unknown_record(address)
-                elif address in cached:
-                    expected = GeoRecord(address, *cached[address], "cache")
+                if address is None or is_reserved_oracle(number) or address not in cached:
+                    expected = None
                 else:
-                    expected = GeoRecord(address, None, None, None, "provider")
-                assert locate(text) == expected
+                    expected = GeoRecord(address, *cached[address], "cache")
+                assert place(text) == expected
+                if text in only:
+                    assert place_only(text) == expected
+            # and holds a record for the cached addresses they spell alone
+            kept = {str(ipaddress.IPv4Address(spelled[t])) for t in only if spelled[t] is not None}
+            assert len(GeoCache(cache_path, only)) == len(kept & cached.keys())
 
 
 class TestGeoRecordInvariant:

@@ -5,19 +5,22 @@ from __future__ import annotations
 import math
 
 import pytest
-from conftest import FIXTURES
+from conftest import FIXTURES, hop_line_parts, hop_token_match, parse_hop_line
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from detourkit.cli import TRACE_REPORT_COLUMNS, write_table
 from detourkit.errors import ParseError
-from detourkit.geo import GeoRecord, unknown_record
+from detourkit.geo import GeoRecord
 from detourkit.traceroute import (
+    _TRACEROUTE_TO,
     LOS_ANGELES,
     CityDetection,
     CitySpec,
     TracerouteHop,
     TracerouteTrace,
+    _hop_token_match,
+    _parse_hop_line,
     detect_city,
     parse_traceroute,
     read_trace_file,
@@ -216,9 +219,9 @@ def reference_token(hop, tokens):
     return next((t for t in sorted(tokens) if any(p.startswith(t.lower()) for p in parts)), None)
 
 
-def eager_detect_city(trace, city_spec, locate) -> CityDetection:
-    """Reference: locate every hop with an address first, then decide."""
-    places = {hop.index: locate(hop.address) for hop in trace.hops if hop.address is not None}
+def eager_detect_city(trace, city_spec, place) -> CityDetection:
+    """Reference: place every hop with an address first, then decide."""
+    places = {hop.index: place(hop.address) for hop in trace.hops if hop.address is not None}
     evidence = []
     unassessable = 0
     for hop in trace.hops:
@@ -226,7 +229,8 @@ def eager_detect_city(trace, city_spec, locate) -> CityDetection:
         if token is not None:
             evidence.append((hop.index, token))
             continue
-        city = places[hop.index].city if hop.index in places else None
+        record = places.get(hop.index)
+        city = record.city if record is not None else None
         wanted = city_spec.geo_city
         if city is not None and wanted is not None and city.lower() == wanted.lower():
             evidence.append((hop.index, city))
@@ -270,15 +274,17 @@ def test_lazy_locate_matches_eager_reference(case):
     trace, spec, table = case
     calls = []
 
-    def locate(address):
+    def place(address):
+        # None where unknown, as GeoCache.place answers; a None city is a
+        # cached country without a city
         calls.append(address)
-        if table.get(address) is None:
-            return unknown_record(address)
+        if address not in table:
+            return None
         return GeoRecord(address, table[address], None, "US", "cache")
 
-    expected = eager_detect_city(trace, spec, locate)
+    expected = eager_detect_city(trace, spec, place)
     calls.clear()
-    assert detect_city(trace, spec, locate) == expected
+    assert detect_city(trace, spec, place) == expected
     # asked only for the address of a hop that no token matched
     assert calls == [
         hop.address
@@ -332,3 +338,91 @@ def test_parse_raises_only_parse_error(text):
         parse_traceroute(text)
     except ParseError:
         pass
+
+
+# decimal digits of four scripts and digit-like characters that are not
+# decimal (superscript two, Roman numeral twelve); whitespace that is not a
+# line break for str.splitlines (the unit separator \x1f is, to str.split,
+# whitespace) and a zero-width space that is none; the tokens of hop lines
+DIGITS = "0129\u0663\u06f5\u0967\uff11\u00b2\u216b"
+SPACES = " \t\x1f\xa0\u2003\u3000\u200b"
+HOP_TOKENS = [
+    "*", "!H", "!", "ms", "nan", "1_0", "12.5", "inf", ".5", "1e1", "-3", "(10.0.0.1)", "()",
+    "(", "gw", "host.example", "la-cr1.x", "8.8.000.1", "10.1.2.3", "1.2.3.\u00b2", "#", "traceroute",
+]
+GENERATED_LINES = st.lists(
+    st.text(DIGITS, min_size=1, max_size=3)
+    | st.sampled_from(HOP_TOKENS)
+    | st.text(SPACES, min_size=1, max_size=2),
+    max_size=10,
+).map("".join)
+
+
+def one_line_oracle(line: str):
+    """The hop of ``line`` as the second line of a trace, or the
+    ``(position, reason)`` of its parse error, as the regular expression
+    and the text-taking hop reader of ``conftest`` tell it."""
+    stripped = line.strip()
+    parts = hop_line_parts(stripped)
+    if parts is None:
+        if stripped and not stripped.startswith("#") and _TRACEROUTE_TO.match(stripped) is None:
+            return 2, f"unrecognizable line {stripped!r}"
+        return 1, "no hop lines found"
+    try:
+        index = int(parts[0])
+    except ValueError:
+        return 2, "hop index too long"
+    if index <= 0:
+        return 2, f"hop index {index} not increasing"
+    try:
+        return parse_hop_line(index, parts[1], 2)
+    except ParseError as exc:
+        return exc.position, exc.reason
+
+
+@settings(max_examples=600, deadline=None)
+@given(GENERATED_LINES | mutated_traces().map(lambda text: "".join(text.splitlines())))
+@example("\u0663  gw (10.0.0.1)  1.0 ms")
+@example("1\x1fgw\x1f(10.0.0.1)\x1f1.0\x1fms")
+@example("\u00b2  gw (10.0.0.1)  1.0 ms")
+@example("1  gw (10.0.0.1)  1.0 ms  12.5")
+@example("1")
+def test_hop_lines_match_the_regex_oracle(line):
+    try:
+        got = parse_traceroute("# s | d\n" + line).hops
+    except ParseError as exc:
+        got = exc.position, exc.reason
+    else:
+        assert len(got) == 1
+        got = got[0]
+    assert got == one_line_oracle(line)
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(HOP_TOKENS) | st.text(DIGITS + ".()!*-", max_size=4)))
+def test_hop_reader_matches_the_text_oracle(rest_tokens):
+    rest = " ".join(rest_tokens)
+    try:
+        expected = parse_hop_line(7, rest, 3)
+    except ParseError as exc:
+        expected = exc.position, exc.reason
+    try:
+        got = _parse_hop_line(7, ["7", *rest.split()], 3)
+    except ParseError as exc:
+        got = exc.position, exc.reason
+    assert got == expected
+
+
+SEGMENTS = ["lax", "LAX7", "la", "la-cr1", "ae-lax-3", "relax", "core", "x", "", "\u0130stanbul", "l"]
+CITY_TOKENS = ["lax", "LA-", "la-", "losangeles", "core", "x.l", "a-c", "-", ".", "\u0130", "i\u0307", ""]
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    st.none() | st.lists(st.sampled_from(SEGMENTS), min_size=1, max_size=4).map(".".join),
+    st.frozensets(st.sampled_from(CITY_TOKENS)),
+)
+def test_token_match_matches_the_segment_oracle(name, tokens):
+    pairs = [(token, token.lower()) for token in sorted(tokens)]
+    hop = TracerouteHop(1, None, name)
+    assert _hop_token_match(hop, pairs) == hop_token_match(hop, pairs)
