@@ -15,7 +15,7 @@ from .errors import (
     ToolkitError,
 )
 from .geo import GeoCache, GeoLookup, GeoRecord
-from .graph import EndpointKey, LatencyEdge, LatencyGraph, build_graph, load_graph, save_graph
+from .graph import EndpointKey, edge_rows, read_snapshot, write_snapshot
 from .ingest import (
     FilterSpec,
     PingRecord,
@@ -52,8 +52,6 @@ __all__ = [
     "GeoRecord",
     "ImprovementHistogram",
     "InvalidAddressError",
-    "LatencyEdge",
-    "LatencyGraph",
     "NoDataError",
     "OverlayPath",
     "ParseError",
@@ -62,16 +60,16 @@ __all__ = [
     "ToolkitError",
     "TracerouteHop",
     "TracerouteTrace",
-    "build_graph",
     "compare",
     "compose",
     "detect_city",
+    "edge_rows",
     "filter_records",
-    "load_graph",
     "parse_traceroute",
+    "read_snapshot",
     "representative_rtt",
-    "save_graph",
     "search_detours",
+    "write_snapshot",
 ]
 
 __version__ = "0.1.0"

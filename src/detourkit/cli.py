@@ -40,14 +40,14 @@ from . import traceroute as traceroute_mod
 from .errors import EmptyInputError, ParseError, ToolkitError, open_text
 from .graph import (
     BuildStats,
+    EdgeRow,
     EndpointKey,
-    LatencyGraph,
-    build_graph,
     canonical_ipv4,
+    edge_rows,
     group_samples,
-    load_graph,
+    read_snapshot,
     replaced_on_success,
-    save_graph,
+    write_snapshot,
 )
 from .ingest import (
     STATUSES,
@@ -297,25 +297,25 @@ def map_in_order(name: str, function: Callable, items: Sequence) -> Iterator:
                 raise failure
 
 
-def ingest_to_graph(
+def ingest_to_rows(
     paths: Sequence[Path],
     spec: FilterSpec,
     key_by: str = "ip",
     sidecar: Optional[dict] = None,
     region_of=None,
-) -> tuple[LatencyGraph, FeedStats, BuildStats]:
-    """Run the parse -> filter -> aggregate pipeline over feed files.
+) -> tuple[list[EdgeRow], FeedStats, BuildStats]:
+    """Run the parse -> filter -> aggregate pipeline over feed files into
+    the snapshot's edge rows.
 
     The files are dealt round-robin into the shares of :func:`run_shares`,
     each of which is parsed, filtered and grouped by
     :func:`group_samples`. The groups of every share join before
-    ``build_graph`` takes the edge weights, and the counters add up.
+    ``edge_rows`` takes the edge weights, and the counters add up.
     ``math.fsum`` is correctly rounded, so a weight does not depend on the
-    order of its samples: the graph and the counters are those of one
+    order of its samples: the rows and the counters are those of one
     process reading every file, bit for bit, whatever the CPU count.
     """
     count = _share_count(paths)
-    keys: dict[str, EndpointKey] = {}
 
     def group(share: Sequence[Path], alive) -> tuple[dict, FeedStats, BuildStats]:
         feed, build = FeedStats(), BuildStats()
@@ -325,7 +325,7 @@ def ingest_to_graph(
                 yield from read_result_file(path, key_by=key_by, sidecar=sidecar, stats=feed)
 
         kept = filter_records(records(), spec, drops=feed.drops, region_of=region_of)
-        return group_samples(alive(kept), build, keys), feed, build
+        return group_samples(alive(kept), build, {}), feed, build
 
     shares = [paths[index::count] for index in range(count)]
     with contextlib.closing(run_shares("ingest", group, shares)) as results:
@@ -339,8 +339,8 @@ def ingest_to_graph(
                 build_stats.merge(build)
                 yield other_groups
 
-        graph = build_graph((), stats=build_stats, merge=merge(), keys=keys)
-    return graph, feed_stats, build_stats
+        rows = edge_rows((), stats=build_stats, merge=merge())
+    return rows, feed_stats, build_stats
 
 
 # (column name, format spec of its CSV cell)
@@ -436,26 +436,27 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             record = cache.place(endpoint)
             return None if record is None else record.country
 
-    graph, feed, build = ingest_to_graph(
+    rows, feed, build = ingest_to_rows(
         paths, spec, key_by=cfg.key_by, sidecar=sidecar, region_of=region_of
     )
     snapshot = cfg.output_dir / name
-    save_graph(graph, snapshot)
+    write_snapshot(rows, snapshot)
+    nodes = len({endpoint for row in rows for endpoint in row[:2]})
 
     print(f"lines={feed.lines} parse_errors={feed.parse_errors} kept={build.records}")
     for reason, count in sorted(feed.drops.items()):
         print(f"dropped[{reason}]={count}")
     for reason, count in sorted(build.skipped.items()):
         print(f"skipped[{reason}]={count}")
-    print(f"nodes={graph.node_count} edges={graph.edge_count} snapshot={snapshot}")
+    print(f"nodes={nodes} edges={len(rows)} snapshot={snapshot}")
     if feed.lines == 0:
         print("warning: no input lines", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_detours(args: argparse.Namespace, cfg: PipelineConfig) -> int:
-    graph = load_graph(args.snapshot)
-    rows = detours_mod.search_detours(graph, threshold_pct=cfg.threshold_pct)
+    nodes, successors = read_snapshot(args.snapshot)
+    rows = detours_mod.search_detours(nodes, successors, threshold_pct=cfg.threshold_pct)
     histogram = rows.histogram(cfg.bucket_width_pct)
 
     write = detours_mod.write_rows_json if cfg.format == "json" else detours_mod.write_rows_csv

@@ -1,4 +1,4 @@
-"""One-hop relay search over a latency graph.
+"""One-hop relay search over a latency graph's rank-sorted adjacency.
 
 For every ordered endpoint pair (s, d) the finder considers each relay m
 with edges s->m and m->d. When the direct edge exists and the relay path is
@@ -7,10 +7,12 @@ insight; when no direct edge exists, the relay path is a connectivity
 bridge. Improvements are bucketed per source-destination pair into a
 histogram using each pair's best relay (:meth:`DetourRows.histogram`).
 
-The search walks endpoints in key order and keeps its findings as compact
-rank-indexed rows (:class:`DetourRows`) that are already in report order, so
-the CLI renders them without building an object or sorting per insight. It
-holds the rank-sorted adjacency, the improvement rows and a count of
+The search takes the graph as :func:`graph.read_snapshot` reads it: the
+nodes sorted by key and each node's rank-sorted ``(destination rank, rtt)``
+successor list. It walks endpoints in rank order and keeps its findings as
+compact rank-indexed rows (:class:`DetourRows`) that are already in report
+order, so the CLI renders them without building an object or sorting per
+insight. It holds the adjacency, the improvement rows and a count of
 bridges, so memory is O(edges + improvements); bridges, the bulk of the
 rows on a dense graph, are walked again from the adjacency on output.
 
@@ -37,7 +39,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, TextIO
 
 from .errors import ToolkitError
-from .graph import EndpointKey, LatencyGraph, replaced_on_success
+from .graph import EndpointKey, replaced_on_success
 
 KIND_IMPROVEMENT = "improvement"
 KIND_BRIDGE = "bridge"
@@ -180,25 +182,24 @@ class DetourRows:
         return ImprovementHistogram(bucket_width_pct=bucket_width_pct, counts=counts)
 
 
-def search_detours(graph: LatencyGraph, threshold_pct: float = 1.0) -> DetourRows:
-    """Find improvement and bridge insights for every viable triplet.
+def search_detours(
+    nodes: list[EndpointKey],
+    successors: list[list[tuple[int, float]]],
+    threshold_pct: float = 1.0,
+) -> DetourRows:
+    """Find improvement and bridge insights for every viable triplet of the
+    graph whose key-sorted ``nodes`` and rank-sorted ``successors``
+    :func:`graph.read_snapshot` gives; both are kept in the result.
 
     Improvements require a strictly faster relay path whose gain is at
     least ``threshold_pct`` percent of the direct RTT. Each (s, m, d)
     triplet with both legs present is considered exactly once. Sources,
-    vias and destinations are walked in key order, so improvements need
+    vias and destinations are walked in rank order, so improvements need
     only a stable sort on pct; bridges are only counted here, and
     :meth:`DetourRows.bridges` walks them again in the same order.
     """
     if threshold_pct < 0:
         raise ValueError("threshold_pct must be >= 0")
-    # EndpointKey order, compared as plain tuples
-    nodes = sorted(graph.nodes(), key=lambda node: (node.kind, node.value))
-    rank = {node: i for i, node in enumerate(nodes)}
-    successors = [
-        sorted([(rank[d], edge.rtt_ms) for d, edge in graph.successors(node).items()])
-        for node in nodes
-    ]
     improvements: list[tuple[int, int, int, float, float, float, float]] = []
     add_improvement = improvements.append
     bridge_count = 0

@@ -1,9 +1,15 @@
-"""Directed latency graph aggregated from ping records.
+"""Directed latency graph: aggregation into snapshot rows, the snapshot
+writer and reader.
 
 Edge weights are noise-reduced RTT estimates: each record is reduced to its
 representative RTT, samples are averaged within a measurement, and the
 per-measurement means are averaged across measurements. A missing edge means
 no connectivity was observed between the two endpoints.
+
+The graph has one shape on each side of the snapshot file: :func:`edge_rows`
+gives its rows sorted by endpoint key, :func:`write_snapshot` writes them in
+that order, and :func:`read_snapshot` reads the file straight into the
+key-sorted nodes and rank-sorted successor lists that the relay search walks.
 """
 
 from __future__ import annotations
@@ -11,11 +17,12 @@ from __future__ import annotations
 import csv
 import math
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import pairwise
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .errors import NoDataError, ParseError, ToolkitError, open_text
 from .ingest import PingRecord, representative_rtt
@@ -24,6 +31,10 @@ KIND_PROBE = "probe"
 KIND_IP = "ip"
 
 SNAPSHOT_HEADER = ("source", "destination", "rtt_ms", "sample_count", "measurement_count")
+
+# a snapshot row: source and destination key values, rtt_ms, sample_count,
+# measurement_count
+EdgeRow = tuple[str, str, float, int, int]
 
 
 # each spelling of an octet with at most three ASCII digits -> its canonical text
@@ -77,6 +88,12 @@ class EndpointKey:
         return self.value
 
 
+def _key_order(value: str) -> tuple[str, str]:
+    """The ``(kind, value)`` of the key whose value is ``value``, which
+    orders keys as :class:`EndpointKey` does: only a probe id is all digits."""
+    return (KIND_PROBE, value) if value.isdigit() else (KIND_IP, value)
+
+
 def _shared_key(keys: dict[str, EndpointKey], text: str) -> EndpointKey:
     """The key of endpoint ``text``, parsed once per distinct text; texts
     canonicalizing alike (8.8.000.1, 8.8.0.1) share it through ``keys``."""
@@ -87,65 +104,9 @@ def _shared_key(keys: dict[str, EndpointKey], text: str) -> EndpointKey:
     return key
 
 
-@dataclass(frozen=True, slots=True)
-class LatencyEdge:
-    """Aggregated directed RTT between two endpoints."""
-
-    source: EndpointKey
-    destination: EndpointKey
-    rtt_ms: float
-    sample_count: int
-    measurement_count: int
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.rtt_ms) and self.rtt_ms > 0):
-            raise ValueError(f"edge rtt must be finite and > 0, got {self.rtt_ms!r}")
-        if not self.sample_count >= self.measurement_count >= 1:
-            raise ValueError("need sample_count >= measurement_count >= 1")
-        if self.source == self.destination:
-            raise ValueError("self-edges are not allowed")
-
-
-class LatencyGraph:
-    """Directed graph of endpoints, adjacency-indexed by source.
-
-    Immutable once built; edge(a, b) may exist without edge(b, a), and a
-    missing edge is the no-observed-connectivity signal.
-    """
-
-    def __init__(self) -> None:
-        self._out: dict[EndpointKey, dict[EndpointKey, LatencyEdge]] = {}
-
-    def add_edge(self, edge: LatencyEdge) -> None:
-        self._out.setdefault(edge.source, {})[edge.destination] = edge
-        self._out.setdefault(edge.destination, {})
-
-    @property
-    def node_count(self) -> int:
-        return len(self._out)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(dsts) for dsts in self._out.values())
-
-    def nodes(self) -> Iterator[EndpointKey]:
-        return iter(self._out)
-
-    def edges(self) -> Iterator[LatencyEdge]:
-        for dsts in self._out.values():
-            yield from dsts.values()
-
-    def edge(self, source: EndpointKey, destination: EndpointKey) -> Optional[LatencyEdge]:
-        dsts = self._out.get(source)
-        return dsts.get(destination) if dsts else None
-
-    def successors(self, source: EndpointKey) -> Mapping[EndpointKey, LatencyEdge]:
-        return self._out.get(source, {})
-
-
 @dataclass
 class BuildStats:
-    """Accounting for build_graph: records seen, used and skipped."""
+    """Accounting for edge_rows: records seen, used and skipped."""
 
     records: int = 0
     used: int = 0
@@ -186,31 +147,28 @@ def group_samples(
     return groups
 
 
-def build_graph(
+def edge_rows(
     records: Iterable[PingRecord],
     stats: Optional[BuildStats] = None,
     merge: Iterable[dict] = (),
-    keys: Optional[dict[str, EndpointKey]] = None,
-) -> LatencyGraph:
-    """Aggregate filtered records into a latency graph.
+) -> list[EdgeRow]:
+    """Aggregate filtered records into the snapshot's edge rows.
 
-    Edge weight = mean over measurements of (mean over that measurement's
-    samples of the representative RTT). Self-pairs and no-data records are
-    skipped and counted. Groups in ``merge``, made by :func:`group_samples`
-    from other records, join those of ``records`` before the weights are
-    taken. fsum is correctly rounded, so a weight does not depend on the
-    order of its samples: the graph is bit-identical under any record
-    reordering or split of the records between ``records`` and ``merge``.
-    ``keys`` is the endpoint key map of :func:`group_samples`; passing the
-    one that some merged groups were made with spares parsing their
-    endpoints again. Raises :class:`ToolkitError` when finite RTTs add up
-    past the largest float.
+    A row is ``(source, destination, rtt_ms, sample_count,
+    measurement_count)``, endpoints as key values, and the rows are sorted
+    by source key, then destination key. Edge weight = mean over
+    measurements of (mean over that measurement's samples of the
+    representative RTT). Self-pairs and no-data records are skipped and
+    counted. Groups in ``merge``, made by :func:`group_samples` from other
+    records, join those of ``records`` before the weights are taken. fsum
+    is correctly rounded, so a weight does not depend on the order of its
+    samples: the rows are bit-identical under any record reordering or
+    split of the records between ``records`` and ``merge``. Raises
+    :class:`ToolkitError` when finite RTTs add up past the largest float.
     """
     if stats is None:
         stats = BuildStats()
-    if keys is None:
-        keys = {}
-    groups = group_samples(records, stats, keys)
+    groups = group_samples(records, stats, {})
     for other in merge:
         if not groups:  # nothing to join it to: taken as it is
             groups = other
@@ -223,7 +181,7 @@ def build_graph(
                 if run is not rtts:
                     run.extend(rtts)
 
-    graph = LatencyGraph()
+    rows = []
     for (source, destination), by_msm in groups.items():
         try:
             means = [math.fsum(rtts) / len(rtts) for _, rtts in sorted(by_msm.items())]
@@ -233,16 +191,13 @@ def build_graph(
         # inf also comes from a two-run mean that overflowed
         if rtt == math.inf:
             raise ToolkitError(f"RTTs of {source} -> {destination} add up past the largest float")
-        graph.add_edge(
-            LatencyEdge(
-                source=_shared_key(keys, source),
-                destination=_shared_key(keys, destination),
-                rtt_ms=rtt,
-                sample_count=sum(len(rtts) for rtts in by_msm.values()),
-                measurement_count=len(by_msm),
-            )
-        )
-    return graph
+        samples = sum(len(rtts) for rtts in by_msm.values())
+        rows.append((source, destination, rtt, samples, len(by_msm)))
+    # each endpoint is ranked once, so that the sort keys are pairs of ints
+    endpoints = sorted({value for pair in groups for value in pair}, key=_key_order)
+    rank = {value: r for r, value in enumerate(endpoints)}
+    rows.sort(key=lambda row: (rank[row[0]], rank[row[1]]))
+    return rows
 
 
 @contextmanager
@@ -266,70 +221,89 @@ def replaced_on_success(path: str | Path, newline: Optional[str] = None) -> Iter
         raise
 
 
-def save_graph(graph: LatencyGraph, path: str | Path) -> None:
-    """Write the snapshot CSV (RTTs in shortest round-trip form, so
-    :func:`load_graph` reads back the exact weights), replacing ``path``
+def write_snapshot(rows: Iterable[EdgeRow], path: str | Path) -> None:
+    """Write edge rows, as :func:`edge_rows` gives them, as the snapshot CSV
+    in their order, RTTs in shortest round-trip form so that
+    :func:`read_snapshot` reads back the exact weights, replacing ``path``
     atomically."""
     with replaced_on_success(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SNAPSHOT_HEADER)
-        rows = sorted(graph.edges(), key=lambda e: (e.source, e.destination))
-        for edge in rows:
-            writer.writerow(
-                [
-                    edge.source.value,
-                    edge.destination.value,
-                    repr(edge.rtt_ms),
-                    edge.sample_count,
-                    edge.measurement_count,
-                ]
-            )
+        writer.writerows((s, d, repr(rtt), samples, msms) for s, d, rtt, samples, msms in rows)
 
 
-def load_graph(path: str | Path) -> LatencyGraph:
-    """Read a snapshot CSV back into a graph.
+def read_snapshot(path: str | Path) -> tuple[list[EndpointKey], list[list[tuple[int, float]]]]:
+    """Read a snapshot CSV into its nodes, sorted by key, and each node's
+    successors: the ``(destination rank, rtt_ms)`` list of its edges, sorted
+    by rank, where a rank is an index into the nodes.
 
-    Raises :class:`ParseError` with the offending line number on malformed
-    snapshots, including a second row for the same edge.
+    Raises :class:`ParseError` with the offending line number on a
+    malformed snapshot, including a second row for the same edge. Only then
+    is the file read again, to report the fault that comes first in it.
     """
-    graph = LatencyGraph()
-    for lineno, edge in _snapshot_edges(path):
-        if graph.edge(edge.source, edge.destination) is not None:
-            # found again rather than remembered, so a valid load keeps no line table
-            pair = (edge.source, edge.destination)
-            first = next(n for n, e in _snapshot_edges(path) if (e.source, e.destination) == pair)
+    keys: dict[str, EndpointKey] = {}
+    out: defaultdict[str, list[tuple[str, float]]] = defaultdict(list)
+    try:
+        for _, source, destination, rtt in _snapshot_rows(path, keys):
+            out[source].append((destination, rtt))
+    except ParseError:
+        _raise_first_fault(path)
+        raise
+    distinct = {key.value: key for key in keys.values()}.values()
+    nodes = sorted(distinct, key=lambda node: (node.kind, node.value))
+    rank = {node.value: r for r, node in enumerate(nodes)}
+    successors = []
+    for node in nodes:
+        # each source's (value, rtt) tuples are freed as its ranked ones are made
+        ranked = sorted([(rank[d], rtt) for d, rtt in out.pop(node.value, ())])
+        if any(a[0] == b[0] for a, b in pairwise(ranked)):
+            _raise_first_fault(path)  # two rows of one edge
+        successors.append(ranked)
+    return nodes, successors
+
+
+def _raise_first_fault(path: str | Path) -> None:
+    """Raise the first fault of the snapshot at ``path`` in file order: a
+    malformed row or a second row for an edge, naming the first one's line."""
+    lines: dict[tuple[str, str], int] = {}
+    for lineno, source, destination, _ in _snapshot_rows(path, {}):
+        first = lines.setdefault((source, destination), lineno)
+        if first != lineno:
             raise ParseError(
-                lineno, f"duplicate edge {edge.source} -> {edge.destination}, first at line {first}"
+                lineno, f"duplicate edge {source} -> {destination}, first at line {first}"
             )
-        graph.add_edge(edge)
-    return graph
 
 
-def _snapshot_edges(path: str | Path) -> Iterator[tuple[int, LatencyEdge]]:
-    """``(line number, edge)`` of each row of a snapshot CSV."""
-    keys: dict[str, EndpointKey] = {}  # text, and each key's value -> its key
+def _snapshot_rows(
+    path: str | Path, keys: dict[str, EndpointKey]
+) -> Iterator[tuple[int, str, str, float]]:
+    """``(line number, source, destination, rtt_ms)`` of each edge row of a
+    snapshot CSV, endpoints as key values; ``keys`` is the endpoint key map
+    of :func:`_shared_key`. Raises :class:`ParseError` at a first line that
+    is not the header, and at the first malformed row."""
+    columns = len(SNAPSHOT_HEADER)
     with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            for lineno, row in enumerate(reader, start=1):
+            header = next(reader, None)
+            if header is None or tuple(cell.strip() for cell in header) != SNAPSHOT_HEADER:
+                raise ParseError(1, "bad snapshot header")
+            for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
-                if lineno == 1:
-                    if tuple(cell.strip() for cell in row) != SNAPSHOT_HEADER:
-                        raise ParseError(lineno, "bad snapshot header")
-                    continue
-                if len(row) != len(SNAPSHOT_HEADER):
-                    raise ParseError(lineno, f"expected {len(SNAPSHOT_HEADER)} columns")
+                if len(row) != columns:
+                    raise ParseError(lineno, f"expected {columns} columns")
+                source, destination = _shared_key(keys, row[0]), _shared_key(keys, row[1])
                 try:
-                    edge = LatencyEdge(
-                        source=_shared_key(keys, row[0]),
-                        destination=_shared_key(keys, row[1]),
-                        rtt_ms=float(row[2]),
-                        sample_count=int(row[3]),
-                        measurement_count=int(row[4]),
-                    )
+                    rtt, samples, msms = float(row[2]), int(row[3]), int(row[4])
                 except ValueError as exc:
                     raise ParseError(lineno, str(exc)) from exc
-                yield lineno, edge
+                if not (math.isfinite(rtt) and rtt > 0):
+                    raise ParseError(lineno, f"edge rtt must be finite and > 0, got {rtt!r}")
+                if not samples >= msms >= 1:
+                    raise ParseError(lineno, "need sample_count >= measurement_count >= 1")
+                if source is destination:
+                    raise ParseError(lineno, "self-edges are not allowed")
+                yield lineno, source.value, destination.value, rtt
         except csv.Error as exc:  # e.g. a field past csv's size limit
             raise ParseError(reader.line_num, str(exc)) from None

@@ -1,5 +1,14 @@
 """Shared test helpers: tiny graph builders and reference oracles.
 
+The in-memory graph is an oracle here: ``src/`` keeps a graph only as
+snapshot rows and as the rank-sorted adjacency that the snapshot reader
+gives. :class:`LatencyEdge` checks each edge as the reader checks each row,
+:class:`LatencyGraph` holds the edges by source and destination key, and
+:func:`load_graph` reads a snapshot one row at a time, raising a
+:class:`ParseError` at the first fault, so that ``read_snapshot`` can be
+held to it. :func:`graph_of`, :func:`rows_of`, :func:`ranked` and
+:func:`save_graph` go between the graph and the shapes ``src/`` uses.
+
 The oracles deliberately re-derive results by exhaustive triple loops over
 edge lookups, independent of the adjacency-driven production code paths.
 The reference report path (one object per insight, sorted, then written
@@ -28,15 +37,16 @@ import math
 import random
 import re
 from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import pytest
 
 from detourkit.cli import PipelineConfig, resolve_config
 from detourkit.detours import INSIGHT_HEADER, KIND_BRIDGE, KIND_IMPROVEMENT, DetourInsight
-from detourkit.errors import EmptyInputError, ParseError, ToolkitError
-from detourkit.graph import EndpointKey, LatencyEdge, LatencyGraph, canonical_ipv4
+from detourkit.errors import EmptyInputError, ParseError, ToolkitError, open_text
+from detourkit.graph import SNAPSHOT_HEADER, EdgeRow, EndpointKey, canonical_ipv4, write_snapshot
 from detourkit.ingest import PingRecord, parse_fields
 from detourkit.stats import MODALITY_UNIMODAL, RttSummary, describe
 from detourkit.traceroute import TracerouteHop
@@ -44,19 +54,158 @@ from detourkit.traceroute import TracerouteHop
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def make_graph(edges: dict[tuple[str, str], float]) -> LatencyGraph:
+@dataclass(frozen=True, slots=True)
+class LatencyEdge:
+    """Aggregated directed RTT between two endpoints."""
+
+    source: EndpointKey
+    destination: EndpointKey
+    rtt_ms: float
+    sample_count: int
+    measurement_count: int
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.rtt_ms) and self.rtt_ms > 0):
+            raise ValueError(f"edge rtt must be finite and > 0, got {self.rtt_ms!r}")
+        if not self.sample_count >= self.measurement_count >= 1:
+            raise ValueError("need sample_count >= measurement_count >= 1")
+        if self.source == self.destination:
+            raise ValueError("self-edges are not allowed")
+
+
+class LatencyGraph:
+    """Directed graph of endpoints, adjacency-indexed by source.
+
+    edge(a, b) may exist without edge(b, a), and a missing edge is the
+    no-observed-connectivity signal.
+    """
+
+    def __init__(self) -> None:
+        self._out: dict[EndpointKey, dict[EndpointKey, LatencyEdge]] = {}
+        self._sorted: Optional[list[EndpointKey]] = None
+
+    def add_edge(self, edge: LatencyEdge) -> None:
+        self._out.setdefault(edge.source, {})[edge.destination] = edge
+        self._out.setdefault(edge.destination, {})
+        self._sorted = None
+
+    @property
+    def node_count(self) -> int:
+        return len(self._out)
+
+    @property
+    def edge_count(self) -> int:
+        return sum(len(dsts) for dsts in self._out.values())
+
+    def nodes(self) -> Iterator[EndpointKey]:
+        return iter(self._out)
+
+    def sorted_nodes(self) -> list[EndpointKey]:
+        """The nodes in key order, sorted once until an edge is added."""
+        if self._sorted is None:
+            self._sorted = sorted(self._out)
+        return self._sorted
+
+    def edges(self) -> Iterator[LatencyEdge]:
+        for dsts in self._out.values():
+            yield from dsts.values()
+
+    def edge(self, source: EndpointKey, destination: EndpointKey) -> Optional[LatencyEdge]:
+        dsts = self._out.get(source)
+        return dsts.get(destination) if dsts else None
+
+    def successors(self, source: EndpointKey) -> Mapping[EndpointKey, LatencyEdge]:
+        return self._out.get(source, {})
+
+
+def graph_of(rows: Iterable[EdgeRow]) -> LatencyGraph:
+    """The graph of snapshot edge rows, each row checked as an edge."""
     graph = LatencyGraph()
-    for (source, destination), rtt in edges.items():
-        graph.add_edge(
-            LatencyEdge(
-                source=EndpointKey.from_text(source),
-                destination=EndpointKey.from_text(destination),
-                rtt_ms=rtt,
-                sample_count=1,
-                measurement_count=1,
-            )
-        )
+    key = EndpointKey.from_text
+    for source, destination, rtt, samples, measurements in rows:
+        graph.add_edge(LatencyEdge(key(source), key(destination), rtt, samples, measurements))
     return graph
+
+
+def rows_of(graph: LatencyGraph) -> list[EdgeRow]:
+    """The graph's edges as snapshot rows, in the order ``edge_rows`` gives."""
+    edges = sorted(graph.edges(), key=lambda e: (e.source, e.destination))
+    return [
+        (e.source.value, e.destination.value, e.rtt_ms, e.sample_count, e.measurement_count)
+        for e in edges
+    ]
+
+
+def save_graph(graph: LatencyGraph, path: str | Path) -> None:
+    """Write the graph's snapshot with the writer ``ingest`` uses."""
+    write_snapshot(rows_of(graph), path)
+
+
+def ranked(graph: LatencyGraph) -> tuple[list[EndpointKey], list[list[tuple[int, float]]]]:
+    """The graph's nodes in key order and each one's ``(destination rank,
+    rtt)`` successor list sorted by rank: what ``read_snapshot`` reads from
+    the graph's snapshot, and the input of ``search_detours``."""
+    nodes = graph.sorted_nodes()
+    rank = {node: i for i, node in enumerate(nodes)}
+    successors = [
+        sorted([(rank[d], edge.rtt_ms) for d, edge in graph.successors(node).items()])
+        for node in nodes
+    ]
+    return list(nodes), successors
+
+
+def load_graph(path: str | Path) -> LatencyGraph:
+    """Read a snapshot CSV back into a graph, one row at a time.
+
+    Raises :class:`ParseError` with the offending line number on malformed
+    snapshots, including a second row for the same edge.
+    """
+    graph = LatencyGraph()
+    for lineno, edge in _snapshot_edges(path):
+        if graph.edge(edge.source, edge.destination) is not None:
+            pair = (edge.source, edge.destination)
+            first = next(n for n, e in _snapshot_edges(path) if (e.source, e.destination) == pair)
+            raise ParseError(
+                lineno, f"duplicate edge {edge.source} -> {edge.destination}, first at line {first}"
+            )
+        graph.add_edge(edge)
+    return graph
+
+
+def _snapshot_edges(path: str | Path) -> Iterator[tuple[int, LatencyEdge]]:
+    """``(line number, edge)`` of each row of a snapshot CSV, whose first
+    line must be its header."""
+    with open_text(path, newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            for lineno, row in enumerate(reader, start=1):
+                if lineno == 1:
+                    if tuple(cell.strip() for cell in row) != SNAPSHOT_HEADER:
+                        raise ParseError(lineno, "bad snapshot header")
+                    continue
+                if not row:
+                    continue
+                if len(row) != len(SNAPSHOT_HEADER):
+                    raise ParseError(lineno, f"expected {len(SNAPSHOT_HEADER)} columns")
+                try:
+                    edge = LatencyEdge(
+                        source=EndpointKey.from_text(row[0]),
+                        destination=EndpointKey.from_text(row[1]),
+                        rtt_ms=float(row[2]),
+                        sample_count=int(row[3]),
+                        measurement_count=int(row[4]),
+                    )
+                except ValueError as exc:
+                    raise ParseError(lineno, str(exc)) from exc
+                yield lineno, edge
+            if reader.line_num == 0:  # no line at all, so no header
+                raise ParseError(1, "bad snapshot header")
+        except csv.Error as exc:  # e.g. a field past csv's size limit
+            raise ParseError(reader.line_num, str(exc)) from None
+
+
+def make_graph(edges: dict[tuple[str, str], float]) -> LatencyGraph:
+    return graph_of((*pair, rtt, 1, 1) for pair, rtt in edges.items())
 
 
 def random_graph(rng: random.Random, max_nodes: int = 50, density: float = 0.3) -> LatencyGraph:
@@ -83,7 +232,7 @@ def edge_rtt(
 def brute_force_detours(graph: LatencyGraph, threshold_pct: float) -> set[tuple]:
     """O(V^3) re-derivation of every insight, keyed for set comparison."""
     found = set()
-    nodes = sorted(graph.nodes())
+    nodes = graph.sorted_nodes()
     for source in nodes:
         for destination in nodes:
             if source == destination:
@@ -122,7 +271,7 @@ def brute_force_best(
 ) -> Optional[tuple[float, EndpointKey]]:
     """Minimal-overlay via, first-in-sorted-order on ties."""
     best: Optional[tuple[float, EndpointKey]] = None
-    for via in sorted(graph.nodes()):
+    for via in graph.sorted_nodes():
         if via == source or via == destination:
             continue
         leg_in = edge_rtt(graph, source, via)

@@ -18,16 +18,18 @@ from conftest import (
     FIXTURES,
     best_detour,
     edge_rtt,
+    graph_of,
     improvement_histogram,
     insight_key,
     make_graph,
     random_graph,
+    ranked,
     summarize,
     summary_from_moments,
 )
-from detourkit.cli import ingest_to_graph
+from detourkit.cli import ingest_to_rows
 from detourkit.detours import KIND_BRIDGE, KIND_IMPROVEMENT, search_detours
-from detourkit.graph import EndpointKey, build_graph
+from detourkit.graph import EndpointKey, edge_rows
 from detourkit.ingest import FilterSpec, PingRecord, representative_rtt
 from detourkit.stats import OverlayPath, compare, compose
 from detourkit.traceroute import LOS_ANGELES, detect_city, read_trace_file
@@ -106,7 +108,8 @@ def test_reference_insight_fixtures():
     assert bridge.overlay_rtt_ms == pytest.approx(4.9, abs=0.01)
     assert bridge.direct_rtt_ms is None
 
-    emitted = {insight_key(i) for i in search_detours(graph, threshold_pct=1.0).insights()}
+    found = search_detours(*ranked(graph), threshold_pct=1.0)
+    emitted = {insight_key(i) for i in found.insights()}
     assert insight_key(milpitas) in emitted
     assert insight_key(newark) in emitted
     assert insight_key(bridge) in emitted
@@ -158,7 +161,7 @@ def test_detour_search_matches_brute_force_oracle():
         threshold = rng.choice([0.0, 0.5, 1.0, 2.0, 10.0])
         expected_insights, expected_best = _oracle_scan(graph, threshold)
 
-        produced = [insight_key(i) for i in search_detours(graph, threshold).insights()]
+        produced = [insight_key(i) for i in search_detours(*ranked(graph), threshold).insights()]
         assert len(produced) == len(set(produced))
         assert set(produced) == expected_insights
 
@@ -188,7 +191,7 @@ def test_threshold_monotonicity_and_histogram_conservation():
     rng = random.Random(99)
     for _ in range(100):
         graph = random_graph(rng, max_nodes=25, density=0.3)
-        rows = {t: search_detours(graph, t) for t in (1.0, 0.5, 0.0)}
+        rows = {t: search_detours(*ranked(graph), t) for t in (1.0, 0.5, 0.0)}
         by_threshold = {
             t: [i for i in rows[t].insights() if i.kind == KIND_IMPROVEMENT] for t in rows
         }
@@ -240,17 +243,10 @@ def test_aggregation_properties():
         )
         for _ in range(1000)
     ]
-    baseline = {
-        (e.source, e.destination): (e.rtt_ms, e.sample_count, e.measurement_count)
-        for e in build_graph(records).edges()
-    }
+    baseline = edge_rows(records)
     for _ in range(50):
         rng.shuffle(records)
-        shuffled = {
-            (e.source, e.destination): (e.rtt_ms, e.sample_count, e.measurement_count)
-            for e in build_graph(records).edges()
-        }
-        assert shuffled == baseline
+        assert edge_rows(records) == baseline
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0
     report(f"aggregation-properties ({elapsed:.1f}s)")
@@ -316,10 +312,11 @@ def test_throughput_on_synthetic_feed(tmp_path):
     feed.write_text("\n".join(chunks) + "\n", encoding="utf-8")
 
     started = time.perf_counter()
-    graph, feed_stats, build_stats = ingest_to_graph(
+    rows, feed_stats, build_stats = ingest_to_rows(
         [feed], FilterSpec(required_status="stopped", address_family=4)
     )
     elapsed = time.perf_counter() - started
+    graph = graph_of(rows)
 
     assert feed_stats.lines == 1_000_000
     assert feed_stats.parse_errors == 0

@@ -22,13 +22,22 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import detourkit
-from conftest import FIXTURES, edge_rtt, load_config_file, make_graph, serialize_record
+from conftest import (
+    FIXTURES,
+    graph_of,
+    load_config_file,
+    load_graph,
+    make_graph,
+    ranked,
+    save_graph,
+    serialize_record,
+)
 from detourkit.cli import (
     CONFIG_KEYS,
     HISTOGRAM_COLUMNS,
     PipelineConfig,
     build_parser,
-    ingest_to_graph,
+    ingest_to_rows,
     main,
     resolve_config,
     write_table,
@@ -37,7 +46,7 @@ from detourkit import errors, geo
 from detourkit import stats as stats_module
 from detourkit.detours import DetourRows, search_detours, write_rows_csv, write_rows_json
 from detourkit.errors import ToolkitError
-from detourkit.graph import SNAPSHOT_HEADER, EndpointKey, LatencyGraph, load_graph, save_graph
+from detourkit.graph import SNAPSHOT_HEADER, EndpointKey, read_snapshot, write_snapshot
 from detourkit.ingest import FilterSpec, PingRecord
 
 REFERENCE_EDGES = {
@@ -132,7 +141,7 @@ class TestIngest:
         assert main(argv) == 0
         assert f"snapshot={out / 'sub' / 'g.csv'}" in capsys.readouterr().out
         assert [p.name for p in (out / "sub").iterdir()] == ["g.csv"]
-        assert load_graph(out / "sub" / "g.csv").edge_count == 1
+        assert sum(map(len, read_snapshot(out / "sub" / "g.csv")[1])) == 1
 
     @pytest.mark.parametrize(
         "name", ["../escaped.csv", "sub/../../escaped.csv", "{tmp}/abs.csv", ".", ""]
@@ -297,9 +306,10 @@ class TestIngest:
                 return None
 
         spec = FilterSpec(region_allowlist=frozenset({"US", "CA"}))
-        graph, feed_stats, build = ingest_to_graph([feed], spec, key_by=key_by, region_of=region_of)
+        rows, feed_stats, build = ingest_to_rows([feed], spec, key_by=key_by, region_of=region_of)
         reference = tmp_path / "reference.csv"
-        save_graph(graph, reference)
+        write_snapshot(rows, reference)
+        graph = graph_of(rows)
         snapshot = out / "graph.csv"
         expected = [f"lines={feed_stats.lines} parse_errors={feed_stats.parse_errors} kept={build.records}"]
         expected += [f"dropped[{r}]={c}" for r, c in sorted(feed_stats.drops.items())]
@@ -329,11 +339,14 @@ class TestDetours:
         feed = tmp_path / "feed.jsonl"
         feed.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["--output-dir", str(tmp_path), "ingest", str(feed)]) == 0
-        in_memory, _, _ = ingest_to_graph([feed], FilterSpec(address_family=4))
-        from_file = load_graph(tmp_path / "graph.csv")
-        assert set(from_file.edges()) == set(in_memory.edges())
-        produced = list(search_detours(from_file, 0.0).insights())
-        assert produced == list(search_detours(in_memory, 0.0).insights())
+        rows, _, _ = ingest_to_rows([feed], FilterSpec(address_family=4))
+        in_memory = graph_of(rows)
+        snapshot = tmp_path / "graph.csv"
+        assert set(load_graph(snapshot).edges()) == set(in_memory.edges())
+        from_file = read_snapshot(snapshot)
+        assert from_file == ranked(in_memory)
+        produced = list(search_detours(*from_file, 0.0).insights())
+        assert produced == list(search_detours(*ranked(in_memory), 0.0).insights())
 
     def test_duplicate_edge_is_a_parse_error(self, tmp_path, capsys):
         snapshot = tmp_path / "graph.csv"
@@ -350,7 +363,7 @@ class TestDetours:
     def test_sub_millisecond_edge_survives_snapshot(self, tmp_path):
         snapshot = tmp_path / "graph.csv"
         save_graph(make_graph({("A", "B"): 0.0004, ("B", "C"): 2.0, ("A", "C"): 3.0}), snapshot)
-        assert edge_rtt(load_graph(snapshot), key("A"), key("B")) == 0.0004
+        assert read_snapshot(snapshot)[1][0] == [(1, 0.0004), (2, 3.0)]
         out = tmp_path / "out"
         assert main(["--output-dir", str(out), "detours", str(snapshot)]) == 0
         assert read_csv(out / "insights.csv")[1][:4] == ["A", "B", "C", "2.000"]
@@ -1220,12 +1233,10 @@ def test_byte_order_mark_is_skipped(tmp_path, capsys, monkeypatch, kind):
     assert run(tmp_path / "marked", BOM + valid) == run(tmp_path / "plain", valid)
 
 
-class FailingGraph(LatencyGraph):
-    """A graph whose edge listing fails after the snapshot header is written."""
-
-    def edges(self):
-        yield from make_graph({("A", "B"): 1.0}).edges()
-        raise RuntimeError("writer failed")
+def failing_edge_rows():
+    """Edge rows that fail after the snapshot header and a row are written."""
+    yield ("A", "B", 1.0, 1, 1)
+    raise RuntimeError("writer failed")
 
 
 def failing_rows():
@@ -1243,7 +1254,7 @@ BROKEN_ROWS = DetourRows(
 )
 
 FAILING_WRITERS = {
-    "save_graph": lambda path: save_graph(FailingGraph(), path),
+    "write_snapshot": lambda path: write_snapshot(failing_edge_rows(), path),
     "write_table-csv": lambda path: write_table(path, "csv", HISTOGRAM_COLUMNS, failing_rows()),
     "write_table-json": lambda path: write_table(path, "json", HISTOGRAM_COLUMNS, failing_rows()),
     "write_rows_csv": lambda path: write_rows_csv(BROKEN_ROWS, path),

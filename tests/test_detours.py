@@ -24,7 +24,9 @@ from conftest import (
     insight_row,
     make_graph,
     random_graph,
+    ranked,
     report_order,
+    save_graph,
     write_insights_csv,
 )
 from detourkit.cli import HISTOGRAM_COLUMNS, main, write_table
@@ -37,7 +39,7 @@ from detourkit.detours import (
     write_rows_json,
 )
 from detourkit.errors import ToolkitError
-from detourkit.graph import EndpointKey, save_graph
+from detourkit.graph import EndpointKey, read_snapshot
 
 
 def key(text):
@@ -84,13 +86,13 @@ class TestBestDetour:
 class TestEnumerate:
     def test_equal_overlay_not_emitted(self):
         graph = make_graph({("A", "B"): 5.0, ("B", "C"): 5.0, ("A", "C"): 10.0})
-        assert list(search_detours(graph, threshold_pct=1.0).insights()) == []
+        assert list(search_detours(*ranked(graph), threshold_pct=1.0).insights()) == []
         # still not an improvement at threshold 0: nothing is strictly saved
-        assert list(search_detours(graph, threshold_pct=0.0).insights()) == []
+        assert list(search_detours(*ranked(graph), threshold_pct=0.0).insights()) == []
 
     def test_bridge_emitted(self):
         graph = make_graph({("A", "B"): 0.3, ("B", "C"): 4.6})
-        insights = list(search_detours(graph, threshold_pct=1.0).insights())
+        insights = list(search_detours(*ranked(graph), threshold_pct=1.0).insights())
         assert len(insights) == 1
         bridge = insights[0]
         assert bridge.kind == KIND_BRIDGE
@@ -100,14 +102,14 @@ class TestEnumerate:
     def test_threshold_filters_improvements(self):
         graph = make_graph({("A", "B"): 49.8, ("B", "C"): 49.8, ("A", "C"): 100.0})
         # saving 0.4 of 100 = 0.4%
-        assert list(search_detours(graph, threshold_pct=1.0).insights()) == []
-        found = list(search_detours(graph, threshold_pct=0.1).insights())
+        assert list(search_detours(*ranked(graph), threshold_pct=1.0).insights()) == []
+        found = list(search_detours(*ranked(graph), threshold_pct=0.1).insights())
         assert len(found) == 1 and found[0].improvement_pct == pytest.approx(0.4)
 
     def test_improvement_is_exact_leg_sum(self):
         rng = random.Random(3)
         graph = random_graph(rng, max_nodes=20)
-        for insight in search_detours(graph, threshold_pct=0.0).insights():
+        for insight in search_detours(*ranked(graph), threshold_pct=0.0).insights():
             leg_in = edge_rtt(graph, insight.source, insight.via)
             leg_out = edge_rtt(graph, insight.via, insight.destination)
             assert insight.overlay_rtt_ms == leg_in + leg_out
@@ -119,7 +121,8 @@ class TestEnumerate:
         for _ in range(25):
             graph = random_graph(rng, max_nodes=14)
             threshold = rng.choice([0.0, 0.5, 1.0, 5.0])
-            produced = [insight_key(i) for i in search_detours(graph, threshold).insights()]
+            rows = search_detours(*ranked(graph), threshold)
+            produced = [insight_key(i) for i in rows.insights()]
             assert len(produced) == len(set(produced))  # each triplet once
             assert set(produced) == brute_force_detours(graph, threshold)
 
@@ -128,7 +131,7 @@ class TestEnumerate:
         for _ in range(10):
             graph = random_graph(rng, max_nodes=12)
             sets = [
-                {insight_key(i) for i in search_detours(graph, t).insights()}
+                {insight_key(i) for i in search_detours(*ranked(graph), t).insights()}
                 for t in (1.0, 0.5, 0.0)
             ]
             assert sets[0] <= sets[1] <= sets[2]
@@ -141,12 +144,12 @@ class TestEnumerate:
         )
         base_pairs = {
             (i.source, i.via, i.destination): i.improvement_pct
-            for i in search_detours(graph, 1.0).insights()
+            for i in search_detours(*ranked(graph), 1.0).insights()
             if i.kind == KIND_IMPROVEMENT
         }
         scaled_pairs = {
             (i.source, i.via, i.destination): i.improvement_pct
-            for i in search_detours(scaled, 1.0).insights()
+            for i in search_detours(*ranked(scaled), 1.0).insights()
             if i.kind == KIND_IMPROVEMENT
         }
         assert base_pairs.keys() == scaled_pairs.keys()
@@ -164,7 +167,7 @@ class TestBridgeStream:
     @given(seed=st.integers(0, 2**32 - 1), threshold=st.sampled_from([0.0, 1.0, 20.0]))
     def test_bridges_are_the_oracle_in_report_order(self, seed, threshold):
         graph = random_graph(random.Random(seed), max_nodes=12)
-        rows = search_detours(graph, threshold)
+        rows = search_detours(*ranked(graph), threshold)
         walked = list(rows.bridges())
         assert list(rows.bridges()) == walked
         nodes = rows.nodes
@@ -191,7 +194,7 @@ class TestBridgeStream:
         graph = random_graph(random.Random(6), max_nodes=160)
         tracemalloc.start()
         try:
-            rows = search_detours(graph, 1.0)
+            rows = search_detours(*ranked(graph), 1.0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -200,6 +203,22 @@ class TestBridgeStream:
         # bridge row would take about 120
         beyond_improvements = peak - 256 * len(rows.improvements)
         assert beyond_improvements < 16 * rows.bridge_count
+
+    def test_snapshot_read_holds_no_graph(self, tmp_path):
+        # 150 nodes and 6,655 edges, read straight into the adjacency
+        graph = random_graph(random.Random(6), max_nodes=160)
+        snapshot = tmp_path / "graph.csv"
+        save_graph(graph, snapshot)
+        tracemalloc.start()
+        try:
+            adjacency = read_snapshot(snapshot)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert adjacency == ranked(graph)
+        # a (rank, rtt) successor takes about 88 bytes; a graph of edge
+        # objects alone took about 136 per edge before any ranking
+        assert peak < 110 * graph.edge_count
 
 class TestHistogram:
     @staticmethod
@@ -212,7 +231,7 @@ class TestHistogram:
             edges[(f"a{i}", "V")] = 1.0
             edges[("V", f"b{i}")] = 1.0
             edges[(f"a{i}", f"b{i}")] = 2.0 / (1.0 - pct / 100.0)
-        rows = search_detours(make_graph(edges), threshold_pct=0.0)
+        rows = search_detours(*ranked(make_graph(edges)), threshold_pct=0.0)
         assert len(rows.improvements) == len(pcts)
         return rows
 
@@ -233,7 +252,7 @@ class TestHistogram:
                 ("A", "C"): 100.0,
             }
         )
-        rows = search_detours(graph, 1.0)
+        rows = search_detours(*ranked(graph), 1.0)
         assert len(rows.improvements) == 2
         histogram = rows.histogram(bucket_width_pct=1.0)
         assert histogram.counts == {80.0: 1}
@@ -244,7 +263,7 @@ class TestHistogram:
         for _ in range(20):
             graph = random_graph(rng, max_nodes=20)
             threshold = rng.choice([0.0, 1.0, 20.0])
-            rows = search_detours(graph, threshold)
+            rows = search_detours(*ranked(graph), threshold)
             # independent recount from the oracle's raw triplets
             oracle = [DetourInsight(*row) for row in brute_force_detours(graph, threshold)]
             pairs = {(i.source, i.destination) for i in oracle if i.kind == KIND_IMPROVEMENT}
@@ -267,13 +286,13 @@ class TestHistogram:
         # 100 * gain passes the largest float, so the pct is infinite
         graph = make_graph({("A", "B"): 1.0, ("B", "C"): 1.0, ("A", "C"): 1.7e308})
         with pytest.raises(ToolkitError, match="edge RTTs are too large"):
-            search_detours(graph, 1.0).histogram(1.0)
+            search_detours(*ranked(graph), 1.0).histogram(1.0)
 
 
 class TestExport:
     def test_insight_rows_render_absent_as_empty(self):
         graph = make_graph({("A", "B"): 0.3, ("B", "C"): 4.6})
-        bridge = next(search_detours(graph, 1.0).insights())
+        bridge = next(search_detours(*ranked(graph), 1.0).insights())
         row = insight_row(bridge)
         assert row == ["A", "B", "C", "4.900", "", "", "", "bridge"]
 
@@ -281,7 +300,7 @@ class TestExport:
         graph = make_graph(
             {("A", "B"): 1.0, ("B", "C"): 1.0, ("A", "C"): 10.0, ("A", "D"): 1.0}
         )
-        insights = report_order(search_detours(graph, 1.0).insights())
+        insights = report_order(search_detours(*ranked(graph), 1.0).insights())
         out = tmp_path / "insights.csv"
         assert write_insights_csv(insights, out) == len(insights)
         lines = out.read_text(encoding="utf-8").splitlines()
@@ -291,7 +310,7 @@ class TestExport:
         )
         assert lines[1] == "A,B,C,2.000,10.000,8.000,80.00,improvement"
 
-        histogram = search_detours(graph, 1.0).histogram(1.0)
+        histogram = search_detours(*ranked(graph), 1.0).histogram(1.0)
         hist_path = tmp_path / "hist.csv"
         write_table(hist_path, "csv", HISTOGRAM_COLUMNS, sorted(histogram.counts.items()))
         assert hist_path.read_text(encoding="utf-8").splitlines() == [
@@ -301,7 +320,7 @@ class TestExport:
 
     def test_json_rows_spell_overflowed_overlay_as_json_does(self, tmp_path):
         graph = make_graph({("A", "B"): 1e308, ("B", "C"): 1e308, ("C", "D"): 1.0})
-        rows = search_detours(graph, 1.0)
+        rows = search_detours(*ranked(graph), 1.0)
         path = tmp_path / "insights.json"
         assert write_rows_json(rows, path) == 2
         text = path.read_text(encoding="utf-8")
@@ -317,7 +336,7 @@ class TestExport:
                 ("X", "B"): 1.0,  # X->C has no direct edge: bridge
             }
         )
-        ordered = report_order(search_detours(graph, 1.0).insights())
+        ordered = report_order(search_detours(*ranked(graph), 1.0).insights())
         kinds = [i.kind for i in ordered]
         assert kinds == sorted(kinds, key=lambda k: k == KIND_BRIDGE)
 
@@ -361,7 +380,7 @@ class TestReportOrderProperty:
     @given(graph=quirky_graphs(), threshold=st.sampled_from([0.0, 1.0, 20.0, 50.0]))
     def test_enumeration_is_oracle_in_report_order(self, graph, threshold):
         oracle = report_order(DetourInsight(*row) for row in brute_force_detours(graph, threshold))
-        assert list(search_detours(graph, threshold).insights()) == oracle
+        assert list(search_detours(*ranked(graph), threshold).insights()) == oracle
 
     @settings(max_examples=40, deadline=None)
     @given(graph=quirky_graphs(), threshold=st.sampled_from([0.0, 1.0, 20.0]))

@@ -23,9 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURES, make_graph
+from conftest import FIXTURES, make_graph, save_graph
 from detourkit.cli import main
-from detourkit.graph import save_graph
 from test_cli import FOUR_NODE_EDGES, REFERENCE_EDGES
 
 GOLDEN = FIXTURES / "golden"

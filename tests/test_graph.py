@@ -1,4 +1,7 @@
-"""Graph aggregation: two-level averaging, directedness, snapshots."""
+"""Graph aggregation: two-level averaging, directedness, snapshots.
+
+The aggregation's rows are checked through the in-memory graph oracle of
+``conftest.py``, and the snapshot reader against its row-by-row loader."""
 
 from __future__ import annotations
 
@@ -8,17 +11,16 @@ import random
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import edge_rtt
+from conftest import LatencyEdge, edge_rtt, graph_of, load_graph, ranked, rows_of, save_graph
 from detourkit.errors import ParseError
 from detourkit.graph import (
     SNAPSHOT_HEADER,
     BuildStats,
     EndpointKey,
-    LatencyEdge,
-    build_graph,
     canonical_ipv4,
-    load_graph,
-    save_graph,
+    edge_rows,
+    read_snapshot,
+    write_snapshot,
 )
 from detourkit.ingest import PingRecord
 
@@ -37,6 +39,14 @@ def record(source, destination, runs, msm="m1"):
 
 def key(text):
     return EndpointKey.from_text(text)
+
+
+def build_graph(records, stats=None):
+    """The in-memory graph of the edge rows of ``records``."""
+    return graph_of(edge_rows(records, stats))
+
+
+HEADER = ",".join(SNAPSHOT_HEADER)
 
 
 class TestEndpointKey:
@@ -159,12 +169,11 @@ class TestBuildGraph:
                     msm=f"m{rng.randint(0, 5)}",
                 )
             )
-        base = build_graph(records)
-        baseline = {(e.source, e.destination): e.rtt_ms for e in base.edges()}
+        baseline = edge_rows(records)
+        assert baseline == rows_of(graph_of(baseline))  # in key order
         for _ in range(10):
             rng.shuffle(records)
-            shuffled = build_graph(records)
-            assert {(e.source, e.destination): e.rtt_ms for e in shuffled.edges()} == baseline
+            assert edge_rows(records) == baseline
 
     def test_edge_within_contributing_range(self):
         rng = random.Random(11)
@@ -191,89 +200,125 @@ class TestBuildGraph:
 
 class TestSnapshot:
     def test_round_trip(self, tmp_path):
-        graph = build_graph(
+        rows = edge_rows(
             [
                 record("10.0.0.1", "10.0.0.2", (1.25, 2.5, 3.125), msm="m1"),
                 record("10.0.0.2", "777", (7.0,), msm="m2"),
             ]
         )
         path = tmp_path / "snap.csv"
-        save_graph(graph, path)
-        loaded = load_graph(path)
-        assert loaded.node_count == graph.node_count
-        assert loaded.edge_count == graph.edge_count
-        for edge in graph.edges():
-            reloaded = loaded.edge(edge.source, edge.destination)
-            assert reloaded.rtt_ms == pytest.approx(edge.rtt_ms, abs=5e-4)
-            assert reloaded.sample_count == edge.sample_count
-            assert reloaded.measurement_count == edge.measurement_count
+        write_snapshot(rows, path)
+        assert rows_of(load_graph(path)) == rows
+        assert read_snapshot(path) == ranked(graph_of(rows))
 
     def test_second_round_trip_exact(self, tmp_path):
-        graph = build_graph([record("A", "B", (1.2345,))])
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        save_graph(graph, first)
-        once = load_graph(first)
-        save_graph(once, second)
-        twice = load_graph(second)
-        assert [e.rtt_ms for e in once.edges()] == [e.rtt_ms for e in twice.edges()]
+        write_snapshot(edge_rows([record("A", "B", (1.2345,))]), first)
+        save_graph(load_graph(first), second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_header_written(self, tmp_path):
         path = tmp_path / "snap.csv"
-        save_graph(build_graph([record("A", "B", (1.0,))]), path)
+        write_snapshot(edge_rows([record("A", "B", (1.0,))]), path)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "source,destination,rtt_ms,sample_count,measurement_count"
 
     def test_malformed_snapshot(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("source,destination,rtt_ms,sample_count,measurement_count\nA,B,-3,1,1\n")
+        path.write_text(f"{HEADER}\nA,B,-3,1,1\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
-            load_graph(path)
+            read_snapshot(path)
         assert exc.value.position == 2
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("who,what\n")
+        path.write_text("who,what\n", encoding="utf-8")
         with pytest.raises(ParseError):
-            load_graph(path)
+            read_snapshot(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["\nA,B,1.5,1,1\n", f"\n{HEADER}\nA,B,1.5,1,1\n", ""],
+        ids=["blank-then-row", "blank-then-header", "empty"],
+    )
+    def test_first_line_must_be_the_header(self, tmp_path, text):
+        path = tmp_path / "snap.csv"
+        path.write_text(text, encoding="utf-8")
+        for read in (read_snapshot, load_graph):
+            with pytest.raises(ParseError) as exc:
+                read(path)
+            assert str(exc.value) == "parse error at 1: bad snapshot header"
+
+    def test_blank_lines_after_the_header_are_skipped(self, tmp_path):
+        path = tmp_path / "snap.csv"
+        path.write_text(f"{HEADER}\n\nA,B,1.5,1,1\n\n", encoding="utf-8")
+        assert read_snapshot(path) == ([key("A"), key("B")], [[(1, 1.5)], []])
 
     def test_oversized_field_is_a_parse_error(self, tmp_path):
         path = tmp_path / "big.csv"
-        path.write_text(f"{','.join(SNAPSHOT_HEADER)}\nA,B,1,1,1\n{'x' * 200_000},B,1,1,1\n")
+        path.write_text(f"{HEADER}\nA,B,1,1,1\n{'x' * 200_000},B,1,1,1\n", encoding="utf-8")
         with pytest.raises(ParseError) as exc:
-            load_graph(path)
+            read_snapshot(path)
         assert exc.value.position == 3
 
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(
         st.lists(
             st.one_of(
-                st.just(",".join(SNAPSHOT_HEADER)),
+                st.just(HEADER),
                 st.lists(st.sampled_from(["A", "10.0.0.1", "7", "1", "0", "-2", "nan", "1e999"]))
                 .map(",".join),
+                st.tuples(
+                    *[st.sampled_from(["A", "B", "10.0.0.1", "10.0.0.01", "7", " 7"])] * 2,
+                    st.sampled_from(["1", "2.5", "0", "x"]),
+                    *[st.sampled_from(["1", "2", "0"])] * 2,
+                ).map(",".join),
                 st.text(),
             )
         ).map("\n".join)
     )
-    @example(f"{','.join(SNAPSHOT_HEADER)}\n\"{'x' * 131_073}\",B,1,1,1\n")
+    @example(f"{HEADER}\n\"{'x' * 131_073}\",B,1,1,1\n")
+    @example(f"{HEADER}\nA,B,1,1,1\nA,B,2,1,1\nA,C,x,1,1\n")  # duplicate, then a bad row
+    @example(f"{HEADER}\nA,B,1,1,1\nA,B,2,1,1\n\"{'x' * 131_073}\",B,1,1,1\n")  # csv.Error
+    @example(f"{HEADER}\n10.0.0.1,B,1,1,1\n10.0.0.01,B,2,1,1\n")  # one edge spelled twice
+    @example(f"{HEADER}\n10.0.0.1,010.0.0.001,1,1,1\n")  # a self-edge once canonical
+    @example(f"{HEADER}\n")
     def test_load_raises_only_parse_error(self, tmp_path, text):
+        # the reader agrees with the row-by-row oracle loader on every text:
+        # the same fault at the same line, or the adjacency of the same graph
         path = tmp_path / "snapshot.csv"
         path.write_text(text, encoding="utf-8", newline="")
         try:
-            load_graph(path)
-        except ParseError:
-            pass
+            expected = ranked(load_graph(path))
+        except ParseError as exc:
+            with pytest.raises(ParseError) as raised:
+                read_snapshot(path)
+            assert (raised.value.position, raised.value.reason) == (exc.position, exc.reason)
+        else:
+            assert read_snapshot(path) == expected
 
 
 class TestEdgeInvariants:
-    def test_rejects_self_edge(self):
-        with pytest.raises(ValueError):
-            LatencyEdge(key("A"), key("A"), 1.0, 1, 1)
+    """Each row check of the snapshot reader, with the message of the edge
+    oracle's."""
 
-    def test_rejects_bad_counts(self):
-        with pytest.raises(ValueError):
-            LatencyEdge(key("A"), key("B"), 1.0, 1, 2)
+    @staticmethod
+    def check(tmp_path, source, destination, rtt, samples, measurements):
+        with pytest.raises(ValueError) as oracle:
+            LatencyEdge(key(source), key(destination), rtt, samples, measurements)
+        path = tmp_path / "snap.csv"
+        row = f"{source},{destination},{rtt!r},{samples},{measurements}"
+        path.write_text(f"{HEADER}\n{row}\n", encoding="utf-8")
+        with pytest.raises(ParseError) as raised:
+            read_snapshot(path)
+        assert (raised.value.position, raised.value.reason) == (2, str(oracle.value))
 
-    def test_rejects_nonpositive_rtt(self):
-        with pytest.raises(ValueError):
-            LatencyEdge(key("A"), key("B"), 0.0, 1, 1)
+    def test_rejects_self_edge(self, tmp_path):
+        self.check(tmp_path, "A", "A", 1.0, 1, 1)
+
+    def test_rejects_bad_counts(self, tmp_path):
+        self.check(tmp_path, "A", "B", 1.0, 1, 2)
+
+    def test_rejects_nonpositive_rtt(self, tmp_path):
+        self.check(tmp_path, "A", "B", 0.0, 1, 1)

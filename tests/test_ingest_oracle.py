@@ -1,7 +1,7 @@
 """The CLI's ingest against a per-line oracle of the feed rules.
 
-``cli.ingest_to_graph`` runs ``read_result_file``, ``filter_records`` and
-``build_graph``, which turn already-checked fields into records without a
+``cli.ingest_to_rows`` runs ``read_result_file``, ``filter_records`` and
+``edge_rows``, which turn already-checked fields into records without a
 second check, patch sidecar fields into the parsed tuple and group by
 canonical endpoint values.
 The oracle does each step the plain way: a validated record per line, the
@@ -22,7 +22,7 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import parse_result_line
+from conftest import graph_of, parse_result_line, rows_of
 from detourkit import cli
 from detourkit.errors import NoDataError, ParseError
 from detourkit.graph import BuildStats, EndpointKey
@@ -262,10 +262,12 @@ def test_ingest_equals_per_line_oracle(files, spec, key_by, sidecar, regions, cp
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             paths.append(path)
         with mock.patch.object(cli, "usable_cpus", lambda: cpus):
-            graph, feed, build = cli.ingest_to_graph(paths, spec, key_by, sidecar, region_of)
+            rows, feed, build = cli.ingest_to_rows(paths, spec, key_by, sidecar, region_of)
         oracle_edges, oracle_feed, oracle_build = oracle_ingest(
             paths, spec, key_by, sidecar, region_of
         )
+    graph = graph_of(rows)
+    assert rows == rows_of(graph)  # in key order
     assert edges_of(graph) == oracle_edges
     assert set(graph.nodes()) == {node for pair in oracle_edges for node in pair}
     assert counters(feed, build) == counters(oracle_feed, oracle_build)
@@ -275,19 +277,19 @@ def test_ingest_equals_per_line_oracle(files, spec, key_by, sidecar, regions, cp
 
 def test_golden_ingest_counts_are_conserved(tmp_path, monkeypatch, capsys):
     seen = []
-    ingest_to_graph = cli.ingest_to_graph
+    ingest_to_rows = cli.ingest_to_rows
 
     def recorded(*args, **kwargs):
-        seen.append(ingest_to_graph(*args, **kwargs))
+        seen.append(ingest_to_rows(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(cli, "ingest_to_graph", recorded)
+    monkeypatch.setattr(cli, "ingest_to_rows", recorded)
     for case in ("flags", "config"):
         work = tmp_path / case
         work.mkdir()
         assert cli.main(COMMAND_CASES[("ingest", case)](work)) == 0
     capsys.readouterr()
     assert len(seen) == 2
-    for graph, feed, build in seen:
+    for rows, feed, build in seen:
         assert feed.parse_errors > 0 and feed.drops
-        assert_conserved(graph, feed, build)
+        assert_conserved(graph_of(rows), feed, build)

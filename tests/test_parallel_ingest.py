@@ -1,9 +1,9 @@
 """``ingest`` over feed shards in forked children.
 
-``cli.ingest_to_graph`` splits its feed files into one share per usable
+``cli.ingest_to_rows`` splits its feed files into one share per usable
 CPU; each share but the first is parsed, filtered and grouped in a forked
-child, whose groups and counters join the main process's before the graph
-is finished. These tests patch the CPU count, so the fork path runs on any
+child, whose groups and counters join the main process's before the edge
+rows are taken. These tests patch the CPU count, so the fork path runs on any
 runner: the output must be byte-identical to one process reading one
 feed, a failing share must exit 1 with its error, and no child may be left
 behind or unwind into the caller's stack.
@@ -26,7 +26,7 @@ import pytest
 
 from detourkit import cli, errors
 from detourkit.errors import ParseError, ToolkitError
-from detourkit.graph import BuildStats, build_graph, group_samples
+from detourkit.graph import BuildStats, edge_rows, group_samples
 from detourkit.ingest import PingRecord
 from test_golden import COMMAND_CASES, GOLDEN, INPUTS, run_command_case
 
@@ -90,7 +90,7 @@ def test_merged_groups_give_the_graph_of_all_records():
         for _ in range(3000)
     ]
     whole_stats = BuildStats()
-    whole = build_graph(records, whole_stats)
+    whole = edge_rows(records, whole_stats)
     for parts in (2, 3, 5):
         stats = BuildStats()
         others = []
@@ -98,10 +98,7 @@ def test_merged_groups_give_the_graph_of_all_records():
             part_stats = BuildStats()
             others.append(group_samples(records[part::parts], part_stats, {}))
             stats.merge(part_stats)
-        merged = build_graph(records[::parts], stats, merge=others)
-        assert sorted(merged.edges(), key=lambda e: (e.source, e.destination)) == sorted(
-            whole.edges(), key=lambda e: (e.source, e.destination)
-        )
+        assert edge_rows(records[::parts], stats, merge=others) == whole
         assert stats == whole_stats
 
 

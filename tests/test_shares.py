@@ -25,11 +25,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, make_graph, random_graph, write_insights_csv
+from conftest import FIXTURES, make_graph, random_graph, ranked, save_graph, write_insights_csv
 from detourkit import cli
 from detourkit import detours as detours_mod
 from detourkit import traceroute as traceroute_mod
-from detourkit.graph import save_graph
 from test_detours import reference_json
 from test_golden import CASES, COMMAND_CASES, GOLDEN, case_name, run_case, run_command_case
 from test_parallel_ingest import assert_no_child_left, assert_worker_of_killed_command_exits, run
@@ -329,7 +328,7 @@ EDGE_GRAPHS = {
 @pytest.mark.parametrize("graph", list(EDGE_GRAPHS))
 def test_detours_file_edge_cases_at_any_cpu_count(tmp_path, monkeypatch, graph, fmt):
     edges = make_graph(EDGE_GRAPHS[graph])
-    rows = detours_mod.search_detours(edges, 1.0)
+    rows = detours_mod.search_detours(*ranked(edges), 1.0)
     if graph.endswith("first-share-without-bridges"):
         first, second = rows.bridge_slices(2)
         assert not list(rows.bridge_runs(first)) and list(rows.bridge_runs(second))
@@ -359,7 +358,7 @@ def test_detours_file_edge_cases_at_any_cpu_count(tmp_path, monkeypatch, graph, 
     count=st.integers(1, 6),
 )
 def test_bridge_runs_over_contiguous_slices_are_the_whole_walk(seed, cuts, count):
-    rows = detours_mod.search_detours(random_graph(random.Random(seed), max_nodes=14), 1.0)
+    rows = detours_mod.search_detours(*ranked(random_graph(random.Random(seed), max_nodes=14)), 1.0)
     whole = list(rows.bridge_runs())
     size = len(rows.nodes)
     bounds = [0, *sorted(int(cut * size) for cut in cuts), size]
