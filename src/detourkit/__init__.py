@@ -15,7 +15,7 @@ from .errors import (
     ToolkitError,
 )
 from .geo import GeoCache, GeoLookup, GeoRecord
-from .graph import EndpointKey, edge_rows, read_snapshot, write_snapshot
+from .graph import edge_rows, read_snapshot, write_snapshot
 from .ingest import (
     FilterSpec,
     PingRecord,
@@ -45,7 +45,6 @@ __all__ = [
     "DetourInsight",
     "DetourRows",
     "EmptyInputError",
-    "EndpointKey",
     "FilterSpec",
     "GeoCache",
     "GeoLookup",

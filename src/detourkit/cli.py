@@ -41,7 +41,6 @@ from .errors import EmptyInputError, ParseError, ToolkitError, open_text
 from .graph import (
     BuildStats,
     EdgeRow,
-    EndpointKey,
     canonical_ipv4,
     edge_rows,
     group_samples,
@@ -325,7 +324,7 @@ def ingest_to_rows(
                 yield from read_result_file(path, key_by=key_by, sidecar=sidecar, stats=feed)
 
         kept = filter_records(records(), spec, drops=feed.drops, region_of=region_of)
-        return group_samples(alive(kept), build, {}), feed, build
+        return group_samples(alive(kept), build), feed, build
 
     shares = [paths[index::count] for index in range(count)]
     with contextlib.closing(run_shares("ingest", group, shares)) as results:
@@ -339,7 +338,7 @@ def ingest_to_rows(
                 build_stats.merge(build)
                 yield other_groups
 
-        rows = edge_rows((), stats=build_stats, merge=merge())
+        rows = edge_rows(merge())
     return rows, feed_stats, build_stats
 
 
@@ -480,13 +479,13 @@ def cmd_detours(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     )
 
     top = list(islice(rows.insights(), cfg.top))
-    shown = {key.value for i in top for key in (i.source, i.via, i.destination)}
+    shown = {endpoint for i in top for endpoint in (i.source, i.via, i.destination)}
     cache = _read_geo_cache(cfg, only=shown)
 
-    def label(key: EndpointKey) -> str:
-        place = cache.place(key.value) if cache is not None else None
+    def label(endpoint: str) -> str:
+        place = cache.place(endpoint) if cache is not None else None
         if place is None or place.city is None:
-            return key.value
+            return endpoint
         return f"{place.city}, {place.country}"
 
     for i in top:

@@ -8,7 +8,7 @@ bridge. Improvements are bucketed per source-destination pair into a
 histogram using each pair's best relay (:meth:`DetourRows.histogram`).
 
 The search takes the graph as :func:`graph.read_snapshot` reads it: the
-nodes sorted by key and each node's rank-sorted ``(destination rank, rtt)``
+endpoints in order and each one's rank-sorted ``(destination rank, rtt)``
 successor list. It walks endpoints in rank order and keeps its findings as
 compact rank-indexed rows (:class:`DetourRows`) that are already in report
 order, so the CLI renders them without building an object or sorting per
@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Optional, TextIO
 
 from .errors import ToolkitError
-from .graph import EndpointKey, replaced_on_success
+from .graph import replaced_on_success
 
 KIND_IMPROVEMENT = "improvement"
 KIND_BRIDGE = "bridge"
@@ -70,9 +70,9 @@ class DetourInsight:
     direct edge, so their improvement fields are None.
     """
 
-    source: EndpointKey
-    via: EndpointKey
-    destination: EndpointKey
+    source: str
+    via: str
+    destination: str
     overlay_rtt_ms: float
     direct_rtt_ms: Optional[float]
     improvement_ms: Optional[float]
@@ -84,7 +84,7 @@ class DetourInsight:
 class DetourRows:
     """Every insight of one search as compact rows, already in report order.
 
-    Endpoints are ranks into ``nodes``, which is sorted by key, and
+    Endpoints are ranks into ``nodes``, the endpoints in order, and
     ``successors[s]`` is the ``(destination, rtt)`` list of s's edges,
     sorted by rank. Improvement rows are ``(source, via, destination,
     overlay, direct, gain, pct)``, ordered by pct descending then by rank.
@@ -95,7 +95,7 @@ class DetourRows:
     whose walks, one after the other, are the walk of every source.
     """
 
-    nodes: list[EndpointKey]
+    nodes: list[str]
     successors: list[list[tuple[int, float]]]
     improvements: list[tuple[int, int, int, float, float, float, float]]
     bridge_count: int
@@ -179,16 +179,16 @@ class DetourRows:
                 f"improvement of {pct!r}% does not fit a {bucket_width_pct!r}% bucket: "
                 "edge RTTs are too large"
             ) from None
-        return ImprovementHistogram(bucket_width_pct=bucket_width_pct, counts=counts)
+        return ImprovementHistogram(counts)
 
 
 def search_detours(
-    nodes: list[EndpointKey],
+    nodes: list[str],
     successors: list[list[tuple[int, float]]],
     threshold_pct: float = 1.0,
 ) -> DetourRows:
     """Find improvement and bridge insights for every viable triplet of the
-    graph whose key-sorted ``nodes`` and rank-sorted ``successors``
+    graph whose sorted ``nodes`` and rank-sorted ``successors``
     :func:`graph.read_snapshot` gives; both are kept in the result.
 
     Improvements require a strictly faster relay path whose gain is at
@@ -236,7 +236,6 @@ class ImprovementHistogram:
     percentage. Bucket key = floor(pct / width) * width.
     """
 
-    bucket_width_pct: float
     counts: dict[float, int]
 
     def total_pairs(self) -> int:
@@ -262,8 +261,8 @@ def _write_batched(handle: TextIO, items: Iterator[str], separator: str = "") ->
         first = False
 
 
-def _csv_cells(nodes: list[EndpointKey]) -> list[str]:
-    """Each node's value as a cell of a :func:`csv.writer` row."""
+def _csv_cells(nodes: list[str]) -> list[str]:
+    """Each node as a cell of a :func:`csv.writer` row."""
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     cells = []
@@ -271,7 +270,7 @@ def _csv_cells(nodes: list[EndpointKey]) -> list[str]:
         buffer.seek(0)
         buffer.truncate()
         # a trailing empty field keeps an empty value unquoted, as in a full row
-        writer.writerow((node.value, ""))
+        writer.writerow((node, ""))
         cells.append(buffer.getvalue()[: -len(",\r\n")])
     return cells
 
@@ -401,7 +400,7 @@ def write_rows_json(
     ``path`` atomically; returns the number of rows written. The bridges
     are written in shares over ``cpus`` CPUs when ``run_shares`` is given
     (see :func:`_write_bridges`)."""
-    cell = [json.dumps(node.value) for node in rows.nodes]
+    cell = [json.dumps(node) for node in rows.nodes]
     objects = (
         f'  {{\n    "source": {cell[s]},\n    "via": {cell[v]},\n    "destination": {cell[d]},'
         f'\n    "overlay_rtt_ms": {overlay!r},\n    "direct_rtt_ms": {direct!r},'

@@ -6,10 +6,12 @@ representative RTT, samples are averaged within a measurement, and the
 per-measurement means are averaged across measurements. A missing edge means
 no connectivity was observed between the two endpoints.
 
-The graph has one shape on each side of the snapshot file: :func:`edge_rows`
-gives its rows sorted by endpoint key, :func:`write_snapshot` writes them in
-that order, and :func:`read_snapshot` reads the file straight into the
-key-sorted nodes and rank-sorted successor lists that the relay search walks.
+An endpoint is its canonical text (:func:`canonical_endpoint`), and
+:func:`_key_order` is the one order of endpoints. The graph has one shape on
+each side of the snapshot file: :func:`edge_rows` gives its rows sorted by
+endpoint, :func:`write_snapshot` writes them in that order, and
+:func:`read_snapshot` reads the file straight into the sorted endpoints and
+rank-sorted successor lists that the relay search walks.
 """
 
 from __future__ import annotations
@@ -27,12 +29,9 @@ from typing import Iterable, Iterator, Optional, TextIO
 from .errors import NoDataError, ParseError, ToolkitError, open_text
 from .ingest import PingRecord, representative_rtt
 
-KIND_PROBE = "probe"
-KIND_IP = "ip"
-
 SNAPSHOT_HEADER = ("source", "destination", "rtt_ms", "sample_count", "measurement_count")
 
-# a snapshot row: source and destination key values, rtt_ms, sample_count,
+# a snapshot row: source and destination endpoints, rtt_ms, sample_count,
 # measurement_count
 EdgeRow = tuple[str, str, float, int, int]
 
@@ -61,52 +60,38 @@ def canonical_ipv4(text: str) -> Optional[str]:
     return ".".join(octets)
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class EndpointKey:
-    """A graph node: a numeric probe id or an IP address.
-
-    Ordering is (kind, value), used for deterministic tie-breaking.
-    """
-
-    kind: str
-    value: str
-
-    @classmethod
-    def from_text(cls, text: str) -> "EndpointKey":
-        """Classify raw endpoint text: all-digits -> probe, else ip.
-
-        IPv4 values are canonicalized; non-IP text (e.g. a hostname used as
-        a ping target) is kept verbatim under the ip kind.
-        """
-        text = text.strip()
-        if text.isdigit():
-            return cls(KIND_PROBE, text)
-        canonical = canonical_ipv4(text)
-        return cls(KIND_IP, canonical if canonical is not None else text)
-
-    def __str__(self) -> str:
-        return self.value
+def canonical_endpoint(text: str) -> str:
+    """The canonical text of an endpoint: ``text`` stripped, an all-digit
+    probe id as it is, an IPv4 address canonicalized, and any other name
+    (e.g. a hostname used as a ping target) verbatim."""
+    text = text.strip()
+    if text.isdigit():
+        return text
+    canonical = canonical_ipv4(text)
+    return canonical if canonical is not None else text
 
 
-def _key_order(value: str) -> tuple[str, str]:
-    """The ``(kind, value)`` of the key whose value is ``value``, which
-    orders keys as :class:`EndpointKey` does: only a probe id is all digits."""
-    return (KIND_PROBE, value) if value.isdigit() else (KIND_IP, value)
+def _key_order(endpoint: str) -> tuple[str, str]:
+    """The sort key of an endpoint's canonical text, the one endpoint order:
+    addresses and names, then probe ids, each by text. Only a probe id is
+    all digits."""
+    return ("probe", endpoint) if endpoint.isdigit() else ("ip", endpoint)
 
 
-def _shared_key(keys: dict[str, EndpointKey], text: str) -> EndpointKey:
-    """The key of endpoint ``text``, parsed once per distinct text; texts
-    canonicalizing alike (8.8.000.1, 8.8.0.1) share it through ``keys``."""
-    key = keys.get(text)
-    if key is None:
-        key = EndpointKey.from_text(text)
-        key = keys[text] = keys.setdefault(key.value, key)
-    return key
+def _shared_key(endpoints: dict[str, str], text: str) -> str:
+    """The canonical text of endpoint ``text``, worked out once per distinct
+    text; texts canonicalizing alike (8.8.000.1, 8.8.0.1) share one string
+    through ``endpoints``."""
+    endpoint = endpoints.get(text)
+    if endpoint is None:
+        endpoint = canonical_endpoint(text)
+        endpoint = endpoints[text] = endpoints.setdefault(endpoint, endpoint)
+    return endpoint
 
 
 @dataclass
 class BuildStats:
-    """Accounting for edge_rows: records seen, used and skipped."""
+    """Accounting for group_samples: records seen, used and skipped."""
 
     records: int = 0
     used: int = 0
@@ -118,22 +103,22 @@ class BuildStats:
         self.skipped.update(other.skipped)
 
 
-def group_samples(
-    records: Iterable[PingRecord], stats: BuildStats, keys: dict[str, EndpointKey]
-) -> dict:
-    """The representative RTTs of ``records`` as ``{(source value,
-    destination value): {measurement_id: array('d') of RTTs}}``, skipping
-    and counting self-pairs and no-data records. ``keys`` maps each
-    endpoint text, and each key's value, to its key; a value names one key,
-    as only a probe id is all digits."""
+def group_samples(records: Iterable[PingRecord], stats: BuildStats) -> dict:
+    """The representative RTTs of ``records`` as ``{(source, destination):
+    {measurement_id: array('d') of RTTs}}``, endpoints as canonical text,
+    skipping and counting self-pairs and no-data records."""
     from array import array  # here, so that CLI start-up imports no new module
 
     groups: dict[tuple[str, str], dict[str, array]] = {}
+    # each endpoint text, and each canonical text, -> its canonical text
+    endpoints: dict[str, str] = {}
     for record in records:
         stats.records += 1
-        source = keys.get(record.source_id) or _shared_key(keys, record.source_id)
-        destination = keys.get(record.destination_id) or _shared_key(keys, record.destination_id)
-        if source is destination:
+        source = endpoints.get(record.source_id) or _shared_key(endpoints, record.source_id)
+        destination = endpoints.get(record.destination_id) or _shared_key(
+            endpoints, record.destination_id
+        )
+        if source == destination:
             stats.skipped["self_pair"] += 1
             continue
         try:
@@ -141,48 +126,40 @@ def group_samples(
         except NoDataError:
             stats.skipped["no_data"] += 1
             continue
-        by_msm = groups.setdefault((source.value, destination.value), {})
+        by_msm = groups.setdefault((source, destination), {})
         by_msm.setdefault(record.measurement_id, array("d")).append(rtt)
         stats.used += 1
     return groups
 
 
-def edge_rows(
-    records: Iterable[PingRecord],
-    stats: Optional[BuildStats] = None,
-    merge: Iterable[dict] = (),
-) -> list[EdgeRow]:
-    """Aggregate filtered records into the snapshot's edge rows.
+def edge_rows(groups: Iterable[dict]) -> list[EdgeRow]:
+    """Join the groups that :func:`group_samples` made of each share of the
+    records and take the snapshot's edge rows.
 
     A row is ``(source, destination, rtt_ms, sample_count,
-    measurement_count)``, endpoints as key values, and the rows are sorted
-    by source key, then destination key. Edge weight = mean over
-    measurements of (mean over that measurement's samples of the
-    representative RTT). Self-pairs and no-data records are skipped and
-    counted. Groups in ``merge``, made by :func:`group_samples` from other
-    records, join those of ``records`` before the weights are taken. fsum
-    is correctly rounded, so a weight does not depend on the order of its
-    samples: the rows are bit-identical under any record reordering or
-    split of the records between ``records`` and ``merge``. Raises
-    :class:`ToolkitError` when finite RTTs add up past the largest float.
+    measurement_count)``, and the rows are sorted by source, then
+    destination. Edge weight = mean over measurements of (mean over that
+    measurement's samples of the representative RTT). fsum is correctly
+    rounded, so a weight does not depend on the order of its samples: the
+    rows are bit-identical under any record reordering or split of the
+    records between shares. Raises :class:`ToolkitError` when finite RTTs
+    add up past the largest float.
     """
-    if stats is None:
-        stats = BuildStats()
-    groups = group_samples(records, stats, {})
-    for other in merge:
-        if not groups:  # nothing to join it to: taken as it is
-            groups = other
+    joined: dict = {}
+    for other in groups:
+        if not joined:  # nothing to join it to: taken as it is
+            joined = other
             continue
         while other:  # each merged run is freed at once
             pair, other_by_msm = other.popitem()
-            by_msm = groups.setdefault(pair, {})
+            by_msm = joined.setdefault(pair, {})
             for msm, rtts in other_by_msm.items():
                 run = by_msm.setdefault(msm, rtts)
                 if run is not rtts:
                     run.extend(rtts)
 
     rows = []
-    for (source, destination), by_msm in groups.items():
+    for (source, destination), by_msm in joined.items():
         try:
             means = [math.fsum(rtts) / len(rtts) for _, rtts in sorted(by_msm.items())]
             rtt = math.fsum(means) / len(means)
@@ -194,8 +171,8 @@ def edge_rows(
         samples = sum(len(rtts) for rtts in by_msm.values())
         rows.append((source, destination, rtt, samples, len(by_msm)))
     # each endpoint is ranked once, so that the sort keys are pairs of ints
-    endpoints = sorted({value for pair in groups for value in pair}, key=_key_order)
-    rank = {value: r for r, value in enumerate(endpoints)}
+    endpoints = sorted({endpoint for pair in joined for endpoint in pair}, key=_key_order)
+    rank = {endpoint: r for r, endpoint in enumerate(endpoints)}
     rows.sort(key=lambda row: (rank[row[0]], rank[row[1]]))
     return rows
 
@@ -232,30 +209,29 @@ def write_snapshot(rows: Iterable[EdgeRow], path: str | Path) -> None:
         writer.writerows((s, d, repr(rtt), samples, msms) for s, d, rtt, samples, msms in rows)
 
 
-def read_snapshot(path: str | Path) -> tuple[list[EndpointKey], list[list[tuple[int, float]]]]:
-    """Read a snapshot CSV into its nodes, sorted by key, and each node's
-    successors: the ``(destination rank, rtt_ms)`` list of its edges, sorted
-    by rank, where a rank is an index into the nodes.
+def read_snapshot(path: str | Path) -> tuple[list[str], list[list[tuple[int, float]]]]:
+    """Read a snapshot CSV into its nodes, its endpoints in order, and each
+    node's successors: the ``(destination rank, rtt_ms)`` list of its edges,
+    sorted by rank, where a rank is an index into the nodes.
 
     Raises :class:`ParseError` with the offending line number on a
     malformed snapshot, including a second row for the same edge. Only then
     is the file read again, to report the fault that comes first in it.
     """
-    keys: dict[str, EndpointKey] = {}
+    endpoints: dict[str, str] = {}
     out: defaultdict[str, list[tuple[str, float]]] = defaultdict(list)
     try:
-        for _, source, destination, rtt in _snapshot_rows(path, keys):
+        for _, source, destination, rtt in _snapshot_rows(path, endpoints):
             out[source].append((destination, rtt))
     except ParseError:
         _raise_first_fault(path)
         raise
-    distinct = {key.value: key for key in keys.values()}.values()
-    nodes = sorted(distinct, key=lambda node: (node.kind, node.value))
-    rank = {node.value: r for r, node in enumerate(nodes)}
+    nodes = sorted(set(endpoints.values()), key=_key_order)
+    rank = {node: r for r, node in enumerate(nodes)}
     successors = []
     for node in nodes:
-        # each source's (value, rtt) tuples are freed as its ranked ones are made
-        ranked = sorted([(rank[d], rtt) for d, rtt in out.pop(node.value, ())])
+        # each source's (endpoint, rtt) tuples are freed as its ranked ones are made
+        ranked = sorted([(rank[d], rtt) for d, rtt in out.pop(node, ())])
         if any(a[0] == b[0] for a, b in pairwise(ranked)):
             _raise_first_fault(path)  # two rows of one edge
         successors.append(ranked)
@@ -275,12 +251,12 @@ def _raise_first_fault(path: str | Path) -> None:
 
 
 def _snapshot_rows(
-    path: str | Path, keys: dict[str, EndpointKey]
+    path: str | Path, endpoints: dict[str, str]
 ) -> Iterator[tuple[int, str, str, float]]:
     """``(line number, source, destination, rtt_ms)`` of each edge row of a
-    snapshot CSV, endpoints as key values; ``keys`` is the endpoint key map
-    of :func:`_shared_key`. Raises :class:`ParseError` at a first line that
-    is not the header, and at the first malformed row."""
+    snapshot CSV, endpoints as canonical text; ``endpoints`` is the map of
+    :func:`_shared_key`. Raises :class:`ParseError` at a first line that is
+    not the header, and at the first malformed row."""
     columns = len(SNAPSHOT_HEADER)
     with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -293,7 +269,8 @@ def _snapshot_rows(
                     continue
                 if len(row) != columns:
                     raise ParseError(lineno, f"expected {columns} columns")
-                source, destination = _shared_key(keys, row[0]), _shared_key(keys, row[1])
+                source = _shared_key(endpoints, row[0])
+                destination = _shared_key(endpoints, row[1])
                 try:
                     rtt, samples, msms = float(row[2]), int(row[3]), int(row[4])
                 except ValueError as exc:
@@ -302,8 +279,8 @@ def _snapshot_rows(
                     raise ParseError(lineno, f"edge rtt must be finite and > 0, got {rtt!r}")
                 if not samples >= msms >= 1:
                     raise ParseError(lineno, "need sample_count >= measurement_count >= 1")
-                if source is destination:
+                if source == destination:
                     raise ParseError(lineno, "self-edges are not allowed")
-                yield lineno, source.value, destination.value, rtt
+                yield lineno, source, destination, rtt
         except csv.Error as exc:  # e.g. a field past csv's size limit
             raise ParseError(reader.line_num, str(exc)) from None

@@ -114,7 +114,7 @@ def parse_fields(line: str, key_by: str = "ip") -> tuple:
     Returns ``(measurement_id, source_id, destination_id, address_family,
     status, start_time, rtt_runs, region)``, already valid for a record:
     the status is normalized and the runs are finite and positive.
-    ``key_by`` selects the source endpoint key for JSON lines: ``"ip"``
+    ``key_by`` selects the source endpoint text for JSON lines: ``"ip"``
     uses the ``from`` address, ``"probe"`` prefers the numeric ``prb_id``.
     Under ``"probe"``, a line with no probe id (every CSV line, and a JSON
     line without ``prb_id``) keys its source by address, so a feed that
@@ -264,7 +264,7 @@ def filter_records(
     ``region_unresolved``.
 
     When a region allowlist is set, both endpoints must resolve to allowed
-    regions. ``region_of`` maps an endpoint key to its region code; without
+    regions. ``region_of`` maps an endpoint's text to its region code; without
     it the record's own ``region`` field stands in for both endpoints.
     Endpoints that resolve to nothing are dropped and counted.
     """

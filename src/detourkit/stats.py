@@ -216,8 +216,6 @@ class ComparisonVerdict:
     mean_delta_ms: float
     median_delta_ms: float
     mode_delta_ms: float
-    preferred_metric: str
-    faster: str
     description: str
 
 
@@ -236,13 +234,8 @@ def compare(direct: RttSummary, overlay: RttSummary) -> ComparisonVerdict:
         preferred, deciding = "median", median_delta
     else:
         preferred, deciding = "mean", mean_delta
-    if deciding > 0:
-        faster = "direct"
-    elif deciding < 0:
-        faster = "overlay"
-    else:
-        faster = "tie"
-    if faster == "tie":
+    faster = "direct" if deciding > 0 else "overlay" if deciding < 0 else None
+    if faster is None:
         description = f"routes tie on {preferred}"
     else:
         description = f"{faster} route is {abs(deciding):.2f} ms faster by {preferred}"
@@ -250,8 +243,6 @@ def compare(direct: RttSummary, overlay: RttSummary) -> ComparisonVerdict:
         mean_delta_ms=mean_delta,
         median_delta_ms=median_delta,
         mode_delta_ms=mode_delta,
-        preferred_metric=preferred,
-        faster=faster,
         description=description,
     )
 

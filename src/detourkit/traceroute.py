@@ -28,7 +28,7 @@ VERDICT_UNKNOWN = "unknown"
 # fraction of hops that must be unassessable before "no" degrades to "unknown"
 UNKNOWN_HOP_FRACTION = 0.5
 
-_TRACEROUTE_TO = re.compile(r"^traceroute to (\S+)(?: \(([\d.]+)\))?", re.IGNORECASE)
+_TRACEROUTE_TO = re.compile(r"^traceroute to (\S+)", re.IGNORECASE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,17 +44,12 @@ class TracerouteHop:
     address: Optional[str]
     rdns_name: Optional[str]
 
-    @property
-    def responded(self) -> bool:
-        return self.address is not None or self.rdns_name is not None
-
 
 @dataclass(frozen=True, slots=True)
 class TracerouteTrace:
     source_label: str
     destination: str
     hops: tuple[TracerouteHop, ...]
-    reached: bool
 
 
 @dataclass(frozen=True)
@@ -127,7 +122,6 @@ def parse_traceroute(text: str) -> TracerouteTrace:
     """Parse one trace. Raises :class:`ParseError` with the line number."""
     source_label = ""
     destination = ""
-    dest_ip: Optional[str] = None
     hops: list[TracerouteHop] = []
     last_index = 0
     saw_content = False
@@ -165,30 +159,11 @@ def parse_traceroute(text: str) -> TracerouteTrace:
             raise ParseError(lineno, f"unrecognizable line {line!r}")
         if not destination:
             destination = header.group(1)
-        dest_ip = header.group(2)
         saw_content = True
 
     if not hops:
         raise ParseError(1, "no hop lines found")
-
-    last = hops[-1]
-    reached = False
-    if last.responded:
-        dest_lower = destination.lower()
-        if dest_ip is not None and last.address == dest_ip:
-            reached = True
-        elif last.address is not None and last.address == destination:
-            reached = True
-        elif last.rdns_name is not None and dest_lower and (
-            last.rdns_name.lower() == dest_lower or last.rdns_name.lower().startswith(dest_lower)
-        ):
-            reached = True
-    return TracerouteTrace(
-        source_label=source_label,
-        destination=destination,
-        hops=tuple(hops),
-        reached=reached,
-    )
+    return TracerouteTrace(source_label=source_label, destination=destination, hops=tuple(hops))
 
 
 def read_trace_file(path: str | Path) -> TracerouteTrace:

@@ -3,11 +3,16 @@
 The in-memory graph is an oracle here: ``src/`` keeps a graph only as
 snapshot rows and as the rank-sorted adjacency that the snapshot reader
 gives. :class:`LatencyEdge` checks each edge as the reader checks each row,
-:class:`LatencyGraph` holds the edges by source and destination key, and
-:func:`load_graph` reads a snapshot one row at a time, raising a
+:class:`LatencyGraph` holds the edges by source and destination endpoint,
+and :func:`load_graph` reads a snapshot one row at a time, raising a
 :class:`ParseError` at the first fault, so that ``read_snapshot`` can be
 held to it. :func:`graph_of`, :func:`rows_of`, :func:`ranked` and
-:func:`save_graph` go between the graph and the shapes ``src/`` uses.
+:func:`save_graph` go between the graph and the shapes ``src/`` uses, and
+:func:`edge_rows_of` aggregates records in one share.
+
+The oracles key endpoints by the canonical text ``src/`` gives them, but
+sort them by a rule of their own, :func:`endpoint_order`, so that the
+order ``src/`` states in one place is checked independently.
 
 The oracles deliberately re-derive results by exhaustive triple loops over
 edge lookups, independent of the adjacency-driven production code paths.
@@ -46,7 +51,16 @@ import pytest
 from detourkit.cli import PipelineConfig, resolve_config
 from detourkit.detours import INSIGHT_HEADER, KIND_BRIDGE, KIND_IMPROVEMENT, DetourInsight
 from detourkit.errors import EmptyInputError, ParseError, ToolkitError, open_text
-from detourkit.graph import SNAPSHOT_HEADER, EdgeRow, EndpointKey, canonical_ipv4, write_snapshot
+from detourkit.graph import (
+    SNAPSHOT_HEADER,
+    BuildStats,
+    EdgeRow,
+    canonical_endpoint,
+    canonical_ipv4,
+    edge_rows,
+    group_samples,
+    write_snapshot,
+)
 from detourkit.ingest import PingRecord, parse_fields
 from detourkit.stats import MODALITY_UNIMODAL, RttSummary, describe
 from detourkit.traceroute import TracerouteHop
@@ -54,12 +68,17 @@ from detourkit.traceroute import TracerouteHop
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def endpoint_order(endpoint: str) -> tuple[bool, str]:
+    """Addresses and host names first, then probe ids (all digits), each by text."""
+    return (endpoint.isdigit(), endpoint)
+
+
 @dataclass(frozen=True, slots=True)
 class LatencyEdge:
     """Aggregated directed RTT between two endpoints."""
 
-    source: EndpointKey
-    destination: EndpointKey
+    source: str
+    destination: str
     rtt_ms: float
     sample_count: int
     measurement_count: int
@@ -81,8 +100,8 @@ class LatencyGraph:
     """
 
     def __init__(self) -> None:
-        self._out: dict[EndpointKey, dict[EndpointKey, LatencyEdge]] = {}
-        self._sorted: Optional[list[EndpointKey]] = None
+        self._out: dict[str, dict[str, LatencyEdge]] = {}
+        self._sorted: Optional[list[str]] = None
 
     def add_edge(self, edge: LatencyEdge) -> None:
         self._out.setdefault(edge.source, {})[edge.destination] = edge
@@ -97,31 +116,31 @@ class LatencyGraph:
     def edge_count(self) -> int:
         return sum(len(dsts) for dsts in self._out.values())
 
-    def nodes(self) -> Iterator[EndpointKey]:
+    def nodes(self) -> Iterator[str]:
         return iter(self._out)
 
-    def sorted_nodes(self) -> list[EndpointKey]:
-        """The nodes in key order, sorted once until an edge is added."""
+    def sorted_nodes(self) -> list[str]:
+        """The nodes in :func:`endpoint_order`, sorted once until an edge is added."""
         if self._sorted is None:
-            self._sorted = sorted(self._out)
+            self._sorted = sorted(self._out, key=endpoint_order)
         return self._sorted
 
     def edges(self) -> Iterator[LatencyEdge]:
         for dsts in self._out.values():
             yield from dsts.values()
 
-    def edge(self, source: EndpointKey, destination: EndpointKey) -> Optional[LatencyEdge]:
+    def edge(self, source: str, destination: str) -> Optional[LatencyEdge]:
         dsts = self._out.get(source)
         return dsts.get(destination) if dsts else None
 
-    def successors(self, source: EndpointKey) -> Mapping[EndpointKey, LatencyEdge]:
+    def successors(self, source: str) -> Mapping[str, LatencyEdge]:
         return self._out.get(source, {})
 
 
 def graph_of(rows: Iterable[EdgeRow]) -> LatencyGraph:
     """The graph of snapshot edge rows, each row checked as an edge."""
     graph = LatencyGraph()
-    key = EndpointKey.from_text
+    key = canonical_endpoint
     for source, destination, rtt, samples, measurements in rows:
         graph.add_edge(LatencyEdge(key(source), key(destination), rtt, samples, measurements))
     return graph
@@ -129,11 +148,19 @@ def graph_of(rows: Iterable[EdgeRow]) -> LatencyGraph:
 
 def rows_of(graph: LatencyGraph) -> list[EdgeRow]:
     """The graph's edges as snapshot rows, in the order ``edge_rows`` gives."""
-    edges = sorted(graph.edges(), key=lambda e: (e.source, e.destination))
+    edges = sorted(
+        graph.edges(), key=lambda e: (endpoint_order(e.source), endpoint_order(e.destination))
+    )
     return [
-        (e.source.value, e.destination.value, e.rtt_ms, e.sample_count, e.measurement_count)
-        for e in edges
+        (e.source, e.destination, e.rtt_ms, e.sample_count, e.measurement_count) for e in edges
     ]
+
+
+def edge_rows_of(
+    records: Iterable[PingRecord], stats: Optional[BuildStats] = None
+) -> list[EdgeRow]:
+    """The edge rows of ``records`` grouped in one share, as ``ingest`` takes them."""
+    return edge_rows([group_samples(records, BuildStats() if stats is None else stats)])
 
 
 def save_graph(graph: LatencyGraph, path: str | Path) -> None:
@@ -141,8 +168,8 @@ def save_graph(graph: LatencyGraph, path: str | Path) -> None:
     write_snapshot(rows_of(graph), path)
 
 
-def ranked(graph: LatencyGraph) -> tuple[list[EndpointKey], list[list[tuple[int, float]]]]:
-    """The graph's nodes in key order and each one's ``(destination rank,
+def ranked(graph: LatencyGraph) -> tuple[list[str], list[list[tuple[int, float]]]]:
+    """The graph's nodes in endpoint order and each one's ``(destination rank,
     rtt)`` successor list sorted by rank: what ``read_snapshot`` reads from
     the graph's snapshot, and the input of ``search_detours``."""
     nodes = graph.sorted_nodes()
@@ -189,8 +216,8 @@ def _snapshot_edges(path: str | Path) -> Iterator[tuple[int, LatencyEdge]]:
                     raise ParseError(lineno, f"expected {len(SNAPSHOT_HEADER)} columns")
                 try:
                     edge = LatencyEdge(
-                        source=EndpointKey.from_text(row[0]),
-                        destination=EndpointKey.from_text(row[1]),
+                        source=canonical_endpoint(row[0]),
+                        destination=canonical_endpoint(row[1]),
                         rtt_ms=float(row[2]),
                         sample_count=int(row[3]),
                         measurement_count=int(row[4]),
@@ -221,9 +248,7 @@ def random_graph(rng: random.Random, max_nodes: int = 50, density: float = 0.3) 
     return make_graph(edges)
 
 
-def edge_rtt(
-    graph: LatencyGraph, source: EndpointKey, destination: EndpointKey
-) -> Optional[float]:
+def edge_rtt(graph: LatencyGraph, source: str, destination: str) -> Optional[float]:
     """Aggregated RTT in ms, or None when no connectivity was observed."""
     edge = graph.edge(source, destination)
     return edge.rtt_ms if edge is not None else None
@@ -267,10 +292,10 @@ def brute_force_detours(graph: LatencyGraph, threshold_pct: float) -> set[tuple]
 
 
 def brute_force_best(
-    graph: LatencyGraph, source: EndpointKey, destination: EndpointKey
-) -> Optional[tuple[float, EndpointKey]]:
+    graph: LatencyGraph, source: str, destination: str
+) -> Optional[tuple[float, str]]:
     """Minimal-overlay via, first-in-sorted-order on ties."""
-    best: Optional[tuple[float, EndpointKey]] = None
+    best: Optional[tuple[float, str]] = None
     for via in graph.sorted_nodes():
         if via == source or via == destination:
             continue
@@ -284,12 +309,10 @@ def brute_force_best(
     return best
 
 
-def best_detour(
-    graph: LatencyGraph, source: EndpointKey, destination: EndpointKey
-) -> Optional[DetourInsight]:
+def best_detour(graph: LatencyGraph, source: str, destination: str) -> Optional[DetourInsight]:
     """The minimal-overlay relay insight for one pair, or None.
 
-    Ties on overlay RTT break to the smallest via key. The result reports
+    Ties on overlay RTT break to the first via in endpoint order. The result reports
     the best relay regardless of any improvement threshold: when the direct
     edge exists the improvement fields may even be negative.
     """
@@ -325,16 +348,16 @@ def report_order(insights: Iterable[DetourInsight]) -> list[DetourInsight]:
     """Deterministic report ordering.
 
     Improvements first, by percentage descending then source/via/destination;
-    bridges after, by keys.
+    bridges after, by source/via/destination, endpoints in :func:`endpoint_order`.
     """
     return sorted(
         insights,
         key=lambda i: (
             0 if i.kind == KIND_IMPROVEMENT else 1,
             -(i.improvement_pct or 0.0),
-            i.source,
-            i.via,
-            i.destination,
+            endpoint_order(i.source),
+            endpoint_order(i.via),
+            endpoint_order(i.destination),
         ),
     )
 
@@ -345,9 +368,9 @@ def _fmt_opt(value: Optional[float], digits: int) -> str:
 
 def insight_row(insight: DetourInsight) -> list[str]:
     return [
-        insight.source.value,
-        insight.via.value,
-        insight.destination.value,
+        insight.source,
+        insight.via,
+        insight.destination,
         f"{insight.overlay_rtt_ms:.3f}",
         _fmt_opt(insight.direct_rtt_ms, 3),
         _fmt_opt(insight.improvement_ms, 3),
@@ -374,7 +397,7 @@ def improvement_histogram(
     """Pair count per bucket: each (source, destination) pair's best
     improvement percentage among ``insights``, bridges skipped, counted in
     the bucket floor(pct / width) * width."""
-    best: dict[tuple[EndpointKey, EndpointKey], float] = {}
+    best: dict[tuple[str, str], float] = {}
     for insight in insights:
         pct = insight.improvement_pct
         pair = (insight.source, insight.destination)

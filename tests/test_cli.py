@@ -46,7 +46,7 @@ from detourkit import errors, geo
 from detourkit import stats as stats_module
 from detourkit.detours import DetourRows, search_detours, write_rows_csv, write_rows_json
 from detourkit.errors import ToolkitError
-from detourkit.graph import SNAPSHOT_HEADER, EndpointKey, read_snapshot, write_snapshot
+from detourkit.graph import SNAPSHOT_HEADER, read_snapshot, write_snapshot
 from detourkit.ingest import FilterSpec, PingRecord
 
 REFERENCE_EDGES = {
@@ -81,10 +81,6 @@ def feed_line(i, status="stopped", af=4, source=None, dest=None):
         rtt_runs=(1.0 + i % 3, 2.0, 3.0),
     )
     return serialize_record(record)
-
-
-def key(text):
-    return EndpointKey.from_text(text)
 
 
 def read_csv(path):
@@ -1247,7 +1243,7 @@ def failing_rows():
 # a successor list naming a node rank that does not exist fails mid-file,
 # when the writer walks the bridges after the improvement rows
 BROKEN_ROWS = DetourRows(
-    nodes=[key("A"), key("B"), key("C")],
+    nodes=["A", "B", "C"],
     successors=[[(1, 1.0)], [(7, 1.0)], []],
     improvements=[(0, 1, 2, 1.0, 3.0, 2.0, 66.67)],
     bridge_count=1,

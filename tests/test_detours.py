@@ -39,11 +39,11 @@ from detourkit.detours import (
     write_rows_json,
 )
 from detourkit.errors import ToolkitError
-from detourkit.graph import EndpointKey, read_snapshot
+from detourkit.graph import canonical_endpoint, read_snapshot
 
 
 def key(text):
-    return EndpointKey.from_text(text)
+    return canonical_endpoint(text)
 
 
 class TestBestDetour:
@@ -140,7 +140,7 @@ class TestEnumerate:
         rng = random.Random(17)
         graph = random_graph(rng, max_nodes=12)
         scaled = make_graph(
-            {(e.source.value, e.destination.value): e.rtt_ms * 3.5 for e in graph.edges()}
+            {(e.source, e.destination): e.rtt_ms * 3.5 for e in graph.edges()}
         )
         base_pairs = {
             (i.source, i.via, i.destination): i.improvement_pct
@@ -160,6 +160,37 @@ class TestEnumerate:
                 best_detour(graph, source, destination).via
                 == best_detour(scaled, source, destination).via
             )
+
+
+    def test_endpoint_order_on_mixed_endpoints(self, tmp_path):
+        # probe ids, spelled and canonical addresses and host names: the
+        # snapshot's nodes and the report order, pinned
+        snapshot = tmp_path / "graph.csv"
+        snapshot.write_text(
+            "source,destination,rtt_ms,sample_count,measurement_count\n"
+            "10,010.000.0.2,5.0,1,1\n"
+            "010.0.0.2,example.net,5.0,1,1\n"
+            "9,10,1.0,1,1\n"
+            "9,10.0.0.2,10.0,1,1\n"
+            "10,Zed,2.0,1,1\n"
+            "Zed,example.net,1.0,1,1\n"
+            "10,example.net,50.0,1,1\n",
+            encoding="utf-8",
+        )
+        nodes, successors = read_snapshot(snapshot)
+        assert nodes == ["10.0.0.2", "Zed", "example.net", "10", "9"]
+        found = [
+            (i.source, i.via, i.destination, i.kind)
+            for i in search_detours(nodes, successors, 1.0).insights()
+        ]
+        assert found == [
+            ("10", "Zed", "example.net", KIND_IMPROVEMENT),
+            ("10", "10.0.0.2", "example.net", KIND_IMPROVEMENT),
+            ("9", "10", "10.0.0.2", KIND_IMPROVEMENT),
+            ("9", "10.0.0.2", "example.net", KIND_BRIDGE),
+            ("9", "10", "Zed", KIND_BRIDGE),
+            ("9", "10", "example.net", KIND_BRIDGE),
+        ]
 
 
 class TestBridgeStream:
@@ -341,8 +372,7 @@ class TestExport:
         assert kinds == sorted(kinds, key=lambda k: k == KIND_BRIDGE)
 
 
-# probe ids, IPs and hostnames sort by kind then value; some values need
-# CSV quoting
+# IPs and hostnames sort before probe ids, each by text; some need CSV quoting
 ENDPOINTS = ["7", "12", "300", "10.0.0.1", "10.0.0.12", "9.9.9.9", "a,b", 'say "hi"', 'x",y']
 
 
@@ -350,9 +380,9 @@ def reference_json(insights) -> str:
     """The insight file as ``json.dump(indent=2)`` renders it."""
     objects = [
         {
-            "source": i.source.value,
-            "via": i.via.value,
-            "destination": i.destination.value,
+            "source": i.source,
+            "via": i.via,
+            "destination": i.destination,
             "overlay_rtt_ms": i.overlay_rtt_ms,
             "direct_rtt_ms": i.direct_rtt_ms,
             "improvement_ms": i.improvement_ms,

@@ -11,14 +11,23 @@ import random
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from conftest import LatencyEdge, edge_rtt, graph_of, load_graph, ranked, rows_of, save_graph
+from conftest import (
+    LatencyEdge,
+    edge_rows_of,
+    edge_rtt,
+    graph_of,
+    load_graph,
+    ranked,
+    rows_of,
+    save_graph,
+)
 from detourkit.errors import ParseError
 from detourkit.graph import (
     SNAPSHOT_HEADER,
     BuildStats,
-    EndpointKey,
+    _key_order,
+    canonical_endpoint,
     canonical_ipv4,
-    edge_rows,
     read_snapshot,
     write_snapshot,
 )
@@ -38,27 +47,34 @@ def record(source, destination, runs, msm="m1"):
 
 
 def key(text):
-    return EndpointKey.from_text(text)
+    return canonical_endpoint(text)
 
 
 def build_graph(records, stats=None):
     """The in-memory graph of the edge rows of ``records``."""
-    return graph_of(edge_rows(records, stats))
+    return graph_of(edge_rows_of(records, stats))
 
 
 HEADER = ",".join(SNAPSHOT_HEADER)
 
 
 class TestEndpointKey:
+    """An endpoint's canonical text and its place in the endpoint order."""
+
     def test_digits_are_probe(self):
-        assert key("10194") == EndpointKey("probe", "10194")
+        assert key(" 10194 ") == "10194"
+        assert key("007") == "007"  # a probe id is kept as given
+        assert _key_order("10194") == ("probe", "10194")
 
     def test_ip_canonicalized(self):
-        assert key("010.0.0.001") == EndpointKey("ip", "10.0.0.1")
-        assert key("192.168.1.1").value == "192.168.1.1"
+        assert key("010.0.0.001") == "10.0.0.1"
+        assert key("192.168.1.1") == "192.168.1.1"
+        assert _key_order("10.0.0.1") == ("ip", "10.0.0.1")
 
     def test_hostname_kept_verbatim(self):
-        assert key("example.net") == EndpointKey("ip", "example.net")
+        assert key(" example.net\t") == "example.net"
+        assert key("1.2.3.x") == "1.2.3.x"
+        assert _key_order("example.net") == ("ip", "example.net")
 
     def test_canonical_ipv4_rejects_garbage(self):
         assert canonical_ipv4("1.2.3") is None
@@ -81,8 +97,16 @@ class TestEndpointKey:
         assert canonical_ipv4("1.2.3." + "0" * 4400 + "1") == "1.2.3.1"
 
     def test_ordering_is_kind_then_value(self):
-        assert EndpointKey("ip", "a") < EndpointKey("probe", "1")
-        assert EndpointKey("probe", "1") < EndpointKey("probe", "2")
+        endpoints = ["2", "b", "10", "9.9.9.9", "1", "10.0.0.1", "B"]
+        assert sorted(endpoints, key=_key_order) == [
+            "10.0.0.1",
+            "9.9.9.9",
+            "B",
+            "b",
+            "1",
+            "10",
+            "2",
+        ]
 
 
 OCTET_TEXT = st.one_of(
@@ -169,11 +193,11 @@ class TestBuildGraph:
                     msm=f"m{rng.randint(0, 5)}",
                 )
             )
-        baseline = edge_rows(records)
-        assert baseline == rows_of(graph_of(baseline))  # in key order
+        baseline = edge_rows_of(records)
+        assert baseline == rows_of(graph_of(baseline))  # in endpoint order
         for _ in range(10):
             rng.shuffle(records)
-            assert edge_rows(records) == baseline
+            assert edge_rows_of(records) == baseline
 
     def test_edge_within_contributing_range(self):
         rng = random.Random(11)
@@ -200,7 +224,7 @@ class TestBuildGraph:
 
 class TestSnapshot:
     def test_round_trip(self, tmp_path):
-        rows = edge_rows(
+        rows = edge_rows_of(
             [
                 record("10.0.0.1", "10.0.0.2", (1.25, 2.5, 3.125), msm="m1"),
                 record("10.0.0.2", "777", (7.0,), msm="m2"),
@@ -214,13 +238,13 @@ class TestSnapshot:
     def test_second_round_trip_exact(self, tmp_path):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
-        write_snapshot(edge_rows([record("A", "B", (1.2345,))]), first)
+        write_snapshot(edge_rows_of([record("A", "B", (1.2345,))]), first)
         save_graph(load_graph(first), second)
         assert second.read_bytes() == first.read_bytes()
 
     def test_header_written(self, tmp_path):
         path = tmp_path / "snap.csv"
-        write_snapshot(edge_rows([record("A", "B", (1.0,))]), path)
+        write_snapshot(edge_rows_of([record("A", "B", (1.0,))]), path)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == "source,destination,rtt_ms,sample_count,measurement_count"
 

@@ -1,12 +1,12 @@
 """The CLI's ingest against a per-line oracle of the feed rules.
 
-``cli.ingest_to_rows`` runs ``read_result_file``, ``filter_records`` and
-``edge_rows``, which turn already-checked fields into records without a
-second check, patch sidecar fields into the parsed tuple and group by
-canonical endpoint values.
+``cli.ingest_to_rows`` runs ``read_result_file``, ``filter_records``,
+``group_samples`` and ``edge_rows``, which turn already-checked fields into
+records without a second check, patch sidecar fields into the parsed tuple
+and group by canonical endpoint text, worked out once per distinct text.
 The oracle does each step the plain way: a validated record per line, the
 sidecar applied with ``_replace``, one ``filter_records`` call per record
-and groups keyed by :class:`EndpointKey` pairs. The two must agree edge
+and groups keyed by each record's canonical endpoint pair. The two must agree edge
 for edge, bit for bit, and in every counter, and both must conserve their
 counts, also with the CPU count patched so that the files split between
 this process and forked children.
@@ -25,7 +25,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import graph_of, parse_result_line, rows_of
 from detourkit import cli
 from detourkit.errors import NoDataError, ParseError
-from detourkit.graph import BuildStats, EndpointKey
+from detourkit.graph import BuildStats, canonical_endpoint
 from detourkit.ingest import (
     FeedStats,
     FilterSpec,
@@ -168,8 +168,8 @@ def oracle_ingest(paths, spec, key_by, sidecar, region_of):
                 if not list(filter_records([record], spec, feed.drops, region_of)):
                     continue
                 build.records += 1
-                source = EndpointKey.from_text(record.source_id)
-                destination = EndpointKey.from_text(record.destination_id)
+                source = canonical_endpoint(record.source_id)
+                destination = canonical_endpoint(record.destination_id)
                 if source == destination:
                     build.skipped["self_pair"] += 1
                     continue

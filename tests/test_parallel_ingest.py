@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import edge_rows_of
 from detourkit import cli, errors
 from detourkit.errors import ParseError, ToolkitError
 from detourkit.graph import BuildStats, edge_rows, group_samples
@@ -90,15 +91,15 @@ def test_merged_groups_give_the_graph_of_all_records():
         for _ in range(3000)
     ]
     whole_stats = BuildStats()
-    whole = edge_rows(records, whole_stats)
+    whole = edge_rows_of(records, whole_stats)
     for parts in (2, 3, 5):
         stats = BuildStats()
-        others = []
-        for part in range(1, parts):
+        groups = []
+        for part in range(parts):
             part_stats = BuildStats()
-            others.append(group_samples(records[part::parts], part_stats, {}))
+            groups.append(group_samples(records[part::parts], part_stats))
             stats.merge(part_stats)
-        assert edge_rows(records[::parts], stats, merge=others) == whole
+        assert edge_rows(groups) == whole
         assert stats == whole_stats
 
 

@@ -205,9 +205,7 @@ class TestCompare:
         verdict = compare(leg(DIRECT_AC), composed)
         assert verdict.median_delta_ms == pytest.approx(8.22, abs=0.01)
         assert verdict.mode_delta_ms == pytest.approx(10.52, abs=0.01)
-        assert verdict.preferred_metric == "median"
-        assert verdict.faster == "direct"
-        assert "direct" in verdict.description and "median" in verdict.description
+        assert verdict.description == "direct route is 8.22 ms faster by median"
 
     def test_identical_summaries_tie(self):
         one = leg(LEG_AB)
@@ -215,16 +213,16 @@ class TestCompare:
         assert verdict.mean_delta_ms == 0.0
         assert verdict.median_delta_ms == 0.0
         assert verdict.mode_delta_ms == 0.0
-        assert verdict.faster == "tie"
+        assert verdict.description == "routes tie on mean"
 
     def test_bimodal_direct_prefers_median(self):
         verdict = compare(leg(DIRECT_AC, modality="bimodal"), leg(LEG_AB))
-        assert verdict.preferred_metric == "median"
+        assert verdict.description == "overlay route is 4.00 ms faster by median"
 
     def test_all_unimodal_prefers_mean(self):
         verdict = compare(leg(DIRECT_AC), leg(LEG_AB))
-        assert verdict.preferred_metric == "mean"
-        assert verdict.faster == "overlay"  # 57.45 overlay beats 61.72 direct on mean
+        # 57.45 overlay beats 61.72 direct on mean
+        assert verdict.description == "overlay route is 4.27 ms faster by mean"
 
 
 class TestMonteCarlo:

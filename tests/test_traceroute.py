@@ -53,7 +53,6 @@ class TestParse:
         assert trace.source_label == "lab box"
         assert trace.destination == "target.example.net"
         assert len(trace.hops) == 2
-        assert trace.reached is True
         assert trace.hops[0] == TracerouteHop(1, "198.51.100.1", "gw.example.net")
 
     def test_unresponsive_hop(self):
@@ -62,7 +61,6 @@ class TestParse:
         )
         hop = trace.hops[1]
         assert hop == TracerouteHop(2, None, None)
-        assert not hop.responded
 
     def test_bare_ip_has_no_rdns(self):
         trace = parse_traceroute("# x | y\n 1  10.1.2.3  5.0 ms  5.1 ms\n")
@@ -125,10 +123,6 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse_traceroute("# x | y\n" + "1" * 4400 + "  gw (10.0.0.1)  1.0 ms\n")
         assert exc.value.position == 2
-
-    def test_unreached_trace(self):
-        trace = parse_traceroute("# x | y.example\n 1  gw (10.0.0.1)  1.0 ms\n 2  * * *\n")
-        assert trace.reached is False
 
 
 class TestHopCount:
@@ -264,7 +258,7 @@ def traces_and_tables(draw):
     if not tokens and geo_city is None:
         geo_city = "Los Angeles"
     table = draw(st.dictionaries(st.sampled_from(ADDRESSES), st.none() | st.sampled_from(CITIES)))
-    trace = TracerouteTrace(source_label="x", destination="y", hops=hops, reached=False)
+    trace = TracerouteTrace(source_label="x", destination="y", hops=hops)
     return trace, CitySpec(tokens=tokens, geo_city=geo_city), table
 
 
