@@ -10,18 +10,12 @@ from .detours import DetourInsight, DetourRows, ImprovementHistogram, search_det
 from .errors import (
     EmptyInputError,
     InvalidAddressError,
-    NoDataError,
     ParseError,
     ToolkitError,
 )
 from .geo import GeoCache, GeoLookup, GeoRecord
 from .graph import edge_rows, read_snapshot, write_snapshot
-from .ingest import (
-    FilterSpec,
-    PingRecord,
-    filter_records,
-    representative_rtt,
-)
+from .ingest import FilterSpec
 from .stats import (
     ComparisonVerdict,
     OverlayPath,
@@ -51,10 +45,8 @@ __all__ = [
     "GeoRecord",
     "ImprovementHistogram",
     "InvalidAddressError",
-    "NoDataError",
     "OverlayPath",
     "ParseError",
-    "PingRecord",
     "RttSummary",
     "ToolkitError",
     "TracerouteHop",
@@ -63,10 +55,8 @@ __all__ = [
     "compose",
     "detect_city",
     "edge_rows",
-    "filter_records",
     "parse_traceroute",
     "read_snapshot",
-    "representative_rtt",
     "search_detours",
     "write_snapshot",
 ]

@@ -29,7 +29,7 @@ import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, Sequence
 
@@ -48,15 +48,7 @@ from .graph import (
     replaced_on_success,
     write_snapshot,
 )
-from .ingest import (
-    STATUSES,
-    FeedStats,
-    FilterSpec,
-    PingRecord,
-    filter_records,
-    load_status_sidecar,
-    read_result_file,
-)
+from .ingest import STATUSES, FeedStats, FilterSpec, load_status_sidecar, read_result_file
 
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
@@ -306,9 +298,10 @@ def ingest_to_rows(
     """Run the parse -> filter -> aggregate pipeline over feed files into
     the snapshot's edge rows.
 
-    The files are dealt round-robin into the shares of :func:`run_shares`,
-    each of which is parsed, filtered and grouped by
-    :func:`group_samples`. The groups of every share join before
+    The files are dealt round-robin into the shares of :func:`run_shares`.
+    In each share, ``read_result_file`` reads each file in one pass, parsing,
+    patching and filtering every line and yielding only the kept samples,
+    which :func:`group_samples` groups. The groups of every share join before
     ``edge_rows`` takes the edge weights, and the counters add up.
     ``math.fsum`` is correctly rounded, so a weight does not depend on the
     order of its samples: the rows and the counters are those of one
@@ -318,12 +311,12 @@ def ingest_to_rows(
 
     def group(share: Sequence[Path], alive) -> tuple[dict, FeedStats, BuildStats]:
         feed, build = FeedStats(), BuildStats()
-
-        def records() -> Iterator[PingRecord]:
-            for path in share:
-                yield from read_result_file(path, key_by=key_by, sidecar=sidecar, stats=feed)
-
-        kept = filter_records(records(), spec, drops=feed.drops, region_of=region_of)
+        kept = chain.from_iterable(
+            read_result_file(
+                path, key_by=key_by, sidecar=sidecar, stats=feed, spec=spec, region_of=region_of
+            )
+            for path in share
+        )
         return group_samples(alive(kept), build), feed, build
 
     shares = [paths[index::count] for index in range(count)]

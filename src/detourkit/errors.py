@@ -59,10 +59,6 @@ def open_text(
             raise  # not a byte of this file
 
 
-class NoDataError(ToolkitError):
-    """A measurement sample carried no successful runs."""
-
-
 class EmptyInputError(ToolkitError):
     """An operation that needs at least one sample received none."""
 

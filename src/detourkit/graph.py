@@ -1,8 +1,8 @@
 """Directed latency graph: aggregation into snapshot rows, the snapshot
 writer and reader.
 
-Edge weights are noise-reduced RTT estimates: each record is reduced to its
-representative RTT, samples are averaged within a measurement, and the
+Edge weights are noise-reduced RTT estimates: each kept sample is reduced to
+its representative RTT, samples are averaged within a measurement, and the
 per-measurement means are averaged across measurements. A missing edge means
 no connectivity was observed between the two endpoints.
 
@@ -24,10 +24,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import pairwise
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
-from .errors import NoDataError, ParseError, ToolkitError, open_text
-from .ingest import PingRecord, representative_rtt
+from .errors import ParseError, ToolkitError, open_text
 
 SNAPSHOT_HEADER = ("source", "destination", "rtt_ms", "sample_count", "measurement_count")
 
@@ -103,32 +102,58 @@ class BuildStats:
         self.skipped.update(other.skipped)
 
 
-def group_samples(records: Iterable[PingRecord], stats: BuildStats) -> dict:
-    """The representative RTTs of ``records`` as ``{(source, destination):
-    {measurement_id: array('d') of RTTs}}``, endpoints as canonical text,
-    skipping and counting self-pairs and no-data records."""
+def group_samples(
+    samples: Iterable[tuple[str, str, str, Sequence[float]]], stats: BuildStats
+) -> dict:
+    """The representative RTTs of ``samples``, the ``(measurement_id, source,
+    destination, runs)`` tuples that ``ingest.read_result_file`` yields, as
+    ``{(source, destination): {measurement_id: array('d') of RTTs}}``,
+    endpoints as canonical text, skipping and counting self-pairs and
+    samples with no run.
+
+    A sample's representative RTT is the middle of three runs, the mean of
+    two, or the single run: permutation-invariant, and noise-resistant.
+    """
     from array import array  # here, so that CLI start-up imports no new module
 
     groups: dict[tuple[str, str], dict[str, array]] = {}
     # each endpoint text, and each canonical text, -> its canonical text
     endpoints: dict[str, str] = {}
-    for record in records:
-        stats.records += 1
-        source = endpoints.get(record.source_id) or _shared_key(endpoints, record.source_id)
-        destination = endpoints.get(record.destination_id) or _shared_key(
-            endpoints, record.destination_id
-        )
+    records = self_pairs = no_data = 0
+    for measurement_id, source_text, destination_text, runs in samples:
+        records += 1
+        source = endpoints.get(source_text) or _shared_key(endpoints, source_text)
+        destination = endpoints.get(destination_text) or _shared_key(endpoints, destination_text)
         if source == destination:
-            stats.skipped["self_pair"] += 1
+            self_pairs += 1
             continue
-        try:
-            rtt = representative_rtt(record)
-        except NoDataError:
-            stats.skipped["no_data"] += 1
+        count = len(runs)
+        if count == 3:
+            a, b, c = runs
+            if a > b:
+                a, b = b, a
+            # a <= b: the middle is b, unless c is below it
+            rtt = b if c >= b else (c if c > a else a)
+        elif count == 2:
+            rtt = (runs[0] + runs[1]) / 2.0
+        elif count == 1:
+            rtt = runs[0]
+        else:
+            no_data += 1
             continue
-        by_msm = groups.setdefault((source, destination), {})
-        by_msm.setdefault(record.measurement_id, array("d")).append(rtt)
-        stats.used += 1
+        by_msm = groups.get((source, destination))
+        if by_msm is None:
+            by_msm = groups[source, destination] = {}
+        rtts = by_msm.get(measurement_id)
+        if rtts is None:
+            rtts = by_msm[measurement_id] = array("d")
+        rtts.append(rtt)
+    stats.records += records
+    stats.used += records - self_pairs - no_data
+    if self_pairs:
+        stats.skipped["self_pair"] += self_pairs
+    if no_data:
+        stats.skipped["no_data"] += no_data
     return groups
 
 

@@ -11,8 +11,12 @@ accepted and auto-detected per line:
   ``measurement_id,source,destination,af,status,start_time,rtt1,rtt2,rtt3``
   where an empty RTT cell means the run was lost.
 
-Each sample carries up to three round-trip runs; :func:`representative_rtt`
-reduces them to one value (middle of three, mean of two, or the single run).
+:func:`read_result_file` is the one pass from a feed line to a kept sample:
+it reads each line's fields, patches them from the sidecar, applies the
+:class:`FilterSpec` drop rules and yields the line as a ``(measurement_id,
+source, destination, runs)`` tuple. ``runs`` holds up to three successful
+round-trip times, which ``graph.group_samples`` reduces to one value
+(middle of three, mean of two, or the single run).
 """
 
 from __future__ import annotations
@@ -23,9 +27,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, Optional
 
-from .errors import NoDataError, ParseError, open_text
+from .errors import ParseError, open_text
 
 STATUS_STOPPED = "stopped"
 STATUS_ONGOING = "ongoing"
@@ -47,57 +51,25 @@ CSV_FIELDS = (
 )
 
 
+# the statuses that normalize_status returns as they are: a raw status is
+# tested against these before the call, which most lines then skip
+_AS_IS = (STATUS_STOPPED, STATUS_ONGOING)
+
+
 def normalize_status(raw: object) -> str:
     """Map a raw status string onto {stopped, ongoing, other}."""
     text = str(raw).strip().lower() if raw is not None else ""
-    if text in (STATUS_STOPPED, STATUS_ONGOING):
+    if text in _AS_IS:
         return text
     return STATUS_OTHER
 
 
-class _PingFields(NamedTuple):
-    measurement_id: str
-    source_id: str
-    destination_id: str
-    address_family: int
-    status: str
-    start_time: int
-    rtt_runs: tuple[float, ...]
-    region: Optional[str] = None
-
-
-class PingRecord(_PingFields):
-    """One ping measurement sample.
-
-    ``rtt_runs`` holds only the successful runs, in feed order; lost runs
-    are simply absent. ``start_time`` is UTC epoch seconds.
-
-    A named tuple, so that :func:`read_result_file` turns the fields that
-    :func:`parse_fields` has already checked into a record without copying
-    them one by one. The constructor checks the fields it is given;
-    ``_make`` and ``_replace`` do not.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs) -> "PingRecord":
-        record = super().__new__(cls, *args, **kwargs)
-        if record.status not in STATUSES:
-            raise ValueError(f"unknown status {record.status!r}")
-        if len(record.rtt_runs) > MAX_RUNS:
-            raise ValueError(f"at most {MAX_RUNS} runs per sample")
-        for rtt in record.rtt_runs:
-            if not (math.isfinite(rtt) and rtt > 0):
-                raise ValueError(f"rtt runs must be finite and > 0, got {rtt!r}")
-        return record
-
-
 @dataclass(frozen=True)
 class FilterSpec:
-    """Cleanup rules applied to a record stream.
+    """Drop rules that :func:`read_result_file` applies to each parsed line.
 
     All fields are optional; ``address_family`` defaults to 4. Time bounds
-    are half-open: a record passes when
+    are half-open: a line passes when
     ``min_start_time <= start_time < max_start_time``.
     """
 
@@ -106,29 +78,6 @@ class FilterSpec:
     max_start_time: Optional[int] = None
     address_family: Optional[int] = 4
     region_allowlist: Optional[frozenset[str]] = None
-
-
-def parse_fields(line: str, key_by: str = "ip") -> tuple:
-    """Parse one feed line into the fields of a :class:`PingRecord`.
-
-    Returns ``(measurement_id, source_id, destination_id, address_family,
-    status, start_time, rtt_runs, region)``, already valid for a record:
-    the status is normalized and the runs are finite and positive.
-    ``key_by`` selects the source endpoint text for JSON lines: ``"ip"``
-    uses the ``from`` address, ``"probe"`` prefers the numeric ``prb_id``.
-    Under ``"probe"``, a line with no probe id (every CSV line, and a JSON
-    line without ``prb_id``) keys its source by address, so a feed that
-    mixes them can name one host twice: as its probe and as its address.
-    Raises :class:`ParseError` (with byte offset) on malformed lines,
-    including a number that is not finite or too large where an integer is
-    needed; the caller is expected to skip and count those.
-    """
-    stripped = line.strip()
-    if not stripped:
-        raise ParseError(0, "empty line")
-    if stripped.startswith("{"):
-        return _json_fields(stripped, key_by)
-    return _csv_fields(stripped)
 
 
 # json.loads less its per-call checks for a BOM and for whitespace around
@@ -172,23 +121,28 @@ def _json_fields(text: str, key_by: str) -> tuple:
     if not isinstance(result, list):
         raise ParseError(0, "result is not an array")
     region = obj.get("region")
+    status = obj.get("status")
     try:
         runs: list[float] = []
         for entry in result:
-            if len(runs) == MAX_RUNS:
-                break
             if not isinstance(entry, dict):
                 continue
             rtt = entry.get("rtt")
-            # entries with "x", "error", or a bad rtt (a boolean included) are lost runs
-            if type(rtt) in (int, float) and math.isfinite(rtt) and rtt > 0:
-                runs.append(float(rtt))
+            if type(rtt) is int:
+                # OverflowError past the largest float, as math.isfinite raises
+                rtt = float(rtt)
+            # entries with "x", "error", or a bad rtt (a boolean included) are
+            # lost runs; NaN fails both comparisons
+            if type(rtt) is float and 0.0 < rtt < math.inf:
+                runs.append(rtt)
+                if len(runs) == MAX_RUNS:
+                    break  # the entries after the third run are never read
         return (
             str(msm_id),
             str(source),
             str(destination),
             int(obj.get("af", 4)),
-            normalize_status(obj.get("status")),
+            status if status in _AS_IS else normalize_status(status),
             int(timestamp),
             tuple(runs),
             str(region) if region is not None else None,
@@ -221,80 +175,13 @@ def _csv_fields(text: str) -> tuple:
             source,
             destination,
             int(af),
-            normalize_status(status),
+            status if status in _AS_IS else normalize_status(status),
             int(float(start_time)),
             tuple(runs),
             None,
         )
     except (ValueError, OverflowError) as exc:
         raise ParseError(0, str(exc)) from exc
-
-
-def representative_rtt(record: PingRecord) -> float:
-    """Reduce a sample's runs to one noise-resistant RTT.
-
-    Three runs give the middle value after sorting, two give their mean,
-    one passes through. Permutation-invariant. Raises :class:`NoDataError`
-    when every run was lost.
-    """
-    runs = record.rtt_runs
-    n = len(runs)
-    if n == 3:
-        a, b, c = runs
-        if a > b:
-            a, b = b, a
-        return min(b, max(a, c))
-    if n == 2:
-        return (runs[0] + runs[1]) / 2.0
-    if n == 1:
-        return runs[0]
-    raise NoDataError(f"sample {record.measurement_id} has no successful runs")
-
-
-def filter_records(
-    records: Iterable[PingRecord],
-    spec: FilterSpec,
-    drops: Optional[Counter] = None,
-    region_of: Optional[Callable[[str], Optional[str]]] = None,
-) -> Iterator[PingRecord]:
-    """Yield the records satisfying every present filter field, in order.
-
-    ``drops`` (a ``collections.Counter``) is incremented per drop reason:
-    ``status``, ``address_family``, ``start_time``, ``region``,
-    ``region_unresolved``.
-
-    When a region allowlist is set, both endpoints must resolve to allowed
-    regions. ``region_of`` maps an endpoint's text to its region code; without
-    it the record's own ``region`` field stands in for both endpoints.
-    Endpoints that resolve to nothing are dropped and counted.
-    """
-    if drops is None:
-        drops = Counter()
-    for record in records:
-        if spec.required_status is not None and record.status != spec.required_status:
-            drops["status"] += 1
-            continue
-        if spec.address_family is not None and record.address_family != spec.address_family:
-            drops["address_family"] += 1
-            continue
-        if spec.min_start_time is not None and record.start_time < spec.min_start_time:
-            drops["start_time"] += 1
-            continue
-        if spec.max_start_time is not None and record.start_time >= spec.max_start_time:
-            drops["start_time"] += 1
-            continue
-        if spec.region_allowlist is not None:
-            if region_of is not None:
-                regions = (region_of(record.source_id), region_of(record.destination_id))
-            else:
-                regions = (record.region, record.region)
-            if any(r is None for r in regions):
-                drops["region_unresolved"] += 1
-                continue
-            if any(r not in spec.region_allowlist for r in regions):
-                drops["region"] += 1
-                continue
-        yield record
 
 
 @dataclass
@@ -318,51 +205,105 @@ def read_result_file(
     key_by: str = "ip",
     sidecar: Optional[dict[str, tuple[Optional[str], Optional[int]]]] = None,
     stats: Optional[FeedStats] = None,
-) -> Iterator[PingRecord]:
-    """Stream records from a feed file, skipping and counting bad lines,
-    a line with a byte that is not UTF-8 among them.
+    spec: FilterSpec = FilterSpec(),
+    region_of: Optional[Callable[[str], Optional[str]]] = None,
+) -> Iterator[tuple[str, str, str, tuple[float, ...]]]:
+    """Stream the kept lines of a feed file, in file order, each as a
+    ``(measurement_id, source, destination, runs)`` tuple.
 
-    ``sidecar`` patches status (and start time, when given) by measurement
-    id, for feeds where that metadata is not inline.
+    Blank lines and lines starting with ``#`` are skipped. Each other line
+    counts in ``stats.lines`` and is read once:
+
+    * its fields are checked as ``key_by`` selects the source endpoint text:
+      ``"ip"`` uses a JSON line's ``from`` address, ``"probe"`` prefers its
+      numeric ``prb_id``; a line with no probe id (every CSV line, and a
+      JSON line without ``prb_id``) keys its source by address, so a feed
+      that mixes them can name one host twice. A malformed line, a number
+      that is not finite or too large where an integer is needed and a
+      byte that is not UTF-8 among them, counts in ``stats.parse_errors``;
+    * ``sidecar`` patches its status (and start time, when given) by
+      measurement id, for feeds where that metadata is not inline;
+    * the ``spec`` drop rules apply in this order, each drop counted in
+      ``stats.drops`` by reason: ``status``, ``address_family``,
+      ``start_time``, then, with a region allowlist, ``region_unresolved``
+      or ``region``. Both endpoints must resolve to allowed regions:
+      ``region_of`` maps an endpoint's text to its region code, and without
+      it the line's own ``region`` field stands in for both endpoints.
+
+    ``runs`` holds the line's successful runs in feed order, finite and
+    positive, at most three; lost runs are simply absent. The counts reach
+    ``stats`` once the file is done or the stream is closed.
     """
     if stats is None:
         stats = FeedStats()
-    make = PingRecord._make  # parse_fields has checked the fields
-    # a byte that is not UTF-8 comes in as a lone surrogate, which encode()
-    # rejects; utf-8-sig skips a byte-order mark at the start of the file
-    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
-        for line in handle:
-            if not line.strip() or line.startswith("#"):
-                continue
-            stats.lines += 1
-            try:
-                if not line.isascii():
-                    line.encode()
-                fields = parse_fields(line, key_by=key_by)
-            except (ParseError, UnicodeEncodeError):
-                stats.parse_errors += 1
-                continue
-            stats.parsed += 1
-            if sidecar is not None:
-                meta = sidecar.get(fields[0])
-                if meta is not None:
-                    fields = _patched(fields, *meta)
-            yield make(fields)
-
-
-def _patched(fields: tuple, status: Optional[str], start_time: Optional[int]) -> tuple:
-    """``fields`` with the sidecar's status and start time, where given."""
-    msm_id, source, destination, af, own_status, own_start_time, runs, region = fields
-    return (
-        msm_id,
-        source,
-        destination,
-        af,
-        normalize_status(status) if status is not None else own_status,
-        start_time if start_time is not None else own_start_time,
-        runs,
-        region,
-    )
+    required_status = spec.required_status
+    address_family = spec.address_family
+    min_start_time = spec.min_start_time
+    max_start_time = spec.max_start_time
+    allowlist = spec.region_allowlist
+    lines = parse_errors = 0
+    status_drops = family_drops = time_drops = unresolved_drops = region_drops = 0
+    try:
+        # a byte that is not UTF-8 comes in as a lone surrogate, which encode()
+        # rejects; utf-8-sig skips a byte-order mark at the start of the file
+        with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
+            for line in handle:
+                text = line.strip()
+                if not text or line[0] == "#":
+                    continue
+                lines += 1
+                try:
+                    if not line.isascii():
+                        line.encode()
+                    fields = _json_fields(text, key_by) if text[0] == "{" else _csv_fields(text)
+                except (ParseError, UnicodeEncodeError):
+                    parse_errors += 1
+                    continue
+                msm_id, source, destination, family, status, start_time, runs, region = fields
+                if sidecar is not None:
+                    meta = sidecar.get(msm_id)
+                    if meta is not None:
+                        if meta[0] is not None:
+                            status = meta[0] if meta[0] in _AS_IS else normalize_status(meta[0])
+                        if meta[1] is not None:
+                            start_time = meta[1]
+                if required_status is not None and status != required_status:
+                    status_drops += 1
+                    continue
+                if address_family is not None and family != address_family:
+                    family_drops += 1
+                    continue
+                if (min_start_time is not None and start_time < min_start_time) or (
+                    max_start_time is not None and start_time >= max_start_time
+                ):
+                    time_drops += 1
+                    continue
+                if allowlist is not None:
+                    if region_of is not None:
+                        source_region = region_of(source)
+                        destination_region = region_of(destination)
+                    else:
+                        source_region = destination_region = region
+                    if source_region is None or destination_region is None:
+                        unresolved_drops += 1
+                        continue
+                    if source_region not in allowlist or destination_region not in allowlist:
+                        region_drops += 1
+                        continue
+                yield msm_id, source, destination, runs
+    finally:
+        stats.lines += lines
+        stats.parsed += lines - parse_errors
+        stats.parse_errors += parse_errors
+        for reason, count in (
+            ("status", status_drops),
+            ("address_family", family_drops),
+            ("start_time", time_drops),
+            ("region_unresolved", unresolved_drops),
+            ("region", region_drops),
+        ):
+            if count:
+                stats.drops[reason] += count
 
 
 def load_status_sidecar(path: str | Path) -> dict[str, tuple[Optional[str], Optional[int]]]:

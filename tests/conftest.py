@@ -31,6 +31,15 @@ oracles of the faster ones: the regular expression that told a hop line
 (:func:`hop_line_parts`), the hop-line reader that took the line's rest as
 text (:func:`parse_hop_line`) and the token matcher that built every hop
 name's segments (:func:`hop_token_match`).
+
+The per-record ingest pipeline is the reference for ``read_result_file``'s
+one pass over a feed and for the representative RTT that ``group_samples``
+takes inline: :func:`read_records` makes a checked :class:`PingRecord` of
+each line (:func:`parse_fields`, over the field readers in ``src/``) and
+patches in the sidecar (:func:`_patched`), :func:`filter_records` applies
+the drop rules one record at a time, and :func:`representative_rtt` reduces
+a record's runs, raising :class:`NoDataError` when there are none.
+:func:`sample_of` is a record as the tuple ``read_result_file`` yields.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import pytest
 
@@ -61,7 +70,15 @@ from detourkit.graph import (
     group_samples,
     write_snapshot,
 )
-from detourkit.ingest import PingRecord, parse_fields
+from detourkit.ingest import (
+    MAX_RUNS,
+    STATUSES,
+    FeedStats,
+    FilterSpec,
+    _csv_fields,
+    _json_fields,
+    normalize_status,
+)
 from detourkit.stats import MODALITY_UNIMODAL, RttSummary, describe
 from detourkit.traceroute import TracerouteHop
 
@@ -71,6 +88,195 @@ FIXTURES = Path(__file__).parent / "fixtures"
 def endpoint_order(endpoint: str) -> tuple[bool, str]:
     """Addresses and host names first, then probe ids (all digits), each by text."""
     return (endpoint.isdigit(), endpoint)
+
+
+class NoDataError(ToolkitError):
+    """A measurement sample carried no successful runs."""
+
+
+class _PingFields(NamedTuple):
+    measurement_id: str
+    source_id: str
+    destination_id: str
+    address_family: int
+    status: str
+    start_time: int
+    rtt_runs: tuple[float, ...]
+    region: Optional[str] = None
+
+
+class PingRecord(_PingFields):
+    """One ping measurement sample.
+
+    ``rtt_runs`` holds only the successful runs, in feed order; lost runs
+    are simply absent. ``start_time`` is UTC epoch seconds.
+
+    A named tuple, so that :func:`read_records` turns the fields that
+    :func:`parse_fields` has already checked into a record without copying
+    them one by one. The constructor checks the fields it is given;
+    ``_make`` and ``_replace`` do not.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "PingRecord":
+        record = super().__new__(cls, *args, **kwargs)
+        if record.status not in STATUSES:
+            raise ValueError(f"unknown status {record.status!r}")
+        if len(record.rtt_runs) > MAX_RUNS:
+            raise ValueError(f"at most {MAX_RUNS} runs per sample")
+        for rtt in record.rtt_runs:
+            if not (math.isfinite(rtt) and rtt > 0):
+                raise ValueError(f"rtt runs must be finite and > 0, got {rtt!r}")
+        return record
+
+
+def parse_fields(line: str, key_by: str = "ip") -> tuple:
+    """Parse one feed line into the fields of a :class:`PingRecord`.
+
+    Returns ``(measurement_id, source_id, destination_id, address_family,
+    status, start_time, rtt_runs, region)``, already valid for a record:
+    the status is normalized and the runs are finite and positive.
+    ``key_by`` selects the source endpoint text for JSON lines: ``"ip"``
+    uses the ``from`` address, ``"probe"`` prefers the numeric ``prb_id``.
+    Under ``"probe"``, a line with no probe id (every CSV line, and a JSON
+    line without ``prb_id``) keys its source by address, so a feed that
+    mixes them can name one host twice: as its probe and as its address.
+    Raises :class:`ParseError` (with byte offset) on malformed lines,
+    including a number that is not finite or too large where an integer is
+    needed; the caller is expected to skip and count those.
+    """
+    stripped = line.strip()
+    if not stripped:
+        raise ParseError(0, "empty line")
+    if stripped.startswith("{"):
+        return _json_fields(stripped, key_by)
+    return _csv_fields(stripped)
+
+
+def representative_rtt(record: PingRecord) -> float:
+    """Reduce a sample's runs to one noise-resistant RTT.
+
+    Three runs give the middle value after sorting, two give their mean,
+    one passes through. Permutation-invariant. Raises :class:`NoDataError`
+    when every run was lost.
+    """
+    runs = record.rtt_runs
+    n = len(runs)
+    if n == 3:
+        a, b, c = runs
+        if a > b:
+            a, b = b, a
+        return min(b, max(a, c))
+    if n == 2:
+        return (runs[0] + runs[1]) / 2.0
+    if n == 1:
+        return runs[0]
+    raise NoDataError(f"sample {record.measurement_id} has no successful runs")
+
+
+def filter_records(
+    records: Iterable[PingRecord],
+    spec: FilterSpec,
+    drops: Optional[Counter] = None,
+    region_of: Optional[Callable[[str], Optional[str]]] = None,
+) -> Iterator[PingRecord]:
+    """Yield the records satisfying every present filter field, in order.
+
+    ``drops`` (a ``collections.Counter``) is incremented per drop reason:
+    ``status``, ``address_family``, ``start_time``, ``region``,
+    ``region_unresolved``.
+
+    When a region allowlist is set, both endpoints must resolve to allowed
+    regions. ``region_of`` maps an endpoint's text to its region code; without
+    it the record's own ``region`` field stands in for both endpoints.
+    Endpoints that resolve to nothing are dropped and counted.
+    """
+    if drops is None:
+        drops = Counter()
+    for record in records:
+        if spec.required_status is not None and record.status != spec.required_status:
+            drops["status"] += 1
+            continue
+        if spec.address_family is not None and record.address_family != spec.address_family:
+            drops["address_family"] += 1
+            continue
+        if spec.min_start_time is not None and record.start_time < spec.min_start_time:
+            drops["start_time"] += 1
+            continue
+        if spec.max_start_time is not None and record.start_time >= spec.max_start_time:
+            drops["start_time"] += 1
+            continue
+        if spec.region_allowlist is not None:
+            if region_of is not None:
+                regions = (region_of(record.source_id), region_of(record.destination_id))
+            else:
+                regions = (record.region, record.region)
+            if any(r is None for r in regions):
+                drops["region_unresolved"] += 1
+                continue
+            if any(r not in spec.region_allowlist for r in regions):
+                drops["region"] += 1
+                continue
+        yield record
+
+
+def _patched(fields: tuple, status: Optional[str], start_time: Optional[int]) -> tuple:
+    """``fields`` with the sidecar's status and start time, where given."""
+    msm_id, source, destination, af, own_status, own_start_time, runs, region = fields
+    return (
+        msm_id,
+        source,
+        destination,
+        af,
+        normalize_status(status) if status is not None else own_status,
+        start_time if start_time is not None else own_start_time,
+        runs,
+        region,
+    )
+
+
+def read_records(
+    path: str | Path,
+    key_by: str = "ip",
+    sidecar: Optional[dict[str, tuple[Optional[str], Optional[int]]]] = None,
+    stats: Optional[FeedStats] = None,
+) -> Iterator[PingRecord]:
+    """Stream records from a feed file, skipping and counting bad lines,
+    a line with a byte that is not UTF-8 among them.
+
+    ``sidecar`` patches status (and start time, when given) by measurement
+    id, for feeds where that metadata is not inline.
+    """
+    if stats is None:
+        stats = FeedStats()
+    make = PingRecord._make  # parse_fields has checked the fields
+    # a byte that is not UTF-8 comes in as a lone surrogate, which encode()
+    # rejects; utf-8-sig skips a byte-order mark at the start of the file
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as handle:
+        for line in handle:
+            if not line.strip() or line.startswith("#"):
+                continue
+            stats.lines += 1
+            try:
+                if not line.isascii():
+                    line.encode()
+                fields = parse_fields(line, key_by=key_by)
+            except (ParseError, UnicodeEncodeError):
+                stats.parse_errors += 1
+                continue
+            stats.parsed += 1
+            if sidecar is not None:
+                meta = sidecar.get(fields[0])
+                if meta is not None:
+                    fields = _patched(fields, *meta)
+            yield make(fields)
+
+
+def sample_of(record: PingRecord) -> tuple[str, str, str, tuple[float, ...]]:
+    """The record as the ``(measurement_id, source, destination, runs)``
+    tuple that ``read_result_file`` yields for a kept line."""
+    return (record.measurement_id, record.source_id, record.destination_id, record.rtt_runs)
 
 
 @dataclass(frozen=True, slots=True)
@@ -160,7 +366,8 @@ def edge_rows_of(
     records: Iterable[PingRecord], stats: Optional[BuildStats] = None
 ) -> list[EdgeRow]:
     """The edge rows of ``records`` grouped in one share, as ``ingest`` takes them."""
-    return edge_rows([group_samples(records, BuildStats() if stats is None else stats)])
+    samples = map(sample_of, records)
+    return edge_rows([group_samples(samples, BuildStats() if stats is None else stats)])
 
 
 def save_graph(graph: LatencyGraph, path: str | Path) -> None:

@@ -16,6 +16,7 @@ import pytest
 
 from conftest import (
     FIXTURES,
+    PingRecord,
     best_detour,
     edge_rows_of,
     edge_rtt,
@@ -31,7 +32,7 @@ from conftest import (
 from detourkit.cli import ingest_to_rows
 from detourkit.detours import KIND_BRIDGE, KIND_IMPROVEMENT, search_detours
 from detourkit.graph import canonical_endpoint
-from detourkit.ingest import FilterSpec, PingRecord, representative_rtt
+from detourkit.ingest import FilterSpec
 from detourkit.stats import OverlayPath, compare, compose
 from detourkit.traceroute import LOS_ANGELES, detect_city, read_trace_file
 
@@ -229,7 +230,8 @@ def test_aggregation_properties():
     for runs in product(grid, repeat=3):
         expected = sorted(runs)[1]
         for ordering in permutations(runs):
-            assert representative_rtt(sample(ordering)) == expected
+            # the weight of an edge of one sample is its representative RTT
+            assert edge_rows_of([sample(ordering)])[0][2] == expected
 
     rng = random.Random(4)
     records = [

@@ -24,6 +24,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import detourkit
 from conftest import (
     FIXTURES,
+    PingRecord,
     graph_of,
     load_config_file,
     load_graph,
@@ -47,7 +48,7 @@ from detourkit import stats as stats_module
 from detourkit.detours import DetourRows, search_detours, write_rows_csv, write_rows_json
 from detourkit.errors import ToolkitError
 from detourkit.graph import SNAPSHOT_HEADER, read_snapshot, write_snapshot
-from detourkit.ingest import FilterSpec, PingRecord
+from detourkit.ingest import FilterSpec
 
 REFERENCE_EDGES = {
     ("Milpitas", "Morrisdale"): 265.49,
@@ -290,7 +291,7 @@ class TestIngest:
         assert code == 0
         memo_calls, calls[:] = list(calls), []
 
-        # reference: filter_records with one uncached lookup per endpoint of
+        # reference: ingest_to_rows with one uncached lookup per endpoint of
         # every record, asked through the provider pipeline with no provider
         lookup = geo.GeoLookup(cache=geo.GeoCache(cache))
 

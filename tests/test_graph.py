@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from conftest import (
     LatencyEdge,
+    PingRecord,
     edge_rows_of,
     edge_rtt,
     graph_of,
@@ -31,7 +32,6 @@ from detourkit.graph import (
     read_snapshot,
     write_snapshot,
 )
-from detourkit.ingest import PingRecord
 
 
 def record(source, destination, runs, msm="m1"):

@@ -1,4 +1,9 @@
-"""Feed parsing, filtering and per-sample RTT reduction."""
+"""Feed parsing, filtering and per-sample RTT reduction.
+
+Parsing is checked through the field readers of ``src/`` (``parse_fields``
+in ``conftest.py`` picks the reader of a line as ``read_result_file`` does),
+filtering through ``read_result_file`` itself, and the representative RTT
+through ``group_samples``, which takes it inline."""
 
 from __future__ import annotations
 
@@ -12,18 +17,20 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import parse_result_line, serialize_record
-from detourkit.errors import NoDataError, ParseError
-from detourkit.ingest import (
-    FeedStats,
-    FilterSpec,
+from conftest import (
+    NoDataError,
     PingRecord,
     filter_records,
-    load_status_sidecar,
     parse_fields,
-    read_result_file,
+    parse_result_line,
+    read_records,
     representative_rtt,
+    sample_of,
+    serialize_record,
 )
+from detourkit.errors import ParseError
+from detourkit.graph import BuildStats, group_samples
+from detourkit.ingest import FeedStats, FilterSpec, load_status_sidecar, read_result_file
 
 
 def record(**overrides) -> PingRecord:
@@ -152,7 +159,7 @@ class TestParseJson:
             ),
             encoding="utf-8",
         )
-        sources = [r.source_id for r in read_result_file(feed, key_by="probe")]
+        sources = [source for _, source, _, _ in read_result_file(feed, key_by="probe")]
         # one host, as its probe and twice as its address
         assert sources == ["100", "8.8.0.1", "8.8.0.1"]
 
@@ -256,7 +263,7 @@ def parses_or_raises_parse_error(line: str, key_by: str = "ip") -> None:
         fields = parse_fields(line, key_by)
     except ParseError:
         return
-    # read_result_file builds records unchecked: the fields must pass the checks
+    # read_result_file yields the fields unchecked: they must pass the record's checks
     assert PingRecord(*fields) == fields
 
 
@@ -327,17 +334,30 @@ class TestParserFuzz:
         assert all(isinstance(start, (int, type(None))) for _, start in table.values())
 
 
+def grouped_rtt(runs) -> float | None:
+    """The representative RTT that ``group_samples`` takes of one sample
+    with ``runs``, or None where it skips the sample for having no run."""
+    stats = BuildStats()
+    groups = group_samples([("m1", "10.0.0.1", "10.0.0.2", tuple(runs))], stats)
+    if not groups:
+        assert stats.skipped == Counter({"no_data": 1})
+        return None
+    (rtts,) = groups["10.0.0.1", "10.0.0.2"].values()
+    return rtts[0]
+
+
 class TestRepresentativeRtt:
     def test_median_of_three(self):
-        assert representative_rtt(record(rtt_runs=(0.4, 0.3, 0.35))) == 0.35
+        assert grouped_rtt((0.4, 0.3, 0.35)) == 0.35
 
     def test_single_run_passthrough(self):
-        assert representative_rtt(record(rtt_runs=(5.0,))) == 5.0
+        assert grouped_rtt((5.0,)) == 5.0
 
     def test_two_runs_mean(self):
-        assert representative_rtt(record(rtt_runs=(4.0, 6.0))) == 5.0
+        assert grouped_rtt((4.0, 6.0)) == 5.0
 
     def test_no_runs(self):
+        assert grouped_rtt(()) is None
         with pytest.raises(NoDataError):
             representative_rtt(record(rtt_runs=()))
 
@@ -345,85 +365,79 @@ class TestRepresentativeRtt:
         grid = (0.1, 1.0, 10.0, 100.0)
         for runs in product(grid, repeat=3):
             expected = sorted(runs)[1]
-            assert representative_rtt(record(rtt_runs=runs)) == expected
+            assert grouped_rtt(runs) == expected
 
     @given(runs=st.lists(rtt_values, min_size=1, max_size=3))
     def test_permutation_invariant_and_matches_median(self, runs):
-        values = {
-            representative_rtt(record(rtt_runs=tuple(p))) for p in permutations(runs)
-        }
-        assert len(values) == 1
-        assert values.pop() == statistics.median(runs)
+        values = {grouped_rtt(p) for p in permutations(runs)}
+        assert values == {statistics.median(runs), representative_rtt(record(rtt_runs=tuple(runs)))}
+
+
+def read_kept(path, records, spec, region_of=None) -> tuple[list, Counter]:
+    """The samples ``read_result_file`` keeps of a feed of ``records`` under
+    ``spec``, and its drops."""
+    path.write_text("".join(serialize_record(r) + "\n" for r in records), encoding="utf-8")
+    stats = FeedStats()
+    samples = list(read_result_file(path, stats=stats, spec=spec, region_of=region_of))
+    return samples, stats.drops
 
 
 class TestFilter:
-    def test_status_drop(self):
-        drops = Counter()
-        kept = list(
-            filter_records(
-                [record(status="ongoing"), record(status="stopped")],
-                FilterSpec(required_status="stopped"),
-                drops=drops,
-            )
-        )
-        assert len(kept) == 1 and kept[0].status == "stopped"
+    def test_status_drop(self, tmp_path):
+        records = [record(measurement_id="m0", status="ongoing"), record(status="stopped")]
+        spec = FilterSpec(required_status="stopped")
+        samples, drops = read_kept(tmp_path / "feed.jsonl", records, spec)
+        assert samples == [sample_of(records[1])]
         assert drops == Counter({"status": 1})
 
-    def test_af_drop(self):
-        drops = Counter()
-        kept = list(
-            filter_records([record(address_family=6), record()], FilterSpec(), drops=drops)
-        )
-        assert len(kept) == 1
+    def test_af_drop(self, tmp_path):
+        records = [record(measurement_id="m6", address_family=6), record()]
+        samples, drops = read_kept(tmp_path / "feed.jsonl", records, FilterSpec())
+        assert samples == [sample_of(records[1])]
         assert drops == Counter({"address_family": 1})
 
-    def test_af_default_only_filter(self):
-        records = [record(address_family=4), record(address_family=6), record(address_family=4)]
-        kept = list(filter_records(records, FilterSpec()))
-        assert kept == [records[0], records[2]]
+    def test_af_default_only_filter(self, tmp_path):
+        families = (4, 6, 4)
+        records = [record(measurement_id=str(i), address_family=af) for i, af in enumerate(families)]
+        samples, _ = read_kept(tmp_path / "feed.jsonl", records, FilterSpec())
+        assert samples == [sample_of(records[0]), sample_of(records[2])]
+        # the spec read_result_file takes when it is given none
+        assert list(read_result_file(tmp_path / "feed.jsonl")) == samples
 
-    def test_half_open_time_window(self):
+    def test_half_open_time_window(self, tmp_path):
         spec = FilterSpec(min_start_time=100, max_start_time=200)
-        kept = list(
-            filter_records(
-                [record(start_time=99), record(start_time=100), record(start_time=199), record(start_time=200)],
-                spec,
-            )
-        )
-        assert [r.start_time for r in kept] == [100, 199]
+        records = [record(measurement_id=str(t), start_time=t) for t in (99, 100, 199, 200)]
+        samples, drops = read_kept(tmp_path / "feed.jsonl", records, spec)
+        assert [msm for msm, _, _, _ in samples] == ["100", "199"]
+        assert drops == Counter({"start_time": 2})
 
-    def test_empty_spec_on_empty_stream(self):
-        assert list(filter_records([], FilterSpec())) == []
+    def test_empty_spec_on_empty_stream(self, tmp_path):
+        assert read_kept(tmp_path / "feed.jsonl", [], FilterSpec()) == ([], Counter())
 
-    def test_region_from_record_field(self):
-        drops = Counter()
+    def test_region_from_record_field(self, tmp_path):
         spec = FilterSpec(region_allowlist=frozenset({"US"}))
-        kept = list(
-            filter_records(
-                [record(region="US"), record(region="FR"), record(region=None)],
-                spec,
-                drops=drops,
-            )
-        )
-        assert len(kept) == 1 and kept[0].region == "US"
+        regions = ("US", "FR", None)
+        records = [record(measurement_id=f"m{i}", region=r) for i, r in enumerate(regions)]
+        samples, drops = read_kept(tmp_path / "feed.jsonl", records, spec)
+        assert samples == [sample_of(records[0])]
         assert drops == Counter({"region": 1, "region_unresolved": 1})
 
-    def test_region_resolver_requires_both_endpoints(self):
+    def test_region_resolver_requires_both_endpoints(self, tmp_path):
         spec = FilterSpec(region_allowlist=frozenset({"US"}))
         regions = {"10.0.0.1": "US", "10.0.0.2": "FR", "10.0.0.3": "US"}
-        drops = Counter()
         records = [
             record(source_id="10.0.0.1", destination_id="10.0.0.3"),
             record(source_id="10.0.0.1", destination_id="10.0.0.2"),
             record(source_id="10.0.0.1", destination_id="10.9.9.9"),
         ]
-        kept = list(filter_records(records, spec, drops=drops, region_of=regions.get))
-        assert kept == [records[0]]
+        samples, drops = read_kept(tmp_path / "feed.jsonl", records, spec, regions.get)
+        assert samples == [sample_of(records[0])]
         assert drops == Counter({"region": 1, "region_unresolved": 1})
 
-    def test_order_preserved(self):
+    def test_order_preserved(self, tmp_path):
         records = [record(measurement_id=str(i)) for i in range(20)]
-        assert list(filter_records(records, FilterSpec())) == records
+        samples, _ = read_kept(tmp_path / "feed.jsonl", records, FilterSpec())
+        assert samples == [sample_of(r) for r in records]
 
 
 class TestReader:
@@ -455,12 +469,62 @@ class TestReader:
             + serialize_record(record(measurement_id="m3", status="other", start_time=3)) + "\n",
             encoding="utf-8",
         )
-        records = list(read_result_file(feed, sidecar=sidecar))
-        assert [(r.status, r.start_time) for r in records] == [
-            ("stopped", 555),
-            ("ongoing", 2),
-            ("other", 3),
+        # each line passes only the status and the one-second window of its
+        # patched fields
+        patched = {"m1": ("stopped", 555), "m2": ("ongoing", 2), "m3": ("other", 3)}
+        for msm, (status, start) in patched.items():
+            window = dict(min_start_time=start, max_start_time=start + 1)
+            kept = read_result_file(feed, sidecar=sidecar, spec=FilterSpec(status, **window))
+            assert [msm_id for msm_id, _, _, _ in kept] == [msm]
+
+    def test_one_file_conserves_its_counts(self, tmp_path):
+        def line(msm, destination="8.8.0.2", af=4, timestamp=150, status="stopped"):
+            return json.dumps(
+                {"msm_id": msm, "from": "8.8.0.1", "dst_addr": destination, "af": af,
+                 "timestamp": timestamp, "result": [{"rtt": 1.5}], "status": status}
+            ).encode() + b"\n"
+
+        feed = tmp_path / "feed.jsonl"
+        feed.write_bytes(
+            b"\xef\xbb\xbf" + line(1)  # kept, past the byte-order mark
+            + b"# comment\n"
+            + b"\n"
+            + line(2).replace(b"8.8.0.2", b"8.8.0.2\xff")  # a byte that is not UTF-8
+            + b"m3,8.8.0.1,8.8.0.2,4,stopped,150,1.0,2.0,3.0\n"  # kept
+            + b"m4,8.8.0.1,8.8.0.2,4,stopped\n"  # too few cells
+            + b"m5,8.8.0.1,8.8.0.2,4,ongoing,150,1.0,,\n"
+            + line(6, af=6)
+            + line(7, timestamp=99)
+            + line(8, timestamp=200)
+            + line(9, destination="10.0.0.1")  # no region
+            + line(10, destination="9.9.0.1")  # outside the allowlist
+            + b"m11,8.8.0.1,8.8.0.2,4,stopped,150,,,\n"  # kept, with no run
+        )
+        spec = FilterSpec(
+            required_status="stopped",
+            min_start_time=100,
+            max_start_time=200,
+            region_allowlist=frozenset({"US"}),
+        )
+        regions = {"8.8.0.1": "US", "8.8.0.2": "US", "9.9.0.1": "FR"}.get
+        stats = FeedStats()
+        samples = list(read_result_file(feed, stats=stats, spec=spec, region_of=regions))
+        assert samples == [
+            ("1", "8.8.0.1", "8.8.0.2", (1.5,)),
+            ("m3", "8.8.0.1", "8.8.0.2", (1.0, 2.0, 3.0)),
+            ("m11", "8.8.0.1", "8.8.0.2", ()),
         ]
+        assert (stats.lines, stats.parsed, stats.parse_errors) == (11, 9, 2)
+        assert stats.drops == Counter(
+            status=1, address_family=1, start_time=2, region_unresolved=1, region=1
+        )
+        assert stats.lines == stats.parsed + stats.parse_errors
+        assert stats.parsed == sum(stats.drops.values()) + len(samples)
+        # the per-record pipeline reads the file alike
+        oracle = FeedStats()
+        records = filter_records(read_records(feed, stats=oracle), spec, oracle.drops, regions)
+        assert [sample_of(r) for r in records] == samples
+        assert oracle == stats
 
     def test_comment_and_blank_lines_skipped(self, tmp_path):
         feed = tmp_path / "feed.csv"

@@ -1,15 +1,23 @@
 """The CLI's ingest against a per-line oracle of the feed rules.
 
-``cli.ingest_to_rows`` runs ``read_result_file``, ``filter_records``,
-``group_samples`` and ``edge_rows``, which turn already-checked fields into
-records without a second check, patch sidecar fields into the parsed tuple
-and group by canonical endpoint text, worked out once per distinct text.
-The oracle does each step the plain way: a validated record per line, the
-sidecar applied with ``_replace``, one ``filter_records`` call per record
-and groups keyed by each record's canonical endpoint pair. The two must agree edge
-for edge, bit for bit, and in every counter, and both must conserve their
-counts, also with the CPU count patched so that the files split between
-this process and forked children.
+``cli.ingest_to_rows`` runs ``read_result_file``, which reads each line's
+fields, patches them from the sidecar and applies every drop rule in one
+loop, yielding only the kept samples; ``group_samples``, which takes each
+sample's representative RTT inline and groups by canonical endpoint text,
+worked out once per distinct text; and ``edge_rows``. The oracle is the
+per-record pipeline of ``conftest.py``, each step done the plain way: a
+validated record per line, the sidecar applied with ``_replace``, one
+``filter_records`` call per record, ``representative_rtt`` and groups keyed
+by each record's canonical endpoint pair. The two must agree edge for edge,
+bit for bit, and in every counter, and both must conserve their counts,
+also with the CPU count patched so that the files split between this
+process and forked children.
+
+The line generators reach every branch of the one-pass reader: run values
+that are ints, too large for a float, not finite, booleans or strings;
+result entries that are not objects, or that follow a third valid run;
+statuses, address families, start times and measurement ids of every JSON
+type; an int source; and lines with leading space or trailing extra data.
 """
 
 from __future__ import annotations
@@ -22,17 +30,18 @@ from unittest import mock
 
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import graph_of, parse_result_line, rows_of
-from detourkit import cli
-from detourkit.errors import NoDataError, ParseError
-from detourkit.graph import BuildStats, canonical_endpoint
-from detourkit.ingest import (
-    FeedStats,
-    FilterSpec,
+from conftest import (
+    NoDataError,
     filter_records,
-    normalize_status,
+    graph_of,
+    parse_result_line,
     representative_rtt,
+    rows_of,
 )
+from detourkit import cli
+from detourkit.errors import ParseError
+from detourkit.graph import BuildStats, canonical_endpoint
+from detourkit.ingest import FeedStats, FilterSpec, normalize_status
 from test_golden import COMMAND_CASES
 
 # equivalent spellings of one address, a probe id, a hostname and a
@@ -54,6 +63,20 @@ rtts = st.one_of(
     st.sampled_from([1.0, 2.5, 7.25, 0.1, 100.0, -1.0, 0]),
     st.floats(min_value=0.001, max_value=1e4),
 )
+# a number past the largest float, written as JSON number text (json.dumps
+# would write float("inf") as Infinity)
+BIG = "__1e400__"
+# run values of every JSON type: an int, an int too large for a float (a
+# parse error), NaN and the infinities (lost runs), a boolean and a string
+json_rtts = st.one_of(
+    rtts, rtts, st.sampled_from([3, 10**400, math.nan, math.inf, -math.inf, True, "1.5"])
+)
+result_entries = st.one_of(
+    json_rtts.map(lambda r: {"rtt": r}),
+    json_rtts.map(lambda r: {"rtt": r}),
+    st.just({"x": "*"}),
+    st.sampled_from([None, 5, []]),  # entries that are not objects
+)
 
 
 @st.composite
@@ -62,23 +85,29 @@ def json_lines(draw) -> str:
     if draw(st.integers(0, 9)):
         msm = draw(st.sampled_from(MSM_IDS))
         obj["msm_id"] = int(msm) if msm.isdigit() and draw(st.booleans()) else msm
+        if not draw(st.integers(0, 9)):
+            obj["msm_id"] = draw(st.sampled_from([1.0, [1], True]))
     if draw(st.booleans()):
         obj["prb_id"] = draw(st.sampled_from([100, 101, "102"]))
     if draw(st.integers(0, 4)):
-        obj["from"] = draw(endpoints)
+        obj["from"] = draw(st.one_of(endpoints, endpoints, endpoints, st.just(7)))
     obj[draw(mostly("dst_addr", ["dst_name"]))] = draw(endpoints)
     if draw(st.booleans()):
-        obj["af"] = draw(mostly(4, [6, "4"]))
-    obj["timestamp"] = draw(st.sampled_from(TIMES))
-    entries = draw(
-        st.lists(st.one_of(rtts.map(lambda r: {"rtt": r}), st.just({"x": "*"})), max_size=4)
-    )
+        obj["af"] = draw(mostly(4, [6, "4", 4.0, True, None, BIG]))
+    obj["timestamp"] = draw(mostly(draw(st.sampled_from(TIMES)), [100.5, "100", "x", BIG]))
+    entries = draw(st.lists(result_entries, max_size=4))
+    if not draw(st.integers(0, 4)):
+        # an entry that fails the line if read: never read after a third valid run
+        entries.append({"rtt": 10**400})
     obj["result"] = entries
     if draw(st.integers(0, 4)):
-        obj["status"] = draw(mostly("stopped", ["Stopped", "ongoing", "failed"]))
+        obj["status"] = draw(
+            mostly("stopped", ["Stopped", "ongoing", "failed", 1, True, None, " Stopped "])
+        )
     if draw(st.booleans()):
         obj["region"] = draw(st.sampled_from(["US", "FR"]))
-    return json.dumps(obj)
+    line = json.dumps(obj).replace(f'"{BIG}"', "1e400")
+    return draw(mostly(line, [" " + line, line + " x"]))
 
 
 @st.composite
@@ -99,6 +128,9 @@ LINE = (
     '{"msm_id": 1, "from": "%s", "dst_addr": "%s", "timestamp": %d,'
     ' "result": [{"rtt": 1.5}], "status": "stopped"}'
 )
+# a kept line but for its result entries
+RUNS_LINE = (LINE % ("8.8.0.1", "8.8.0.2", 100)).replace('{"rtt": 1.5}', "%s")
+TOO_BIG_RUN = '{"rtt": %d}' % 10**400  # an int past the largest float
 
 other_lines = st.sampled_from(
     [
@@ -109,7 +141,12 @@ other_lines = st.sampled_from(
         '{"from": "8.8.0.1", "dst_addr": "8.8.0.2", "timestamp": 100}',
         "1,8.8.0.1,8.8.0.2,4,stopped",
         "1,8.8.0.1,8.8.0.2,4,stopped,100,abc,,",
+        "1,8.8.0.1,8.8.0.2,x,stopped,100,1.0,,",
         "[1, 2]",
+        '{"msm_id": 1, "from": "8.8.0.1", "timestamp": 100}',
+        '{"msm_id": 1, "from": "8.8.0.1", "dst_addr": "8.8.0.2"}',
+        '{"msm_id": 1, "from": "8.8.0.1", "dst_addr": "8.8.0.2", "timestamp": 100, "result": {}}',
+        LINE % ("8.8.0.1", "h\u00f4st.example", 104),  # not ASCII, but UTF-8
     ]
 )
 
@@ -248,6 +285,23 @@ def assert_conserved(graph, feed: FeedStats, build: BuildStats) -> None:
     spec=FilterSpec(required_status="stopped"),
     key_by="ip",
     sidecar={"1": ("ongoing", None)},
+    regions=None,
+    cpus=1,
+)
+# a too-large run after a third valid one is never read, before one it
+# fails the line; leading space is no fault, trailing data is
+@example(
+    files=[
+        [
+            RUNS_LINE % ('{"rtt": 1}, null, {"rtt": 2.5}, {"rtt": 3.5}, ' + TOO_BIG_RUN),
+            RUNS_LINE % ('{"rtt": 1}, ' + TOO_BIG_RUN),
+            " " + LINE % ("8.8.0.1", "8.8.0.3", 100),
+            LINE % ("8.8.0.1", "8.8.0.4", 100) + " x",
+        ]
+    ],
+    spec=FilterSpec(),
+    key_by="ip",
+    sidecar=None,
     regions=None,
     cpus=1,
 )

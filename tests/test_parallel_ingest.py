@@ -24,11 +24,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import edge_rows_of
+from conftest import PingRecord, edge_rows_of, sample_of
 from detourkit import cli, errors
 from detourkit.errors import ParseError, ToolkitError
 from detourkit.graph import BuildStats, edge_rows, group_samples
-from detourkit.ingest import PingRecord
 from test_golden import COMMAND_CASES, GOLDEN, INPUTS, run_command_case
 
 FEED = INPUTS / "feed.jsonl"
@@ -97,7 +96,7 @@ def test_merged_groups_give_the_graph_of_all_records():
         groups = []
         for part in range(parts):
             part_stats = BuildStats()
-            groups.append(group_samples(records[part::parts], part_stats))
+            groups.append(group_samples(map(sample_of, records[part::parts]), part_stats))
             stats.merge(part_stats)
         assert edge_rows(groups) == whole
         assert stats == whole_stats
