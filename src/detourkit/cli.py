@@ -41,6 +41,7 @@ from .errors import EmptyInputError, ParseError, ToolkitError, open_text
 from .graph import (
     BuildStats,
     EdgeRow,
+    Layout,
     canonical_ipv4,
     edge_rows,
     group_samples,
@@ -205,7 +206,11 @@ def _fork_share(work: Callable) -> tuple[int, BinaryIO]:
             except BaseException as exc:  # raised again by the parent
                 result = exc
             with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(result, pipe)
+                # with no memo, neither side holds an entry per pickled object
+                # (for ingest, each RTT array's) until the whole result is through
+                pickler = pickle.Pickler(pipe)
+                pickler.fast = True
+                pickler.dump(result)
             code = 0
         finally:
             os._exit(code)
@@ -301,15 +306,18 @@ def ingest_to_rows(
     The files are dealt round-robin into the shares of :func:`run_shares`.
     In each share, ``read_result_file`` reads each file in one pass, parsing,
     patching and filtering every line and yielding only the kept samples,
-    which :func:`group_samples` groups. The groups of every share join before
-    ``edge_rows`` takes the edge weights, and the counters add up.
+    which :func:`group_samples` groups into its flat layout: the share's
+    endpoint and measurement id tables and one int-keyed dict of RTT arrays,
+    which a child pickles back as it is. ``edge_rows`` joins the layouts by
+    id, one share's at a time, and takes the edge weights; the counters add
+    up.
     ``math.fsum`` is correctly rounded, so a weight does not depend on the
     order of its samples: the rows and the counters are those of one
     process reading every file, bit for bit, whatever the CPU count.
     """
     count = _share_count(paths)
 
-    def group(share: Sequence[Path], alive) -> tuple[dict, FeedStats, BuildStats]:
+    def group(share: Sequence[Path], alive) -> tuple[Layout, FeedStats, BuildStats]:
         feed, build = FeedStats(), BuildStats()
         kept = chain.from_iterable(
             read_result_file(
@@ -321,15 +329,15 @@ def ingest_to_rows(
 
     shares = [paths[index::count] for index in range(count)]
     with contextlib.closing(run_shares("ingest", group, shares)) as results:
-        groups, feed_stats, build_stats = next(results)
+        layout, feed_stats, build_stats = next(results)
 
-        def merge() -> Iterator[dict]:
-            # one child's groups at a time, each read once the last is joined
-            yield groups
-            for other_groups, feed, build in results:
+        def merge() -> Iterator[Layout]:
+            # one child's layout at a time, each read once the last is joined
+            yield layout
+            for other_layout, feed, build in results:
                 feed_stats.merge(feed)
                 build_stats.merge(build)
-                yield other_groups
+                yield other_layout
 
         rows = edge_rows(merge())
     return rows, feed_stats, build_stats

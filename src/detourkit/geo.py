@@ -35,7 +35,9 @@ SOURCE_STATIC = "static_file"
 # seconds an HTTP provider waits for one answer
 HTTP_TIMEOUT_S = 5.0
 
-ProviderResult = Optional[tuple[Optional[str], Optional[str], Optional[str]]]
+# (city, region, country), each None where unknown
+Place = tuple[Optional[str], Optional[str], Optional[str]]
+ProviderResult = Optional[Place]
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,7 +57,7 @@ class GeoRecord:
 
 def _normalize_fields(
     city: Optional[str], region: Optional[str], country: Optional[str]
-) -> tuple[Optional[str], Optional[str], Optional[str]]:
+) -> Place:
     city = city or None
     region = region or None
     country = country or None
@@ -69,12 +71,13 @@ def unknown_record(ip: str, source: str = SOURCE_PROVIDER) -> GeoRecord:
 
 
 def _location_rows(
-    handle: TextIO, path: str | Path, ips: Optional[set[str]] = None
-) -> Iterator[list[str]]:
-    """Stripped ``[ip, city, region, country]`` of each row of an ``ip,city,
-    region,country`` CSV but blank and header rows (and, when ``ips`` is
-    given, the rows of other IPs); every row is read, and an unreadable one
-    is a :class:`ParseError` naming ``path``."""
+    handle: TextIO, path: str | Path, places: dict[Place, Place], ips: Optional[set[str]] = None
+) -> Iterator[tuple[str, Place]]:
+    """``(ip, place)`` of each row of an ``ip,city,region,country`` CSV but
+    blank and header rows (and, when ``ips`` is given, the rows of other
+    IPs), cells stripped and the place normalized; every row is read, and an
+    unreadable one is a :class:`ParseError` naming ``path``. Rows of one
+    place share one tuple through ``places``."""
     reader = csv.reader(handle)
     try:
         for row in reader:
@@ -84,7 +87,9 @@ def _location_rows(
                 and (ips is None or ip in ips)
                 and ip.lower() != "ip"
             ):
-                yield [ip, *(cell.strip() for cell in row[1:4])] + [""] * (4 - len(row))
+                cells = [cell.strip() for cell in row[1:4]] + [""] * (4 - len(row))
+                place = _normalize_fields(*cells)
+                yield ip, places.setdefault(place, place)
     except csv.Error as exc:
         raise ParseError(reader.line_num, f"{path}: {exc}") from None
 
@@ -105,8 +110,7 @@ class StaticFileGeoProvider:
 
     def __init__(self, path: str | Path):
         with open_text(path, newline="") as handle:
-            rows = _location_rows(handle, path)
-            self._table = {ip: _normalize_fields(*place) for ip, *place in rows}
+            self._table = dict(_location_rows(handle, path, {}))
 
     def fetch(self, ip: str) -> ProviderResult:
         return self._table.get(ip)
@@ -176,7 +180,9 @@ class GeoCache:
 
     def __init__(self, path: str | Path, only: Optional[Iterable[str]] = None):
         self.path = Path(path)
-        self._entries: dict[str, GeoRecord] = {}
+        # ip -> its place, one shared tuple per distinct place
+        self._entries: dict[str, Place] = {}
+        self._places: dict[Place, Place] = {}
         self._handle: Optional[TextIO] = None
         self._writer = None
         self._complete_bytes: Optional[int] = None
@@ -197,23 +203,12 @@ class GeoCache:
                 data = raw.read()
                 self._complete_bytes = max(data.rfind(b"\n"), data.rfind(b"\r")) + 1
                 self.torn_lines += 1
-        # one shared str per distinct place name instead of one per row
-        names: dict[str, str] = {}
         with open_text(self.path, newline="", size=self._complete_bytes) as handle:
-            for ip, *place in _location_rows(handle, self.path, ips):
-                city, region, country = _normalize_fields(
-                    *(names.setdefault(name, name) for name in place)
-                )
-                self._entries[ip] = GeoRecord(
-                    ip=ip,
-                    city=city,
-                    region=region,
-                    country=country,
-                    source=SOURCE_CACHE,
-                )
+            self._entries.update(_location_rows(handle, self.path, self._places, ips))
 
     def get(self, ip: str) -> Optional[GeoRecord]:
-        return self._entries.get(ip)
+        place = self._entries.get(ip)
+        return None if place is None else GeoRecord(ip, *place, SOURCE_CACHE)
 
     def place(self, text: str) -> Optional[GeoRecord]:
         """The cached record of the IPv4 address ``text`` spells, or None
@@ -221,15 +216,14 @@ class GeoCache:
         canonical = canonical_ipv4(text.strip())
         if canonical is None:
             return None
-        record = self._entries.get(canonical)
-        if record is None or _is_reserved(canonical):
+        place = self._entries.get(canonical)
+        if place is None or _is_reserved(canonical):
             return None
-        return record
+        return GeoRecord(canonical, *place, SOURCE_CACHE)
 
     def put(self, record: GeoRecord) -> None:
-        self._entries[record.ip] = GeoRecord(
-            record.ip, record.city, record.region, record.country, SOURCE_CACHE
-        )
+        place = (record.city, record.region, record.country)
+        self._entries[record.ip] = self._places.setdefault(place, place)
         if self._writer is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "a", encoding="utf-8", newline="")

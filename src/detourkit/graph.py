@@ -7,11 +7,14 @@ per-measurement means are averaged across measurements. A missing edge means
 no connectivity was observed between the two endpoints.
 
 An endpoint is its canonical text (:func:`canonical_endpoint`), and
-:func:`_key_order` is the one order of endpoints. The graph has one shape on
-each side of the snapshot file: :func:`edge_rows` gives its rows sorted by
-endpoint, :func:`write_snapshot` writes them in that order, and
-:func:`read_snapshot` reads the file straight into the sorted endpoints and
-rank-sorted successor lists that the relay search walks.
+:func:`_key_order` is the one order of endpoints. Aggregation is flat:
+:func:`group_samples` interns a share's endpoints and measurement ids to
+ints and keeps one int-keyed dict of RTT arrays, and :func:`edge_rows` joins
+the shares' layouts by id. The graph has one shape on each side of the
+snapshot file: :func:`edge_rows` gives its rows sorted by endpoint,
+:func:`write_snapshot` writes them in that order, and :func:`read_snapshot`
+reads the file straight into the sorted endpoints and rank-sorted successor
+lists that the relay search walks.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import pairwise
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .errors import ParseError, ToolkitError, open_text
 
@@ -102,28 +105,63 @@ class BuildStats:
         self.skipped.update(other.skipped)
 
 
+# a share's group key packs (source id, destination id, measurement id) into
+# one int, 32 bits each; ids fit by construction, since each id names a
+# distinct str that the share holds, and 2**32 of them would not fit in memory
+_ID_BITS = 32
+_ID = (1 << _ID_BITS) - 1
+
+# a share's groups, endpoint id table and measurement id table, as
+# group_samples gives them
+Layout = tuple[dict, list[str], list[str]]
+
+
+def _endpoint_id(ids: dict[str, int], endpoints: list[str], text: str) -> int:
+    """The id of endpoint ``text``'s canonical text, its index in
+    ``endpoints``, worked out once per distinct text: ``ids`` maps each
+    text, and each canonical text, to it, so that texts canonicalizing alike
+    (8.8.000.1, 8.8.0.1) share one id."""
+    canonical = canonical_endpoint(text)
+    endpoint = ids.get(canonical)
+    if endpoint is None:
+        endpoint = ids[canonical] = len(endpoints)
+        endpoints.append(canonical)
+    ids[text] = endpoint
+    return endpoint
+
+
 def group_samples(
     samples: Iterable[tuple[str, str, str, Sequence[float]]], stats: BuildStats
-) -> dict:
+) -> Layout:
     """The representative RTTs of ``samples``, the ``(measurement_id, source,
-    destination, runs)`` tuples that ``ingest.read_result_file`` yields, as
-    ``{(source, destination): {measurement_id: array('d') of RTTs}}``,
-    endpoints as canonical text, skipping and counting self-pairs and
-    samples with no run.
+    destination, runs)`` tuples that ``ingest.read_result_file`` yields,
+    grouped by (source, destination, measurement), skipping and counting
+    self-pairs and samples with no run.
+
+    Returns ``(groups, endpoints, measurements)``: each endpoint's canonical
+    text and each measurement id is interned to a small int, its index in
+    ``endpoints`` or ``measurements``, and ``groups`` maps the packed int
+    ``source << 64 | destination << 32 | measurement`` of each group to the
+    ``array('d')`` of its RTTs. :func:`edge_rows` joins such layouts.
 
     A sample's representative RTT is the middle of three runs, the mean of
     two, or the single run: permutation-invariant, and noise-resistant.
     """
     from array import array  # here, so that CLI start-up imports no new module
 
-    groups: dict[tuple[str, str], dict[str, array]] = {}
-    # each endpoint text, and each canonical text, -> its canonical text
-    endpoints: dict[str, str] = {}
+    groups: dict[int, array] = {}
+    endpoint_ids: dict[str, int] = {}
+    endpoints: list[str] = []
+    measurement_ids: dict[str, int] = {}
     records = self_pairs = no_data = 0
     for measurement_id, source_text, destination_text, runs in samples:
         records += 1
-        source = endpoints.get(source_text) or _shared_key(endpoints, source_text)
-        destination = endpoints.get(destination_text) or _shared_key(endpoints, destination_text)
+        source = endpoint_ids.get(source_text)
+        if source is None:
+            source = _endpoint_id(endpoint_ids, endpoints, source_text)
+        destination = endpoint_ids.get(destination_text)
+        if destination is None:
+            destination = _endpoint_id(endpoint_ids, endpoints, destination_text)
         if source == destination:
             self_pairs += 1
             continue
@@ -141,12 +179,13 @@ def group_samples(
         else:
             no_data += 1
             continue
-        by_msm = groups.get((source, destination))
-        if by_msm is None:
-            by_msm = groups[source, destination] = {}
-        rtts = by_msm.get(measurement_id)
+        measurement = measurement_ids.get(measurement_id)
+        if measurement is None:
+            measurement = measurement_ids[measurement_id] = len(measurement_ids)
+        key = (source << _ID_BITS | destination) << _ID_BITS | measurement
+        rtts = groups.get(key)
         if rtts is None:
-            rtts = by_msm[measurement_id] = array("d")
+            rtts = groups[key] = array("d")
         rtts.append(rtt)
     stats.records += records
     stats.used += records - self_pairs - no_data
@@ -154,12 +193,72 @@ def group_samples(
         stats.skipped["self_pair"] += self_pairs
     if no_data:
         stats.skipped["no_data"] += no_data
-    return groups
+    return groups, endpoints, list(measurement_ids)
 
 
-def edge_rows(groups: Iterable[dict]) -> list[EdgeRow]:
-    """Join the groups that :func:`group_samples` made of each share of the
-    records and take the snapshot's edge rows.
+def _ranks(keys: list) -> list[int]:
+    """The rank of each of ``keys`` in their sorted order."""
+    ranks = [0] * len(keys)
+    for rank, index in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        ranks[index] = rank
+    return ranks
+
+
+def _rekey(endpoint_of: list[int], measurement_of: list[int]) -> Callable[[int], int]:
+    """The map from a group's key to its key under new ids: ``endpoint_of``
+    and ``measurement_of`` give the new id of each old one."""
+    source_of = [endpoint << 2 * _ID_BITS for endpoint in endpoint_of]
+    destination_of = [endpoint << _ID_BITS for endpoint in endpoint_of]
+
+    def rekeyed(key: int) -> int:
+        return (
+            source_of[key >> 2 * _ID_BITS]
+            | destination_of[key >> _ID_BITS & _ID]
+            | measurement_of[key & _ID]
+        )
+
+    return rekeyed
+
+
+def _joined(layouts: Iterable[Layout]) -> Layout:
+    """The layouts of all shares, at least one, joined into one. The first
+    share's layout is taken as it is; a later share's ids are mapped onto
+    the joined tables, which grow by the texts they lack, and its arrays are
+    joined group by group."""
+    shares = iter(layouts)
+    first = groups, endpoints, measurements = next(shares)
+    # each text of the joined tables -> its id, made once a second share comes
+    endpoint_ids: Optional[dict[str, int]] = None
+    for other, other_endpoints, other_measurements in shares:
+        if endpoint_ids is None:
+            endpoint_ids = {text: index for index, text in enumerate(endpoints)}
+            measurement_ids = {text: index for index, text in enumerate(measurements)}
+        # each of this share's ids -> the joined id of its text
+        rekeyed = _rekey(
+            [endpoint_ids.setdefault(text, len(endpoint_ids)) for text in other_endpoints],
+            [
+                measurement_ids.setdefault(text, len(measurement_ids))
+                for text in other_measurements
+            ],
+        )
+        while other:  # each joined array is freed at once
+            key, rtts = other.popitem()
+            run = groups.setdefault(rekeyed(key), rtts)
+            if run is not rtts:
+                run.extend(rtts)
+    if endpoint_ids is None:
+        return first
+    return groups, list(endpoint_ids), list(measurement_ids)
+
+
+def edge_rows(layouts: Iterable[Layout]) -> list[EdgeRow]:
+    """Join the layouts that :func:`group_samples` made of each share of the
+    records, one share at least, and take the snapshot's edge rows.
+
+    The layouts are joined by id (:func:`_joined`). The groups are then
+    sorted by the ranks of their endpoints in :func:`_key_order` and of
+    their measurement ids in text order, and the pairs are finished in that
+    order.
 
     A row is ``(source, destination, rtt_ms, sample_count,
     measurement_count)``, and the rows are sorted by source, then
@@ -167,39 +266,41 @@ def edge_rows(groups: Iterable[dict]) -> list[EdgeRow]:
     measurement's samples of the representative RTT). fsum is correctly
     rounded, so a weight does not depend on the order of its samples: the
     rows are bit-identical under any record reordering or split of the
-    records between shares. Raises :class:`ToolkitError` when finite RTTs
-    add up past the largest float.
+    records between shares. Raises :class:`ToolkitError` naming the first
+    pair, in row order, whose finite RTTs add up past the largest float.
     """
-    joined: dict = {}
-    for other in groups:
-        if not joined:  # nothing to join it to: taken as it is
-            joined = other
-            continue
-        while other:  # each merged run is freed at once
-            pair, other_by_msm = other.popitem()
-            by_msm = joined.setdefault(pair, {})
-            for msm, rtts in other_by_msm.items():
-                run = by_msm.setdefault(msm, rtts)
-                if run is not rtts:
-                    run.extend(rtts)
+    groups, endpoints, measurements = _joined(layouts)
 
-    rows = []
-    for (source, destination), by_msm in joined.items():
-        try:
-            means = [math.fsum(rtts) / len(rtts) for _, rtts in sorted(by_msm.items())]
-            rtt = math.fsum(means) / len(means)
-        except OverflowError:
-            rtt = math.inf
-        # inf also comes from a two-run mean that overflowed
-        if rtt == math.inf:
-            raise ToolkitError(f"RTTs of {source} -> {destination} add up past the largest float")
-        samples = sum(len(rtts) for rtts in by_msm.values())
-        rows.append((source, destination, rtt, samples, len(by_msm)))
-    # each endpoint is ranked once, so that the sort keys are pairs of ints
-    endpoints = sorted({endpoint for pair in joined for endpoint in pair}, key=_key_order)
-    rank = {endpoint: r for r, endpoint in enumerate(endpoints)}
-    rows.sort(key=lambda row: (rank[row[0]], rank[row[1]]))
+    # each endpoint and measurement id is ranked once: a group's key under
+    # ranks for ids sorts it by source, destination and measurement id
+    ranked = _rekey(_ranks([_key_order(endpoint) for endpoint in endpoints]), _ranks(measurements))
+    rows: list[EdgeRow] = []
+    runs: list = []  # the RTT arrays of the pair, one per measurement
+    for key in sorted(groups, key=ranked):
+        if runs and key >> _ID_BITS != pair:
+            rows.append(_row(endpoints, pair, runs))
+            runs = []
+        pair = key >> _ID_BITS
+        runs.append(groups.pop(key))  # each pair's arrays are freed once its row is made
+    if runs:
+        rows.append(_row(endpoints, pair, runs))
     return rows
+
+
+def _row(endpoints: list[str], pair: int, runs: list) -> EdgeRow:
+    """The snapshot row of the pair of endpoint ids ``pair`` (source id <<
+    32 | destination id) from the RTT arrays of its measurements, in
+    measurement id order."""
+    source, destination = endpoints[pair >> _ID_BITS], endpoints[pair & _ID]
+    try:
+        means = [math.fsum(rtts) / len(rtts) for rtts in runs]
+        rtt = math.fsum(means) / len(means)
+    except OverflowError:
+        rtt = math.inf
+    # inf also comes from a two-run mean that overflowed
+    if rtt == math.inf:
+        raise ToolkitError(f"RTTs of {source} -> {destination} add up past the largest float")
+    return source, destination, rtt, sum(map(len, runs)), len(runs)
 
 
 @contextmanager

@@ -247,16 +247,51 @@ class TestCache:
         first, second = cache.get("8.0.0.1"), cache.get("8.0.0.2")
         assert first.city is second.city and first.country is second.country
 
+    def test_rows_of_one_place_share_one_place(self, tmp_path):
+        path = tmp_path / "cache.csv"
+        path.write_text(
+            "ip,city,region,country,timestamp\n"
+            "8.0.0.1,Reno,NV,US,1\n"
+            "8.0.0.2, Reno ,NV,US,1\n"
+            "8.0.0.3,,,US,1\n"
+            "10.0.0.1,Reno,NV,US,1\n"
+            "8.0.0.4,Ghost Town,,,1\n"
+            "8.0.0.3,Austin,TX,US,2\n"
+            "8.0.0.5,Re",
+            encoding="utf-8",
+        )
+        reno, austin, unknown = ("Reno", "NV", "US"), ("Austin", "TX", "US"), (None, None, None)
+        places = {"8.0.0.1": reno, "8.0.0.2": reno, "8.0.0.3": austin, "10.0.0.1": reno,
+                  "8.0.0.4": unknown}
+        cache = GeoCache(path)
+        assert (cache.torn_lines, len(cache)) == (1, 5)
+        for ip, place in places.items():
+            assert cache.get(ip) == GeoRecord(ip, *place, "cache")
+        assert cache.get("8.0.0.5") is None
+        assert cache.place(" 8.0.0.001") == GeoRecord("8.0.0.1", *reno, "cache")
+        assert cache.place("8.0.0.3") == GeoRecord("8.0.0.3", *austin, "cache")
+        assert cache.place("10.0.0.1") is None  # reserved
+        assert cache.place("8.0.0.5") is None  # torn
+        with cache:
+            cache.put(GeoRecord("8.0.0.9", *reno, "provider"))
+        assert cache.get("8.0.0.9") == GeoRecord("8.0.0.9", *reno, "cache")
+        # one place tuple per distinct place, whether loaded or put
+        held = cache._entries
+        assert held["8.0.0.1"] is held["8.0.0.2"] is held["10.0.0.1"] is held["8.0.0.9"]
+        assert len({id(place) for place in held.values()}) == 3
+
 
 class TestProviders:
     def test_static_file(self, tmp_path):
         table = tmp_path / "geo.csv"
         table.write_text(
-            "ip,city,region,country\n8.0.0.7,Milpitas,CA,US\n9.0.0.9,,,AU\n",
+            "ip,city,region,country\n"
+            "8.0.0.7,Milpitas,CA,US\n9.0.0.9,,,AU\n8.0.0.8,Milpitas,CA,US\n",
             encoding="utf-8",
         )
         provider = StaticFileGeoProvider(table)
         assert provider.fetch("8.0.0.7") == ("Milpitas", "CA", "US")
+        assert provider.fetch("8.0.0.8") is provider.fetch("8.0.0.7")  # one tuple per place
         assert provider.fetch("9.0.0.9") == (None, None, "AU")
         assert provider.fetch("9.0.0.250") is None
         lookup = GeoLookup(provider=provider)

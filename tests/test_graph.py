@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ipaddress
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -29,6 +30,8 @@ from detourkit.graph import (
     _key_order,
     canonical_endpoint,
     canonical_ipv4,
+    edge_rows,
+    group_samples,
     read_snapshot,
     write_snapshot,
 )
@@ -220,6 +223,28 @@ class TestBuildGraph:
             ]
         )
         assert edge_rtt(graph, key("10194"), key("6636")) is None
+
+    def test_aggregation_peak_per_pair(self):
+        # 200,000 pairs over 1,000 endpoints and 40 measurements, a sample
+        # each: many small groups, as on a feed over many endpoints
+        rng = random.Random(25)
+        names = [f"10.{index >> 8}.{index & 255}.1" for index in range(1000)]
+        samples = []
+        for index in rng.sample(range(1000 * 999), 200_000):
+            source, destination = divmod(index, 999)
+            destination += destination >= source
+            runs = (rng.uniform(1, 300), rng.uniform(1, 300), rng.uniform(1, 300))
+            samples.append((f"m{rng.randrange(40)}", names[source], names[destination], runs))
+        tracemalloc.start()
+        try:
+            rows = edge_rows([group_samples(samples, BuildStats())])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 200_000
+        # a group's key, array and dict entry take about 200 bytes, and a
+        # row about 112; a tuple key and a dict per pair took about 590 per pair
+        assert peak <= 350 * len(rows)
 
 
 class TestSnapshot:

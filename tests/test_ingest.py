@@ -338,11 +338,18 @@ def grouped_rtt(runs) -> float | None:
     """The representative RTT that ``group_samples`` takes of one sample
     with ``runs``, or None where it skips the sample for having no run."""
     stats = BuildStats()
-    groups = group_samples([("m1", "10.0.0.1", "10.0.0.2", tuple(runs))], stats)
+    groups, endpoints, measurements = group_samples(
+        [("m1", "10.0.0.1", "10.0.0.2", tuple(runs))], stats
+    )
+    assert endpoints == ["10.0.0.1", "10.0.0.2"]
     if not groups:
         assert stats.skipped == Counter({"no_data": 1})
+        assert measurements == []
         return None
-    (rtts,) = groups["10.0.0.1", "10.0.0.2"].values()
+    assert measurements == ["m1"]
+    # source id 0, destination id 1, measurement id 0
+    ((key, rtts),) = groups.items()
+    assert key == (0 << 32 | 1) << 32 | 0
     return rtts[0]
 
 

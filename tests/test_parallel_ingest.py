@@ -75,31 +75,51 @@ def test_every_error_class_survives_pickling(cls):
         assert (copy.position, copy.reason) == (3, "bad")
 
 
-def test_merged_groups_give_the_graph_of_all_records():
-    rng = random.Random(15)
-    records = [
+def ping_records(rng: random.Random, count: int, sources, destinations, msms) -> list[PingRecord]:
+    return [
         PingRecord(
-            measurement_id=f"m{rng.randint(0, 4)}",
-            source_id=rng.choice(["8.8.0.1", "8.8.000.1", "8.8.0.2", "100"]),
-            destination_id=rng.choice(["8.8.0.1", "9.9.0.1", "101", "host.example"]),
+            measurement_id=rng.choice(msms),
+            source_id=rng.choice(sources),
+            destination_id=rng.choice(destinations),
             address_family=4,
             status="stopped",
             start_time=0,
             rtt_runs=tuple(rng.uniform(0.1, 300.0) for _ in range(rng.randint(0, 3))),
         )
-        for _ in range(3000)
+        for _ in range(count)
     ]
+
+
+def test_merged_groups_give_the_graph_of_all_records():
+    # shares intern the same endpoints and measurement ids in different
+    # orders, and under different spellings; one share's endpoints are its
+    # own, and one share is empty
+    rng = random.Random(15)
+    common = ping_records(
+        rng,
+        3000,
+        ["8.8.0.1", "8.8.000.1", "008.8.0.1", "8.8.0.2", "100"],
+        ["8.8.0.1", "9.9.0.1", "9.9.00.1", "101", "host.example"],
+        [f"m{index}" for index in range(5)],
+    )
+    disjoint = ping_records(rng, 300, ["7.7.0.1", "7.7.0.02"], ["7.7.0.2", "102"], ["m0", "m9"])
     whole_stats = BuildStats()
-    whole = edge_rows_of(records, whole_stats)
-    for parts in (2, 3, 5):
-        stats = BuildStats()
-        groups = []
-        for part in range(parts):
-            part_stats = BuildStats()
-            groups.append(group_samples(map(sample_of, records[part::parts]), part_stats))
-            stats.merge(part_stats)
-        assert edge_rows(groups) == whole
-        assert stats == whole_stats
+    whole = edge_rows_of(common + disjoint, whole_stats)
+    for parts in (1, 2, 3, 5):
+        for _ in range(3):
+            shuffled = rng.sample(common, len(common))
+            shares = [shuffled[part::parts] for part in range(parts)] + [disjoint, []]
+            rng.shuffle(shares)
+            stats = BuildStats()
+            layouts = []
+            for share in shares:
+                part_stats = BuildStats()
+                layout = group_samples(map(sample_of, share), part_stats)
+                layouts.append(pickle.loads(pickle.dumps(layout)))  # as a child sends it
+                stats.merge(part_stats)
+            rows = edge_rows(layouts)
+            assert [repr(row) for row in rows] == [repr(row) for row in whole]
+            assert stats == whole_stats
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 4])

@@ -14,6 +14,7 @@ child, part file or temporary file may be left behind.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import re
@@ -68,6 +69,35 @@ def test_golden_output_at_any_cpu_count(tmp_path, monkeypatch, command, case, cp
         assert len(forks) == min(cpus, inputs) - 1
     else:  # one feed file, a graph, an address list: nothing to share out
         assert forks == []
+    assert_no_child_left()
+
+
+def ping_line(source: str, destination: str, rtt: float) -> str:
+    return json.dumps({"msm_id": 1, "prb_id": 1, "from": source, "dst_addr": destination,
+                       "af": 4, "timestamp": 1_680_000_000, "result": [{"rtt": rtt}]}) + "\n"
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 4])
+def test_overflow_names_the_first_pair_in_row_order_at_any_cpu_count(tmp_path, monkeypatch, cpus):
+    # two pairs' RTTs add up past the largest float; at 2 CPUs f0 and f2
+    # share the main process and f1 is a child's, so the pair met first in
+    # the joined groups is not the first in row order
+    lines = {
+        "f0": [ping_line("8.8.0.5", "8.8.0.6", 10.0)],
+        "f1": [ping_line("8.8.0.1", "8.8.0.2", 1.5e308)] * 2,
+        "f2": [ping_line("8.8.0.3", "8.8.0.4", 1.5e308)] * 2,
+    }
+    feeds = []
+    for name, text in lines.items():
+        feeds.append(tmp_path / f"{name}.jsonl")
+        feeds[-1].write_text("".join(text), encoding="utf-8")
+    forks = patch_cpus(monkeypatch, cpus)
+    out = tmp_path / "out"
+    code, stdout, stderr = run(["--output-dir", str(out), "ingest", *map(str, feeds)])
+    assert (code, stdout) == (1, "")
+    assert stderr == "error: RTTs of 8.8.0.1 -> 8.8.0.2 add up past the largest float\n"
+    assert not out.exists()
+    assert len(forks) == min(cpus, len(feeds)) - 1
     assert_no_child_left()
 
 
