@@ -6,7 +6,7 @@ IP locations, analyzes traceroutes for city transit, and composes per-leg
 RTT distributions into end-to-end relay predictions.
 """
 
-from .detours import DetourInsight, DetourRows, ImprovementHistogram, search_detours
+from .detours import DetourRows, search_detours
 from .errors import (
     EmptyInputError,
     InvalidAddressError,
@@ -16,40 +16,21 @@ from .errors import (
 from .geo import GeoCache, GeoLookup, GeoRecord
 from .graph import edge_rows, read_snapshot, write_snapshot
 from .ingest import FilterSpec
-from .stats import (
-    ComparisonVerdict,
-    OverlayPath,
-    RttSummary,
-    compare,
-    compose,
-)
-from .traceroute import (
-    CityDetection,
-    CitySpec,
-    TracerouteHop,
-    TracerouteTrace,
-    detect_city,
-    parse_traceroute,
-)
+from .stats import RttSummary, compare, compose
+from .traceroute import CitySpec, TracerouteTrace, detect_city, parse_traceroute
 
 __all__ = [
-    "ComparisonVerdict",
-    "CityDetection",
     "CitySpec",
-    "DetourInsight",
     "DetourRows",
     "EmptyInputError",
     "FilterSpec",
     "GeoCache",
     "GeoLookup",
     "GeoRecord",
-    "ImprovementHistogram",
     "InvalidAddressError",
-    "OverlayPath",
     "ParseError",
     "RttSummary",
     "ToolkitError",
-    "TracerouteHop",
     "TracerouteTrace",
     "compare",
     "compose",

@@ -163,7 +163,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
             raise ValueError(f"{setting} must be one of {', '.join(allowed)}, got {value!r}")
         if convert is float and not math.isfinite(value):
             raise ValueError(f"{setting} must be a finite number, got {value}")
-        if name == "top" and value < 0:
+        if name in ("top", "forwarding_delay_ms") and value < 0:
             raise ValueError(f"{setting} must be >= 0, got {value}")
         setattr(cfg, name, value)
     return cfg
@@ -458,6 +458,7 @@ def cmd_detours(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     nodes, successors = read_snapshot(args.snapshot)
     rows = detours_mod.search_detours(nodes, successors, threshold_pct=cfg.threshold_pct)
     histogram = rows.histogram(cfg.bucket_width_pct)
+    improvable_pairs = sum(histogram.values())
 
     write = detours_mod.write_rows_json if cfg.format == "json" else detours_mod.write_rows_csv
     write(
@@ -466,21 +467,24 @@ def cmd_detours(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         functools.partial(run_shares, "detours"),
         usable_cpus(),
     )
-    counts = histogram.cumulative() if cfg.cumulative else histogram.counts
+    counts = sorted(histogram.items())
+    if cfg.cumulative:
+        # each bucket counts its own pairs and those of every bucket above it
+        above = improvable_pairs
+        for index, (bucket, count) in enumerate(counts):
+            counts[index] = (bucket, above)
+            above -= count
     write_table(
-        cfg.output_dir / f"histogram.{cfg.format}",
-        cfg.format,
-        HISTOGRAM_COLUMNS,
-        sorted(counts.items()),
+        cfg.output_dir / f"histogram.{cfg.format}", cfg.format, HISTOGRAM_COLUMNS, counts
     )
 
     print(
         f"insights={len(rows)} improvements={len(rows.improvements)} "
-        f"bridges={rows.bridge_count} improvable_pairs={histogram.total_pairs()}"
+        f"bridges={rows.bridge_count} improvable_pairs={improvable_pairs}"
     )
 
     top = list(islice(rows.insights(), cfg.top))
-    shown = {endpoint for i in top for endpoint in (i.source, i.via, i.destination)}
+    shown = {endpoint for insight in top for endpoint in insight[:3]}
     cache = _read_geo_cache(cfg, only=shown)
 
     def label(endpoint: str) -> str:
@@ -489,18 +493,18 @@ def cmd_detours(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             return endpoint
         return f"{place.city}, {place.country}"
 
-    for i in top:
-        print(f"{label(i.source)} -> {label(i.destination)} via {label(i.via)}: {_describe(i)}")
+    for insight in top:
+        source, via, destination = map(label, insight[:3])
+        print(f"{source} -> {destination} via {via}: {_describe(insight)}")
     return EXIT_OK
 
 
-def _describe(insight: detours_mod.DetourInsight) -> str:
-    if insight.kind == detours_mod.KIND_BRIDGE:
-        return f"bridge, overlay {insight.overlay_rtt_ms:.3f} ms (no direct connectivity)"
-    return (
-        f"overlay {insight.overlay_rtt_ms:.3f} ms vs direct {insight.direct_rtt_ms:.3f} ms "
-        f"(saves {insight.improvement_ms:.3f} ms, {insight.improvement_pct:.2f}%)"
-    )
+def _describe(insight: tuple) -> str:
+    """One insight tuple of :meth:`DetourRows.insights` as the CLI prints it."""
+    _, _, _, overlay, direct, gain, pct, kind = insight
+    if kind == detours_mod.KIND_BRIDGE:
+        return f"bridge, overlay {overlay:.3f} ms (no direct connectivity)"
+    return f"overlay {overlay:.3f} ms vs direct {direct:.3f} ms (saves {gain:.3f} ms, {pct:.2f}%)"
 
 
 def cmd_traceroutes(args: argparse.Namespace, cfg: PipelineConfig) -> int:
@@ -515,8 +519,7 @@ def cmd_traceroutes(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             trace = traceroute_mod.read_trace_file(path)
         except ParseError as exc:
             return None, f"error: {path.name}: {exc}"
-        detection = traceroute_mod.detect_city(trace, spec, place)
-        verdict = detection.verdict.capitalize()
+        verdict = traceroute_mod.detect_city(trace, spec, place).capitalize()
         return (trace.source_label or path.stem, trace.destination, len(trace.hops), verdict), None
 
     rows = []
@@ -586,8 +589,7 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             leg_summaries.append(summary)
 
         if leg_summaries:
-            path_obj = stats_mod.OverlayPath(legs=tuple(leg_summaries))
-            composed = stats_mod.compose(path_obj, forwarding_delay_ms=cfg.forwarding_delay_ms)
+            composed = stats_mod.compose(leg_summaries, cfg.forwarding_delay_ms)
             rows.append(("composed:" + "+".join(label for label, _ in legs), composed))
 
         if args.direct is not None:
@@ -616,12 +618,10 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             f"std={summary.std_dev_ms:.2f} n={summary.sample_count} {summary.modality}"
         )
     if composed is not None and direct is not None:
-        verdict = stats_mod.compare(direct, composed)
+        description, median_delta, mode_delta, mean_delta = stats_mod.compare(direct, composed)
         print(
-            f"verdict: {verdict.description} "
-            f"(median_delta={verdict.median_delta_ms:.2f} ms, "
-            f"mode_delta={verdict.mode_delta_ms:.2f} ms, "
-            f"mean_delta={verdict.mean_delta_ms:.2f} ms)"
+            f"verdict: {description} (median_delta={median_delta:.2f} ms, "
+            f"mode_delta={mode_delta:.2f} ms, mean_delta={mean_delta:.2f} ms)"
         )
     return EXIT_OK
 

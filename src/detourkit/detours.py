@@ -63,24 +63,6 @@ BRIDGE_ROWS_PER_SHARE = 50_000
 
 
 @dataclass(frozen=True, slots=True)
-class DetourInsight:
-    """A (source, via, destination) finding.
-
-    ``overlay_rtt_ms`` is the exact sum of the two leg RTTs. Bridges have no
-    direct edge, so their improvement fields are None.
-    """
-
-    source: str
-    via: str
-    destination: str
-    overlay_rtt_ms: float
-    direct_rtt_ms: Optional[float]
-    improvement_ms: Optional[float]
-    improvement_pct: Optional[float]
-    kind: str
-
-
-@dataclass(frozen=True, slots=True)
 class DetourRows:
     """Every insight of one search as compact rows, already in report order.
 
@@ -150,19 +132,21 @@ class DetourRows:
             for d, leg_out in legs_out:
                 yield (s, v, d, leg_in + leg_out)
 
-    def insights(self) -> Iterator[DetourInsight]:
-        """The rows as insights, in report order."""
+    def insights(self) -> Iterator[tuple]:
+        """The rows as insights, in report order: tuples of the
+        :data:`INSIGHT_HEADER` fields, endpoints by name. ``overlay_rtt_ms``
+        is the exact sum of the two leg RTTs; bridges have no direct edge,
+        so their direct RTT and improvement fields are None."""
         nodes = self.nodes
         for s, v, d, overlay, direct, gain, pct in self.improvements:
-            yield DetourInsight(
-                nodes[s], nodes[v], nodes[d], overlay, direct, gain, pct, KIND_IMPROVEMENT
-            )
+            yield nodes[s], nodes[v], nodes[d], overlay, direct, gain, pct, KIND_IMPROVEMENT
         for s, v, d, overlay in self.bridges():
-            yield DetourInsight(nodes[s], nodes[v], nodes[d], overlay, None, None, None, KIND_BRIDGE)
+            yield nodes[s], nodes[v], nodes[d], overlay, None, None, None, KIND_BRIDGE
 
-    def histogram(self, bucket_width_pct: float = 1.0) -> ImprovementHistogram:
-        """Each improvable (source, destination) pair counted once, in the
-        floored bucket of its best improvement percentage."""
+    def histogram(self, bucket_width_pct: float = 1.0) -> dict[float, int]:
+        """``{bucket: pair_count}``: each improvable (source, destination)
+        pair counted once, in the bucket ``floor(pct / width) * width`` of
+        its best improvement percentage."""
         if bucket_width_pct <= 0:
             raise ValueError("bucket_width_pct must be > 0")
         # pct descending means a pair's first row is its best; iterating in
@@ -179,7 +163,7 @@ class DetourRows:
                 f"improvement of {pct!r}% does not fit a {bucket_width_pct!r}% bucket: "
                 "edge RTTs are too large"
             ) from None
-        return ImprovementHistogram(counts)
+        return counts
 
 
 def search_detours(
@@ -226,29 +210,6 @@ def search_detours(
             direct[d] = None
     improvements.sort(key=lambda row: -row[6])
     return DetourRows(nodes, successors, improvements, bridge_count)
-
-
-@dataclass(frozen=True)
-class ImprovementHistogram:
-    """Counts of source-destination pairs by floored improvement bucket.
-
-    Each pair is counted once, using its best detour's improvement
-    percentage. Bucket key = floor(pct / width) * width.
-    """
-
-    counts: dict[float, int]
-
-    def total_pairs(self) -> int:
-        return sum(self.counts.values())
-
-    def cumulative(self) -> dict[float, int]:
-        """Per-bucket counts re-rendered as at-least-this-bucket totals."""
-        out: dict[float, int] = {}
-        running = 0
-        for bucket, count in sorted(self.counts.items(), reverse=True):
-            running += count
-            out[bucket] = running
-        return out
 
 
 def _write_batched(handle: TextIO, items: Iterator[str], separator: str = "") -> None:

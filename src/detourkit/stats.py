@@ -156,31 +156,23 @@ def describe(
     return summary, [(index * mode_bin_width_ms, count) for index, count in counts.items()]
 
 
-@dataclass(frozen=True)
-class OverlayPath:
-    """An ordered chain of relay legs, each given by its RTT summary."""
-
-    legs: tuple[RttSummary, ...]
-
-    def __post_init__(self) -> None:
-        if not self.legs:
-            raise ValueError("a path needs at least one leg")
-        if any(leg.modality == MODALITY_DEGENERATE for leg in self.legs):
-            raise ValueError("legs must be non-degenerate")
-
-
-def compose(path: OverlayPath, forwarding_delay_ms: float = 0.0) -> RttSummary:
-    """Predict the end-to-end summary of a relay chain.
+def compose(legs: Sequence[RttSummary], forwarding_delay_ms: float = 0.0) -> RttSummary:
+    """Predict the end-to-end summary of a relay chain, given its ordered
+    legs' summaries.
 
     Mean, median and mode are the sums of the per-leg values (plus any
     constant relay forwarding delay); variances add and the combined std
     dev is the square root of that total. A multi-peaked leg marks the
     whole prediction as multi-peaked. Median and mode addition follows the
     per-leg reporting convention, not the distribution of summed draws.
-    Raises :class:`ToolkitError` when a result is not finite, as when a sum
-    passes the largest float.
+    Raises :class:`ValueError` for no legs or a degenerate one, and
+    :class:`ToolkitError` when a result is not finite, as when a sum passes
+    the largest float.
     """
-    legs = path.legs
+    if not legs:
+        raise ValueError("a path needs at least one leg")
+    if any(leg.modality == MODALITY_DEGENERATE for leg in legs):
+        raise ValueError("legs must be non-degenerate")
     relay_delay = forwarding_delay_ms * (len(legs) - 1)
     # plain left-fold addition, so nested composition reproduces flat
     # composition (sum() of floats is compensated from Python 3.12 on)
@@ -209,18 +201,10 @@ def compose(path: OverlayPath, forwarding_delay_ms: float = 0.0) -> RttSummary:
     )
 
 
-@dataclass(frozen=True)
-class ComparisonVerdict:
-    """Direct-vs-overlay comparison. Deltas are overlay minus direct."""
-
-    mean_delta_ms: float
-    median_delta_ms: float
-    mode_delta_ms: float
-    description: str
-
-
-def compare(direct: RttSummary, overlay: RttSummary) -> ComparisonVerdict:
-    """Compare a direct route against a composed overlay prediction.
+def compare(direct: RttSummary, overlay: RttSummary) -> tuple[str, float, float, float]:
+    """Compare a direct route against a composed overlay prediction:
+    ``(description, median_delta_ms, mode_delta_ms, mean_delta_ms)``, each
+    delta overlay minus direct.
 
     The mean is distrusted whenever either distribution is multi-peaked,
     in which case the median decides which route is faster.
@@ -239,12 +223,7 @@ def compare(direct: RttSummary, overlay: RttSummary) -> ComparisonVerdict:
         description = f"routes tie on {preferred}"
     else:
         description = f"{faster} route is {abs(deciding):.2f} ms faster by {preferred}"
-    return ComparisonVerdict(
-        mean_delta_ms=mean_delta,
-        median_delta_ms=median_delta,
-        mode_delta_ms=mode_delta,
-        description=description,
-    )
+    return description, median_delta, mode_delta, mean_delta
 
 
 def read_samples(path: str | Path) -> list[float]:

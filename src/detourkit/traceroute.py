@@ -2,12 +2,14 @@
 
 Trace files carry a one-line header ``# source_label | destination``
 followed by conventional traceroute output (hop number, responding
-name/address pairs, up to three RTTs, ``*`` for timeouts). A trace's hop
+name/address pairs, up to three RTTs, ``*`` for timeouts). Each hop line
+is read as an ``(index, address, rdns_name)`` tuple, and a trace's hop
 count is its number of hop lines, timeouts included.
 
 Whether a trace transits a given city is decided by reverse-DNS token
 matching first (airport-code style router names), geolocation second;
-router geo data alone is too unreliable to lead.
+router geo data alone is too unreliable to lead. The first hop with
+either kind of evidence decides.
 """
 
 from __future__ import annotations
@@ -31,25 +33,18 @@ UNKNOWN_HOP_FRACTION = 0.5
 _TRACEROUTE_TO = re.compile(r"^traceroute to (\S+)", re.IGNORECASE)
 
 
-@dataclass(frozen=True, slots=True)
-class TracerouteHop:
-    """One hop line. Unresponsive hops have no address.
-
-    When a line shows several responding endpoints (per-packet load
-    balancing), the first one names the hop; the RTTs on the line are read
-    past, not kept.
-    """
-
-    index: int
-    address: Optional[str]
-    rdns_name: Optional[str]
+# One hop line as ``(index, address, rdns_name)``. Unresponsive hops have no
+# address. When a line shows several responding endpoints (per-packet load
+# balancing), the first one names the hop; the RTTs on the line are read
+# past, not kept.
+Hop = tuple[int, Optional[str], Optional[str]]
 
 
 @dataclass(frozen=True, slots=True)
 class TracerouteTrace:
     source_label: str
     destination: str
-    hops: tuple[TracerouteHop, ...]
+    hops: tuple[Hop, ...]
 
 
 @dataclass(frozen=True)
@@ -67,12 +62,6 @@ class CitySpec:
 LOS_ANGELES = CitySpec(tokens=frozenset({"lax", "losangeles", "la-"}), geo_city="Los Angeles")
 
 
-@dataclass(frozen=True)
-class CityDetection:
-    verdict: str
-    evidence: tuple[tuple[int, str], ...]
-
-
 def _is_float(token: str) -> bool:
     try:
         float(token)
@@ -81,7 +70,7 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def _parse_hop_line(index: int, tokens: list[str], lineno: int) -> TracerouteHop:
+def _parse_hop_line(index: int, tokens: list[str], lineno: int) -> Hop:
     """The hop of a hop line's whitespace-separated ``tokens``, the first
     of which is its ``index``."""
     count = len(tokens)
@@ -115,14 +104,14 @@ def _parse_hop_line(index: int, tokens: list[str], lineno: int) -> TracerouteHop
             # traceroute prints the address twice when reverse DNS fails
             name = endpoint_name if endpoint_name != endpoint_addr else None
             saw_endpoint = True
-    return TracerouteHop(index, address, name)
+    return index, address, name
 
 
 def parse_traceroute(text: str) -> TracerouteTrace:
     """Parse one trace. Raises :class:`ParseError` with the line number."""
     source_label = ""
     destination = ""
-    hops: list[TracerouteHop] = []
+    hops: list[Hop] = []
     last_index = 0
     saw_content = False
 
@@ -171,13 +160,13 @@ def read_trace_file(path: str | Path) -> TracerouteTrace:
         return parse_traceroute(handle.read())
 
 
-def _hop_token_match(hop: TracerouteHop, tokens: list[tuple[str, str]]) -> Optional[str]:
+def _token_match(rdns_name: Optional[str], tokens: list[tuple[str, str]]) -> Optional[str]:
     """The first token of ``tokens``, sorted ``(token, token.lower())``
-    pairs, that begins a dot- or hyphen-separated segment of the hop's
-    reverse-DNS name."""
-    if hop.rdns_name is None:
+    pairs, that begins a dot- or hyphen-separated segment of the
+    reverse-DNS name ``rdns_name``."""
+    if rdns_name is None:
         return None
-    name = hop.rdns_name.lower()
+    name = rdns_name.lower()
     # each segment is a substring of the name, so a token in none is in no segment
     if not any(lowered in name for _, lowered in tokens):
         return None
@@ -195,37 +184,33 @@ def detect_city(
     trace: TracerouteTrace,
     city_spec: CitySpec,
     place: Optional[Callable[[str], Optional[GeoRecord]]] = None,
-) -> CityDetection:
-    """Decide whether the trace transits the given city.
+) -> str:
+    """Decide whether the trace transits the given city: the verdict
+    :data:`VERDICT_YES`, :data:`VERDICT_NO` or :data:`VERDICT_UNKNOWN`.
 
-    ``yes`` needs evidence (a matched rDNS token or a geolocated hop);
-    with no evidence the verdict degrades from ``no`` to ``unknown`` when
-    at least half the hops cannot be assessed (no reverse DNS and no geo).
-    ``place`` (such as :meth:`GeoCache.place`) gives a hop address's
-    record, or None where it is unknown; it is asked only for the address
-    of a hop that no token matched.
+    ``yes`` needs evidence (a matched rDNS token or a geolocated hop) and
+    is returned at the first hop with evidence; with no evidence the
+    verdict degrades from ``no`` to ``unknown`` when at least half the hops
+    cannot be assessed (no reverse DNS and no geo). ``place`` (such as
+    :meth:`GeoCache.place`) gives a hop address's record, or None where it
+    is unknown; it is asked only for the address of a hop that no token
+    matched.
     """
-    evidence: list[tuple[int, str]] = []
     unassessable = 0
     tokens = [(token, token.lower()) for token in sorted(city_spec.tokens)]
     wanted = city_spec.geo_city.lower() if city_spec.geo_city is not None else None
-    for hop in trace.hops:
-        matched = _hop_token_match(hop, tokens)
-        if matched is not None:
-            evidence.append((hop.index, matched))
-            continue
+    for _, address, rdns_name in trace.hops:
+        if _token_match(rdns_name, tokens) is not None:
+            return VERDICT_YES
         geo_city = None
-        if place is not None and hop.address is not None:
-            record = place(hop.address)
+        if place is not None and address is not None:
+            record = place(address)
             if record is not None:
                 geo_city = record.city
         if geo_city is not None and geo_city.lower() == wanted:
-            evidence.append((hop.index, geo_city))
-            continue
-        if hop.rdns_name is None and geo_city is None:
+            return VERDICT_YES
+        if rdns_name is None and geo_city is None:
             unassessable += 1
-    if evidence:
-        return CityDetection(verdict=VERDICT_YES, evidence=tuple(evidence))
     if trace.hops and unassessable / len(trace.hops) >= UNKNOWN_HOP_FRACTION:
-        return CityDetection(verdict=VERDICT_UNKNOWN, evidence=())
-    return CityDetection(verdict=VERDICT_NO, evidence=())
+        return VERDICT_UNKNOWN
+    return VERDICT_NO

@@ -58,7 +58,7 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, 
 import pytest
 
 from detourkit.cli import PipelineConfig, resolve_config
-from detourkit.detours import INSIGHT_HEADER, KIND_BRIDGE, KIND_IMPROVEMENT, DetourInsight
+from detourkit.detours import INSIGHT_HEADER, KIND_BRIDGE, KIND_IMPROVEMENT
 from detourkit.errors import EmptyInputError, ParseError, ToolkitError, open_text
 from detourkit.graph import (
     SNAPSHOT_HEADER,
@@ -80,7 +80,6 @@ from detourkit.ingest import (
     normalize_status,
 )
 from detourkit.stats import MODALITY_UNIMODAL, RttSummary, describe
-from detourkit.traceroute import TracerouteHop
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -516,8 +515,9 @@ def brute_force_best(
     return best
 
 
-def best_detour(graph: LatencyGraph, source: str, destination: str) -> Optional[DetourInsight]:
-    """The minimal-overlay relay insight for one pair, or None.
+def best_detour(graph: LatencyGraph, source: str, destination: str) -> Optional[tuple]:
+    """The minimal-overlay relay insight tuple, in :data:`INSIGHT_HEADER`
+    order, for one pair, or None.
 
     Ties on overlay RTT break to the first via in endpoint order. The result reports
     the best relay regardless of any improvement threshold: when the direct
@@ -531,27 +531,12 @@ def best_detour(graph: LatencyGraph, source: str, destination: str) -> Optional[
     overlay, via = best
     direct = edge_rtt(graph, source, destination)
     if direct is None:
-        return DetourInsight(source, via, destination, overlay, None, None, None, KIND_BRIDGE)
+        return source, via, destination, overlay, None, None, None, KIND_BRIDGE
     gain = direct - overlay
-    return DetourInsight(
-        source, via, destination, overlay, direct, gain, 100.0 * gain / direct, KIND_IMPROVEMENT
-    )
+    return source, via, destination, overlay, direct, gain, 100.0 * gain / direct, KIND_IMPROVEMENT
 
 
-def insight_key(insight) -> tuple:
-    return (
-        insight.source,
-        insight.via,
-        insight.destination,
-        insight.overlay_rtt_ms,
-        insight.direct_rtt_ms,
-        insight.improvement_ms,
-        insight.improvement_pct,
-        insight.kind,
-    )
-
-
-def report_order(insights: Iterable[DetourInsight]) -> list[DetourInsight]:
+def report_order(insights: Iterable[tuple]) -> list[tuple]:
     """Deterministic report ordering.
 
     Improvements first, by percentage descending then source/via/destination;
@@ -560,11 +545,11 @@ def report_order(insights: Iterable[DetourInsight]) -> list[DetourInsight]:
     return sorted(
         insights,
         key=lambda i: (
-            0 if i.kind == KIND_IMPROVEMENT else 1,
-            -(i.improvement_pct or 0.0),
-            endpoint_order(i.source),
-            endpoint_order(i.via),
-            endpoint_order(i.destination),
+            0 if i[7] == KIND_IMPROVEMENT else 1,
+            -(i[6] or 0.0),
+            endpoint_order(i[0]),
+            endpoint_order(i[1]),
+            endpoint_order(i[2]),
         ),
     )
 
@@ -573,20 +558,21 @@ def _fmt_opt(value: Optional[float], digits: int) -> str:
     return "" if value is None else f"{value:.{digits}f}"
 
 
-def insight_row(insight: DetourInsight) -> list[str]:
+def insight_row(insight: tuple) -> list[str]:
+    source, via, destination, overlay, direct, gain, pct, kind = insight
     return [
-        insight.source,
-        insight.via,
-        insight.destination,
-        f"{insight.overlay_rtt_ms:.3f}",
-        _fmt_opt(insight.direct_rtt_ms, 3),
-        _fmt_opt(insight.improvement_ms, 3),
-        _fmt_opt(insight.improvement_pct, 2),
-        insight.kind,
+        source,
+        via,
+        destination,
+        f"{overlay:.3f}",
+        _fmt_opt(direct, 3),
+        _fmt_opt(gain, 3),
+        _fmt_opt(pct, 2),
+        kind,
     ]
 
 
-def write_insights_csv(insights: Iterable[DetourInsight], path: str | Path) -> int:
+def write_insights_csv(insights: Iterable[tuple], path: str | Path) -> int:
     """Write the insight export; returns the number of rows written."""
     rows = 0
     with open(path, "w", encoding="utf-8", newline="") as handle:
@@ -599,15 +585,14 @@ def write_insights_csv(insights: Iterable[DetourInsight], path: str | Path) -> i
 
 
 def improvement_histogram(
-    insights: Iterable[DetourInsight], bucket_width_pct: float = 1.0
+    insights: Iterable[tuple], bucket_width_pct: float = 1.0
 ) -> dict[float, int]:
     """Pair count per bucket: each (source, destination) pair's best
     improvement percentage among ``insights``, bridges skipped, counted in
     the bucket floor(pct / width) * width."""
     best: dict[tuple[str, str], float] = {}
-    for insight in insights:
-        pct = insight.improvement_pct
-        pair = (insight.source, insight.destination)
+    for source, _, destination, *_, pct, _ in insights:
+        pair = (source, destination)
         if pct is not None and (pair not in best or pct > best[pair]):
             best[pair] = pct
     buckets = (math.floor(pct / bucket_width_pct) * bucket_width_pct for pct in best.values())
@@ -716,8 +701,9 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def parse_hop_line(index: int, rest: str, lineno: int) -> TracerouteHop:
-    """The hop of a hop line whose text past the index is ``rest``."""
+def parse_hop_line(index: int, rest: str, lineno: int) -> tuple:
+    """The ``(index, address, rdns_name)`` hop of a hop line whose text
+    past the index is ``rest``."""
     tokens = rest.split()
     address: Optional[str] = None
     name: Optional[str] = None
@@ -748,15 +734,15 @@ def parse_hop_line(index: int, rest: str, lineno: int) -> TracerouteHop:
             address = endpoint_addr
             name = endpoint_name if endpoint_name != endpoint_addr else None
             saw_endpoint = True
-    return TracerouteHop(index=index, address=address, rdns_name=name)
+    return index, address, name
 
 
-def hop_token_match(hop: TracerouteHop, tokens: list[tuple[str, str]]) -> Optional[str]:
+def token_match(rdns_name: Optional[str], tokens: list[tuple[str, str]]) -> Optional[str]:
     """The first token of ``tokens``, sorted ``(token, token.lower())``
-    pairs, that begins a segment of the hop's reverse-DNS name."""
-    if hop.rdns_name is None:
+    pairs, that begins a segment of the reverse-DNS name ``rdns_name``."""
+    if rdns_name is None:
         return None
-    segments = hop.rdns_name.lower().split(".")
+    segments = rdns_name.lower().split(".")
     candidates = set(segments)
     for segment in segments:
         candidates.update(segment.split("-"))

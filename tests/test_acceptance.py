@@ -22,7 +22,6 @@ from conftest import (
     edge_rtt,
     graph_of,
     improvement_histogram,
-    insight_key,
     make_graph,
     random_graph,
     ranked,
@@ -33,7 +32,7 @@ from detourkit.cli import ingest_to_rows
 from detourkit.detours import KIND_BRIDGE, KIND_IMPROVEMENT, search_detours
 from detourkit.graph import canonical_endpoint
 from detourkit.ingest import FilterSpec
-from detourkit.stats import OverlayPath, compare, compose
+from detourkit.stats import compare, compose
 from detourkit.traceroute import LOS_ANGELES, detect_city, read_trace_file
 
 
@@ -56,7 +55,7 @@ def reference_legs():
 def test_composition_of_reference_leg_summaries():
     started = time.perf_counter()
     leg_ab, leg_bc = reference_legs()
-    composed = compose(OverlayPath(legs=(leg_ab, leg_bc)))
+    composed = compose((leg_ab, leg_bc))
     assert composed.mean_ms == pytest.approx(67.918, abs=0.005)
     assert composed.median_ms == pytest.approx(70.217, abs=0.005)
     assert composed.variance_ms2 == pytest.approx(170.596, abs=0.005)
@@ -69,12 +68,12 @@ def test_composition_of_reference_leg_summaries():
 def test_direct_vs_overlay_verdict():
     started = time.perf_counter()
     leg_ab, leg_bc = reference_legs()
-    composed = compose(OverlayPath(legs=(leg_ab, leg_bc)))
+    composed = compose((leg_ab, leg_bc))
     direct = summary_from_moments(61.723, 62.0, 117.503, 61.0, sample_count=1000)
-    verdict = compare(direct, composed)
-    assert verdict.median_delta_ms == pytest.approx(8.22, abs=0.01)
-    assert verdict.mode_delta_ms == pytest.approx(10.52, abs=0.01)
-    assert verdict.description == "direct route is 8.22 ms faster by median"
+    description, median_delta, mode_delta, _ = compare(direct, composed)
+    assert median_delta == pytest.approx(8.22, abs=0.01)
+    assert mode_delta == pytest.approx(10.52, abs=0.01)
+    assert description == "direct route is 8.22 ms faster by median"
     assert time.perf_counter() - started < 1.0
     report("route-comparison-verdict")
 
@@ -94,27 +93,28 @@ def test_reference_insight_fixtures():
         }
     )
 
+    # insights are (source, via, destination, overlay, direct, gain, pct, kind)
     milpitas = best_detour(graph, key("Milpitas"), key("Morrisdale"))
-    assert milpitas.via == key("LasCruces")
-    assert milpitas.improvement_ms == pytest.approx(200.49, abs=0.01)
+    assert milpitas[1] == key("LasCruces")
+    assert milpitas[5] == pytest.approx(200.49, abs=0.01)
 
     newark = best_detour(graph, key("Newark"), key("LasCruces"))
-    assert newark.via == key("KenettSquare")
-    assert newark.overlay_rtt_ms == pytest.approx(43.85, abs=0.01)
-    assert newark.improvement_pct == pytest.approx(18.04, abs=0.05)
+    assert newark[1] == key("KenettSquare")
+    assert newark[3] == pytest.approx(43.85, abs=0.01)
+    assert newark[6] == pytest.approx(18.04, abs=0.05)
 
     assert edge_rtt(graph, key("Illinois"), key("Australia")) is None
     bridge = best_detour(graph, key("Illinois"), key("Australia"))
-    assert bridge.kind == KIND_BRIDGE
-    assert bridge.via == key("France")
-    assert bridge.overlay_rtt_ms == pytest.approx(4.9, abs=0.01)
-    assert bridge.direct_rtt_ms is None
+    assert bridge[7] == KIND_BRIDGE
+    assert bridge[1] == key("France")
+    assert bridge[3] == pytest.approx(4.9, abs=0.01)
+    assert bridge[4] is None
 
     found = search_detours(*ranked(graph), threshold_pct=1.0)
-    emitted = {insight_key(i) for i in found.insights()}
-    assert insight_key(milpitas) in emitted
-    assert insight_key(newark) in emitted
-    assert insight_key(bridge) in emitted
+    emitted = set(found.insights())
+    assert milpitas in emitted
+    assert newark in emitted
+    assert bridge in emitted
     assert time.perf_counter() - started < 1.0
     report("reference-insight-fixtures")
 
@@ -163,14 +163,14 @@ def test_detour_search_matches_brute_force_oracle():
         threshold = rng.choice([0.0, 0.5, 1.0, 2.0, 10.0])
         expected_insights, expected_best = _oracle_scan(graph, threshold)
 
-        produced = [insight_key(i) for i in search_detours(*ranked(graph), threshold).insights()]
+        produced = list(search_detours(*ranked(graph), threshold).insights())
         assert len(produced) == len(set(produced))
         assert set(produced) == expected_insights
 
         for (source, destination), (overlay, via) in expected_best.items():
             found = best_detour(graph, source, destination)
-            assert found.via == via
-            assert found.overlay_rtt_ms == overlay
+            assert found[1] == via
+            assert found[3] == overlay
         # pairs with no two-leg path stay absent
         nodes = graph.sorted_nodes()
         checked = 0
@@ -195,18 +195,18 @@ def test_threshold_monotonicity_and_histogram_conservation():
         graph = random_graph(rng, max_nodes=25, density=0.3)
         rows = {t: search_detours(*ranked(graph), t) for t in (1.0, 0.5, 0.0)}
         by_threshold = {
-            t: [i for i in rows[t].insights() if i.kind == KIND_IMPROVEMENT] for t in rows
+            t: [i for i in rows[t].insights() if i[7] == KIND_IMPROVEMENT] for t in rows
         }
-        sets = {t: {insight_key(i) for i in by_threshold[t]} for t in by_threshold}
+        sets = {t: set(by_threshold[t]) for t in by_threshold}
         assert sets[1.0] <= sets[0.5] <= sets[0.0]
 
         # the histogram `detours` writes, bucket for bucket against the
         # per-insight reference binning
         at_one = by_threshold[1.0]
         histogram = rows[1.0].histogram(bucket_width_pct=1.0)
-        assert histogram.counts == improvement_histogram(at_one, bucket_width_pct=1.0)
-        improvable_pairs = {(i.source, i.destination) for i in at_one}
-        assert histogram.total_pairs() == len(improvable_pairs)
+        assert histogram == improvement_histogram(at_one, bucket_width_pct=1.0)
+        improvable_pairs = {(i[0], i[2]) for i in at_one}
+        assert sum(histogram.values()) == len(improvable_pairs)
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
     report(f"threshold-monotonicity ({elapsed:.1f}s for 100 graphs)")
@@ -274,7 +274,7 @@ def test_traceroute_corpus():
     results = []
     for path in files:
         trace = read_trace_file(path)
-        results.append((len(trace.hops), detect_city(trace, LOS_ANGELES).verdict))
+        results.append((len(trace.hops), detect_city(trace, LOS_ANGELES)))
     assert results == expected
     assert time.perf_counter() - started < 1.0
     report("traceroute-corpus")

@@ -1338,6 +1338,26 @@ class TestConfig:
         assert capsys.readouterr().err.count("top must be >= 0") == 2
         assert not (tmp_path / "out").exists()
 
+    def test_negative_forwarding_delay_rejected(self, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        legs = [
+            "overlay",
+            "--leg",
+            f"AB={FIXTURES / 'overlay' / 'leg_ab.txt'}",
+            "--leg",
+            f"BC={FIXTURES / 'overlay' / 'leg_bc.txt'}",
+        ]
+        assert main(["--output-dir", out, *legs, "--forwarding-delay", "-200"]) == 2
+        config = tmp_path / "pipeline.cfg"
+        config.write_text("[overlay]\nforwarding_delay_ms = -200\n", encoding="utf-8")
+        assert main(["--config", str(config), "--output-dir", out, *legs]) == 2
+        message = "bad configuration: [overlay] forwarding_delay_ms must be >= 0, got -200.0\n"
+        assert capsys.readouterr().err == message * 2
+        assert not (tmp_path / "out").exists()
+        # no delay is a delay
+        assert main(["--output-dir", out, *legs, "--forwarding-delay", "0"]) == 0
+        assert "composed:AB+BC: mean=67.92 " in capsys.readouterr().out
+
     def test_bad_format_rejected(self, tmp_path):
         snapshot = tmp_path / "graph.csv"
         save_graph(make_graph(FOUR_NODE_EDGES), snapshot)
@@ -1487,6 +1507,7 @@ FLAG_AND_KEY_CASES = [
     ("mode_bin_width_ms", ["--mode-bin-width", "nan"], "nan"),
     ("forwarding_delay_ms", ["--forwarding-delay", "3"], "3"),
     ("forwarding_delay_ms", ["--forwarding-delay", "x"], "x"),
+    ("forwarding_delay_ms", ["--forwarding-delay", "-200"], "-200"),
     ("geo_provider", ["--geo-provider", "static"], "static"),
     ("geo_provider", ["--geo-provider", "STATIC"], "STATIC"),
     ("geo_provider", ["--geo-provider", "htp"], "htp"),

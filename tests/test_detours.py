@@ -20,7 +20,6 @@ from conftest import (
     brute_force_detours,
     edge_rtt,
     improvement_histogram,
-    insight_key,
     insight_row,
     make_graph,
     random_graph,
@@ -31,9 +30,9 @@ from conftest import (
 )
 from detourkit.cli import HISTOGRAM_COLUMNS, main, write_table
 from detourkit.detours import (
+    INSIGHT_HEADER,
     KIND_BRIDGE,
     KIND_IMPROVEMENT,
-    DetourInsight,
     search_detours,
     write_rows_csv,
     write_rows_json,
@@ -54,11 +53,11 @@ class TestBestDetour:
         # frozen from the brute-force oracle: B gives 1+1=2, X gives 3+3=6
         oracle = brute_force_best(graph, key("A"), key("C"))
         assert oracle == (2.0, key("B"))
-        found = best_detour(graph, key("A"), key("C"))
-        assert found.via == key("B")
-        assert found.overlay_rtt_ms == 2.0
-        assert found.kind == KIND_IMPROVEMENT
-        assert found.improvement_ms == 8.0
+        _, via, _, overlay, _, gain, _, kind = best_detour(graph, key("A"), key("C"))
+        assert via == key("B")
+        assert overlay == 2.0
+        assert kind == KIND_IMPROVEMENT
+        assert gain == 8.0
 
     def test_no_intermediate(self):
         graph = make_graph({("A", "C"): 10.0})
@@ -68,14 +67,14 @@ class TestBestDetour:
         graph = make_graph(
             {("A", "m1"): 1.0, ("m1", "C"): 1.0, ("A", "m2"): 1.0, ("m2", "C"): 1.0}
         )
-        assert best_detour(graph, key("A"), key("C")).via == key("m1")
+        assert best_detour(graph, key("A"), key("C"))[1] == key("m1")
 
     def test_bridge_when_no_direct(self):
         graph = make_graph({("A", "B"): 1.0, ("B", "C"): 1.5})
-        found = best_detour(graph, key("A"), key("C"))
-        assert found.kind == KIND_BRIDGE
-        assert found.direct_rtt_ms is None
-        assert found.overlay_rtt_ms == 2.5
+        _, _, _, overlay, direct, _, _, kind = best_detour(graph, key("A"), key("C"))
+        assert kind == KIND_BRIDGE
+        assert direct is None
+        assert overlay == 2.5
 
     def test_same_endpoints_rejected(self):
         graph = make_graph({("A", "B"): 1.0})
@@ -94,27 +93,28 @@ class TestEnumerate:
         graph = make_graph({("A", "B"): 0.3, ("B", "C"): 4.6})
         insights = list(search_detours(*ranked(graph), threshold_pct=1.0).insights())
         assert len(insights) == 1
-        bridge = insights[0]
-        assert bridge.kind == KIND_BRIDGE
-        assert bridge.overlay_rtt_ms == pytest.approx(4.9)
-        assert bridge.direct_rtt_ms is None
+        _, _, _, overlay, direct, _, _, kind = insights[0]
+        assert kind == KIND_BRIDGE
+        assert overlay == pytest.approx(4.9)
+        assert direct is None
 
     def test_threshold_filters_improvements(self):
         graph = make_graph({("A", "B"): 49.8, ("B", "C"): 49.8, ("A", "C"): 100.0})
         # saving 0.4 of 100 = 0.4%
         assert list(search_detours(*ranked(graph), threshold_pct=1.0).insights()) == []
         found = list(search_detours(*ranked(graph), threshold_pct=0.1).insights())
-        assert len(found) == 1 and found[0].improvement_pct == pytest.approx(0.4)
+        assert len(found) == 1 and found[0][6] == pytest.approx(0.4)
 
     def test_improvement_is_exact_leg_sum(self):
         rng = random.Random(3)
         graph = random_graph(rng, max_nodes=20)
         for insight in search_detours(*ranked(graph), threshold_pct=0.0).insights():
-            leg_in = edge_rtt(graph, insight.source, insight.via)
-            leg_out = edge_rtt(graph, insight.via, insight.destination)
-            assert insight.overlay_rtt_ms == leg_in + leg_out
-            if insight.kind == KIND_IMPROVEMENT:
-                assert insight.overlay_rtt_ms < insight.direct_rtt_ms
+            source, via, destination, overlay, direct, _, _, kind = insight
+            leg_in = edge_rtt(graph, source, via)
+            leg_out = edge_rtt(graph, via, destination)
+            assert overlay == leg_in + leg_out
+            if kind == KIND_IMPROVEMENT:
+                assert overlay < direct
 
     def test_matches_oracle_on_random_graphs(self):
         rng = random.Random(123)
@@ -122,7 +122,7 @@ class TestEnumerate:
             graph = random_graph(rng, max_nodes=14)
             threshold = rng.choice([0.0, 0.5, 1.0, 5.0])
             rows = search_detours(*ranked(graph), threshold)
-            produced = [insight_key(i) for i in rows.insights()]
+            produced = list(rows.insights())
             assert len(produced) == len(set(produced))  # each triplet once
             assert set(produced) == brute_force_detours(graph, threshold)
 
@@ -131,7 +131,7 @@ class TestEnumerate:
         for _ in range(10):
             graph = random_graph(rng, max_nodes=12)
             sets = [
-                {insight_key(i) for i in search_detours(*ranked(graph), t).insights()}
+                set(search_detours(*ranked(graph), t).insights())
                 for t in (1.0, 0.5, 0.0)
             ]
             assert sets[0] <= sets[1] <= sets[2]
@@ -143,22 +143,22 @@ class TestEnumerate:
             {(e.source, e.destination): e.rtt_ms * 3.5 for e in graph.edges()}
         )
         base_pairs = {
-            (i.source, i.via, i.destination): i.improvement_pct
+            i[:3]: i[6]
             for i in search_detours(*ranked(graph), 1.0).insights()
-            if i.kind == KIND_IMPROVEMENT
+            if i[7] == KIND_IMPROVEMENT
         }
         scaled_pairs = {
-            (i.source, i.via, i.destination): i.improvement_pct
+            i[:3]: i[6]
             for i in search_detours(*ranked(scaled), 1.0).insights()
-            if i.kind == KIND_IMPROVEMENT
+            if i[7] == KIND_IMPROVEMENT
         }
         assert base_pairs.keys() == scaled_pairs.keys()
         for triplet, pct in base_pairs.items():
             assert scaled_pairs[triplet] == pytest.approx(pct, rel=1e-12)
         for source, destination in {(s, d) for s, _, d in base_pairs}:
             assert (
-                best_detour(graph, source, destination).via
-                == best_detour(scaled, source, destination).via
+                best_detour(graph, source, destination)[1]
+                == best_detour(scaled, source, destination)[1]
             )
 
 
@@ -179,10 +179,7 @@ class TestEnumerate:
         )
         nodes, successors = read_snapshot(snapshot)
         assert nodes == ["10.0.0.2", "Zed", "example.net", "10", "9"]
-        found = [
-            (i.source, i.via, i.destination, i.kind)
-            for i in search_detours(nodes, successors, 1.0).insights()
-        ]
+        found = [(*i[:3], i[7]) for i in search_detours(nodes, successors, 1.0).insights()]
         assert found == [
             ("10", "Zed", "example.net", KIND_IMPROVEMENT),
             ("10", "10.0.0.2", "example.net", KIND_IMPROVEMENT),
@@ -203,13 +200,11 @@ class TestBridgeStream:
         assert list(rows.bridges()) == walked
         nodes = rows.nodes
         produced = [
-            DetourInsight(nodes[s], nodes[v], nodes[d], overlay, None, None, None, KIND_BRIDGE)
+            (nodes[s], nodes[v], nodes[d], overlay, None, None, None, KIND_BRIDGE)
             for s, v, d, overlay in walked
         ]
         oracle = report_order(
-            DetourInsight(*row)
-            for row in brute_force_detours(graph, threshold)
-            if row[-1] == KIND_BRIDGE
+            row for row in brute_force_detours(graph, threshold) if row[-1] == KIND_BRIDGE
         )
         assert produced == oracle
         assert len(walked) == rows.bridge_count
@@ -253,16 +248,20 @@ class TestBridgeStream:
 
 class TestHistogram:
     @staticmethod
-    def _rows(pcts):
-        """A search over one graph in which pair (a<i>, b<i>) has one relay,
-        via V, saving about ``pcts[i]`` percent of its direct RTT."""
+    def _graph(pcts):
+        """A graph in which pair (a<i>, b<i>) has one relay, via V, saving
+        about ``pcts[i]`` percent of its direct RTT."""
         edges = {}
         for i, pct in enumerate(pcts):
             # overlay is 2.0; direct chosen so 100*(direct-2)/direct == pct
             edges[(f"a{i}", "V")] = 1.0
             edges[("V", f"b{i}")] = 1.0
             edges[(f"a{i}", f"b{i}")] = 2.0 / (1.0 - pct / 100.0)
-        rows = search_detours(*ranked(make_graph(edges)), threshold_pct=0.0)
+        return make_graph(edges)
+
+    def _rows(self, pcts):
+        """The search over :meth:`_graph`, every relay an improvement."""
+        rows = search_detours(*ranked(self._graph(pcts)), threshold_pct=0.0)
         assert len(rows.improvements) == len(pcts)
         return rows
 
@@ -270,8 +269,8 @@ class TestHistogram:
         rows = self._rows([1.2, 1.9, 2.5])
         # percentages land near the requested values; buckets are what matter
         histogram = rows.histogram(bucket_width_pct=1.0)
-        assert histogram.counts == {1.0: 2, 2.0: 1}
-        assert histogram.counts == improvement_histogram(rows.insights(), 1.0)
+        assert histogram == {1.0: 2, 2.0: 1}
+        assert histogram == improvement_histogram(rows.insights(), 1.0)
 
     def test_best_per_pair(self):
         graph = make_graph(
@@ -285,9 +284,7 @@ class TestHistogram:
         )
         rows = search_detours(*ranked(graph), 1.0)
         assert len(rows.improvements) == 2
-        histogram = rows.histogram(bucket_width_pct=1.0)
-        assert histogram.counts == {80.0: 1}
-        assert histogram.total_pairs() == 1
+        assert rows.histogram(bucket_width_pct=1.0) == {80.0: 1}
 
     def test_matches_brute_force_recount(self):
         rng = random.Random(20)
@@ -296,16 +293,24 @@ class TestHistogram:
             threshold = rng.choice([0.0, 1.0, 20.0])
             rows = search_detours(*ranked(graph), threshold)
             # independent recount from the oracle's raw triplets
-            oracle = [DetourInsight(*row) for row in brute_force_detours(graph, threshold)]
-            pairs = {(i.source, i.destination) for i in oracle if i.kind == KIND_IMPROVEMENT}
+            oracle = brute_force_detours(graph, threshold)
+            pairs = {(i[0], i[2]) for i in oracle if i[7] == KIND_IMPROVEMENT}
             for width in (0.25, 1.0, 2.5, 10.0):
                 histogram = rows.histogram(bucket_width_pct=width)
-                assert histogram.counts == improvement_histogram(oracle, width)
-                assert histogram.total_pairs() == len(pairs)
+                assert histogram == improvement_histogram(oracle, width)
+                assert sum(histogram.values()) == len(pairs)
 
-    def test_cumulative_rendering(self):
-        histogram = self._rows([1.2, 1.9, 2.5]).histogram(bucket_width_pct=1.0)
-        assert histogram.cumulative() == {2.0: 1, 1.0: 3}
+    def test_cumulative_rendering(self, tmp_path):
+        # `detours --cumulative` counts each bucket's pairs and those above it
+        snapshot = tmp_path / "graph.csv"
+        save_graph(self._graph([1.2, 1.9, 2.5, 4.5]), snapshot)
+        for flags, counts in (([], ["1,2", "2,1", "4,1"]), (["--cumulative"], ["1,4", "2,2", "4,1"])):
+            argv = ["--output-dir", str(tmp_path), "detours", str(snapshot), "--threshold-pct", "0"]
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
+                assert main(argv + flags) == 0
+            assert "improvable_pairs=4\n" in stdout.getvalue()
+            lines = (tmp_path / "histogram.csv").read_text(encoding="utf-8").splitlines()
+            assert lines == ["bucket_pct,pair_count", *counts]
 
     def test_bucket_width_must_be_positive(self):
         rows = self._rows([1.2])
@@ -343,7 +348,7 @@ class TestExport:
 
         histogram = search_detours(*ranked(graph), 1.0).histogram(1.0)
         hist_path = tmp_path / "hist.csv"
-        write_table(hist_path, "csv", HISTOGRAM_COLUMNS, sorted(histogram.counts.items()))
+        write_table(hist_path, "csv", HISTOGRAM_COLUMNS, sorted(histogram.items()))
         assert hist_path.read_text(encoding="utf-8").splitlines() == [
             "bucket_pct,pair_count",
             "80,1",
@@ -368,7 +373,7 @@ class TestExport:
             }
         )
         ordered = report_order(search_detours(*ranked(graph), 1.0).insights())
-        kinds = [i.kind for i in ordered]
+        kinds = [i[7] for i in ordered]
         assert kinds == sorted(kinds, key=lambda k: k == KIND_BRIDGE)
 
 
@@ -378,19 +383,7 @@ ENDPOINTS = ["7", "12", "300", "10.0.0.1", "10.0.0.12", "9.9.9.9", "a,b", 'say "
 
 def reference_json(insights) -> str:
     """The insight file as ``json.dump(indent=2)`` renders it."""
-    objects = [
-        {
-            "source": i.source,
-            "via": i.via,
-            "destination": i.destination,
-            "overlay_rtt_ms": i.overlay_rtt_ms,
-            "direct_rtt_ms": i.direct_rtt_ms,
-            "improvement_ms": i.improvement_ms,
-            "improvement_pct": i.improvement_pct,
-            "kind": i.kind,
-        }
-        for i in insights
-    ]
+    objects = [dict(zip(INSIGHT_HEADER, i)) for i in insights]
     return json.dumps(objects, indent=2) + "\n"
 
 
@@ -409,13 +402,13 @@ class TestReportOrderProperty:
     @settings(max_examples=150, deadline=None)
     @given(graph=quirky_graphs(), threshold=st.sampled_from([0.0, 1.0, 20.0, 50.0]))
     def test_enumeration_is_oracle_in_report_order(self, graph, threshold):
-        oracle = report_order(DetourInsight(*row) for row in brute_force_detours(graph, threshold))
+        oracle = report_order(brute_force_detours(graph, threshold))
         assert list(search_detours(*ranked(graph), threshold).insights()) == oracle
 
     @settings(max_examples=40, deadline=None)
     @given(graph=quirky_graphs(), threshold=st.sampled_from([0.0, 1.0, 20.0]))
     def test_cli_files_match_reference_writers(self, graph, threshold):
-        oracle = report_order(DetourInsight(*row) for row in brute_force_detours(graph, threshold))
+        oracle = report_order(brute_force_detours(graph, threshold))
         with tempfile.TemporaryDirectory() as work:
             work = Path(work)
             snapshot = work / "graph.csv"

@@ -158,6 +158,10 @@ COMMAND_CASES = {
         "--output-dir", str(w / "out"), "--format", "json",
         "traceroutes", _trace_dir(w), "--geo-cache", str(INPUTS / "geo_cache.csv"),
     ],
+    # rDNS tokens alone: a trace with mostly dark hops is Unknown
+    ("traceroutes", "no-geo"): lambda w: [
+        "--output-dir", str(w / "out"), "traceroutes", _trace_dir(w),
+    ],
     ("overlay", "csv"): lambda w: ["--output-dir", str(w / "out"), "--format", "csv"]
     + _overlay_args("--mode-bin-width", "0.01", "--forwarding-delay", "0.25"),
     ("overlay", "json"): lambda w: ["--output-dir", str(w / "out"), "--format", "json"]
@@ -168,6 +172,13 @@ COMMAND_CASES = {
         "[output]\ndir = {work}/out\n",
     )
     + _overlay_args(),
+    # one leg composed, and a verdict decided by mean
+    ("overlay", "one-leg"): lambda w: [
+        "--output-dir", str(w / "out"), "overlay",
+        "--leg", f"AB={FIXTURES / 'overlay' / 'leg_ab.txt'}",
+        "--direct", str(FIXTURES / "overlay" / "direct_ac.txt"),
+        "--mode-bin-width", "0.01",
+    ],
     ("detours", "config"): lambda w: _config(
         w,
         "[detours]\nthreshold_pct = 10\nbucket_width_pct = 5\ntop = 2\ncumulative = yes\n\n"

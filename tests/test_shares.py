@@ -65,7 +65,9 @@ def test_golden_output_at_any_cpu_count(tmp_path, monkeypatch, command, case, cp
     for name, content in produced.items():
         assert content == (expected_dir / name).read_bytes(), name
     if command in ("traceroutes", "overlay"):
-        inputs = len(TRACES) + 1 if command == "traceroutes" else 3
+        # overlay writes one distribution file per input
+        overlay_inputs = sum(name.startswith("distribution_") for name in produced)
+        inputs = len(TRACES) + 1 if command == "traceroutes" else overlay_inputs
         assert len(forks) == min(cpus, inputs) - 1
     else:  # one feed file, a graph, an address list: nothing to share out
         assert forks == []

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 from conftest import frequency_distribution, monte_carlo_compose, summarize, summary_from_moments
 from detourkit.cli import SUMMARY_COLUMNS, write_table
 from detourkit.errors import EmptyInputError, ParseError, ToolkitError
-from detourkit.stats import OverlayPath, RttSummary, compare, compose, describe, read_samples
+from detourkit.stats import RttSummary, compare, compose, describe, read_samples
 from detourkit.stats import _peaks
 
 # full-precision per-leg statistics of the reference measurement runs
@@ -124,7 +124,7 @@ class TestSummarize:
 
 class TestCompose:
     def test_reference_leg_composition(self):
-        composed = compose(OverlayPath(legs=(leg(LEG_AB), leg(LEG_BC, modality="bimodal"))))
+        composed = compose((leg(LEG_AB), leg(LEG_BC, modality="bimodal")))
         assert composed.mean_ms == pytest.approx(67.918100079, abs=1e-8)
         assert composed.median_ms == pytest.approx(70.217, abs=1e-9)
         assert composed.variance_ms2 == pytest.approx(170.5959250585, abs=1e-8)
@@ -135,7 +135,7 @@ class TestCompose:
 
     def test_single_leg_identity(self):
         one = leg(LEG_AB)
-        composed = compose(OverlayPath(legs=(one,)))
+        composed = compose((one,))
         assert composed.mean_ms == one.mean_ms
         assert composed.median_ms == one.median_ms
         assert composed.variance_ms2 == one.variance_ms2
@@ -145,13 +145,13 @@ class TestCompose:
     def test_zero_variance_leg_keeps_other_std(self):
         flat = summary_from_moments(5.0, 5.0, 0.0, 5.0, sample_count=10)
         other = leg(LEG_BC, modality="bimodal")
-        composed = compose(OverlayPath(legs=(flat, other)))
+        composed = compose((flat, other))
         assert composed.std_dev_ms == other.std_dev_ms
 
     def test_left_nested_composition_matches_flat(self):
         a, b, c = leg(LEG_AB), leg(LEG_BC), leg(DIRECT_AC)
-        flat = compose(OverlayPath(legs=(a, b, c)))
-        nested = compose(OverlayPath(legs=(compose(OverlayPath(legs=(a, b))), c)))
+        flat = compose((a, b, c))
+        nested = compose((compose((a, b)), c))
         assert nested.mean_ms == flat.mean_ms
         assert nested.median_ms == flat.median_ms
         assert nested.mode_ms == flat.mode_ms
@@ -159,14 +159,14 @@ class TestCompose:
 
     def test_general_associativity_within_float_noise(self):
         a, b, c = leg(LEG_AB), leg(LEG_BC), leg(DIRECT_AC)
-        flat = compose(OverlayPath(legs=(a, b, c)))
-        right = compose(OverlayPath(legs=(a, compose(OverlayPath(legs=(b, c))))))
+        flat = compose((a, b, c))
+        right = compose((a, compose((b, c))))
         assert right.mean_ms == pytest.approx(flat.mean_ms, rel=1e-12)
         assert right.variance_ms2 == pytest.approx(flat.variance_ms2, rel=1e-12)
 
     def test_relay_forwarding_delay(self):
-        composed = compose(OverlayPath(legs=(leg(LEG_AB), leg(LEG_BC))), forwarding_delay_ms=2.0)
-        plain = compose(OverlayPath(legs=(leg(LEG_AB), leg(LEG_BC))))
+        composed = compose((leg(LEG_AB), leg(LEG_BC)), forwarding_delay_ms=2.0)
+        plain = compose((leg(LEG_AB), leg(LEG_BC)))
         assert composed.mean_ms == plain.mean_ms + 2.0
         assert composed.median_ms == plain.median_ms + 2.0
         assert composed.variance_ms2 == plain.variance_ms2
@@ -184,45 +184,45 @@ class TestCompose:
                 )
                 for _ in range(rng.randint(1, 4))
             )
-            composed = compose(OverlayPath(legs=legs))
+            composed = compose(legs)
             assert composed.variance_ms2 >= max(l.variance_ms2 for l in legs) - 1e-12
             assert composed.std_dev_ms <= sum(l.std_dev_ms for l in legs) + 1e-12
             assert composed.sample_count == min(l.sample_count for l in legs)
 
     def test_multimodal_leg_flags_composition(self):
-        composed = compose(OverlayPath(legs=(leg(LEG_AB), leg(LEG_BC, modality="multimodal"))))
+        composed = compose((leg(LEG_AB), leg(LEG_BC, modality="multimodal")))
         assert composed.modality == "multimodal"
 
     def test_degenerate_leg_rejected(self):
         empty = RttSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.5, "degenerate")
-        with pytest.raises(ValueError):
-            OverlayPath(legs=(empty,))
+        with pytest.raises(ValueError, match="legs must be non-degenerate"):
+            compose((leg(LEG_AB), empty))
+
+    def test_no_legs_rejected(self):
+        with pytest.raises(ValueError, match="a path needs at least one leg"):
+            compose(())
 
 
 class TestCompare:
     def test_reference_route_comparison(self):
-        composed = compose(OverlayPath(legs=(leg(LEG_AB), leg(LEG_BC, modality="bimodal"))))
-        verdict = compare(leg(DIRECT_AC), composed)
-        assert verdict.median_delta_ms == pytest.approx(8.22, abs=0.01)
-        assert verdict.mode_delta_ms == pytest.approx(10.52, abs=0.01)
-        assert verdict.description == "direct route is 8.22 ms faster by median"
+        composed = compose((leg(LEG_AB), leg(LEG_BC, modality="bimodal")))
+        description, median_delta, mode_delta, _ = compare(leg(DIRECT_AC), composed)
+        assert median_delta == pytest.approx(8.22, abs=0.01)
+        assert mode_delta == pytest.approx(10.52, abs=0.01)
+        assert description == "direct route is 8.22 ms faster by median"
 
     def test_identical_summaries_tie(self):
         one = leg(LEG_AB)
-        verdict = compare(one, one)
-        assert verdict.mean_delta_ms == 0.0
-        assert verdict.median_delta_ms == 0.0
-        assert verdict.mode_delta_ms == 0.0
-        assert verdict.description == "routes tie on mean"
+        assert compare(one, one) == ("routes tie on mean", 0.0, 0.0, 0.0)
 
     def test_bimodal_direct_prefers_median(self):
-        verdict = compare(leg(DIRECT_AC, modality="bimodal"), leg(LEG_AB))
-        assert verdict.description == "overlay route is 4.00 ms faster by median"
+        description, *_ = compare(leg(DIRECT_AC, modality="bimodal"), leg(LEG_AB))
+        assert description == "overlay route is 4.00 ms faster by median"
 
     def test_all_unimodal_prefers_mean(self):
-        verdict = compare(leg(DIRECT_AC), leg(LEG_AB))
+        description, *_ = compare(leg(DIRECT_AC), leg(LEG_AB))
         # 57.45 overlay beats 61.72 direct on mean
-        assert verdict.description == "overlay route is 4.27 ms faster by mean"
+        assert description == "overlay route is 4.27 ms faster by mean"
 
 
 class TestMonteCarlo:
@@ -230,9 +230,7 @@ class TestMonteCarlo:
         rng = random.Random(77)
         leg_a = [rng.gauss(20.0, 2.0) for _ in range(2000)]
         leg_b = [rng.gauss(30.0, 3.0) for _ in range(2000)]
-        composed = compose(
-            OverlayPath(legs=(summarize(leg_a), summarize(leg_b)))
-        )
+        composed = compose((summarize(leg_a), summarize(leg_b)))
         empirical = monte_carlo_compose(
             [leg_a, leg_b], draws=100_000, rng=random.Random(5)
         )
@@ -268,7 +266,7 @@ class TestSampleIo:
         assert describe([1.0, 1.1, 2.0], 0.5)[1] == [(1.0, 2), (2.0, 1)]
 
     def test_summary_row_two_decimal_rendering(self, tmp_path):
-        composed = compose(OverlayPath(legs=(leg(LEG_AB), leg(LEG_BC, modality="bimodal"))))
+        composed = compose((leg(LEG_AB), leg(LEG_BC, modality="bimodal")))
         row = ("via-relay", *(getattr(composed, name) for name, _ in SUMMARY_COLUMNS[1:]))
         out = tmp_path / "summary.csv"
         write_table(out, "csv", SUMMARY_COLUMNS, [row])
@@ -347,7 +345,7 @@ class TestFloatOverflow:
     def test_compose(self):
         huge = summary_from_moments(1e308, 1e308, 0.0, 1e308)
         with pytest.raises(ToolkitError):
-            compose(OverlayPath(legs=(huge, huge)))
+            compose((huge, huge))
 
     def test_monte_carlo_compose(self):
         with pytest.raises(ToolkitError):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from conftest import FIXTURES, hop_line_parts, hop_token_match, parse_hop_line
+from conftest import FIXTURES, hop_line_parts, parse_hop_line, token_match
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,12 +15,10 @@ from detourkit.geo import GeoRecord
 from detourkit.traceroute import (
     _TRACEROUTE_TO,
     LOS_ANGELES,
-    CityDetection,
     CitySpec,
-    TracerouteHop,
     TracerouteTrace,
-    _hop_token_match,
     _parse_hop_line,
+    _token_match,
     detect_city,
     parse_traceroute,
     read_trace_file,
@@ -53,39 +51,39 @@ class TestParse:
         assert trace.source_label == "lab box"
         assert trace.destination == "target.example.net"
         assert len(trace.hops) == 2
-        assert trace.hops[0] == TracerouteHop(1, "198.51.100.1", "gw.example.net")
+        assert trace.hops[0] == (1, "198.51.100.1", "gw.example.net")
 
     def test_unresponsive_hop(self):
         trace = parse_traceroute(
             "# x | y\n 1  gw (10.0.0.1)  1.0 ms\n 2  * * *\n 3  y (10.0.0.9)  3.0 ms\n"
         )
         hop = trace.hops[1]
-        assert hop == TracerouteHop(2, None, None)
+        assert hop == (2, None, None)
 
     def test_bare_ip_has_no_rdns(self):
         trace = parse_traceroute("# x | y\n 1  10.1.2.3  5.0 ms  5.1 ms\n")
-        hop = trace.hops[0]
-        assert hop.address == "10.1.2.3"
-        assert hop.rdns_name is None
+        _, address, rdns_name = trace.hops[0]
+        assert address == "10.1.2.3"
+        assert rdns_name is None
 
     def test_self_named_ip_has_no_rdns(self):
         trace = parse_traceroute("# x | y\n 1  10.1.2.3 (10.1.2.3)  5.0 ms\n")
-        assert trace.hops[0].rdns_name is None
+        assert trace.hops[0] == (1, "10.1.2.3", None)
 
     def test_multi_endpoint_line_keeps_first_and_all_rtts(self):
         trace = parse_traceroute(
             "# x | y\n 1  a.example (10.0.0.1)  1.0 ms  b.example (10.0.0.2)  2.0 ms\n"
         )
         # the first endpoint names the hop; each RTT is read past
-        assert trace.hops == (TracerouteHop(1, "10.0.0.1", "a.example"),)
+        assert trace.hops == ((1, "10.0.0.1", "a.example"),)
 
     def test_repeat_rtt_for_same_endpoint(self):
         trace = parse_traceroute("# x | y\n 1  gw (10.0.0.1)  1.0 ms  1.2 ms  *\n")
-        assert trace.hops == (TracerouteHop(1, "10.0.0.1", "gw"),)
+        assert trace.hops == ((1, "10.0.0.1", "gw"),)
 
     def test_annotation_tokens_ignored(self):
         trace = parse_traceroute("# x | y\n 1  gw (10.0.0.1)  1.0 ms !H  1.2 ms\n")
-        assert trace.hops == (TracerouteHop(1, "10.0.0.1", "gw"),)
+        assert trace.hops == ((1, "10.0.0.1", "gw"),)
 
     # an RTT is any text float() reads, followed by "ms"; it is read past,
     # where the same text without "ms" is a dangling value
@@ -95,10 +93,10 @@ class TestParse:
     def test_float_text_before_ms_is_an_rtt(self, token, rtt):
         assert float(token) == rtt or math.isnan(rtt)
         trace = parse_traceroute(f"# x | y\n 1  gw (10.0.0.1)  {token} ms\n")
-        assert trace.hops == (TracerouteHop(1, "10.0.0.1", "gw"),)
+        assert trace.hops == ((1, "10.0.0.1", "gw"),)
         # and before the hop's endpoint
         trace = parse_traceroute(f"# x | y\n 1  {token} ms  gw (10.0.0.1)\n")
-        assert trace.hops == (TracerouteHop(1, "10.0.0.1", "gw"),)
+        assert trace.hops == ((1, "10.0.0.1", "gw"),)
 
     @pytest.mark.parametrize("token", ["12.5", "inf"])
     def test_float_text_without_ms_is_dangling(self, token):
@@ -131,7 +129,7 @@ class TestHopCount:
         trace = read_trace_file(fixtures_dir / "traceroutes" / filename)
         assert trace.source_label == label
         assert len(trace.hops) == hops
-        assert detect_city(trace, LOS_ANGELES).verdict == verdict
+        assert detect_city(trace, LOS_ANGELES) == verdict
 
     def test_single_hop_loopback(self):
         trace = parse_traceroute(
@@ -148,54 +146,51 @@ class TestHopCount:
 class TestDetectCity:
     def test_token_evidence_with_hop_index(self, fixtures_dir):
         trace = read_trace_file(fixtures_dir / "traceroutes" / "03_sd_downtown_wifi.txt")
-        detection = detect_city(trace, LOS_ANGELES)
-        assert detection.verdict == "yes"
-        assert detection.evidence[0] == (7, "lax")
+        assert detect_city(trace, LOS_ANGELES) == "yes"
+        # hop 7 is the first with evidence, a "lax" router name
+        assert trace.hops[6][0] == 7 and "lax" in trace.hops[6][2]
+        up_to = [TracerouteTrace("x", "y", trace.hops[:stop]) for stop in (6, 7)]
+        lax_only = CitySpec(tokens=frozenset({"lax"}))
+        for spec in (LOS_ANGELES, lax_only):
+            assert [detect_city(cut, spec) == "yes" for cut in up_to] == [False, True]
 
     def test_no_match_on_embedded_token(self):
         trace = parse_traceroute("# x | y\n 1  relax.example.net (10.0.0.1)  1.0 ms\n")
-        assert detect_city(trace, LOS_ANGELES).verdict == "no"
+        assert detect_city(trace, LOS_ANGELES) == "no"
 
     def test_hyphen_prefix_token(self):
         trace = parse_traceroute("# x | y\n 1  la-cr1.carrier.net (10.0.0.1)  1.0 ms\n")
-        detection = detect_city(trace, LOS_ANGELES)
-        assert detection.verdict == "yes"
-        assert detection.evidence == ((1, "la-"),)
+        assert detect_city(trace, LOS_ANGELES) == "yes"
+        assert detect_city(trace, CitySpec(tokens=frozenset({"la-"}))) == "yes"
 
     def test_hyphen_separated_segment_token(self):
         trace = parse_traceroute("# x | y\n 1  ae-lax-3.carrier.net (10.0.0.1)  1.0 ms\n")
-        assert detect_city(trace, LOS_ANGELES).verdict == "yes"
+        assert detect_city(trace, LOS_ANGELES) == "yes"
 
     def test_geo_city_fallback(self):
         trace = parse_traceroute("# x | y\n 1  core7.carrier.net (10.0.0.1)  1.0 ms\n")
         place = GeoRecord("10.0.0.1", "Los Angeles", "CA", "US", "cache")
-        detection = detect_city(trace, LOS_ANGELES, {"10.0.0.1": place}.__getitem__)
-        assert detection.verdict == "yes"
-        assert detection.evidence == ((1, "Los Angeles"),)
-        assert detect_city(trace, LOS_ANGELES).verdict == "no"
+        assert detect_city(trace, LOS_ANGELES, {"10.0.0.1": place}.__getitem__) == "yes"
+        assert detect_city(trace, LOS_ANGELES) == "no"
 
     def test_unknown_when_half_unassessable(self):
         trace = parse_traceroute(
             "# x | y\n 1  gw.example.net (10.0.0.1)  1.0 ms\n 2  * * *\n 3  * * *\n 4  10.0.0.4  4.0 ms\n"
         )
-        assert detect_city(trace, LOS_ANGELES).verdict == "unknown"
+        assert detect_city(trace, LOS_ANGELES) == "unknown"
 
     def test_no_when_hops_resolvable(self):
         trace = parse_traceroute(
             "# x | y\n 1  gw.example.net (10.0.0.1)  1.0 ms\n 2  core.example.net (10.0.0.2)  2.0 ms\n"
         )
-        assert detect_city(trace, LOS_ANGELES).verdict == "no"
+        assert detect_city(trace, LOS_ANGELES) == "no"
 
     def test_yes_always_has_valid_evidence(self, fixtures_dir):
-        for filename, _, _, verdict in TABLE_SHAPE:
+        # with no geo data, "yes" exactly when some hop's name has a token
+        for filename, _, _, _ in TABLE_SHAPE:
             trace = read_trace_file(fixtures_dir / "traceroutes" / filename)
-            detection = detect_city(trace, LOS_ANGELES)
-            if detection.verdict == "yes":
-                assert detection.evidence
-                valid = {hop.index for hop in trace.hops}
-                assert all(index in valid for index, _ in detection.evidence)
-            else:
-                assert detection.evidence == ()
+            matched = [hop for hop in trace.hops if reference_token(hop, LOS_ANGELES.tokens)]
+            assert (detect_city(trace, LOS_ANGELES) == "yes") == bool(matched)
 
     def test_city_spec_needs_criteria(self):
         with pytest.raises(ValueError):
@@ -204,38 +199,40 @@ class TestDetectCity:
 
 def reference_token(hop, tokens):
     """First sorted token that starts a dot- or hyphen-separated part of
-    the hop's rDNS name."""
-    if hop.rdns_name is None:
+    the rDNS name of the ``(index, address, rdns_name)`` hop."""
+    rdns_name = hop[2]
+    if rdns_name is None:
         return None
     parts = set()
-    for segment in hop.rdns_name.lower().split("."):
+    for segment in rdns_name.lower().split("."):
         parts.update([segment, *segment.split("-")])
     return next((t for t in sorted(tokens) if any(p.startswith(t.lower()) for p in parts)), None)
 
 
-def eager_detect_city(trace, city_spec, place) -> CityDetection:
-    """Reference: place every hop with an address first, then decide."""
-    places = {hop.index: place(hop.address) for hop in trace.hops if hop.address is not None}
+def eager_detect_city(trace, city_spec, place) -> tuple[str, list[int]]:
+    """Reference: place every hop with an address first, then decide. The
+    verdict, and the positions in ``trace.hops`` of the hops with evidence."""
+    places = {index: place(address) for index, address, _ in trace.hops if address is not None}
     evidence = []
     unassessable = 0
-    for hop in trace.hops:
-        token = reference_token(hop, city_spec.tokens)
-        if token is not None:
-            evidence.append((hop.index, token))
+    for position, hop in enumerate(trace.hops):
+        index, _, rdns_name = hop
+        if reference_token(hop, city_spec.tokens) is not None:
+            evidence.append(position)
             continue
-        record = places.get(hop.index)
+        record = places.get(index)
         city = record.city if record is not None else None
         wanted = city_spec.geo_city
         if city is not None and wanted is not None and city.lower() == wanted.lower():
-            evidence.append((hop.index, city))
+            evidence.append(position)
             continue
-        if hop.rdns_name is None and city is None:
+        if rdns_name is None and city is None:
             unassessable += 1
     if evidence:
-        return CityDetection("yes", tuple(evidence))
+        return "yes", evidence
     if trace.hops and unassessable / len(trace.hops) >= 0.5:
-        return CityDetection("unknown", ())
-    return CityDetection("no", ())
+        return "unknown", evidence
+    return "no", evidence
 
 
 ADDRESSES = ["10.0.0.1", "198.51.100.7", "203.0.113.9", "(bogus)"]
@@ -246,10 +243,10 @@ CITIES = ["Los Angeles", "los angeles", "San Diego"]
 @st.composite
 def traces_and_tables(draw):
     hops = tuple(
-        TracerouteHop(
-            index=index,
-            address=draw(st.none() | st.sampled_from(ADDRESSES)),
-            rdns_name=draw(st.none() | st.sampled_from(NAMES)),
+        (
+            index,
+            draw(st.none() | st.sampled_from(ADDRESSES)),
+            draw(st.none() | st.sampled_from(NAMES)),
         )
         for index in range(1, draw(st.integers(0, 8)) + 1)
     )
@@ -276,14 +273,16 @@ def test_lazy_locate_matches_eager_reference(case):
             return None
         return GeoRecord(address, table[address], None, "US", "cache")
 
-    expected = eager_detect_city(trace, spec, place)
+    verdict, evidence = eager_detect_city(trace, spec, place)
     calls.clear()
-    assert detect_city(trace, spec, place) == expected
-    # asked only for the address of a hop that no token matched
+    assert detect_city(trace, spec, place) == verdict
+    # asked, in hop order, only for the address of a hop that no token
+    # matched, up to the first hop with evidence and for none after it
+    asked = trace.hops[: evidence[0] + 1] if evidence else trace.hops
     assert calls == [
-        hop.address
-        for hop in trace.hops
-        if hop.address is not None and reference_token(hop, spec.tokens) is None
+        address
+        for hop in asked
+        if (address := hop[1]) is not None and reference_token(hop, spec.tokens) is None
     ]
 
 
@@ -418,5 +417,4 @@ CITY_TOKENS = ["lax", "LA-", "la-", "losangeles", "core", "x.l", "a-c", "-", "."
 )
 def test_token_match_matches_the_segment_oracle(name, tokens):
     pairs = [(token, token.lower()) for token in sorted(tokens)]
-    hop = TracerouteHop(1, None, name)
-    assert _hop_token_match(hop, pairs) == hop_token_match(hop, pairs)
+    assert _token_match(name, pairs) == token_match(name, pairs)
