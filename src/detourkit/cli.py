@@ -568,7 +568,8 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
         owners[name] = label
 
     def describe(path: Path) -> tuple[stats_mod.RttSummary, list[tuple[float, int]]]:
-        # only the distribution is kept, so the samples are freed once summarized
+        # the samples are an array of 8-byte floats, summarized without a sorted
+        # copy; only the distribution is kept, so they are freed once summarized
         samples = stats_mod.read_samples(path)
         if not samples:
             raise EmptyInputError(f"no samples in {path}")

@@ -10,6 +10,10 @@ fixed-width histogram bin; bins are centered on multiples of the bin width,
 so a constant sample reports its own value. Median and mode composition by
 plain addition is a modeling convention, not a distributional identity: the
 median and mode of a sum of draws need not match the added per-leg values.
+
+A sample file is read into an ``array('d')``, 8 bytes a sample, and is never
+sorted whole: the histogram is counted in one pass, and the median is taken
+from the sorted members of the one or two bins that hold the middle ranks.
 """
 
 from __future__ import annotations
@@ -18,8 +22,10 @@ import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate, compress, islice, repeat
+from operator import add, truediv
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import EmptyInputError, ParseError, ToolkitError, open_text
 
@@ -36,6 +42,9 @@ _MODALITY_RANK = {
 
 # a secondary histogram peak below this fraction of the tallest peak is noise
 PEAK_MIN_FRACTION = 0.10
+
+# read_samples() converts this many lines at a time
+READ_CHUNK_LINES = 4096
 
 @dataclass(frozen=True, slots=True)
 class RttSummary:
@@ -96,8 +105,9 @@ def _modality(counts: Counter) -> str:
 def describe(
     samples: Sequence[float], mode_bin_width_ms: float
 ) -> tuple[RttSummary, list[tuple[float, int]]]:
-    """Summarize a list of RTTs (ms), and give the ``(bin center, count)``
-    pairs, sorted by center, of the histogram the mode is taken from (for
+    """Summarize a sequence of RTTs (ms), such as the ``array('d')``
+    :func:`read_samples` gives, and give the ``(bin center, count)`` pairs,
+    sorted by center, of the histogram the mode is taken from (for
     plotting). Samples must be finite and > 0.
 
     Median uses the midpoint convention for even counts; variance is the
@@ -105,43 +115,60 @@ def describe(
     of width ``mode_bin_width_ms``, with count ties going to the lower bin.
     Raises :class:`ToolkitError` when the sum, a squared deviation or a bin
     index passes the largest float.
+
+    The sample is never copied or sorted whole: the bins are counted in one
+    pass, and the median is taken from the sorted members of the one or two
+    bins that hold the middle ranks, picked out in a second pass.
     """
     if mode_bin_width_ms <= 0:
         raise ValueError("mode_bin_width_ms must be > 0")
     n = len(samples)
     if n == 0:
         raise EmptyInputError("no samples")
-    for value in samples:
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"samples must be finite and > 0, got {value!r}")
-
     try:
-        mean = math.fsum(samples) / n
+        total = math.fsum(samples)
+    except (OverflowError, ValueError):  # a sum past the largest float, or inf with -inf
+        total = None
+    # a finite total means that no sample is inf or nan, and then min() > 0
+    # that every one is > 0; else the first bad sample is named
+    if total is None or not (math.isfinite(total) and min(samples) > 0):
+        for value in samples:
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"samples must be finite and > 0, got {value!r}")
+    overflow = "the sample sum or variance passes the largest float"
+    if total is None:  # every sample is valid, so the sum passed the largest float
+        raise ToolkitError(overflow)
+    mean = total / n
+    try:
         variance = math.fsum((value - mean) ** 2 for value in samples) / n
     except OverflowError:
-        raise ToolkitError("the sample sum or variance passes the largest float") from None
-    ordered = sorted(samples)
-    middle = n // 2
-    median = ordered[middle] if n % 2 else (ordered[middle - 1] + ordered[middle]) / 2
+        raise ToolkitError(overflow) from None
 
     # bin k = floor(v / w + 0.5) covers [k*w - w/2, k*w + w/2); k never
-    # decreases as v grows, so each bin is one run of the sorted samples
-    def bin_index(value: float) -> int:
-        return math.floor(value / mode_bin_width_ms + 0.5)
+    # decreases as v grows, so each bin holds one run of the sorted samples
+    def bin_indices() -> Iterator[int]:
+        halves = map(add, map(truediv, samples, repeat(mode_bin_width_ms)), repeat(0.5))
+        return map(math.floor, halves)
 
-    counts: Counter = Counter()
-    start = 0
     try:
-        while start < n:
-            index = bin_index(ordered[start])
-            end = bisect_right(ordered, index, start, n, key=bin_index)
-            counts[index] = end - start
-            start = end
+        counts = Counter(bin_indices())
     except OverflowError:
         message = f"a sample over the bin width {mode_bin_width_ms:g} passes the largest float"
         raise ToolkitError(message) from None
+    indices = sorted(counts)
     mode_index, _ = max(counts.items(), key=lambda item: (item[1], -item[0]))
     mode = mode_index * mode_bin_width_ms
+
+    # the bins of the middle ranks (one bin, or two with only empty bins
+    # between them) are one run of the sorted samples, after ``below`` of them
+    ends = list(accumulate(counts[index] for index in indices))
+    high = n // 2
+    low = high if n % 2 else high - 1
+    first, last = bisect_right(ends, low), bisect_right(ends, high)
+    below = ends[first - 1] if first else 0
+    wanted = {indices[first], indices[last]}
+    run = sorted(compress(samples, map(wanted.__contains__, bin_indices())))
+    median = run[high - below] if n % 2 else (run[low - below] + run[high - below]) / 2
 
     summary = RttSummary(
         mean_ms=mean,
@@ -153,7 +180,7 @@ def describe(
         mode_bin_width_ms=mode_bin_width_ms,
         modality=_modality(counts),
     )
-    return summary, [(index * mode_bin_width_ms, count) for index, count in counts.items()]
+    return summary, [(index * mode_bin_width_ms, counts[index]) for index in indices]
 
 
 def compose(legs: Sequence[RttSummary], forwarding_delay_ms: float = 0.0) -> RttSummary:
@@ -226,24 +253,40 @@ def compare(direct: RttSummary, overlay: RttSummary) -> tuple[str, float, float,
     return description, median_delta, mode_delta, mean_delta
 
 
-def read_samples(path: str | Path) -> list[float]:
-    """Read one RTT (ms) per line; blank lines and # comments are skipped.
+def read_samples(path: str | Path) -> Sequence[float]:
+    """Read one RTT (ms) per line into an ``array('d')``, 8 bytes a sample;
+    blank lines and # comments are skipped.
 
     Raises :class:`ParseError` with the line number for text that is not a
     finite number > 0, or a byte that is not UTF-8.
     """
-    samples: list[float] = []
+    from array import array  # here, so that CLI start-up imports no new module
+
+    samples = array("d")
+    lineno = 0
     with open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            # float() skips the whitespace that strip() would
+        while chunk := list(islice(handle, READ_CHUNK_LINES)):
+            # a chunk of numbers only, all finite and > 0, is taken whole; a
+            # nan fails min() when it comes first and else makes the sum nan
             try:
-                value = float(line)
-            except ValueError as exc:
-                text = line.strip()
-                if not text or text.startswith("#"):
-                    continue
-                raise ParseError(lineno, f"bad sample {text!r}") from exc
-            if not 0 < value < math.inf:
-                raise ParseError(lineno, f"sample must be finite and > 0, got {line.strip()!r}")
-            samples.append(value)
+                values = array("d", map(float, chunk))
+                whole = min(values) > 0 and sum(values) < math.inf
+            except ValueError:
+                whole = False
+            if whole:
+                samples += values
+                lineno += len(chunk)
+                continue
+            for lineno, line in enumerate(chunk, start=lineno + 1):
+                # float() skips the whitespace that strip() would
+                try:
+                    value = float(line)
+                except ValueError as exc:
+                    text = line.strip()
+                    if not text or text.startswith("#"):
+                        continue
+                    raise ParseError(lineno, f"bad sample {text!r}") from exc
+                if not 0 < value < math.inf:
+                    raise ParseError(lineno, f"sample must be finite and > 0, got {line.strip()!r}")
+                samples.append(value)
     return samples

@@ -229,12 +229,15 @@ def overlay(work: Path, legs: list[Path], direct: Path) -> tuple[int, str, str, 
         ((1, 3), "analysis error: parse error at 2: bad sample 'x'"),
         ((2, 3), "input not found: "),
         ((3,), "analysis error: no samples in "),
+        ((0, 1, 3), "analysis error: parse error at 5001: sample must be finite and > 0, got 'nan'"),
     ],
 )
 def test_overlay_reports_the_first_failing_input(tmp_path, monkeypatch, failing, message):
-    # inputs in command-line order: three legs, then --direct; input 1 has a
-    # bad sample, input 2 is missing and input 3 is empty
+    # inputs in command-line order: three legs, then --direct; input 0 has a
+    # nan past the first chunk read_samples() converts, input 1 has a bad
+    # sample, input 2 is missing and input 3 is empty
     faults = {
+        0: ("late.txt", "12.5\n" * 5000 + "nan\n13.5\n"),
         1: ("bad.txt", "12.5\nx\n"),
         2: ("missing.txt", None),
         3: ("empty.txt", "# none\n"),

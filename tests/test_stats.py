@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import random
 import statistics
+import tracemalloc
+from array import array
 from collections import Counter
 
 import pytest
@@ -242,7 +244,8 @@ class TestSampleIo:
     def test_read_samples_skips_comments(self, tmp_path):
         path = tmp_path / "s.txt"
         path.write_text("# header\n1.5\n\n2.5\n", encoding="utf-8")
-        assert read_samples(path) == [1.5, 2.5]
+        # an array('d') does not equal a list
+        assert list(read_samples(path)) == [1.5, 2.5]
 
     def test_read_samples_bad_line(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -259,6 +262,52 @@ class TestSampleIo:
             read_samples(path)
         assert exc.value.position == 3
         assert repr(text) in exc.value.reason
+
+    @pytest.mark.parametrize(
+        "fault,reason",
+        [
+            ("xyz", "bad sample 'xyz'"),
+            ("nan", "sample must be finite and > 0, got 'nan'"),
+            ("inf", "sample must be finite and > 0, got 'inf'"),
+            ("0", "sample must be finite and > 0, got '0'"),
+            ("-3", "sample must be finite and > 0, got '-3'"),
+        ],
+    )
+    @pytest.mark.parametrize("lineno", [4097, 4100, 9000, 12289])
+    def test_read_samples_fault_past_the_first_chunk(self, tmp_path, fault, reason, lineno):
+        # READ_CHUNK_LINES lines are converted at a time; a fault in a later
+        # chunk, at its first line or inside it, names the same line as
+        # reading one line at a time does
+        lines = [f"{1 + index % 97 / 8}" for index in range(12_500)]
+        lines[lineno - 1] = fault
+        path = tmp_path / "s.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(ParseError) as exc:
+            read_samples(path)
+        assert (exc.value.position, exc.value.reason) == (lineno, reason)
+        assert (exc.value.position, exc.value.reason) == line_by_line_fault(lines)
+
+    def test_read_samples_skips_comments_and_blanks_past_the_first_chunk(self, tmp_path):
+        lines = [f"{1 + index % 89 / 4}" for index in range(10_000)]
+        for lineno, text in ((4096, "# at a chunk's end"), (4097, ""), (4500, "  # indented"),
+                             (8193, "   "), (9999, "# last but one")):
+            lines[lineno - 1] = text
+        path = tmp_path / "s.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expected = [float(line) for line in lines if line.strip() and "#" not in line]
+        samples = read_samples(path)
+        assert samples.typecode == "d"
+        assert list(samples) == expected
+
+    def test_read_samples_non_utf8_byte_past_the_first_chunk(self, tmp_path):
+        lines = [b"%d.25" % (1 + index % 50) for index in range(6000)]
+        lines[5000] = b"12.\xff5"
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(ParseError) as exc:
+            read_samples(path)
+        assert exc.value.position == 5001
+        assert "byte 0xff at column 4 is not UTF-8" in exc.value.reason
 
     def test_frequency_distribution(self):
         dist = frequency_distribution([1.0, 1.1, 2.0], bin_width_ms=0.5)
@@ -310,6 +359,105 @@ def brute_force_peaks(counts):
 @given(st.dictionaries(st.integers(-12, 12), st.integers(1, 3), max_size=20))
 def test_peaks_match_brute_force(bins):
     assert _peaks(Counter(bins)) == brute_force_peaks(bins)
+
+
+def test_overlay_leg_peak_per_sample(tmp_path):
+    # a bimodal leg of 200,000 samples, shaped like the benchmark's leg_bc
+    rng = random.Random(27)
+    values = [rng.gauss(15.0, 1.5) for _ in range(120_000)]
+    values += [rng.gauss(30.0, 2.0) for _ in range(80_000)]
+    rng.shuffle(values)
+    path = tmp_path / "leg.txt"
+    path.write_text("# rtt_ms\n" + "".join(f"{value:.3f}\n" for value in values), encoding="utf-8")
+    del values
+    tracemalloc.start()
+    try:
+        summary, _ = describe(read_samples(path), 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (summary.sample_count, summary.modality) == (200_000, "bimodal")
+    # the array takes 8 bytes a sample, and the median's bins about 6% of
+    # the sample; a list of floats and its sorted copy took about 44
+    assert peak <= 24 * summary.sample_count
+
+
+def line_by_line_fault(lines):
+    """(line number, reason) of the first line of ``lines`` that the
+    one-line-at-a-time reading rejects, or None."""
+    for lineno, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text or text.startswith("#"):
+            continue
+        try:
+            value = float(text)
+        except ValueError:
+            return lineno, f"bad sample {text!r}"
+        if not 0 < value < math.inf:
+            return lineno, f"sample must be finite and > 0, got {text!r}"
+    return None
+
+
+def sorted_median(samples):
+    ordered = sorted(samples)
+    middle = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[middle]
+    return (ordered[middle - 1] + ordered[middle]) / 2
+
+
+@pytest.mark.parametrize(
+    "samples,width",
+    [
+        # an even count whose middle ranks sit in two bins with empty bins between
+        ([1.0, 1.2, 2.1, 4.0, 4.1, 4.3], 1.0),
+        ([30.2, 5.0, 11.4, 5.1, 7.0, 9.0, 11.9, 30.0], 0.5),
+        # the whole sample in one bin, with an odd and an even count
+        ([10.01, 10.3, 9.8, 10.2, 9.9], 1.0),
+        ([10.01, 10.3, 9.8, 10.2, 9.9, 10.0], 1.0),
+        # one sample
+        ([42.0], 0.5),
+        # bin indices past 2**63
+        ([1e20, 3e20], 0.5),
+        ([3e20, 1e20, 2e20, 2e20 + 2**20], 0.5),
+    ],
+)
+def test_describe_median_bins(samples, width):
+    summary, distribution = describe(samples, width)
+    assert distribution == frequency_distribution(samples, width)
+    assert summary.median_ms == statistics.median(samples) == sorted_median(samples)
+    assert summary.mode_ms == max(distribution, key=lambda bin: (bin[1], -bin[0]))[0]
+    assert summary.sample_count == len(samples)
+
+
+def test_describe_array_and_list_agree():
+    rng = random.Random(27)
+    samples = [round(rng.gauss(15.0, 1.5), 3) for _ in range(3000)]
+    samples += [round(rng.gauss(30.0, 2.0), 3) for _ in range(2001)]
+    rng.shuffle(samples)
+    for count in (len(samples), len(samples) - 1):
+        as_list = samples[:count]
+        assert describe(array("d", as_list), 0.5) == describe(as_list, 0.5)
+        assert describe(as_list, 0.5)[0].median_ms == statistics.median(as_list)
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        [1.0, math.nan, 1e308, 1e308],
+        [1.0, 1e308, 1e308, -2.0],
+        [math.inf, 1e308, 1e308],
+        [1e308, math.inf, -math.inf],
+        [1e308, 1e308, 0.0],
+        [2.0, -1.0, 3.0, 0.0],
+    ],
+)
+def test_describe_names_the_first_invalid_sample(samples):
+    # each sample is checked before the sum, also when the sum is finite or
+    # passes the largest float
+    bad = next(value for value in samples if not (math.isfinite(value) and value > 0))
+    with pytest.raises(ValueError, match=f"got {bad!r}$"):
+        describe(samples, 0.5)
 
 
 def test_describe_bin_index_overflow_is_a_toolkit_error():
