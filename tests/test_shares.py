@@ -234,8 +234,8 @@ def overlay(work: Path, legs: list[Path], direct: Path) -> tuple[int, str, str, 
 )
 def test_overlay_reports_the_first_failing_input(tmp_path, monkeypatch, failing, message):
     # inputs in command-line order: three legs, then --direct; input 0 has a
-    # nan past the first chunk read_samples() converts, input 1 has a bad
-    # sample, input 2 is missing and input 3 is empty
+    # nan at line 5001, input 1 has a bad sample, input 2 is missing and
+    # input 3 is empty
     faults = {
         0: ("late.txt", "12.5\n" * 5000 + "nan\n13.5\n"),
         1: ("bad.txt", "12.5\nx\n"),

@@ -274,10 +274,9 @@ class TestSampleIo:
         ],
     )
     @pytest.mark.parametrize("lineno", [4097, 4100, 9000, 12289])
-    def test_read_samples_fault_past_the_first_chunk(self, tmp_path, fault, reason, lineno):
-        # READ_CHUNK_LINES lines are converted at a time; a fault in a later
-        # chunk, at its first line or inside it, names the same line as
-        # reading one line at a time does
+    def test_read_samples_fault_past_line_4096(self, tmp_path, fault, reason, lineno):
+        # a fault many 8 KB decode blocks into the file names the same line
+        # and reason as the one-line-at-a-time oracle
         lines = [f"{1 + index % 97 / 8}" for index in range(12_500)]
         lines[lineno - 1] = fault
         path = tmp_path / "s.txt"
@@ -287,9 +286,9 @@ class TestSampleIo:
         assert (exc.value.position, exc.value.reason) == (lineno, reason)
         assert (exc.value.position, exc.value.reason) == line_by_line_fault(lines)
 
-    def test_read_samples_skips_comments_and_blanks_past_the_first_chunk(self, tmp_path):
+    def test_read_samples_skips_comments_and_blanks_past_line_4096(self, tmp_path):
         lines = [f"{1 + index % 89 / 4}" for index in range(10_000)]
-        for lineno, text in ((4096, "# at a chunk's end"), (4097, ""), (4500, "  # indented"),
+        for lineno, text in ((4096, "# line 4096"), (4097, ""), (4500, "  # indented"),
                              (8193, "   "), (9999, "# last but one")):
             lines[lineno - 1] = text
         path = tmp_path / "s.txt"
@@ -299,7 +298,7 @@ class TestSampleIo:
         assert samples.typecode == "d"
         assert list(samples) == expected
 
-    def test_read_samples_non_utf8_byte_past_the_first_chunk(self, tmp_path):
+    def test_read_samples_non_utf8_byte_past_line_4096(self, tmp_path):
         lines = [b"%d.25" % (1 + index % 50) for index in range(6000)]
         lines[5000] = b"12.\xff5"
         path = tmp_path / "s.txt"
@@ -308,6 +307,20 @@ class TestSampleIo:
             read_samples(path)
         assert exc.value.position == 5001
         assert "byte 0xff at column 4 is not UTF-8" in exc.value.reason
+
+    def test_read_samples_first_fault_wins_over_a_later_non_utf8_byte(self, tmp_path):
+        # a bad sample in the first 8 KB decode block, and a non-UTF-8 byte
+        # in a later block before line 4097: lines are parsed in the order
+        # they are decoded, so the bad sample is the one reported
+        lines = [b"%d.25" % (1 + index % 50) for index in range(4000)]
+        lines[1] = b"x"
+        lines[3500] = b"12.\xff5"
+        path = tmp_path / "s.txt"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        assert path.stat().st_size > 2 * 8192
+        with pytest.raises(ParseError) as exc:
+            read_samples(path)
+        assert (exc.value.position, exc.value.reason) == (2, "bad sample 'x'")
 
     def test_frequency_distribution(self):
         dist = frequency_distribution([1.0, 1.1, 2.0], bin_width_ms=0.5)
@@ -377,7 +390,7 @@ def test_overlay_leg_peak_per_sample(tmp_path):
     finally:
         tracemalloc.stop()
     assert (summary.sample_count, summary.modality) == (200_000, "bimodal")
-    # the array takes 8 bytes a sample, and the median's bins about 6% of
+    # the array takes 8 bytes a sample, and the median's bins hold about 5% of
     # the sample; a list of floats and its sorted copy took about 44
     assert peak <= 24 * summary.sample_count
 
@@ -428,6 +441,19 @@ def test_describe_median_bins(samples, width):
     assert summary.median_ms == statistics.median(samples) == sorted_median(samples)
     assert summary.mode_ms == max(distribution, key=lambda bin: (bin[1], -bin[0]))[0]
     assert summary.sample_count == len(samples)
+
+
+@given(
+    st.lists(st.floats(min_value=1e-3, max_value=1e30), min_size=1, max_size=60),
+    st.sampled_from([1e-3, 0.5, 7.5, 1e6]),
+)
+def test_describe_median_at_any_magnitude(samples, width):
+    # past about 2**52 bins from zero, floats are spaced wider than a bin,
+    # and the median's bins are picked out with no bound from their
+    # neighbours' centres
+    summary, distribution = describe(samples, width)
+    assert distribution == frequency_distribution(samples, width)
+    assert summary.median_ms == statistics.median(samples) == sorted_median(samples)
 
 
 def test_describe_array_and_list_agree():
