@@ -17,10 +17,9 @@ from .geo import GeoCache, GeoLookup, GeoRecord
 from .graph import edge_rows, read_snapshot, write_snapshot
 from .ingest import FilterSpec
 from .stats import RttSummary, compare, compose
-from .traceroute import CitySpec, TracerouteTrace, detect_city, parse_traceroute
+from .traceroute import TracerouteTrace, detect_city, parse_traceroute
 
 __all__ = [
-    "CitySpec",
     "DetourRows",
     "EmptyInputError",
     "FilterSpec",

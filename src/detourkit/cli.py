@@ -27,7 +27,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import chain, islice
 from pathlib import Path
@@ -39,7 +38,6 @@ from . import stats as stats_mod
 from . import traceroute as traceroute_mod
 from .errors import EmptyInputError, ParseError, ToolkitError, open_text
 from .graph import (
-    BuildStats,
     EdgeRow,
     Layout,
     canonical_ipv4,
@@ -54,32 +52,6 @@ from .ingest import STATUSES, FeedStats, FilterSpec, load_status_sidecar, read_r
 EXIT_OK = 0
 EXIT_ANALYSIS = 1
 EXIT_USAGE = 2
-
-DEFAULT_TOP_N = 20
-
-
-@dataclass
-class PipelineConfig:
-    status: Optional[str] = None
-    address_family: Optional[int] = 4
-    min_start: Optional[int] = None
-    max_start: Optional[int] = None
-    regions: Optional[frozenset[str]] = None
-    key_by: str = "ip"
-    sidecar: Optional[Path] = None
-    threshold_pct: float = 1.0
-    bucket_width_pct: float = 1.0
-    top: int = DEFAULT_TOP_N
-    cumulative: bool = False
-    mode_bin_width_ms: float = 0.5
-    forwarding_delay_ms: float = 0.0
-    geo_provider: str = "none"
-    geo_static_file: Optional[Path] = None
-    geo_base_url: Optional[str] = None
-    geo_min_interval_s: float = 0.1
-    geo_cache: Optional[Path] = None
-    output_dir: Path = Path(".")
-    format: str = "csv"
 
 
 def parse_time(text: str) -> int:
@@ -113,42 +85,43 @@ KEY_BY_CHOICES = ("ip", "probe")
 GEO_PROVIDERS = ("none", "static", "http")
 FORMATS = ("csv", "json")
 
-# (section, key, PipelineConfig field, converter, allowed values or None);
-# a setting's flag, where it has one, stores its text under the field's name
+# (section, key, setting name, converter, allowed values or None, default);
+# a setting's flag, where it has one, stores its text under the setting's name
 CONFIG_KEYS = (
-    ("filter", "status", "status", str.lower, STATUSES),
-    ("filter", "af", "address_family", _address_family, None),
-    ("filter", "min_start", "min_start", parse_time, None),
-    ("filter", "max_start", "max_start", parse_time, None),
-    ("filter", "regions", "regions", _parse_regions, None),
-    ("ingest", "key_by", "key_by", str, KEY_BY_CHOICES),
-    ("ingest", "sidecar", "sidecar", Path, None),
-    ("detours", "threshold_pct", "threshold_pct", float, None),
-    ("detours", "bucket_width_pct", "bucket_width_pct", float, None),
-    ("detours", "top", "top", int, None),
-    ("detours", "cumulative", "cumulative", _boolean, None),
-    ("overlay", "mode_bin_width_ms", "mode_bin_width_ms", float, None),
-    ("overlay", "forwarding_delay_ms", "forwarding_delay_ms", float, None),
-    ("geo", "provider", "geo_provider", str.lower, GEO_PROVIDERS),
-    ("geo", "static_file", "geo_static_file", Path, None),
-    ("geo", "base_url", "geo_base_url", str, None),
-    ("geo", "min_interval_s", "geo_min_interval_s", float, None),
-    ("geo", "cache", "geo_cache", Path, None),
-    ("output", "dir", "output_dir", Path, None),
-    ("output", "format", "format", str.lower, FORMATS),
+    ("filter", "status", "status", str.lower, STATUSES, None),
+    ("filter", "af", "address_family", _address_family, None, 4),
+    ("filter", "min_start", "min_start", parse_time, None, None),
+    ("filter", "max_start", "max_start", parse_time, None, None),
+    ("filter", "regions", "regions", _parse_regions, None, None),
+    ("ingest", "key_by", "key_by", str, KEY_BY_CHOICES, "ip"),
+    ("ingest", "sidecar", "sidecar", Path, None, None),
+    ("detours", "threshold_pct", "threshold_pct", float, None, 1.0),
+    ("detours", "bucket_width_pct", "bucket_width_pct", float, None, 1.0),
+    ("detours", "top", "top", int, None, 20),
+    ("detours", "cumulative", "cumulative", _boolean, None, False),
+    ("overlay", "mode_bin_width_ms", "mode_bin_width_ms", float, None, 0.5),
+    ("overlay", "forwarding_delay_ms", "forwarding_delay_ms", float, None, 0.0),
+    ("geo", "provider", "geo_provider", str.lower, GEO_PROVIDERS, "none"),
+    ("geo", "static_file", "geo_static_file", Path, None, None),
+    ("geo", "base_url", "geo_base_url", str, None, None),
+    ("geo", "min_interval_s", "geo_min_interval_s", float, None, 0.1),
+    ("geo", "cache", "geo_cache", Path, None, None),
+    ("output", "dir", "output_dir", Path, None, Path(".")),
+    ("output", "format", "format", str.lower, FORMATS, "csv"),
 )
 
 
-def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """The settings from the flags in ``args`` and the config file it names:
-    a setting's flag text if given, else its config text, either stripped,
-    converted and checked by its ``CONFIG_KEYS`` row; empty keeps the default."""
+def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
+    """The settings from the flags in ``args`` and the config file it names,
+    one attribute per ``CONFIG_KEYS`` row: a setting's flag text if given,
+    else its config text, either stripped, converted and checked by its row;
+    empty keeps the row's default."""
     file = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
     if args.config:
         with open_text(args.config) as handle:
             file.read_string(handle.read())
-    cfg = PipelineConfig()
-    for section, key, name, convert, allowed in CONFIG_KEYS:
+    cfg = argparse.Namespace(**{name: default for _, _, name, _, _, default in CONFIG_KEYS})
+    for section, key, name, convert, allowed, _ in CONFIG_KEYS:
         text = getattr(args, name, None)
         if text is None:
             text = file.get(section, key, fallback="")
@@ -299,7 +272,7 @@ def ingest_to_rows(
     key_by: str = "ip",
     sidecar: Optional[dict] = None,
     region_of=None,
-) -> tuple[list[EdgeRow], FeedStats, BuildStats]:
+) -> tuple[list[EdgeRow], FeedStats]:
     """Run the parse -> filter -> aggregate pipeline over feed files into
     the snapshot's edge rows.
 
@@ -317,30 +290,29 @@ def ingest_to_rows(
     """
     count = _share_count(paths)
 
-    def group(share: Sequence[Path], alive) -> tuple[Layout, FeedStats, BuildStats]:
-        feed, build = FeedStats(), BuildStats()
+    def group(share: Sequence[Path], alive) -> tuple[Layout, FeedStats]:
+        stats = FeedStats()
         kept = chain.from_iterable(
             read_result_file(
-                path, key_by=key_by, sidecar=sidecar, stats=feed, spec=spec, region_of=region_of
+                path, key_by=key_by, sidecar=sidecar, stats=stats, spec=spec, region_of=region_of
             )
             for path in share
         )
-        return group_samples(alive(kept), build), feed, build
+        return group_samples(alive(kept), stats), stats
 
     shares = [paths[index::count] for index in range(count)]
     with contextlib.closing(run_shares("ingest", group, shares)) as results:
-        layout, feed_stats, build_stats = next(results)
+        layout, stats = next(results)
 
         def merge() -> Iterator[Layout]:
             # one child's layout at a time, each read once the last is joined
             yield layout
-            for other_layout, feed, build in results:
-                feed_stats.merge(feed)
-                build_stats.merge(build)
+            for other_layout, other in results:
+                stats.merge(other)
                 yield other_layout
 
         rows = edge_rows(merge())
-    return rows, feed_stats, build_stats
+    return rows, stats
 
 
 # (column name, format spec of its CSV cell)
@@ -383,7 +355,7 @@ def write_table(
             writer.writerow([format(value, spec) for value, spec in zip(row, specs)])
 
 
-def _geo_lookup_from_config(cfg: PipelineConfig) -> geo_mod.GeoLookup:
+def _geo_lookup_from_config(cfg: argparse.Namespace) -> geo_mod.GeoLookup:
     provider = geo_mod.NullGeoProvider()
     if cfg.geo_provider == "static":
         if cfg.geo_static_file is None:
@@ -400,7 +372,7 @@ def _geo_lookup_from_config(cfg: PipelineConfig) -> geo_mod.GeoLookup:
 
 
 def _read_geo_cache(
-    cfg: PipelineConfig, only: Optional[Iterable[str]] = None
+    cfg: argparse.Namespace, only: Optional[Iterable[str]] = None
 ) -> Optional[geo_mod.GeoCache]:
     """The geo cache file, to be asked through :meth:`GeoCache.place` (with
     ``only``, for those texts alone), or None when there is no cache file."""
@@ -409,7 +381,7 @@ def _read_geo_cache(
     return geo_mod.GeoCache(cfg.geo_cache, only)
 
 
-def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def cmd_ingest(args: argparse.Namespace, cfg: argparse.Namespace) -> int:
     name = Path(args.snapshot_name)
     if name.is_absolute() or not name.parts or ".." in name.parts:
         raise ValueError(
@@ -436,25 +408,25 @@ def cmd_ingest(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             record = cache.place(endpoint)
             return None if record is None else record.country
 
-    rows, feed, build = ingest_to_rows(
+    rows, stats = ingest_to_rows(
         paths, spec, key_by=cfg.key_by, sidecar=sidecar, region_of=region_of
     )
     snapshot = cfg.output_dir / name
     write_snapshot(rows, snapshot)
     nodes = len({endpoint for row in rows for endpoint in row[:2]})
 
-    print(f"lines={feed.lines} parse_errors={feed.parse_errors} kept={build.records}")
-    for reason, count in sorted(feed.drops.items()):
+    print(f"lines={stats.lines} parse_errors={stats.parse_errors} kept={stats.records}")
+    for reason, count in sorted(stats.drops.items()):
         print(f"dropped[{reason}]={count}")
-    for reason, count in sorted(build.skipped.items()):
+    for reason, count in sorted(stats.skipped.items()):
         print(f"skipped[{reason}]={count}")
     print(f"nodes={nodes} edges={len(rows)} snapshot={snapshot}")
-    if feed.lines == 0:
+    if stats.lines == 0:
         print("warning: no input lines", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_detours(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def cmd_detours(args: argparse.Namespace, cfg: argparse.Namespace) -> int:
     nodes, successors = read_snapshot(args.snapshot)
     rows = detours_mod.search_detours(nodes, successors, threshold_pct=cfg.threshold_pct)
     histogram = rows.histogram(cfg.bucket_width_pct)
@@ -507,9 +479,8 @@ def _describe(insight: tuple) -> str:
     return f"overlay {overlay:.3f} ms vs direct {direct:.3f} ms (saves {gain:.3f} ms, {pct:.2f}%)"
 
 
-def cmd_traceroutes(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def cmd_traceroutes(args: argparse.Namespace, cfg: argparse.Namespace) -> int:
     tokens = frozenset(t.strip().lower() for t in args.city_tokens.split(",") if t.strip())
-    spec = traceroute_mod.CitySpec(tokens=tokens, geo_city=args.geo_city)
     cache = _read_geo_cache(cfg)
     place = cache.place if cache is not None else None
 
@@ -519,7 +490,7 @@ def cmd_traceroutes(args: argparse.Namespace, cfg: PipelineConfig) -> int:
             trace = traceroute_mod.read_trace_file(path)
         except ParseError as exc:
             return None, f"error: {path.name}: {exc}"
-        verdict = traceroute_mod.detect_city(trace, spec, place).capitalize()
+        verdict = traceroute_mod.detect_city(trace, tokens, args.geo_city, place).capitalize()
         return (trace.source_label or path.stem, trace.destination, len(trace.hops), verdict), None
 
     rows = []
@@ -550,7 +521,7 @@ def _distribution_name(label: str) -> str:
     return f"distribution_{safe}.csv"
 
 
-def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def cmd_overlay(args: argparse.Namespace, cfg: argparse.Namespace) -> int:
     legs: list[tuple[str, Path]] = []
     for item in args.leg or []:
         label, _, path = item.partition("=")
@@ -627,7 +598,7 @@ def cmd_overlay(args: argparse.Namespace, cfg: PipelineConfig) -> int:
     return EXIT_OK
 
 
-def cmd_geo_warm(args: argparse.Namespace, cfg: PipelineConfig) -> int:
+def cmd_geo_warm(args: argparse.Namespace, cfg: argparse.Namespace) -> int:
     if cfg.geo_cache is None:
         raise ValueError("geo-warm needs a cache path (--geo-cache)")
     lookup = _geo_lookup_from_config(cfg)
@@ -694,9 +665,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_traces = sub.add_parser("traceroutes", help="hop counts and city transit per trace file")
     p_traces.add_argument("trace_dir")
-    default_city = traceroute_mod.LOS_ANGELES
-    p_traces.add_argument("--city-tokens", default=",".join(sorted(default_city.tokens)))
-    p_traces.add_argument("--geo-city", default=default_city.geo_city)
+    default_tokens, default_city = traceroute_mod.LOS_ANGELES
+    p_traces.add_argument("--city-tokens", default=",".join(sorted(default_tokens)))
+    p_traces.add_argument("--geo-city", default=default_city)
     p_traces.add_argument("--geo-cache")
     p_traces.set_defaults(func=cmd_traceroutes)
 

@@ -22,14 +22,16 @@ from __future__ import annotations
 import csv
 import math
 import os
-from collections import Counter, defaultdict
+from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from itertools import pairwise
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .errors import ParseError, ToolkitError, open_text
+
+if TYPE_CHECKING:
+    from .ingest import FeedStats
 
 SNAPSHOT_HEADER = ("source", "destination", "rtt_ms", "sample_count", "measurement_count")
 
@@ -80,31 +82,6 @@ def _key_order(endpoint: str) -> tuple[str, str]:
     return ("probe", endpoint) if endpoint.isdigit() else ("ip", endpoint)
 
 
-def _shared_key(endpoints: dict[str, str], text: str) -> str:
-    """The canonical text of endpoint ``text``, worked out once per distinct
-    text; texts canonicalizing alike (8.8.000.1, 8.8.0.1) share one string
-    through ``endpoints``."""
-    endpoint = endpoints.get(text)
-    if endpoint is None:
-        endpoint = canonical_endpoint(text)
-        endpoint = endpoints[text] = endpoints.setdefault(endpoint, endpoint)
-    return endpoint
-
-
-@dataclass
-class BuildStats:
-    """Accounting for group_samples: records seen, used and skipped."""
-
-    records: int = 0
-    used: int = 0
-    skipped: Counter = field(default_factory=Counter)
-
-    def merge(self, other: "BuildStats") -> None:
-        self.records += other.records
-        self.used += other.used
-        self.skipped.update(other.skipped)
-
-
 # a share's group key packs (source id, destination id, measurement id) into
 # one int, 32 bits each; ids fit by construction, since each id names a
 # distinct str that the share holds, and 2**32 of them would not fit in memory
@@ -121,22 +98,25 @@ def _endpoint_id(ids: dict[str, int], endpoints: list[str], text: str) -> int:
     ``endpoints``, worked out once per distinct text: ``ids`` maps each
     text, and each canonical text, to it, so that texts canonicalizing alike
     (8.8.000.1, 8.8.0.1) share one id."""
-    canonical = canonical_endpoint(text)
-    endpoint = ids.get(canonical)
+    endpoint = ids.get(text)
     if endpoint is None:
-        endpoint = ids[canonical] = len(endpoints)
-        endpoints.append(canonical)
-    ids[text] = endpoint
+        canonical = canonical_endpoint(text)
+        endpoint = ids.get(canonical)
+        if endpoint is None:
+            endpoint = ids[canonical] = len(endpoints)
+            endpoints.append(canonical)
+        ids[text] = endpoint
     return endpoint
 
 
 def group_samples(
-    samples: Iterable[tuple[str, str, str, Sequence[float]]], stats: BuildStats
+    samples: Iterable[tuple[str, str, str, Sequence[float]]], stats: FeedStats
 ) -> Layout:
     """The representative RTTs of ``samples``, the ``(measurement_id, source,
     destination, runs)`` tuples that ``ingest.read_result_file`` yields,
-    grouped by (source, destination, measurement), skipping and counting
-    self-pairs and samples with no run.
+    grouped by (source, destination, measurement), skipping self-pairs and
+    samples with no run. The records, those used and those skipped by reason
+    are added to ``stats``, the share's one ``ingest.FeedStats``.
 
     Returns ``(groups, endpoints, measurements)``: each endpoint's canonical
     text and each measurement id is interned to a small int, its index in
@@ -338,51 +318,57 @@ def write_snapshot(rows: Iterable[EdgeRow], path: str | Path) -> None:
 def read_snapshot(path: str | Path) -> tuple[list[str], list[list[tuple[int, float]]]]:
     """Read a snapshot CSV into its nodes, its endpoints in order, and each
     node's successors: the ``(destination rank, rtt_ms)`` list of its edges,
-    sorted by rank, where a rank is an index into the nodes.
+    sorted by rank, where a rank is an index into the nodes. Endpoints are
+    interned and ranked as :func:`group_samples` and :func:`edge_rows` do it.
 
     Raises :class:`ParseError` with the offending line number on a
     malformed snapshot, including a second row for the same edge. Only then
     is the file read again, to report the fault that comes first in it.
     """
-    endpoints: dict[str, str] = {}
-    out: defaultdict[str, list[tuple[str, float]]] = defaultdict(list)
+    ids: dict[str, int] = {}
+    endpoints: list[str] = []
+    out: defaultdict[int, list[tuple[int, float]]] = defaultdict(list)
     try:
-        for _, source, destination, rtt in _snapshot_rows(path, endpoints):
+        for _, source, destination, rtt in _snapshot_rows(path, ids, endpoints):
             out[source].append((destination, rtt))
     except ParseError:
         _raise_first_fault(path)
         raise
-    nodes = sorted(set(endpoints.values()), key=_key_order)
-    rank = {node: r for r, node in enumerate(nodes)}
-    successors = []
-    for node in nodes:
-        # each source's (endpoint, rtt) tuples are freed as its ranked ones are made
-        ranked = sorted([(rank[d], rtt) for d, rtt in out.pop(node, ())])
+    ranks = _ranks([_key_order(endpoint) for endpoint in endpoints])
+    nodes: list[str] = [""] * len(endpoints)
+    successors: list[list[tuple[int, float]]] = [[]] * len(endpoints)
+    for source, endpoint in enumerate(endpoints):
+        # each source's (id, rtt) tuples are freed as its ranked ones are made
+        ranked = sorted([(ranks[d], rtt) for d, rtt in out.pop(source, ())])
         if any(a[0] == b[0] for a, b in pairwise(ranked)):
             _raise_first_fault(path)  # two rows of one edge
-        successors.append(ranked)
+        nodes[ranks[source]] = endpoint
+        successors[ranks[source]] = ranked
     return nodes, successors
 
 
 def _raise_first_fault(path: str | Path) -> None:
     """Raise the first fault of the snapshot at ``path`` in file order: a
     malformed row or a second row for an edge, naming the first one's line."""
-    lines: dict[tuple[str, str], int] = {}
-    for lineno, source, destination, _ in _snapshot_rows(path, {}):
+    endpoints: list[str] = []
+    lines: dict[tuple[int, int], int] = {}
+    for lineno, source, destination, _ in _snapshot_rows(path, {}, endpoints):
         first = lines.setdefault((source, destination), lineno)
         if first != lineno:
             raise ParseError(
-                lineno, f"duplicate edge {source} -> {destination}, first at line {first}"
+                lineno,
+                f"duplicate edge {endpoints[source]} -> {endpoints[destination]}, "
+                f"first at line {first}",
             )
 
 
 def _snapshot_rows(
-    path: str | Path, endpoints: dict[str, str]
-) -> Iterator[tuple[int, str, str, float]]:
+    path: str | Path, ids: dict[str, int], endpoints: list[str]
+) -> Iterator[tuple[int, int, int, float]]:
     """``(line number, source, destination, rtt_ms)`` of each edge row of a
-    snapshot CSV, endpoints as canonical text; ``endpoints`` is the map of
-    :func:`_shared_key`. Raises :class:`ParseError` at a first line that is
-    not the header, and at the first malformed row."""
+    snapshot CSV, endpoints as the ids that :func:`_endpoint_id` gives them
+    through ``ids`` and ``endpoints``. Raises :class:`ParseError` at a first
+    line that is not the header, and at the first malformed row."""
     columns = len(SNAPSHOT_HEADER)
     with open_text(path, newline="") as handle:
         reader = csv.reader(handle)
@@ -395,8 +381,8 @@ def _snapshot_rows(
                     continue
                 if len(row) != columns:
                     raise ParseError(lineno, f"expected {columns} columns")
-                source = _shared_key(endpoints, row[0])
-                destination = _shared_key(endpoints, row[1])
+                source = _endpoint_id(ids, endpoints, row[0])
+                destination = _endpoint_id(ids, endpoints, row[1])
                 try:
                     rtt, samples, msms = float(row[2]), int(row[3]), int(row[4])
                 except ValueError as exc:

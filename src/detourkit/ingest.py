@@ -186,18 +186,28 @@ def _csv_fields(text: str) -> tuple:
 
 @dataclass
 class FeedStats:
-    """Per-feed accounting: line, parse and drop counts."""
+    """Ingest accounting, one conserving chain: :func:`read_result_file`
+    counts lines, parsed lines, parse errors and drops by reason, and
+    ``graph.group_samples`` counts the kept records, those it used and those
+    it skipped by reason. ``lines == parsed + parse_errors``, ``parsed ==
+    sum(drops) + records`` and ``records == used + sum(skipped)``."""
 
     lines: int = 0
     parsed: int = 0
     parse_errors: int = 0
     drops: Counter = field(default_factory=Counter)
+    records: int = 0
+    used: int = 0
+    skipped: Counter = field(default_factory=Counter)
 
     def merge(self, other: "FeedStats") -> None:
         self.lines += other.lines
         self.parsed += other.parsed
         self.parse_errors += other.parse_errors
         self.drops.update(other.drops)
+        self.records += other.records
+        self.used += other.used
+        self.skipped.update(other.skipped)
 
 
 def read_result_file(

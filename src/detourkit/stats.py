@@ -56,12 +56,9 @@ class RttSummary:
     mode_ms: float
     std_dev_ms: float
     sample_count: int
-    mode_bin_width_ms: float
     modality: str
 
     def __post_init__(self) -> None:
-        if self.mode_bin_width_ms <= 0:
-            raise ValueError("mode_bin_width_ms must be > 0")
         if (self.sample_count == 0) != (self.modality == MODALITY_DEGENERATE):
             raise ValueError("sample_count = 0 exactly when modality is degenerate")
         tolerance = 1e-9 * max(abs(self.variance_ms2), 1.0)
@@ -178,7 +175,6 @@ def describe(
         mode_ms=mode,
         std_dev_ms=math.sqrt(variance),
         sample_count=n,
-        mode_bin_width_ms=mode_bin_width_ms,
         modality=_modality(counts),
     )
     return summary, [(index * width, counts[index]) for index in indices]
@@ -224,7 +220,6 @@ def compose(legs: Sequence[RttSummary], forwarding_delay_ms: float = 0.0) -> Rtt
         mode_ms=mode,
         std_dev_ms=math.sqrt(variance),
         sample_count=min(leg.sample_count for leg in legs),
-        mode_bin_width_ms=max(leg.mode_bin_width_ms for leg in legs),
         modality=modality,
     )
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import ParseError, open_text
 from .geo import GeoRecord
@@ -47,19 +47,8 @@ class TracerouteTrace:
     hops: tuple[Hop, ...]
 
 
-@dataclass(frozen=True)
-class CitySpec:
-    """What to look for: rDNS tokens plus an optional geolocation city."""
-
-    tokens: frozenset[str]
-    geo_city: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if not self.tokens and self.geo_city is None:
-            raise ValueError("need at least one token or a geo city")
-
-
-LOS_ANGELES = CitySpec(tokens=frozenset({"lax", "losangeles", "la-"}), geo_city="Los Angeles")
+# the city that traceroutes looks for by default: (rDNS tokens, geolocation city)
+LOS_ANGELES = (frozenset({"lax", "losangeles", "la-"}), "Los Angeles")
 
 
 def _is_float(token: str) -> bool:
@@ -182,11 +171,14 @@ def _token_match(rdns_name: Optional[str], tokens: list[tuple[str, str]]) -> Opt
 
 def detect_city(
     trace: TracerouteTrace,
-    city_spec: CitySpec,
+    tokens: Iterable[str],
+    geo_city: Optional[str] = None,
     place: Optional[Callable[[str], Optional[GeoRecord]]] = None,
 ) -> str:
-    """Decide whether the trace transits the given city: the verdict
+    """Decide whether the trace transits the city named by its reverse-DNS
+    ``tokens`` and its geolocation city ``geo_city``: the verdict
     :data:`VERDICT_YES`, :data:`VERDICT_NO` or :data:`VERDICT_UNKNOWN`.
+    Raises ``ValueError`` when there is neither a token nor a geo city.
 
     ``yes`` needs evidence (a matched rDNS token or a geolocated hop) and
     is returned at the first hop with evidence; with no evidence the
@@ -196,20 +188,22 @@ def detect_city(
     is unknown; it is asked only for the address of a hop that no token
     matched.
     """
+    lowered = [(token, token.lower()) for token in sorted(tokens)]
+    if not lowered and geo_city is None:
+        raise ValueError("need at least one token or a geo city")
+    wanted = geo_city.lower() if geo_city is not None else None
     unassessable = 0
-    tokens = [(token, token.lower()) for token in sorted(city_spec.tokens)]
-    wanted = city_spec.geo_city.lower() if city_spec.geo_city is not None else None
     for _, address, rdns_name in trace.hops:
-        if _token_match(rdns_name, tokens) is not None:
+        if _token_match(rdns_name, lowered) is not None:
             return VERDICT_YES
-        geo_city = None
+        city = None
         if place is not None and address is not None:
             record = place(address)
             if record is not None:
-                geo_city = record.city
-        if geo_city is not None and geo_city.lower() == wanted:
+                city = record.city
+        if city is not None and city.lower() == wanted:
             return VERDICT_YES
-        if rdns_name is None and geo_city is None:
+        if rdns_name is None and city is None:
             unassessable += 1
     if trace.hops and unassessable / len(trace.hops) >= UNKNOWN_HOP_FRACTION:
         return VERDICT_UNKNOWN

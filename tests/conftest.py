@@ -57,12 +57,11 @@ from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Optional, 
 
 import pytest
 
-from detourkit.cli import PipelineConfig, resolve_config
+from detourkit.cli import resolve_config
 from detourkit.detours import INSIGHT_HEADER, KIND_BRIDGE, KIND_IMPROVEMENT
 from detourkit.errors import EmptyInputError, ParseError, ToolkitError, open_text
 from detourkit.graph import (
     SNAPSHOT_HEADER,
-    BuildStats,
     EdgeRow,
     canonical_endpoint,
     canonical_ipv4,
@@ -362,11 +361,11 @@ def rows_of(graph: LatencyGraph) -> list[EdgeRow]:
 
 
 def edge_rows_of(
-    records: Iterable[PingRecord], stats: Optional[BuildStats] = None
+    records: Iterable[PingRecord], stats: Optional[FeedStats] = None
 ) -> list[EdgeRow]:
     """The edge rows of ``records`` grouped in one share, as ``ingest`` takes them."""
     samples = map(sample_of, records)
-    return edge_rows([group_samples(samples, BuildStats() if stats is None else stats)])
+    return edge_rows([group_samples(samples, FeedStats() if stats is None else stats)])
 
 
 def save_graph(graph: LatencyGraph, path: str | Path) -> None:
@@ -619,7 +618,6 @@ def summary_from_moments(
     variance_ms2: float,
     mode_ms: float,
     sample_count: int = 1,
-    mode_bin_width_ms: float = 0.5,
     modality: str = MODALITY_UNIMODAL,
 ) -> RttSummary:
     """A summary of known moments; the std dev is derived."""
@@ -630,7 +628,6 @@ def summary_from_moments(
         mode_ms=mode_ms,
         std_dev_ms=math.sqrt(variance_ms2),
         sample_count=sample_count,
-        mode_bin_width_ms=mode_bin_width_ms,
         modality=modality,
     )
 
@@ -752,7 +749,7 @@ def token_match(rdns_name: Optional[str], tokens: list[tuple[str, str]]) -> Opti
     return None
 
 
-def load_config_file(path: Path) -> PipelineConfig:
+def load_config_file(path: Path) -> argparse.Namespace:
     """The settings of a config file, as if no flag were given."""
     return resolve_config(argparse.Namespace(config=path))
 

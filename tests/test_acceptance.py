@@ -274,7 +274,7 @@ def test_traceroute_corpus():
     results = []
     for path in files:
         trace = read_trace_file(path)
-        results.append((len(trace.hops), detect_city(trace, LOS_ANGELES)))
+        results.append((len(trace.hops), detect_city(trace, *LOS_ANGELES)))
     assert results == expected
     assert time.perf_counter() - started < 1.0
     report("traceroute-corpus")
@@ -315,16 +315,16 @@ def test_throughput_on_synthetic_feed(tmp_path):
     feed.write_text("\n".join(chunks) + "\n", encoding="utf-8")
 
     started = time.perf_counter()
-    rows, feed_stats, build_stats = ingest_to_rows(
+    rows, stats = ingest_to_rows(
         [feed], FilterSpec(required_status="stopped", address_family=4)
     )
     elapsed = time.perf_counter() - started
     graph = graph_of(rows)
 
-    assert feed_stats.lines == 1_000_000
-    assert feed_stats.parse_errors == 0
-    assert feed_stats.drops["status"] == 100_000
-    assert build_stats.records == 1_000_000 - sum(feed_stats.drops.values())
+    assert stats.lines == 1_000_000
+    assert stats.parse_errors == 0
+    assert stats.drops["status"] == 100_000
+    assert stats.records == 1_000_000 - sum(stats.drops.values())
     assert graph.node_count == 50
     assert graph.edge_count > 2000
     assert elapsed < 60.0

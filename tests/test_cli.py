@@ -6,7 +6,6 @@ import argparse
 import configparser
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import random
@@ -36,7 +35,6 @@ from conftest import (
 from detourkit.cli import (
     CONFIG_KEYS,
     HISTOGRAM_COLUMNS,
-    PipelineConfig,
     build_parser,
     ingest_to_rows,
     main,
@@ -303,22 +301,22 @@ class TestIngest:
                 return None
 
         spec = FilterSpec(region_allowlist=frozenset({"US", "CA"}))
-        rows, feed_stats, build = ingest_to_rows([feed], spec, key_by=key_by, region_of=region_of)
+        rows, stats = ingest_to_rows([feed], spec, key_by=key_by, region_of=region_of)
         reference = tmp_path / "reference.csv"
         write_snapshot(rows, reference)
         graph = graph_of(rows)
         snapshot = out / "graph.csv"
-        expected = [f"lines={feed_stats.lines} parse_errors={feed_stats.parse_errors} kept={build.records}"]
-        expected += [f"dropped[{r}]={c}" for r, c in sorted(feed_stats.drops.items())]
-        expected += [f"skipped[{r}]={c}" for r, c in sorted(build.skipped.items())]
+        expected = [f"lines={stats.lines} parse_errors={stats.parse_errors} kept={stats.records}"]
+        expected += [f"dropped[{r}]={c}" for r, c in sorted(stats.drops.items())]
+        expected += [f"skipped[{r}]={c}" for r, c in sorted(stats.skipped.items())]
         expected.append(f"nodes={graph.node_count} edges={graph.edge_count} snapshot={snapshot}")
         assert capsys.readouterr().out == "\n".join(expected) + "\n"
         assert snapshot.read_bytes() == reference.read_bytes()
-        assert feed_stats.drops["region_unresolved"] > 0 and feed_stats.drops["region"] > 0
-        assert build.records > 0
+        assert stats.drops["region_unresolved"] > 0 and stats.drops["region"] > 0
+        assert stats.records > 0
         # one lookup per distinct endpoint text, against two per record
         assert sorted(memo_calls) == sorted(set(calls))
-        assert len(calls) == 2 * (feed_stats.lines - feed_stats.parse_errors)
+        assert len(calls) == 2 * (stats.lines - stats.parse_errors)
 
 
 class TestDetours:
@@ -336,7 +334,7 @@ class TestDetours:
         feed = tmp_path / "feed.jsonl"
         feed.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert main(["--output-dir", str(tmp_path), "ingest", str(feed)]) == 0
-        rows, _, _ = ingest_to_rows([feed], FilterSpec(address_family=4))
+        rows, _ = ingest_to_rows([feed], FilterSpec(address_family=4))
         in_memory = graph_of(rows)
         snapshot = tmp_path / "graph.csv"
         assert set(load_graph(snapshot).edges()) == set(in_memory.edges())
@@ -1425,10 +1423,36 @@ class TestConfig:
         assert cfg.regions == frozenset({"US"})
         assert cfg.geo_provider == "static" and cfg.format == "csv"
 
+    def test_readme_lists_every_default(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = {
+            (section, key): None if default == "unset" else default.strip("`")
+            for section, key, default in re.findall(
+                r"^\| `\[(\w+)\] (\w+)` \| .* \| (unset|`[^`]*`) \|$", readme, re.M
+            )
+        }
+        assert sorted(listed) == sorted((section, key) for section, key, *_ in CONFIG_KEYS)
+        for section, key, _, convert, _, default in CONFIG_KEYS:
+            text = listed[section, key]
+            assert (None if text is None else convert(text)) == default, (section, key)
+
     def test_one_table_covers_every_setting(self):
-        names = [name for _, _, name, _, _ in CONFIG_KEYS]
-        assert sorted(names) == sorted(f.name for f in dataclasses.fields(PipelineConfig))
-        assert len({(section, key) for section, key, _, _, _ in CONFIG_KEYS}) == len(names) == 20
+        names = {name for _, _, name, *_ in CONFIG_KEYS}
+        pairs = {(section, key) for section, key, *_ in CONFIG_KEYS}
+        assert len(names) == len(pairs) == len(CONFIG_KEYS) == 20
+        # every flag stores a setting, but for help and the flags that name
+        # a command's own inputs, which no config key stands for
+        inputs = {"help", "config", "snapshot_name", "city_tokens", "geo_city", "leg", "direct"}
+        parser = build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        dests = {
+            action.dest
+            for command in (parser, *commands.choices.values())
+            for action in command._actions
+            if action.option_strings
+        }
+        assert inputs <= dests
+        assert dests - inputs <= names
 
     def test_flags_reach_their_fields(self):
         parser = build_parser()
@@ -1451,7 +1475,7 @@ class TestConfig:
         assert resolve_config(parser.parse_args(argv)).address_family is None
 
 
-# PipelineConfig field -> the command line around its flag's words
+# setting name -> the command line around its flag's words
 FLAG_COMMANDS = {
     **dict.fromkeys(
         ["status", "address_family", "min_start", "max_start", "regions", "key_by", "sidecar"],
@@ -1472,7 +1496,7 @@ FLAG_COMMANDS = {
     **dict.fromkeys(["output_dir", "format"], lambda flag: [*flag, "detours", "g.csv"]),
 }
 
-# (PipelineConfig field, the flag's words, the same setting's config text)
+# (setting name, the flag's words, the same setting's config text)
 FLAG_AND_KEY_CASES = [
     ("status", ["--status", "stopped"], "stopped"),
     ("status", ["--status", "Stopped"], "Stopped"),
@@ -1522,8 +1546,8 @@ FLAG_AND_KEY_CASES = [
 ]
 
 
-FIELDS = [name for _, _, name, _, _ in CONFIG_KEYS]
-KEYS = [key for _, key, _, _, _ in CONFIG_KEYS]
+FIELDS = [name for _, _, name, *_ in CONFIG_KEYS]
+KEYS = [key for _, key, *_ in CONFIG_KEYS]
 # section headers, key lines with any value, and any other line
 CONFIG_TEXTS = st.lists(
     st.one_of(
@@ -1552,7 +1576,7 @@ class TestOneReadingPerSetting:
         "name,flag,text", FLAG_AND_KEY_CASES, ids=[" ".join(c[1]) for c in FLAG_AND_KEY_CASES]
     )
     def test_flag_reads_like_its_config_key(self, tmp_path, capsys, name, flag, text):
-        section, key = next((sec, k) for sec, k, field, _, _ in CONFIG_KEYS if field == name)
+        section, key = next((sec, k) for sec, k, field, *_ in CONFIG_KEYS if field == name)
         config = tmp_path / "pipeline.cfg"
         config.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
         command = FLAG_COMMANDS[name]
@@ -1751,7 +1775,7 @@ def command_lines(draw):
     argv = [word for group in draw(_options(GLOBAL_OPTIONS)) for word in group] + [command]
     argv += [word for group in draw(st.permutations(groups)) for word in group]
     lines = []
-    for section, key, name, _, _ in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=4)):
+    for section, key, name, *_ in draw(st.lists(st.sampled_from(CONFIG_KEYS), max_size=4)):
         lines += [f"[{section}]", f"{key} = {draw(SETTING_VALUES[name])}"]
     return argv, "\n".join(lines)
 

@@ -26,7 +26,6 @@ from conftest import (
 from detourkit.errors import ParseError
 from detourkit.graph import (
     SNAPSHOT_HEADER,
-    BuildStats,
     _key_order,
     canonical_endpoint,
     canonical_ipv4,
@@ -35,6 +34,7 @@ from detourkit.graph import (
     read_snapshot,
     write_snapshot,
 )
+from detourkit.ingest import FeedStats
 
 
 def record(source, destination, runs, msm="m1"):
@@ -157,13 +157,13 @@ class TestBuildGraph:
         assert edge.sample_count == 3 and edge.measurement_count == 2
 
     def test_self_pair_dropped(self):
-        stats = BuildStats()
+        stats = FeedStats()
         graph = build_graph([record("A", "A", (1.0,))], stats=stats)
         assert graph.edge_count == 0 and graph.node_count == 0
         assert stats.skipped["self_pair"] == 1
 
     def test_self_pair_after_canonicalization(self):
-        stats = BuildStats()
+        stats = FeedStats()
         graph = build_graph([record("10.0.0.1", "010.0.0.001", (1.0,))], stats=stats)
         assert graph.edge_count == 0
         assert stats.skipped["self_pair"] == 1
@@ -174,7 +174,7 @@ class TestBuildGraph:
         assert edge_rtt(graph, key("B"), key("A")) is None
 
     def test_no_data_skipped_and_counted(self):
-        stats = BuildStats()
+        stats = FeedStats()
         graph = build_graph([record("A", "B", ()), record("A", "B", (3.0,))], stats=stats)
         assert stats.skipped["no_data"] == 1
         assert edge_rtt(graph, key("A"), key("B")) == 3.0
@@ -237,7 +237,7 @@ class TestBuildGraph:
             samples.append((f"m{rng.randrange(40)}", names[source], names[destination], runs))
         tracemalloc.start()
         try:
-            rows = edge_rows([group_samples(samples, BuildStats())])
+            rows = edge_rows([group_samples(samples, FeedStats())])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

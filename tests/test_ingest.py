@@ -29,7 +29,7 @@ from conftest import (
     serialize_record,
 )
 from detourkit.errors import ParseError
-from detourkit.graph import BuildStats, group_samples
+from detourkit.graph import group_samples
 from detourkit.ingest import FeedStats, FilterSpec, load_status_sidecar, read_result_file
 
 
@@ -337,7 +337,7 @@ class TestParserFuzz:
 def grouped_rtt(runs) -> float | None:
     """The representative RTT that ``group_samples`` takes of one sample
     with ``runs``, or None where it skips the sample for having no run."""
-    stats = BuildStats()
+    stats = FeedStats()
     groups, endpoints, measurements = group_samples(
         [("m1", "10.0.0.1", "10.0.0.2", tuple(runs))], stats
     )

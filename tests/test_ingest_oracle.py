@@ -40,7 +40,7 @@ from conftest import (
 )
 from detourkit import cli
 from detourkit.errors import ParseError
-from detourkit.graph import BuildStats, canonical_endpoint
+from detourkit.graph import canonical_endpoint
 from detourkit.ingest import FeedStats, FilterSpec, normalize_status
 from test_golden import COMMAND_CASES
 
@@ -182,42 +182,42 @@ region_tables = st.one_of(
 
 def oracle_ingest(paths, spec, key_by, sidecar, region_of):
     """Edges as ``{(source, destination): (rtt hex, samples, measurements)}``
-    and the feed and build counters, one line at a time."""
-    feed, build = FeedStats(), BuildStats()
+    and the ingest counters, one line at a time."""
+    stats = FeedStats()
     groups: dict = {}
     for path in paths:
         with open(path, encoding="utf-8") as handle:
             for line in handle:
                 if not line.strip() or line.startswith("#"):
                     continue
-                feed.lines += 1
+                stats.lines += 1
                 try:
                     record = parse_result_line(line, key_by)
                 except ParseError:
-                    feed.parse_errors += 1
+                    stats.parse_errors += 1
                     continue
-                feed.parsed += 1
+                stats.parsed += 1
                 status, start_time = (sidecar or {}).get(record.measurement_id, (None, None))
                 if status is not None:
                     record = record._replace(status=normalize_status(status))
                 if start_time is not None:
                     record = record._replace(start_time=start_time)
-                if not list(filter_records([record], spec, feed.drops, region_of)):
+                if not list(filter_records([record], spec, stats.drops, region_of)):
                     continue
-                build.records += 1
+                stats.records += 1
                 source = canonical_endpoint(record.source_id)
                 destination = canonical_endpoint(record.destination_id)
                 if source == destination:
-                    build.skipped["self_pair"] += 1
+                    stats.skipped["self_pair"] += 1
                     continue
                 try:
                     rtt = representative_rtt(record)
                 except NoDataError:
-                    build.skipped["no_data"] += 1
+                    stats.skipped["no_data"] += 1
                     continue
                 by_msm = groups.setdefault((source, destination), {})
                 by_msm.setdefault(record.measurement_id, []).append(rtt)
-                build.used += 1
+                stats.used += 1
     edges = {}
     for pair, by_msm in groups.items():
         means = [math.fsum(rtts) / len(rtts) for rtts in by_msm.values()]
@@ -226,7 +226,7 @@ def oracle_ingest(paths, spec, key_by, sidecar, region_of):
             sum(len(rtts) for rtts in by_msm.values()),
             len(by_msm),
         )
-    return edges, feed, build
+    return edges, stats
 
 
 def edges_of(graph) -> dict:
@@ -236,23 +236,23 @@ def edges_of(graph) -> dict:
     }
 
 
-def counters(feed: FeedStats, build: BuildStats) -> tuple:
+def counters(stats: FeedStats) -> tuple:
     return (
-        feed.lines,
-        feed.parsed,
-        feed.parse_errors,
-        dict(feed.drops),
-        build.records,
-        build.used,
-        dict(build.skipped),
+        stats.lines,
+        stats.parsed,
+        stats.parse_errors,
+        dict(stats.drops),
+        stats.records,
+        stats.used,
+        dict(stats.skipped),
     )
 
 
-def assert_conserved(graph, feed: FeedStats, build: BuildStats) -> None:
-    assert feed.lines == feed.parsed + feed.parse_errors
-    assert feed.parsed == sum(feed.drops.values()) + build.records
-    assert build.records == build.used + sum(build.skipped.values())
-    assert build.used == sum(e.sample_count for e in graph.edges())
+def assert_conserved(graph, stats: FeedStats) -> None:
+    assert stats.lines == stats.parsed + stats.parse_errors
+    assert stats.parsed == sum(stats.drops.values()) + stats.records
+    assert stats.records == stats.used + sum(stats.skipped.values())
+    assert stats.used == sum(e.sample_count for e in graph.edges())
 
 
 @settings(max_examples=300, deadline=None)
@@ -316,17 +316,17 @@ def test_ingest_equals_per_line_oracle(files, spec, key_by, sidecar, regions, cp
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
             paths.append(path)
         with mock.patch.object(cli, "usable_cpus", lambda: cpus):
-            rows, feed, build = cli.ingest_to_rows(paths, spec, key_by, sidecar, region_of)
-        oracle_edges, oracle_feed, oracle_build = oracle_ingest(
+            rows, stats = cli.ingest_to_rows(paths, spec, key_by, sidecar, region_of)
+        oracle_edges, oracle_stats = oracle_ingest(
             paths, spec, key_by, sidecar, region_of
         )
     graph = graph_of(rows)
     assert rows == rows_of(graph)  # in key order
     assert edges_of(graph) == oracle_edges
     assert set(graph.nodes()) == {node for pair in oracle_edges for node in pair}
-    assert counters(feed, build) == counters(oracle_feed, oracle_build)
-    assert_conserved(graph, feed, build)
-    assert oracle_build.used == sum(samples for _, samples, _ in oracle_edges.values())
+    assert counters(stats) == counters(oracle_stats)
+    assert_conserved(graph, stats)
+    assert oracle_stats.used == sum(samples for _, samples, _ in oracle_edges.values())
 
 
 def test_golden_ingest_counts_are_conserved(tmp_path, monkeypatch, capsys):
@@ -344,6 +344,6 @@ def test_golden_ingest_counts_are_conserved(tmp_path, monkeypatch, capsys):
         assert cli.main(COMMAND_CASES[("ingest", case)](work)) == 0
     capsys.readouterr()
     assert len(seen) == 2
-    for rows, feed, build in seen:
-        assert feed.parse_errors > 0 and feed.drops
-        assert_conserved(graph_of(rows), feed, build)
+    for rows, stats in seen:
+        assert stats.parse_errors > 0 and stats.drops
+        assert_conserved(graph_of(rows), stats)

@@ -27,7 +27,8 @@ import pytest
 from conftest import PingRecord, edge_rows_of, sample_of
 from detourkit import cli, errors
 from detourkit.errors import ParseError, ToolkitError
-from detourkit.graph import BuildStats, edge_rows, group_samples
+from detourkit.graph import edge_rows, group_samples
+from detourkit.ingest import FeedStats
 from test_golden import COMMAND_CASES, GOLDEN, INPUTS, run_command_case
 
 FEED = INPUTS / "feed.jsonl"
@@ -103,17 +104,17 @@ def test_merged_groups_give_the_graph_of_all_records():
         [f"m{index}" for index in range(5)],
     )
     disjoint = ping_records(rng, 300, ["7.7.0.1", "7.7.0.02"], ["7.7.0.2", "102"], ["m0", "m9"])
-    whole_stats = BuildStats()
+    whole_stats = FeedStats()
     whole = edge_rows_of(common + disjoint, whole_stats)
     for parts in (1, 2, 3, 5):
         for _ in range(3):
             shuffled = rng.sample(common, len(common))
             shares = [shuffled[part::parts] for part in range(parts)] + [disjoint, []]
             rng.shuffle(shares)
-            stats = BuildStats()
+            stats = FeedStats()
             layouts = []
             for share in shares:
-                part_stats = BuildStats()
+                part_stats = FeedStats()
                 layout = group_samples(map(sample_of, share), part_stats)
                 layouts.append(pickle.loads(pickle.dumps(layout)))  # as a child sends it
                 stats.merge(part_stats)

@@ -1,6 +1,7 @@
-"""``traceroutes``, ``overlay`` and ``detours`` on every CPU, through
-``cli.run_shares``.
+"""``ingest``, ``traceroutes``, ``overlay`` and ``detours`` on every CPU,
+through ``cli.run_shares``.
 
+``ingest`` deals its feed files round-robin into one share per usable CPU.
 ``cli.map_in_order`` cuts a command's inputs into one contiguous slice per
 usable CPU, runs the first slice in the command's own process and each
 other one in a forked child, and hands the results back in input order.
@@ -19,19 +20,39 @@ import os
 import random
 import re
 import shutil
+import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, make_graph, random_graph, ranked, save_graph, write_insights_csv
+from conftest import (
+    FIXTURES,
+    load_graph,
+    make_graph,
+    random_graph,
+    ranked,
+    save_graph,
+    write_insights_csv,
+)
 from detourkit import cli
 from detourkit import detours as detours_mod
 from detourkit import traceroute as traceroute_mod
 from test_detours import reference_json
 from test_golden import CASES, COMMAND_CASES, GOLDEN, case_name, run_case, run_command_case
+from test_ingest_oracle import (
+    LINE,
+    TIMES,
+    assert_conserved,
+    counters,
+    csv_lines,
+    endpoints,
+    json_lines,
+    other_lines,
+)
 from test_parallel_ingest import assert_no_child_left, assert_worker_of_killed_command_exits, run
 
 TRACES = sorted((FIXTURES / "traceroutes").iterdir())
@@ -101,6 +122,99 @@ def test_overflow_names_the_first_pair_in_row_order_at_any_cpu_count(tmp_path, m
     assert not out.exists()
     assert len(forks) == min(cpus, len(feeds)) - 1
     assert_no_child_left()
+
+
+# lines whose RTTs add up past the largest float once two meet in one edge,
+# between few pairs, each endpoint spelled several ways
+overflow_lines = st.builds(
+    lambda source, destination: (LINE % (source, destination, 104)).replace("1.5}", "1.5e308}"),
+    st.sampled_from(["8.8.0.1", "8.8.000.1"]),
+    st.sampled_from(["8.8.0.3", "008.8.0.3", "8.8.0.4"]),
+)
+NOT_UTF8_LINES = [
+    (LINE % ("8.8.0.1", "8.8.0.2", 100)).encode().replace(b"0.2", b"0.\xff"),
+    b"1,8.8.0.1,8.8.0.2,4,stopped,100,1.5,\xe9,",
+]
+# lines kept but for the filters drawn
+plain_lines = st.builds(LINE.__mod__, st.tuples(endpoints, endpoints, st.sampled_from(TIMES)))
+# the per-line oracle's JSON, CSV-fallback and malformed lines, and those above
+feed_files = st.lists(
+    st.lists(
+        st.one_of(
+            plain_lines,
+            plain_lines,
+            json_lines(),
+            csv_lines(),
+            st.one_of(other_lines, overflow_lines, st.sampled_from(NOT_UTF8_LINES)),
+        ),
+        min_size=4,
+        max_size=20,
+    ),
+    min_size=1,
+    max_size=4,
+)
+FILTER_FLAGS = [("--status", "stopped"), ("--min-start", "102"), ("--regions", "US"), ("--af-any",)]
+SIDECAR = "measurement_id,status,start_time\n1,ongoing,\nm3,stopped,105\n"
+
+
+def ingest_run(work: Path, argv: list[str], cpus: int) -> tuple:
+    """``ingest``'s exit code, stdout, stderr, snapshot bytes and merged
+    counters with ``cpus`` usable CPUs; the merged record must conserve."""
+    merged = []
+    ingest_to_rows = cli.ingest_to_rows
+
+    def recorded(*args, **kwargs):
+        merged.append(ingest_to_rows(*args, **kwargs))
+        return merged[-1]
+
+    snapshot = work / "out" / "graph.csv"
+    snapshot.unlink(missing_ok=True)
+    with mock.patch.object(cli, "usable_cpus", lambda: cpus):
+        with mock.patch.object(cli, "ingest_to_rows", recorded):
+            code, stdout, stderr = run(argv)
+    assert_no_child_left()
+    for _, stats in merged:
+        assert_conserved(load_graph(snapshot), stats)
+    written = snapshot.read_bytes() if snapshot.exists() else None
+    return code, stdout, stderr, written, [counters(stats) for _, stats in merged]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    files=feed_files,
+    flags=st.lists(st.sampled_from(FILTER_FLAGS), unique=True, max_size=3),
+    sidecar=st.booleans(),
+    cpus=st.integers(2, 4),
+)
+# the pair that fails first in row order is a child's, another failing pair
+# the command's own process's
+@example(
+    files=[
+        [LINE % ("8.8.0.5", "8.8.0.6", 104)],
+        [(LINE % ("8.8.0.1", "8.8.0.3", 104)).replace("1.5}", "1.5e308}")] * 2,
+        [(LINE % ("8.8.0.2", "8.8.0.4", 104)).replace("1.5}", "1.5e308}")] * 2,
+    ],
+    flags=[],
+    sidecar=False,
+    cpus=2,
+)
+def test_ingest_is_the_same_at_any_cpu_count(files, flags, sidecar, cpus):
+    with tempfile.TemporaryDirectory() as name:
+        work = Path(name)
+        argv = ["--output-dir", str(work / "out"), "ingest"]
+        for index, lines in enumerate(files):
+            feed = work / f"feed-{index}.jsonl"
+            feed.write_bytes(b"".join(
+                (line if isinstance(line, bytes) else line.encode()) + b"\n" for line in lines
+            ))
+            argv.append(str(feed))
+        argv += [word for flag in flags for word in flag]
+        if sidecar:
+            (work / "meta.csv").write_text(SIDECAR, encoding="utf-8")
+            argv += ["--sidecar", str(work / "meta.csv")]
+        one = ingest_run(work, argv, 1)
+        assert ingest_run(work, argv, cpus) == one
+    assert one[0] in (0, 1)
 
 
 def trace_dir(work: Path, count: int = 24, broken: tuple[int, ...] = (2, 9, 14, 21)) -> Path:

@@ -196,7 +196,7 @@ class TestCompose:
         assert composed.modality == "multimodal"
 
     def test_degenerate_leg_rejected(self):
-        empty = RttSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0.5, "degenerate")
+        empty = RttSummary(0.0, 0.0, 0.0, 0.0, 0.0, 0, "degenerate")
         with pytest.raises(ValueError, match="legs must be non-degenerate"):
             compose((leg(LEG_AB), empty))
 
@@ -501,15 +501,14 @@ class TestSummaryInvariants:
                 mode_ms=1.0,
                 std_dev_ms=3.0,
                 sample_count=5,
-                mode_bin_width_ms=0.5,
                 modality="unimodal",
             )
 
     def test_degenerate_iff_empty(self):
         with pytest.raises(ValueError):
-            RttSummary(1.0, 1.0, 0.0, 1.0, 0.0, 0, 0.5, "unimodal")
+            RttSummary(1.0, 1.0, 0.0, 1.0, 0.0, 0, "unimodal")
         with pytest.raises(ValueError):
-            RttSummary(1.0, 1.0, 0.0, 1.0, 0.0, 5, 0.5, "degenerate")
+            RttSummary(1.0, 1.0, 0.0, 1.0, 0.0, 5, "degenerate")
 
 
 class TestFloatOverflow:

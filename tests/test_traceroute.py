@@ -15,7 +15,6 @@ from detourkit.geo import GeoRecord
 from detourkit.traceroute import (
     _TRACEROUTE_TO,
     LOS_ANGELES,
-    CitySpec,
     TracerouteTrace,
     _parse_hop_line,
     _token_match,
@@ -129,7 +128,7 @@ class TestHopCount:
         trace = read_trace_file(fixtures_dir / "traceroutes" / filename)
         assert trace.source_label == label
         assert len(trace.hops) == hops
-        assert detect_city(trace, LOS_ANGELES) == verdict
+        assert detect_city(trace, *LOS_ANGELES) == verdict
 
     def test_single_hop_loopback(self):
         trace = parse_traceroute(
@@ -146,55 +145,57 @@ class TestHopCount:
 class TestDetectCity:
     def test_token_evidence_with_hop_index(self, fixtures_dir):
         trace = read_trace_file(fixtures_dir / "traceroutes" / "03_sd_downtown_wifi.txt")
-        assert detect_city(trace, LOS_ANGELES) == "yes"
+        assert detect_city(trace, *LOS_ANGELES) == "yes"
         # hop 7 is the first with evidence, a "lax" router name
         assert trace.hops[6][0] == 7 and "lax" in trace.hops[6][2]
         up_to = [TracerouteTrace("x", "y", trace.hops[:stop]) for stop in (6, 7)]
-        lax_only = CitySpec(tokens=frozenset({"lax"}))
-        for spec in (LOS_ANGELES, lax_only):
-            assert [detect_city(cut, spec) == "yes" for cut in up_to] == [False, True]
+        lax_only = (frozenset({"lax"}), None)
+        for city in (LOS_ANGELES, lax_only):
+            assert [detect_city(cut, *city) == "yes" for cut in up_to] == [False, True]
 
     def test_no_match_on_embedded_token(self):
         trace = parse_traceroute("# x | y\n 1  relax.example.net (10.0.0.1)  1.0 ms\n")
-        assert detect_city(trace, LOS_ANGELES) == "no"
+        assert detect_city(trace, *LOS_ANGELES) == "no"
 
     def test_hyphen_prefix_token(self):
         trace = parse_traceroute("# x | y\n 1  la-cr1.carrier.net (10.0.0.1)  1.0 ms\n")
-        assert detect_city(trace, LOS_ANGELES) == "yes"
-        assert detect_city(trace, CitySpec(tokens=frozenset({"la-"}))) == "yes"
+        assert detect_city(trace, *LOS_ANGELES) == "yes"
+        assert detect_city(trace, frozenset({"la-"})) == "yes"
 
     def test_hyphen_separated_segment_token(self):
         trace = parse_traceroute("# x | y\n 1  ae-lax-3.carrier.net (10.0.0.1)  1.0 ms\n")
-        assert detect_city(trace, LOS_ANGELES) == "yes"
+        assert detect_city(trace, *LOS_ANGELES) == "yes"
 
     def test_geo_city_fallback(self):
         trace = parse_traceroute("# x | y\n 1  core7.carrier.net (10.0.0.1)  1.0 ms\n")
         place = GeoRecord("10.0.0.1", "Los Angeles", "CA", "US", "cache")
-        assert detect_city(trace, LOS_ANGELES, {"10.0.0.1": place}.__getitem__) == "yes"
-        assert detect_city(trace, LOS_ANGELES) == "no"
+        assert detect_city(trace, *LOS_ANGELES, {"10.0.0.1": place}.__getitem__) == "yes"
+        assert detect_city(trace, *LOS_ANGELES) == "no"
 
     def test_unknown_when_half_unassessable(self):
         trace = parse_traceroute(
             "# x | y\n 1  gw.example.net (10.0.0.1)  1.0 ms\n 2  * * *\n 3  * * *\n 4  10.0.0.4  4.0 ms\n"
         )
-        assert detect_city(trace, LOS_ANGELES) == "unknown"
+        assert detect_city(trace, *LOS_ANGELES) == "unknown"
 
     def test_no_when_hops_resolvable(self):
         trace = parse_traceroute(
             "# x | y\n 1  gw.example.net (10.0.0.1)  1.0 ms\n 2  core.example.net (10.0.0.2)  2.0 ms\n"
         )
-        assert detect_city(trace, LOS_ANGELES) == "no"
+        assert detect_city(trace, *LOS_ANGELES) == "no"
 
     def test_yes_always_has_valid_evidence(self, fixtures_dir):
         # with no geo data, "yes" exactly when some hop's name has a token
         for filename, _, _, _ in TABLE_SHAPE:
             trace = read_trace_file(fixtures_dir / "traceroutes" / filename)
-            matched = [hop for hop in trace.hops if reference_token(hop, LOS_ANGELES.tokens)]
-            assert (detect_city(trace, LOS_ANGELES) == "yes") == bool(matched)
+            matched = [hop for hop in trace.hops if reference_token(hop, LOS_ANGELES[0])]
+            assert (detect_city(trace, *LOS_ANGELES) == "yes") == bool(matched)
 
     def test_city_spec_needs_criteria(self):
-        with pytest.raises(ValueError):
-            CitySpec(tokens=frozenset())
+        trace = parse_traceroute("# x | y\n 1  gw.example.net (10.0.0.1)  1.0 ms\n")
+        with pytest.raises(ValueError, match="need at least one token or a geo city"):
+            detect_city(trace, frozenset())
+        assert detect_city(trace, frozenset(), "Los Angeles") == "no"
 
 
 def reference_token(hop, tokens):
@@ -209,7 +210,7 @@ def reference_token(hop, tokens):
     return next((t for t in sorted(tokens) if any(p.startswith(t.lower()) for p in parts)), None)
 
 
-def eager_detect_city(trace, city_spec, place) -> tuple[str, list[int]]:
+def eager_detect_city(trace, tokens, geo_city, place) -> tuple[str, list[int]]:
     """Reference: place every hop with an address first, then decide. The
     verdict, and the positions in ``trace.hops`` of the hops with evidence."""
     places = {index: place(address) for index, address, _ in trace.hops if address is not None}
@@ -217,13 +218,12 @@ def eager_detect_city(trace, city_spec, place) -> tuple[str, list[int]]:
     unassessable = 0
     for position, hop in enumerate(trace.hops):
         index, _, rdns_name = hop
-        if reference_token(hop, city_spec.tokens) is not None:
+        if reference_token(hop, tokens) is not None:
             evidence.append(position)
             continue
         record = places.get(index)
         city = record.city if record is not None else None
-        wanted = city_spec.geo_city
-        if city is not None and wanted is not None and city.lower() == wanted.lower():
+        if city is not None and geo_city is not None and city.lower() == geo_city.lower():
             evidence.append(position)
             continue
         if rdns_name is None and city is None:
@@ -256,13 +256,13 @@ def traces_and_tables(draw):
         geo_city = "Los Angeles"
     table = draw(st.dictionaries(st.sampled_from(ADDRESSES), st.none() | st.sampled_from(CITIES)))
     trace = TracerouteTrace(source_label="x", destination="y", hops=hops)
-    return trace, CitySpec(tokens=tokens, geo_city=geo_city), table
+    return trace, tokens, geo_city, table
 
 
 @settings(max_examples=300, deadline=None)
 @given(traces_and_tables())
 def test_lazy_locate_matches_eager_reference(case):
-    trace, spec, table = case
+    trace, tokens, geo_city, table = case
     calls = []
 
     def place(address):
@@ -273,16 +273,16 @@ def test_lazy_locate_matches_eager_reference(case):
             return None
         return GeoRecord(address, table[address], None, "US", "cache")
 
-    verdict, evidence = eager_detect_city(trace, spec, place)
+    verdict, evidence = eager_detect_city(trace, tokens, geo_city, place)
     calls.clear()
-    assert detect_city(trace, spec, place) == verdict
+    assert detect_city(trace, tokens, geo_city, place) == verdict
     # asked, in hop order, only for the address of a hop that no token
     # matched, up to the first hop with evidence and for none after it
     asked = trace.hops[: evidence[0] + 1] if evidence else trace.hops
     assert calls == [
         address
         for hop in asked
-        if (address := hop[1]) is not None and reference_token(hop, spec.tokens) is None
+        if (address := hop[1]) is not None and reference_token(hop, tokens) is None
     ]
 
 
