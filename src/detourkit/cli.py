@@ -136,8 +136,10 @@ def resolve_config(args: argparse.Namespace) -> argparse.Namespace:
             raise ValueError(f"{setting} must be one of {', '.join(allowed)}, got {value!r}")
         if convert is float and not math.isfinite(value):
             raise ValueError(f"{setting} must be a finite number, got {value}")
-        if name in ("top", "forwarding_delay_ms") and value < 0:
+        if name in ("top", "threshold_pct", "forwarding_delay_ms") and value < 0:
             raise ValueError(f"{setting} must be >= 0, got {value}")
+        if name in ("bucket_width_pct", "mode_bin_width_ms") and value <= 0:
+            raise ValueError(f"{setting} must be > 0, got {value}")
         setattr(cfg, name, value)
     return cfg
 
@@ -451,7 +453,7 @@ def cmd_detours(args: argparse.Namespace, cfg: argparse.Namespace) -> int:
     )
 
     print(
-        f"insights={len(rows)} improvements={len(rows.improvements)} "
+        f"insights={len(rows)} improvements={len(rows.pcts)} "
         f"bridges={rows.bridge_count} improvable_pairs={improvable_pairs}"
     )
 

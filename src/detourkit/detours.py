@@ -10,11 +10,12 @@ histogram using each pair's best relay (:meth:`DetourRows.histogram`).
 The search takes the graph as :func:`graph.read_snapshot` reads it: the
 endpoints in order and each one's rank-sorted ``(destination rank, rtt)``
 successor list. It walks endpoints in rank order and keeps its findings as
-compact rank-indexed rows (:class:`DetourRows`) that are already in report
-order, so the CLI renders them without building an object or sorting per
-insight. It holds the adjacency, the improvement rows and a count of
-bridges, so memory is O(edges + improvements); bridges, the bulk of the
-rows on a dense graph, are walked again from the adjacency on output.
+rank-indexed rows (:class:`DetourRows`) with their report order, so the
+CLI renders them without building an object or sorting per insight. The
+improvement rows are flat columns of 8-byte numbers, 48 bytes a row;
+besides them it holds the adjacency and a count of bridges, so memory is
+O(edges + improvements). Bridges, the bulk of the rows on a dense graph,
+are walked again from the adjacency on output.
 
 The writers can share that walk out over processes: given a share runner
 (``cli.run_shares``) and a CPU count, they cut the source ranks into
@@ -36,10 +37,13 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, islice
 from pathlib import Path
-from typing import Callable, Iterator, Optional, TextIO
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, TextIO
 
 from .errors import ToolkitError
 from .graph import replaced_on_success
+
+if TYPE_CHECKING:
+    from array import array
 
 KIND_IMPROVEMENT = "improvement"
 KIND_BRIDGE = "bridge"
@@ -64,12 +68,19 @@ BRIDGE_ROWS_PER_SHARE = 50_000
 
 @dataclass(frozen=True, slots=True)
 class DetourRows:
-    """Every insight of one search as compact rows, already in report order.
+    """Every insight of one search as compact rows, with their report order.
 
     Endpoints are ranks into ``nodes``, the endpoints in order, and
     ``successors[s]`` is the ``(destination, rtt)`` list of s's edges,
-    sorted by rank. Improvement rows are ``(source, via, destination,
-    overlay, direct, gain, pct)``, ordered by pct descending then by rank.
+    sorted by rank. The improvement rows are held in walk order, one
+    ``array`` column per field: ``pairs[i]`` is row i's ``source *
+    len(nodes) + destination`` and ``vias[i]`` its via (8-byte ints);
+    ``overlays[i]``, ``directs[i]`` and ``pcts[i]`` are its overlay RTT,
+    direct RTT and improvement percentage (8-byte floats). Its gain is
+    ``directs[i] - overlays[i]``, the float the search computed. ``order``
+    (8-byte ints) lists the row indices in report order, by pct descending
+    then by rank, so a row takes 48 bytes in all; :meth:`improvements`
+    reads the rows in that order.
     Bridges are not held: :meth:`bridge_runs` and :meth:`bridges` walk
     ``successors`` again on each call, in rank order, and ``bridge_count``
     is how many bridges there are. Memory is O(edges + improvements).
@@ -79,11 +90,28 @@ class DetourRows:
 
     nodes: list[str]
     successors: list[list[tuple[int, float]]]
-    improvements: list[tuple[int, int, int, float, float, float, float]]
+    pairs: array
+    vias: array
+    overlays: array
+    directs: array
+    pcts: array
+    order: array
     bridge_count: int
 
     def __len__(self) -> int:
-        return len(self.improvements) + self.bridge_count
+        return len(self.pcts) + self.bridge_count
+
+    def improvements(self) -> Iterator[tuple[int, int, int, float, float, float, float]]:
+        """Improvement rows ``(source, via, destination, overlay, direct,
+        gain, pct)``, endpoints by rank, in report order."""
+        size = len(self.nodes)
+        pairs, vias, overlays, directs, pcts = (
+            self.pairs, self.vias, self.overlays, self.directs, self.pcts
+        )
+        for i in self.order:
+            pair = pairs[i]
+            overlay, direct = overlays[i], directs[i]
+            yield pair // size, vias[i], pair % size, overlay, direct, direct - overlay, pcts[i]
 
     def bridge_runs(
         self, sources: Optional[range] = None
@@ -138,7 +166,7 @@ class DetourRows:
         is the exact sum of the two leg RTTs; bridges have no direct edge,
         so their direct RTT and improvement fields are None."""
         nodes = self.nodes
-        for s, v, d, overlay, direct, gain, pct in self.improvements:
+        for s, v, d, overlay, direct, gain, pct in self.improvements():
             yield nodes[s], nodes[v], nodes[d], overlay, direct, gain, pct, KIND_IMPROVEMENT
         for s, v, d, overlay in self.bridges():
             yield nodes[s], nodes[v], nodes[d], overlay, None, None, None, KIND_BRIDGE
@@ -149,9 +177,12 @@ class DetourRows:
         its best improvement percentage."""
         if bucket_width_pct <= 0:
             raise ValueError("bucket_width_pct must be > 0")
-        # pct descending means a pair's first row is its best; iterating in
-        # reverse lets that first row's value be the last one written
-        best = {(row[0], row[2]): row[6] for row in reversed(self.improvements)}
+        # report order puts a pair's best row first; read backwards, that
+        # row's pct is the last one written
+        pairs, pcts = self.pairs, self.pcts
+        best: dict[int, float] = {}
+        for i in reversed(self.order):
+            best[pairs[i]] = pcts[i]
         counts: dict[float, int] = {}
         try:
             for pct in best.values():
@@ -179,23 +210,29 @@ def search_detours(
     least ``threshold_pct`` percent of the direct RTT. Each (s, m, d)
     triplet with both legs present is considered exactly once. Sources,
     vias and destinations are walked in rank order, so improvements need
-    only a stable sort on pct; bridges are only counted here, and
-    :meth:`DetourRows.bridges` walks them again in the same order.
+    only a stable sort on pct, which orders their row indices; bridges
+    are only counted here, and :meth:`DetourRows.bridges` walks them again
+    in the same order.
     """
+    from array import array  # here, so that CLI start-up imports no new module
+
     if threshold_pct < 0:
         raise ValueError("threshold_pct must be >= 0")
-    improvements: list[tuple[int, int, int, float, float, float, float]] = []
-    add_improvement = improvements.append
+    columns = (array("q"), array("q"), array("d"), array("d"), array("d"))
+    add_pair, add_via, add_overlay, add_direct, add_pct = (c.append for c in columns)
     bridge_count = 0
-    # direct[d] is the source's direct RTT to d, or None; reset per source
-    direct: list[Optional[float]] = [None] * len(nodes)
+    size = len(nodes)
+    # direct[d] is the source's direct RTT to d, or None; reset per source.
+    # direct[s] is 0.0, so a relay back to s is no bridge and its gain,
+    # -overlay, is < 0
+    direct: list[Optional[float]] = [None] * size
     for s, out in enumerate(successors):
+        pair = s * size  # the pair (s, d) is pair + d
         for d, rtt in out:
             direct[d] = rtt
+        direct[s] = 0.0
         for v, leg_in in out:
             for d, leg_out in successors[v]:
-                if d == s:
-                    continue
                 direct_rtt = direct[d]
                 if direct_rtt is None:
                     bridge_count += 1
@@ -205,11 +242,18 @@ def search_detours(
                 if gain > 0:
                     pct = 100.0 * gain / direct_rtt
                     if pct >= threshold_pct:
-                        add_improvement((s, v, d, overlay, direct_rtt, gain, pct))
+                        add_pair(pair + d)
+                        add_via(v)
+                        add_overlay(overlay)
+                        add_direct(direct_rtt)
+                        add_pct(pct)
+        direct[s] = None
         for d, _ in out:
             direct[d] = None
-    improvements.sort(key=lambda row: -row[6])
-    return DetourRows(nodes, successors, improvements, bridge_count)
+    pcts = columns[-1]
+    # a stable sort keeps walk order, which is rank order, among equal pcts
+    order = array("q", sorted(range(len(pcts)), key=pcts.__getitem__, reverse=True))
+    return DetourRows(nodes, successors, *columns, order, bridge_count)
 
 
 def _write_batched(handle: TextIO, items: Iterator[str], separator: str = "") -> None:
@@ -329,7 +373,7 @@ def write_rows_csv(
     lines = (
         f"{cell[s]},{cell[v]},{cell[d]},{overlay:.3f},{direct:.3f},{gain:.3f},{pct:.2f},"
         f"{KIND_IMPROVEMENT}\r\n"
-        for s, v, d, overlay, direct, gain, pct in rows.improvements
+        for s, v, d, overlay, direct, gain, pct in rows.improvements()
     )
 
     def bridge_rows(s: int, v: int, leg_in: float, legs_out: list[tuple[int, float]]) -> list[str]:
@@ -367,7 +411,7 @@ def write_rows_json(
         f'\n    "overlay_rtt_ms": {overlay!r},\n    "direct_rtt_ms": {direct!r},'
         f'\n    "improvement_ms": {gain!r},\n    "improvement_pct": {pct!r},'
         f'\n    "kind": "{KIND_IMPROVEMENT}"\n  }}'
-        for s, v, d, overlay, direct, gain, pct in rows.improvements
+        for s, v, d, overlay, direct, gain, pct in rows.improvements()
     )
 
     def bridge_objects(
@@ -391,7 +435,7 @@ def write_rows_json(
         handle.write("[\n")
         _write_batched(handle, objects, ",\n")
         # the file's first object has no separator before it
-        cut = 0 if rows.improvements else len(",\n")
+        cut = 0 if rows.pcts else len(",\n")
         _write_bridges(handle, path, None, rows, bridge_objects, cut, run_shares, cpus)
         handle.write("\n]\n")
     return len(rows)

@@ -15,6 +15,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from array import array
 from pathlib import Path
 
 import pytest
@@ -1240,11 +1241,16 @@ def failing_rows():
 
 
 # a successor list naming a node rank that does not exist fails mid-file,
-# when the writer walks the bridges after the improvement rows
+# when the writer walks the bridges after the improvement row A -> C via B
 BROKEN_ROWS = DetourRows(
     nodes=["A", "B", "C"],
     successors=[[(1, 1.0)], [(7, 1.0)], []],
-    improvements=[(0, 1, 2, 1.0, 3.0, 2.0, 66.67)],
+    pairs=array("q", [0 * 3 + 2]),  # source * len(nodes) + destination
+    vias=array("q", [1]),
+    overlays=array("d", [1.0]),
+    directs=array("d", [3.0]),
+    pcts=array("d", [66.67]),
+    order=array("q", [0]),
     bridge_count=1,
 )
 
@@ -1334,6 +1340,35 @@ class TestConfig:
         config.write_text("[detours]\ntop = -1\n", encoding="utf-8")
         assert main(["--config", str(config), "--output-dir", out, "detours", str(snapshot)]) == 2
         assert capsys.readouterr().err.count("top must be >= 0") == 2
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command,flag,key,refusal",
+        [
+            ("detours", "--threshold-pct", "threshold_pct", "must be >= 0, got -0.5"),
+            ("detours", "--bucket-width", "bucket_width_pct", "must be > 0, got -0.5"),
+            ("overlay", "--mode-bin-width", "mode_bin_width_ms", "must be > 0, got -0.5"),
+        ],
+        ids=["threshold-pct", "bucket-width", "mode-bin-width"],
+    )
+    def test_bad_setting_is_refused_before_any_input_is_read(
+        self, tmp_path, capsys, command, flag, key, refusal
+    ):
+        # the input is malformed too: the setting is refused first, from its
+        # flag and from the config file alike
+        malformed = tmp_path / "input.csv"
+        malformed.write_text("not a snapshot\n", encoding="utf-8")
+        argv = [command, *(["--direct"] if command == "overlay" else []), str(malformed)]
+        out = str(tmp_path / "out")
+        assert main(["--output-dir", out, *argv, flag, "-0.5"]) == 2
+        config = tmp_path / "pipeline.cfg"
+        config.write_text(f"[{command}]\n{key} = -0.5\n", encoding="utf-8")
+        assert main(["--config", str(config), "--output-dir", out, *argv]) == 2
+        message = f"bad configuration: [{command}] {key} {refusal}\n"
+        assert capsys.readouterr() == ("", message * 2)
+        # a threshold of 0 is allowed, and the malformed input is then read
+        zero = 1 if key == "threshold_pct" else 2
+        assert main(["--output-dir", out, *argv, flag, "0"]) == zero
         assert not (tmp_path / "out").exists()
 
     def test_negative_forwarding_delay_rejected(self, tmp_path, capsys):
@@ -1521,14 +1556,17 @@ FLAG_AND_KEY_CASES = [
     ("threshold_pct", ["--threshold-pct", "60"], "60"),
     ("threshold_pct", ["--threshold-pct", "nan"], "nan"),
     ("threshold_pct", ["--threshold-pct", "abc"], "abc"),
+    ("threshold_pct", ["--threshold-pct", "-1"], "-1"),
     ("bucket_width_pct", ["--bucket-width", "2.5"], "2.5"),
     ("bucket_width_pct", ["--bucket-width", "inf"], "inf"),
+    ("bucket_width_pct", ["--bucket-width", "0"], "0"),
     ("top", ["--top", "3"], "3"),
     ("top", ["--top", "-1"], "-1"),
     ("top", ["--top", "abc"], "abc"),
     ("cumulative", ["--cumulative"], "yes"),
     ("mode_bin_width_ms", ["--mode-bin-width", "0.2"], "0.2"),
     ("mode_bin_width_ms", ["--mode-bin-width", "nan"], "nan"),
+    ("mode_bin_width_ms", ["--mode-bin-width", "-0.5"], "-0.5"),
     ("forwarding_delay_ms", ["--forwarding-delay", "3"], "3"),
     ("forwarding_delay_ms", ["--forwarding-delay", "x"], "x"),
     ("forwarding_delay_ms", ["--forwarding-delay", "-200"], "-200"),

@@ -225,10 +225,26 @@ class TestBridgeStream:
         finally:
             tracemalloc.stop()
         assert rows.bridge_count >= 100_000
-        # an improvement row of seven fields takes about 200 bytes; a held
-        # bridge row would take about 120
-        beyond_improvements = peak - 256 * len(rows.improvements)
+        # an improvement row peaks at about 125 bytes while the search sorts
+        # the row indices (216 as a tuple of seven fields); a held bridge row
+        # would take about 120
+        beyond_improvements = peak - 160 * len(rows.pcts)
         assert beyond_improvements < 16 * rows.bridge_count
+
+    def test_search_holds_improvements_in_flat_columns(self):
+        # 150 nodes: 14,592 improvements at 1%
+        graph = random_graph(random.Random(6), max_nodes=160)
+        adjacency = ranked(graph)
+        tracemalloc.start()
+        try:
+            rows = search_detours(*adjacency, 1.0)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows.pcts) == 14_592
+        # six columns of 8-byte numbers, with the arrays' spare room: about
+        # 51 bytes a row; a tuple of seven fields took about 176
+        assert held <= 64 * len(rows.pcts)
 
     def test_snapshot_read_holds_no_graph(self, tmp_path):
         # 150 nodes and 6,655 edges, read straight into the adjacency
@@ -262,7 +278,7 @@ class TestHistogram:
     def _rows(self, pcts):
         """The search over :meth:`_graph`, every relay an improvement."""
         rows = search_detours(*ranked(self._graph(pcts)), threshold_pct=0.0)
-        assert len(rows.improvements) == len(pcts)
+        assert len(rows.pcts) == len(pcts)
         return rows
 
     def test_floor_bucketing(self):
@@ -283,7 +299,7 @@ class TestHistogram:
             }
         )
         rows = search_detours(*ranked(graph), 1.0)
-        assert len(rows.improvements) == 2
+        assert len(rows.pcts) == 2
         assert rows.histogram(bucket_width_pct=1.0) == {80.0: 1}
 
     def test_matches_brute_force_recount(self):

@@ -500,6 +500,97 @@ def test_detours_file_edge_cases_at_any_cpu_count(tmp_path, monkeypatch, graph, 
         assert_no_child_left()
 
 
+# snapshot edges between a few endpoints, with integer RTTs so that
+# improvements of equal pct fall in different bridge slices
+snapshot_edges = st.dictionaries(
+    st.tuples(
+        st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5"]),
+        st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.6"]),
+    ).filter(lambda edge: edge[0] != edge[1]),
+    st.integers(1, 9),
+    min_size=4,
+    max_size=18,
+)
+# a malformed row to put in among the others, in about a third of the examples
+SNAPSHOT_FAULTS = st.sampled_from(
+    [None] * 6 + ["10.0.0.1,10.0.0.2,x,1,1", "10.0.0.1,10.0.0.2,0,1,1", "10.0.0.3,10.0.0.3,1,1,1"]
+)
+
+
+def detours_run(work: Path, argv: list[str], cpus: int) -> tuple:
+    """``detours``' exit code, stdout, stderr and written files with
+    ``cpus`` usable CPUs, a share for every bridge."""
+    out = work / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    with mock.patch.object(cli, "usable_cpus", lambda: cpus):
+        with mock.patch.object(detours_mod, "BRIDGE_ROWS_PER_SHARE", 1):
+            code, stdout, stderr = run(argv)
+    assert_no_child_left()
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return code, stdout, stderr, files
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    edges=snapshot_edges,
+    fault=SNAPSHOT_FAULTS,
+    at=st.integers(0, 18),
+    duplicate=st.sampled_from([False, False, False, True]),
+    fmt=st.sampled_from(["csv", "json"]),
+    threshold=st.sampled_from(["0", "1", "30", "100"]),
+    cpus=st.integers(2, 4),
+)
+# improvements that tie at 50% in the first source's slice and the last
+# one's, with bridges in between
+@example(
+    edges={
+        ("10.0.0.1", "10.0.0.2"): 1, ("10.0.0.2", "10.0.0.3"): 1, ("10.0.0.1", "10.0.0.3"): 4,
+        ("10.0.0.3", "10.0.0.4"): 1, ("10.0.0.4", "10.0.0.1"): 1, ("10.0.0.4", "10.0.0.2"): 4,
+        ("10.0.0.2", "10.0.0.6"): 2,
+    },
+    fault=None,
+    at=0,
+    duplicate=False,
+    fmt="json",
+    threshold="1",
+    cpus=4,
+)
+# no improvements, and at 2 CPUs only the second slice has bridges (4 -> 1 -> 2
+# and 4 -> 1 -> 3), so the JSON separator cut moves on to the child's part
+@example(
+    edges={
+        **{(f"10.0.0.{s}", f"10.0.0.{d}"): 1 for s in (1, 2, 3) for d in (1, 2, 3) if s != d},
+        ("10.0.0.4", "10.0.0.1"): 1,
+    },
+    fault=None,
+    at=0,
+    duplicate=False,
+    fmt="json",
+    threshold="100",
+    cpus=2,
+)
+def test_detours_is_the_same_at_any_cpu_count(edges, fault, at, duplicate, fmt, threshold, cpus):
+    rows = [f"{source},{destination},{rtt},1,1" for (source, destination), rtt in edges.items()]
+    # 10.0.0.5 is spelled 10.0.0.05 in every other row
+    rows[1::2] = [row.replace("10.0.0.5", "10.0.0.05") for row in rows[1::2]]
+    if duplicate and rows:
+        rows.append(rows[0].replace(",1,1", ",2,2"))  # the first row's edge again
+    if fault is not None:
+        rows.insert(at, fault)
+    with tempfile.TemporaryDirectory() as name:
+        work = Path(name)
+        snapshot = work / "graph.csv"
+        snapshot.write_text(
+            "\n".join(["source,destination,rtt_ms,sample_count,measurement_count", *rows]) + "\n",
+            encoding="utf-8",
+        )
+        argv = ["--output-dir", str(work / "out"), "--format", fmt, "detours", str(snapshot),
+                "--threshold-pct", threshold]
+        one = detours_run(work, argv, 1)
+        assert detours_run(work, argv, cpus) == one
+    assert one[0] in (0, 1)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
