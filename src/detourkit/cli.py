@@ -434,10 +434,10 @@ def cmd_detours(args: argparse.Namespace, cfg: argparse.Namespace) -> int:
     histogram = rows.histogram(cfg.bucket_width_pct)
     improvable_pairs = sum(histogram.values())
 
-    write = detours_mod.write_rows_json if cfg.format == "json" else detours_mod.write_rows_csv
-    write(
+    detours_mod.write_rows(
         rows,
         cfg.output_dir / f"insights.{cfg.format}",
+        cfg.format,
         functools.partial(run_shares, "detours"),
         usable_cpus(),
     )

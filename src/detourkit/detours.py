@@ -17,12 +17,13 @@ besides them it holds the adjacency and a count of bridges, so memory is
 O(edges + improvements). Bridges, the bulk of the rows on a dense graph,
 are walked again from the adjacency on output.
 
-The writers can share that walk out over processes: given a share runner
-(``cli.run_shares``) and a CPU count, they cut the source ranks into
-contiguous slices of about equal work, render the first slice's bridges
-in this process and each other slice's into a part file in a forked
-child, and copy the parts in after it in slice order, so the file is the
-one a single process writes.
+One writer, :func:`write_rows`, renders the rows as CSV or JSON and
+shares that walk out over processes through a share runner
+(``cli.run_shares``): it cuts the source ranks into contiguous slices of
+about equal work, writes the improvements and the first slice's bridges
+in this process and each other slice's bridges into a part file in a
+forked child, and copies the parts in after them in slice order, so the
+file is the one a single process writes.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, chain, starmap
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, TextIO
 
@@ -256,16 +257,6 @@ def search_detours(
     return DetourRows(nodes, successors, *columns, order, bridge_count)
 
 
-def _write_batched(handle: TextIO, items: Iterator[str], separator: str = "") -> None:
-    """Write ``separator.join(items)`` a few thousand items at a time."""
-    first = True
-    while batch := list(islice(items, 4096)):
-        if not first:
-            handle.write(separator)
-        handle.write(separator.join(batch))
-        first = False
-
-
 def _csv_cells(nodes: list[str]) -> list[str]:
     """Each node as a cell of a :func:`csv.writer` row."""
     buffer = io.StringIO()
@@ -278,6 +269,12 @@ def _csv_cells(nodes: list[str]) -> list[str]:
         writer.writerow((node, ""))
         cells.append(buffer.getvalue()[: -len(",\r\n")])
     return cells
+
+
+def _json_float(value: float) -> str:
+    # json.dump spells an overflowed leg sum, or the pct of a gain near the
+    # float limit, Infinity; finite floats are repr
+    return repr(value) if math.isfinite(value) else json.dumps(value)
 
 
 def _write_runs(handle: TextIO, runs: Iterator[list[str]], cut: int) -> bool:
@@ -296,146 +293,104 @@ def _write_runs(handle: TextIO, runs: Iterator[list[str]], cut: int) -> bool:
     return True
 
 
-def _append_part(handle: TextIO, part: Path, cut: int) -> None:
-    """Copy the file ``part``, but for its first ``cut`` bytes, to the end of
-    ``handle`` 64 KiB at a time, and remove it."""
-    handle.flush()
-    with open(part, "rb") as source:
-        source.seek(cut)
-        while chunk := source.read(1 << 16):
-            handle.buffer.write(chunk)
-    part.unlink()
+def write_rows(
+    rows: DetourRows, path: str | Path, fmt: str, run_shares: Callable, cpus: int
+) -> int:
+    """Write ``rows`` as ``fmt``, replacing ``path`` atomically; returns the
+    number of rows written. As ``"csv"``, the file is what :func:`csv.writer`
+    writes of the :data:`INSIGHT_HEADER` row and then one row per insight of
+    ``rows.insights()``: RTTs and gains to 3 decimals, pct to 2, a bridge's
+    absent values empty. As ``"json"``, it is ``json.dump(indent=2)`` of one
+    object per insight keyed by :data:`INSIGHT_HEADER`, plus a newline.
 
+    Each row is rendered led by its separator, which the first row written
+    goes without. The rows are written in shares by ``run_shares``
+    (:func:`cli.run_shares` bound to a name): the sources are cut into one
+    slice per CPU of ``cpus``, but at most one per
+    :data:`BRIDGE_ROWS_PER_SHARE` bridges. The first share, the improvements
+    and the first slice's bridges, is written here; each other slice's
+    bridges go to a part file beside ``path`` in a child, and the parts are
+    copied in after it, in slice order. No part file or temporary file of
+    one is left behind."""
+    if fmt == "json":
+        cell = [json.dumps(node) for node in rows.nodes]
+        newline, separator = None, ",\n"
+        header, footer = ("[\n", "\n]\n") if len(rows) else ("[]\n", "")
 
-def _write_bridges(
-    handle: TextIO,
-    path: str | Path,
-    newline: Optional[str],
-    rows: DetourRows,
-    render: Callable[..., list[str]],
-    cut: int,
-    run_shares: Optional[Callable],
-    cpus: int,
-) -> None:
-    """Write the bridges of ``rows`` to ``handle``, the rows of each
-    :meth:`DetourRows.bridge_runs` run as ``render`` gives them, each row
-    led by its separator; the first row written goes without its first
-    ``cut`` characters, the separator it would have after nothing.
+        def improvement(s, v, d, overlay, direct, gain, pct) -> list[str]:
+            return [
+                f',\n  {{\n    "source": {cell[s]},\n    "via": {cell[v]},'
+                f'\n    "destination": {cell[d]},'
+                f'\n    "overlay_rtt_ms": {overlay!r},\n    "direct_rtt_ms": {direct!r},'
+                f'\n    "improvement_ms": {gain!r},\n    "improvement_pct": {_json_float(pct)},'
+                f'\n    "kind": "{KIND_IMPROVEMENT}"\n  }}'
+            ]
 
-    With ``run_shares`` (:func:`cli.run_shares` bound to a name), the
-    sources are cut into one slice per CPU of ``cpus``, but at most one per
-    :data:`BRIDGE_ROWS_PER_SHARE` bridges. The first slice is written here;
-    each other one goes to a part file beside ``path`` (opened with
-    ``newline``) in a child, and the parts are copied in after it, in slice
-    order. No part file or temporary file of one is left behind."""
-    count = 1
-    if run_shares is not None:
-        count = max(1, min(cpus, rows.bridge_count // BRIDGE_ROWS_PER_SHARE))
-    if count == 1:
-        _write_runs(handle, (render(*run) for run in rows.bridge_runs()), cut)
-        return
+        def bridges(s, v, leg_in, legs_out) -> list[str]:
+            prefix = (
+                f',\n  {{\n    "source": {cell[s]},\n    "via": {cell[v]},\n    "destination": '
+            )
+            return [
+                f'{prefix}{cell[d]},'
+                f'\n    "overlay_rtt_ms": {_json_float(leg_in + leg_out)},'
+                f'\n    "direct_rtt_ms": null,'
+                f'\n    "improvement_ms": null,\n    "improvement_pct": null,'
+                f'\n    "kind": "{KIND_BRIDGE}"\n  }}'
+                for d, leg_out in legs_out
+            ]
+
+    else:
+        cell = _csv_cells(rows.nodes)
+        newline, separator = "", ""
+        header, footer = ",".join(INSIGHT_HEADER) + "\r\n", ""
+
+        def improvement(s, v, d, overlay, direct, gain, pct) -> list[str]:
+            return [
+                f"{cell[s]},{cell[v]},{cell[d]},{overlay:.3f},{direct:.3f},{gain:.3f},{pct:.2f},"
+                f"{KIND_IMPROVEMENT}\r\n"
+            ]
+
+        def bridges(s, v, leg_in, legs_out) -> list[str]:
+            # one list comprehension per (source, via) run, whose source and
+            # via cells are joined once
+            prefix = f"{cell[s]},{cell[v]},"
+            return [
+                f"{prefix}{cell[d]},{leg_in + leg_out:.3f},,,,{KIND_BRIDGE}\r\n"
+                for d, leg_out in legs_out
+            ]
+
+    count = max(1, min(cpus, rows.bridge_count // BRIDGE_ROWS_PER_SHARE))
     slices = rows.bridge_slices(count)
     target = Path(path)
     parts = [target.with_name(f".{target.name}.{os.getpid()}.part{i}") for i in range(count)]
+    with replaced_on_success(path, newline=newline) as handle:
 
-    def share(index: int, alive: Callable) -> bool:
-        runs = (render(*run) for run in alive(rows.bridge_runs(slices[index])))
-        if index == 0:
-            return _write_runs(handle, runs, cut)
-        with replaced_on_success(parts[index], newline=newline) as part:
-            return _write_runs(part, runs, 0)
+        def share(index: int, alive: Callable) -> bool:
+            runs = starmap(bridges, alive(rows.bridge_runs(slices[index])))
+            if index == 0:
+                runs = chain(starmap(improvement, rows.improvements()), runs)
+                return _write_runs(handle, runs, len(separator))
+            with replaced_on_success(parts[index], newline=newline) as part:
+                return _write_runs(part, runs, 0)
 
-    skip = cut  # what the first row written loses, until one is written
-    try:
-        with contextlib.closing(run_shares(share, range(count))) as wrote:
-            for index, any_rows in enumerate(wrote):
-                if index:
-                    _append_part(handle, parts[index], skip)
-                if any_rows:
-                    skip = 0
-    finally:  # the children are reaped by now, so none writes a file after this
-        for part in parts[1:]:
-            part.unlink(missing_ok=True)
-            for temporary in part.parent.glob(f".{part.name}.*.tmp"):
-                temporary.unlink()
-
-
-def write_rows_csv(
-    rows: DetourRows, path: str | Path, run_shares: Optional[Callable] = None, cpus: int = 1
-) -> int:
-    """Write ``rows`` as :func:`csv.writer` writes the :data:`INSIGHT_HEADER`
-    row and then one row per insight of ``rows.insights()``: RTTs and gains
-    to 3 decimals, pct to 2, a bridge's absent values empty. Replaces
-    ``path`` atomically; returns the number of rows written. The bridges
-    are written in shares over ``cpus`` CPUs when ``run_shares`` is given
-    (see :func:`_write_bridges`)."""
-    cell = _csv_cells(rows.nodes)
-    lines = (
-        f"{cell[s]},{cell[v]},{cell[d]},{overlay:.3f},{direct:.3f},{gain:.3f},{pct:.2f},"
-        f"{KIND_IMPROVEMENT}\r\n"
-        for s, v, d, overlay, direct, gain, pct in rows.improvements()
-    )
-
-    def bridge_rows(s: int, v: int, leg_in: float, legs_out: list[tuple[int, float]]) -> list[str]:
-        # one list comprehension per (source, via) run, whose source and via
-        # cells are joined once
-        prefix = f"{cell[s]},{cell[v]},"
-        return [
-            f"{prefix}{cell[d]},{leg_in + leg_out:.3f},,,,{KIND_BRIDGE}\r\n"
-            for d, leg_out in legs_out
-        ]
-
-    with replaced_on_success(path, newline="") as handle:
-        handle.write(",".join(INSIGHT_HEADER) + "\r\n")
-        _write_batched(handle, lines)
-        _write_bridges(handle, path, "", rows, bridge_rows, 0, run_shares, cpus)
-    return len(rows)
-
-
-def _json_float(value: float) -> str:
-    # json.dump spells an overflowed leg sum Infinity; finite floats are repr
-    return repr(value) if math.isfinite(value) else json.dumps(value)
-
-
-def write_rows_json(
-    rows: DetourRows, path: str | Path, run_shares: Optional[Callable] = None, cpus: int = 1
-) -> int:
-    """Write ``rows`` byte-identical to ``json.dump(indent=2)`` of one object
-    per insight keyed by :data:`INSIGHT_HEADER`, plus a newline, replacing
-    ``path`` atomically; returns the number of rows written. The bridges
-    are written in shares over ``cpus`` CPUs when ``run_shares`` is given
-    (see :func:`_write_bridges`)."""
-    cell = [json.dumps(node) for node in rows.nodes]
-    objects = (
-        f'  {{\n    "source": {cell[s]},\n    "via": {cell[v]},\n    "destination": {cell[d]},'
-        f'\n    "overlay_rtt_ms": {overlay!r},\n    "direct_rtt_ms": {direct!r},'
-        f'\n    "improvement_ms": {gain!r},\n    "improvement_pct": {pct!r},'
-        f'\n    "kind": "{KIND_IMPROVEMENT}"\n  }}'
-        for s, v, d, overlay, direct, gain, pct in rows.improvements()
-    )
-
-    def bridge_objects(
-        s: int, v: int, leg_in: float, legs_out: list[tuple[int, float]]
-    ) -> list[str]:
-        # each object is led by the ",\n" that joins it to the one before
-        prefix = f',\n  {{\n    "source": {cell[s]},\n    "via": {cell[v]},\n    "destination": '
-        return [
-            f'{prefix}{cell[d]},'
-            f'\n    "overlay_rtt_ms": {_json_float(leg_in + leg_out)},'
-            f'\n    "direct_rtt_ms": null,'
-            f'\n    "improvement_ms": null,\n    "improvement_pct": null,'
-            f'\n    "kind": "{KIND_BRIDGE}"\n  }}'
-            for d, leg_out in legs_out
-        ]
-
-    with replaced_on_success(path) as handle:
-        if not len(rows):
-            handle.write("[]\n")
-            return 0
-        handle.write("[\n")
-        _write_batched(handle, objects, ",\n")
-        # the file's first object has no separator before it
-        cut = 0 if rows.pcts else len(",\n")
-        _write_bridges(handle, path, None, rows, bridge_objects, cut, run_shares, cpus)
-        handle.write("\n]\n")
+        handle.write(header)
+        skip = len(separator)  # what the first row written loses, until one is written
+        try:
+            with contextlib.closing(run_shares(share, range(count))) as wrote:
+                for index, any_rows in enumerate(wrote):
+                    if index:
+                        handle.flush()  # the text written so far goes before the part's bytes
+                        with open(parts[index], "rb") as part:
+                            part.seek(skip)
+                            while chunk := part.read(1 << 16):
+                                handle.buffer.write(chunk)
+                        parts[index].unlink()
+                    if any_rows:
+                        skip = 0
+        finally:  # the children are reaped by now, so none writes a file after this
+            for part in parts[1:]:
+                part.unlink(missing_ok=True)
+                for temporary in part.parent.glob(f".{part.name}.*.tmp"):
+                    temporary.unlink()
+        handle.write(footer)
     return len(rows)

@@ -37,11 +37,8 @@ MODALITY_BIMODAL = "bimodal"
 MODALITY_MULTIMODAL = "multimodal"
 MODALITY_DEGENERATE = "degenerate"
 
-_MODALITY_RANK = {
-    MODALITY_UNIMODAL: 1,
-    MODALITY_BIMODAL: 2,
-    MODALITY_MULTIMODAL: 3,
-}
+# by the number of significant histogram peaks, from one to three or more
+_MODALITIES = (MODALITY_UNIMODAL, MODALITY_BIMODAL, MODALITY_MULTIMODAL)
 
 # a secondary histogram peak below this fraction of the tallest peak is noise
 PEAK_MIN_FRACTION = 0.10
@@ -92,11 +89,8 @@ def _modality(counts: Counter) -> str:
         return MODALITY_DEGENERATE
     tallest = max(count for _, count in peaks)
     significant = sum(1 for _, count in peaks if count >= PEAK_MIN_FRACTION * tallest)
-    if significant <= 1:
-        return MODALITY_UNIMODAL
-    if significant == 2:
-        return MODALITY_BIMODAL
-    return MODALITY_MULTIMODAL
+    # the tallest peak is always significant, so there is at least one
+    return _MODALITIES[min(significant, 3) - 1]
 
 
 def describe(
@@ -211,8 +205,7 @@ def compose(legs: Sequence[RttSummary], forwarding_delay_ms: float = 0.0) -> Rtt
     mode += relay_delay
     if not all(map(math.isfinite, (mean, median, mode, variance))):
         raise ToolkitError("composing the legs gives a value that is not finite")
-    rank = max(_MODALITY_RANK[leg.modality] for leg in legs)
-    modality = {1: MODALITY_UNIMODAL, 2: MODALITY_BIMODAL, 3: MODALITY_MULTIMODAL}[rank]
+    modality = max((leg.modality for leg in legs), key=_MODALITIES.index)
     return RttSummary(
         mean_ms=mean,
         median_ms=median,

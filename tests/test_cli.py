@@ -6,6 +6,7 @@ import argparse
 import configparser
 import contextlib
 import csv
+import functools
 import io
 import json
 import random
@@ -40,11 +41,12 @@ from detourkit.cli import (
     ingest_to_rows,
     main,
     resolve_config,
+    run_shares,
     write_table,
 )
 from detourkit import errors, geo
 from detourkit import stats as stats_module
-from detourkit.detours import DetourRows, search_detours, write_rows_csv, write_rows_json
+from detourkit.detours import DetourRows, search_detours, write_rows
 from detourkit.errors import ToolkitError
 from detourkit.graph import SNAPSHOT_HEADER, read_snapshot, write_snapshot
 from detourkit.ingest import FilterSpec
@@ -1241,10 +1243,12 @@ def failing_rows():
 
 
 # a successor list naming a node rank that does not exist fails mid-file,
-# when the writer walks the bridges after the improvement row A -> C via B
+# when the writer walks the bridges after the improvement row A -> C via B;
+# an empty fourth successor list lets the bridge slicing, which only counts
+# each via's successors, read the rank
 BROKEN_ROWS = DetourRows(
     nodes=["A", "B", "C"],
-    successors=[[(1, 1.0)], [(7, 1.0)], []],
+    successors=[[(1, 1.0)], [(3, 1.0)], [], []],
     pairs=array("q", [0 * 3 + 2]),  # source * len(nodes) + destination
     vias=array("q", [1]),
     overlays=array("d", [1.0]),
@@ -1254,12 +1258,13 @@ BROKEN_ROWS = DetourRows(
     bridge_count=1,
 )
 
+DETOURS_SHARES = functools.partial(run_shares, "detours")
 FAILING_WRITERS = {
     "write_snapshot": lambda path: write_snapshot(failing_edge_rows(), path),
     "write_table-csv": lambda path: write_table(path, "csv", HISTOGRAM_COLUMNS, failing_rows()),
     "write_table-json": lambda path: write_table(path, "json", HISTOGRAM_COLUMNS, failing_rows()),
-    "write_rows_csv": lambda path: write_rows_csv(BROKEN_ROWS, path),
-    "write_rows_json": lambda path: write_rows_json(BROKEN_ROWS, path),
+    "write_rows-csv": lambda path: write_rows(BROKEN_ROWS, path, "csv", DETOURS_SHARES, 1),
+    "write_rows-json": lambda path: write_rows(BROKEN_ROWS, path, "json", DETOURS_SHARES, 1),
 }
 
 

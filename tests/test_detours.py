@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import random
@@ -28,17 +29,18 @@ from conftest import (
     save_graph,
     write_insights_csv,
 )
-from detourkit.cli import HISTOGRAM_COLUMNS, main, write_table
+from detourkit.cli import HISTOGRAM_COLUMNS, main, run_shares, write_table
 from detourkit.detours import (
     INSIGHT_HEADER,
     KIND_BRIDGE,
     KIND_IMPROVEMENT,
     search_detours,
-    write_rows_csv,
-    write_rows_json,
+    write_rows,
 )
 from detourkit.errors import ToolkitError
 from detourkit.graph import canonical_endpoint, read_snapshot
+
+DETOURS_SHARES = functools.partial(run_shares, "detours")
 
 
 def key(text):
@@ -210,10 +212,11 @@ class TestBridgeStream:
         assert len(walked) == rows.bridge_count
         with tempfile.TemporaryDirectory() as work:
             csv_path = Path(work) / "insights.csv"
-            assert write_rows_csv(rows, csv_path) == len(rows)
+            assert write_rows(rows, csv_path, "csv", DETOURS_SHARES, 1) == len(rows)
             # endpoint names are digits, so one line per row after the header
             assert len(csv_path.read_bytes().splitlines()) == len(rows) + 1
-            assert write_rows_json(rows, Path(work) / "insights.json") == len(rows)
+            json_path = Path(work) / "insights.json"
+            assert write_rows(rows, json_path, "json", DETOURS_SHARES, 1) == len(rows)
 
     def test_search_holds_no_bridge_rows(self):
         # 150 nodes: 205,469 bridges and 14,592 improvements at 1%
@@ -371,13 +374,18 @@ class TestExport:
         ]
 
     def test_json_rows_spell_overflowed_overlay_as_json_does(self, tmp_path):
-        graph = make_graph({("A", "B"): 1e308, ("B", "C"): 1e308, ("C", "D"): 1.0})
+        # E -> G through F gains nearly the largest float, so its pct is infinite
+        graph = make_graph(
+            {("A", "B"): 1e308, ("B", "C"): 1e308, ("C", "D"): 1.0,
+             ("E", "F"): 1.0, ("F", "G"): 1.0, ("E", "G"): 1.7e308}
+        )
         rows = search_detours(*ranked(graph), 1.0)
         path = tmp_path / "insights.json"
-        assert write_rows_json(rows, path) == 2
+        assert write_rows(rows, path, "json", DETOURS_SHARES, 1) == 3
         text = path.read_text(encoding="utf-8")
         assert text == reference_json(rows.insights())
         assert '"overlay_rtt_ms": Infinity' in text
+        assert '"improvement_pct": Infinity' in text
 
     def test_report_order_improvements_then_bridges(self):
         graph = make_graph(

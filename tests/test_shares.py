@@ -41,6 +41,7 @@ from conftest import (
 from detourkit import cli
 from detourkit import detours as detours_mod
 from detourkit import traceroute as traceroute_mod
+from test_cli import FUZZED_INPUTS, _spliced
 from test_detours import reference_json
 from test_golden import CASES, COMMAND_CASES, GOLDEN, case_name, run_case, run_command_case
 from test_ingest_oracle import (
@@ -217,6 +218,18 @@ def test_ingest_is_the_same_at_any_cpu_count(files, flags, sidecar, cpus):
     assert one[0] in (0, 1)
 
 
+def command_run(work: Path, argv: list[str], cpus: int) -> tuple:
+    """The command's exit code, stdout, stderr and the files it wrote in
+    ``work / "out"``, its output dir, with ``cpus`` usable CPUs."""
+    out = work / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    with mock.patch.object(cli, "usable_cpus", lambda: cpus):
+        code, stdout, stderr = run(argv)
+    assert_no_child_left()
+    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+    return code, stdout, stderr, files
+
+
 def trace_dir(work: Path, count: int = 24, broken: tuple[int, ...] = (2, 9, 14, 21)) -> Path:
     """``count`` traces copied from the fixtures, the ``broken`` ones
     (indices in name order) malformed, so that they fall in different
@@ -327,6 +340,45 @@ def test_failing_traceroutes_share_stops_the_later_ones(tmp_path, monkeypatch):
     assert_no_child_left()
 
 
+# trace files that fail to parse, each in another way
+MALFORMED_TRACES = [
+    b"garbage, not a trace\n",
+    b"# a label | but no hops\n",
+    b"",
+    b" 1  a.example (192.0.2.1)  1.0 ms\n 1  b.example (192.0.2.2)  2.0 ms\n",
+    b" 1  a.example (192.0.2.1)  1.0 ms\n# a header after hop lines\n",
+    b" 1  a.example (192.0.2.1)  1.0\n",
+    b"traceroute to \xff.example (192.0.2.9), 30 hops max\n 1  a (192.0.2.1)  1.0 ms\n",
+]
+# a trace directory's files in name order: fixture traces, malformed ones,
+# and a trace with a few arbitrary bytes put in
+trace_files = st.lists(
+    st.one_of(
+        st.sampled_from(TRACES),
+        st.sampled_from(MALFORMED_TRACES),
+        _spliced(FUZZED_INPUTS["trace"][1]),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(files=trace_files, fmt=st.sampled_from(["csv", "json"]), cpus=st.integers(2, 4))
+def test_traceroutes_is_the_same_at_any_cpu_count(files, fmt, cpus):
+    with tempfile.TemporaryDirectory() as name:
+        work = Path(name)
+        traces = work / "traces"
+        traces.mkdir()
+        for index, trace in enumerate(files):
+            text = trace.read_bytes() if isinstance(trace, Path) else trace
+            (traces / f"t{index:02d}.txt").write_bytes(text)
+        argv = ["--output-dir", str(work / "out"), "--format", fmt, "traceroutes", str(traces)]
+        one = command_run(work, argv, 1)
+        assert command_run(work, argv, cpus) == one
+    assert one[0] == 0
+
+
 def overlay(work: Path, legs: list[Path], direct: Path) -> tuple[int, str, str, dict]:
     out = work / "out"
     argv = ["--output-dir", str(out), "overlay", "--direct", str(direct)]
@@ -389,6 +441,59 @@ def test_overlay_composing_error_comes_before_the_direct_inputs(tmp_path, monkey
         )
         assert not (tmp_path / "out").exists()
         assert_no_child_left()
+
+
+# an overlay input: a fixture leg, a few samples drawn from clusters or at
+# random, a sample file with a few arbitrary bytes put in, or one that fails
+# (empty, a bad sample, a zero, a nan, a byte that is not UTF-8, past the
+# largest float once binned, or missing)
+overlay_inputs = st.one_of(
+    st.sampled_from([OVERLAY / "leg_ab.txt", OVERLAY / "leg_bc.txt", OVERLAY / "direct_ac.txt"]),
+    st.lists(
+        st.sampled_from([5.0, 5.5, 6.25, 20.0, 21.5, 40.0]) | st.floats(1.0, 60.0),
+        min_size=1,
+        max_size=40,
+    ).map(lambda samples: "".join(f"{sample!r}\n" for sample in samples).encode()),
+    _spliced(FUZZED_INPUTS["samples"][1]),
+    st.sampled_from(
+        [b"# none\n", b"12.5\nx\n", b"12.5\n0\n", b"12.5\nnan\n", b"12.5\n\xff\n", b"1.7e308\n",
+         "missing"]
+    ),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    legs=st.lists(overlay_inputs, max_size=3),
+    direct=st.none() | overlay_inputs,
+    width=st.sampled_from(["0.5", "5"]),
+    fmt=st.sampled_from(["csv", "json"]),
+    cpus=st.integers(2, 4),
+)
+# at 3 CPUs each input has a share: the legs' composing error still comes
+# before the missing --direct input's
+@example(legs=[b"1.7e308\n", b"1.7e308\n"], direct="missing", width="5", fmt="csv", cpus=3)
+def test_overlay_is_the_same_at_any_cpu_count(legs, direct, width, fmt, cpus):
+    with tempfile.TemporaryDirectory() as name:
+        work = Path(name)
+
+        def path_of(index: int, sample: Path | bytes | str) -> Path:
+            if isinstance(sample, Path):
+                return sample
+            path = work / f"input-{index}.txt"
+            if sample != "missing":
+                path.write_bytes(sample)
+            return path
+
+        argv = ["--output-dir", str(work / "out"), "--format", fmt, "overlay",
+                "--mode-bin-width", width]
+        for index, leg in enumerate(legs):
+            argv += ["--leg", f"L{index}={path_of(index, leg)}"]
+        if direct is not None:
+            argv += ["--direct", str(path_of(len(legs), direct))]
+        one = command_run(work, argv, 1)
+        assert command_run(work, argv, cpus) == one
+    assert one[0] in (0, 1, 2)
 
 
 # a traceroutes command whose child goes through its slice slowly while the
@@ -500,16 +605,17 @@ def test_detours_file_edge_cases_at_any_cpu_count(tmp_path, monkeypatch, graph, 
         assert_no_child_left()
 
 
-# snapshot edges between a few endpoints, with integer RTTs so that
-# improvements of equal pct fall in different bridge slices
+# snapshot edges between a few endpoints, drawn from the 21 ordered pairs of
+# two different ones, with integer RTTs so that improvements of equal pct
+# fall in different bridge slices
+EDGE_PAIRS = [
+    (source, destination)
+    for source in ["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5"]
+    for destination in ["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.6"]
+    if source != destination
+]
 snapshot_edges = st.dictionaries(
-    st.tuples(
-        st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5"]),
-        st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.6"]),
-    ).filter(lambda edge: edge[0] != edge[1]),
-    st.integers(1, 9),
-    min_size=4,
-    max_size=18,
+    st.sampled_from(EDGE_PAIRS), st.integers(1, 9), min_size=4, max_size=18
 )
 # a malformed row to put in among the others, in about a third of the examples
 SNAPSHOT_FAULTS = st.sampled_from(
@@ -518,16 +624,9 @@ SNAPSHOT_FAULTS = st.sampled_from(
 
 
 def detours_run(work: Path, argv: list[str], cpus: int) -> tuple:
-    """``detours``' exit code, stdout, stderr and written files with
-    ``cpus`` usable CPUs, a share for every bridge."""
-    out = work / "out"
-    shutil.rmtree(out, ignore_errors=True)
-    with mock.patch.object(cli, "usable_cpus", lambda: cpus):
-        with mock.patch.object(detours_mod, "BRIDGE_ROWS_PER_SHARE", 1):
-            code, stdout, stderr = run(argv)
-    assert_no_child_left()
-    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
-    return code, stdout, stderr, files
+    """:func:`command_run` of ``detours``, a share for every bridge."""
+    with mock.patch.object(detours_mod, "BRIDGE_ROWS_PER_SHARE", 1):
+        return command_run(work, argv, cpus)
 
 
 @settings(max_examples=60, deadline=None)
